@@ -1,13 +1,14 @@
 # Observation-space adversarial regularizer: divergence metrics, projected
 # gradient ascent on the perturbation, Gaussian noise baseline, and the
-# leader-follower (total-derivative) gradient through the unrolled attack.
+# leader-follower (total-derivative) gradient through the unrolled attack,
+# with exact, row-batched Hessian-vector products.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .net import Net, grads_to_vector, hvp, net_forward, net_grads, params_to_vector, vector_to_net
+from .net import Net, _act, _act_grad, grads_to_vector, net_forward, net_grads
 
 KL_FLOOR = 1e-12
 
@@ -155,16 +156,18 @@ def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
 
 
 def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> np.ndarray:
-    """Transposed Jacobian of project() at pre-projection point `pre` applied to u."""
+    """Row-wise transposed Jacobian of project() at the pre-projection rows
+    `pre`, (d,) or (B, d), applied to u of the same shape."""
     if epsilon == 0.0:
         return np.zeros_like(u)
     if norm == "linf":
         return np.where(np.abs(pre) <= epsilon, u, 0.0)
-    n = float(np.linalg.norm(pre))
-    if n <= epsilon:
-        return u
+    n = np.linalg.norm(pre, axis=-1, keepdims=True)
+    inside = n <= epsilon
+    n = np.where(inside, 1.0, n)
     unit = pre / n
-    return (epsilon / n) * (u - unit * float(unit @ u))
+    radial = unit * np.sum(unit * u, axis=-1, keepdims=True)
+    return np.where(inside, u, (epsilon / n) * (u - radial))
 
 
 def sample_ball(dim: int, radius: float, norm: str, rng: np.random.Generator) -> np.ndarray:
@@ -239,64 +242,135 @@ def gaussian_delta(dim: int, sigma: float, seed: int) -> np.ndarray:
     return sigma * rng.standard_normal(dim)
 
 
-def _joint_grad_fn(template: Net, obs: np.ndarray, metric: str, head: str, dim: int):
-    def g(z):
-        delta, theta = z[:dim], z[dim:]
-        net = vector_to_net(template, theta)
-        _, gd, gt = reg_value_and_grads(net, obs, delta, metric, head)
-        return np.concatenate([gd, gt])
-    return g
+def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
+    # Second derivative of the hidden activation; relu's is 0 away from the kink.
+    if kind == "relu":
+        return np.zeros_like(z)
+    t = np.tanh(z)
+    return -2.0 * t * (1.0 - t * t)
+
+
+def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
+                    metric: str, head: str):
+    """Exact derivative of reg_value_and_grads' (grad_delta, grad_theta) along
+    (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows.
+
+    Forward-over-reverse (Pearlmutter's R-operator): the forward pass of the
+    perturbed branch o + delta carries the tangent u through the net, the
+    head and the divergence gradient; the reverse pass carries the tangent of
+    the backpropagated signal. The clean branch o has no input tangent, so
+    its parameter-gradient tangent is one reverse pass with the tangent of
+    its upstream.
+    """
+    n_layers = len(net.weights)
+    a, a_dot = obs + delta, u
+    zs, z_dots, acts, act_dots = [], [], [a], [a_dot]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z, z_dot = a @ w.T + b, a_dot @ w.T
+        zs.append(z)
+        z_dots.append(z_dot)
+        if i == n_layers - 1:
+            a, a_dot = z, z_dot
+        else:
+            a, a_dot = _act(z, net.activation), _act_grad(z, net.activation) * z_dot
+        acts.append(a)
+        act_dots.append(a_dot)
+
+    pa, pa_dot, pb = a, a_dot, net_forward(net, obs)
+    if head == "softmax":
+        pa, pb = softmax(pa), softmax(pb)
+        pa_dot = pa * (pa_dot - np.sum(pa * pa_dot, axis=-1, keepdims=True))
+    _, da, db = _divergence_grads(pa, pb, metric)
+    if metric == "sq_l2":
+        da_dot, db_dot = 2.0 * pa_dot, -2.0 * pa_dot
+    else:
+        da_dot = np.where(pa > KL_FLOOR, pa_dot / np.maximum(pa, KL_FLOOR), 0.0)
+        db_dot = np.where(pb > KL_FLOOR, -pa_dot / np.maximum(pb, KL_FLOOR), 0.0)
+    if head == "softmax":
+        # up = pa * (da - s) with s = <da, pa>, differentiated by the product rule
+        s = np.sum(da * pa, axis=-1, keepdims=True)
+        s_dot = np.sum(da_dot * pa + da * pa_dot, axis=-1, keepdims=True)
+        up, up_dot = pa * (da - s), pa_dot * (da - s) + pa * (da_dot - s_dot)
+        up_b_dot = _softmax_vjp(pb, db_dot)
+    else:
+        up, up_dot, up_b_dot = da, da_dot, db_dot
+
+    grad_params = [None] * n_layers
+    dz, dz_dot = up, up_dot
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            g1 = _act_grad(zs[i], net.activation)
+            dz_dot = dz_dot * g1 + dz * _act_second(zs[i], net.activation) * z_dots[i]
+            dz = dz * g1
+        grad_params[i] = (dz_dot.T @ acts[i] + dz.T @ act_dots[i], dz_dot.sum(axis=0))
+        dz, dz_dot = dz @ net.weights[i], dz_dot @ net.weights[i]
+    h_theta = (grads_to_vector(grad_params)
+               + grads_to_vector(net_grads(net, obs, up_b_dot).grad_params))
+    return dz_dot, h_theta
 
 
 def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Total derivative of R(o, delta^K(theta); theta) w.r.t. the parameters.
+                     rng: np.random.Generator | None = None, return_attack: bool = False):
+    """Total derivative of sum_rows R(o, delta^K(theta); theta) w.r.t. the
+    parameters, for one observation (d,) or a block of rows (B, d).
 
-    Reverse accumulation through the K unrolled ascent steps; each step's
-    second-order term is a finite-difference Hessian-vector product of the
-    joint (delta, theta) gradient. K=0 reduces to the plain gradient at
-    the initialization.
+    The initial points come from rng exactly as pgd_attack draws them, and
+    the forward pass repeats pgd_attack's steps, so from equal rng states
+    delta^K is pgd_attack's output bit for bit. Three passes:
+
+    - forward: the K projected ascent steps on all rows, recording delta^k
+      and the pre-projection points;
+    - start: reg_value_and_grads at delta^K gives u = dR/ddelta^K per row and
+      the partial parameter gradient;
+    - reverse (Maclaurin et al. 2015), step k = K-1..0: u <- the projection's
+      transposed Jacobian applied to u, row-wise; then one exact
+      forward-over-reverse pass (Pearlmutter 1994) at delta^k gives
+      H_dd u and H_td u, and grad += eta H_td u, u += eta H_dd u.
+
+    Every product is exact, so the only error is floating point. K=0
+    reduces to the plain gradient at the initialization. With return_attack
+    the result is (gradient, delta^K, per-row regularizer values at
+    delta^K), shaped like obs.
     """
     head = default_head(cfg.metric) if head is None else head
-    obs = np.asarray(obs, dtype=float)
-    if obs.ndim != 1:
-        raise ValueError("stackelberg_grad expects a single observation")
+    ob, squeezed = _as_batch(obs)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    dim = obs.shape[0]
-    delta = project(_init_delta((dim,), cfg, rng), cfg.epsilon, cfg.norm)
+    delta = _init_delta(ob.shape if not squeezed else (ob.shape[1],), cfg, rng)
+    db = project(delta[None, :] if squeezed else delta, cfg.epsilon, cfg.norm)
     eta = cfg.step_size
 
-    # Forward: record delta^k and the pre-projection points.
-    deltas, pres = [delta], []
+    deltas, pres = [db], []
     if cfg.epsilon > 0.0:
         for _ in range(cfg.k_steps):
-            _, gd, _ = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, head, need_theta=False)
+            _, gd, _ = reg_value_and_grads(net, ob, deltas[-1], cfg.metric, head, need_theta=False)
             if not np.all(np.isfinite(gd)):
                 raise FloatingPointError("non-finite attack gradient")
             pre = deltas[-1] + eta * gd
             pres.append(pre)
             deltas.append(project(pre, cfg.epsilon, cfg.norm) if cfg.project_each_step else pre)
+    final = deltas[-1]
+    if cfg.epsilon > 0.0 and not cfg.project_each_step:
+        final = project(final, cfg.epsilon, cfg.norm)
 
-    _, gd_final, theta_acc = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, head)
-    u = gd_final
-    if len(deltas) == 1:
-        return theta_acc
-
-    theta_vec = params_to_vector(net)
-    gfun = _joint_grad_fn(net, obs, cfg.metric, head, dim)
+    vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric, head)
+    if pres and not cfg.project_each_step:
+        u = _project_vjp(deltas[-1], cfg.epsilon, cfg.norm, u)
     for k in range(len(pres) - 1, -1, -1):
         if cfg.project_each_step:
             u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
         if not np.any(u):
             break
-        z = np.concatenate([deltas[k], theta_vec])
-        hz = hvp(gfun, z, np.concatenate([u, np.zeros_like(theta_vec)]))
-        theta_acc = theta_acc + eta * hz[dim:]
-        u = u + eta * hz[:dim]
+        h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric, head)
+        theta_acc = theta_acc + eta * h_theta
+        u = u + eta * h_delta
     if not np.all(np.isfinite(theta_acc)):
         raise FloatingPointError("non-finite leader gradient")
-    return theta_acc
+    if not return_attack:
+        return theta_acc
+    if squeezed:
+        return theta_acc, final[0], float(vals[0])
+    return theta_acc, final, vals
 
 
 def regularized_grad(base_grad: np.ndarray, reg_grads, lam: float) -> np.ndarray:

@@ -143,6 +143,9 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("seeds must be non-empty")
     if raw["ernie"]["mode"] not in ("pgd", "gaussian"):
         raise ConfigError("ernie.mode must be 'pgd' or 'gaussian'")
+    if raw["ernie"]["stackelberg"] and raw["ernie"]["mode"] != "pgd":
+        raise ConfigError("ernie.stackelberg needs ernie.mode 'pgd': the gaussian "
+                          "baseline has no attack to differentiate through")
     if raw["ernie"]["norm"] not in ("l2", "linf"):
         raise ConfigError("ernie.norm must be 'l2' or 'linf'")
     if raw["ernie"]["epsilon"] < 0:

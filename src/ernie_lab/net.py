@@ -1,5 +1,6 @@
 # Minimal dense-network engine: deterministic init, reverse-mode gradients
-# w.r.t. parameters and inputs, finite-difference Hessian-vector products.
+# w.r.t. parameters and inputs, and a finite-difference Hessian-vector product
+# that serves only as the oracle for the exact one in advreg.
 # Everything is float64; nets are immutable values.
 from __future__ import annotations
 
@@ -153,7 +154,8 @@ def grads_to_vector(grad_params) -> np.ndarray:
 
 
 def hvp(grad_fn, theta, v, h=None) -> np.ndarray:
-    """Central-difference Hessian-vector product from a gradient oracle.
+    """Central-difference Hessian-vector product from a gradient oracle; the
+    reference that gradcheck and the tests hold the exact products to.
 
     Returns [g(theta + h'v) - g(theta - h'v)] / (2 h') with h' = h / ||v||.
     Two gradient evaluations, O(d) extra memory.

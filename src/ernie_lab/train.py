@@ -87,18 +87,20 @@ def _attack_config(cfg: ExperimentConfig, seed: int) -> AttackConfig:
 
 def _obs_regularizer(net, obs_rows, acfg: AttackConfig, mode: str,
                      attack_rng: np.random.Generator, stackelberg: bool):
-    """Mean regularizer value, mean parameter gradient, mean attack norm."""
+    """Mean regularizer value, mean parameter gradient, mean attack norm, all
+    from one attack drawn from attack_rng."""
     rows = obs_rows.shape[0]
-    if mode == "gaussian":
-        sigma = acfg.epsilon
-        delta = (np.zeros_like(obs_rows) if sigma == 0.0
-                 else sigma * attack_rng.standard_normal(obs_rows.shape))
+    if stackelberg:
+        gt, delta, vals = stackelberg_grad(net, obs_rows, acfg, rng=attack_rng,
+                                           return_attack=True)
     else:
-        delta = pgd_attack(net, obs_rows, acfg, rng=attack_rng)
-    vals, _, gt = reg_value_and_grads(net, obs_rows, delta, acfg.metric)
-    if stackelberg and mode == "pgd":
-        gt = sum(stackelberg_grad(net, obs_rows[r], acfg, rng=attack_rng)
-                 for r in range(rows))
+        if mode == "gaussian":
+            sigma = acfg.epsilon
+            delta = (np.zeros_like(obs_rows) if sigma == 0.0
+                     else sigma * attack_rng.standard_normal(obs_rows.shape))
+        else:
+            delta = pgd_attack(net, obs_rows, acfg, rng=attack_rng)
+        vals, _, gt = reg_value_and_grads(net, obs_rows, delta, acfg.metric)
     value = float(np.mean(vals))
     norm = float(np.mean(np.linalg.norm(delta, axis=-1)))
     return value, gt / rows, norm

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ernie_lab.advreg import (AttackConfig, divergence, gaussian_delta,
+from ernie_lab.advreg import (AttackConfig, _joint_grad_dir, _project_vjp,
+                              default_head, divergence, gaussian_delta,
                               pgd_attack, project, reg_value_and_grads,
                               regularized_grad, regularizer, sample_ball,
                               stackelberg_grad)
-from ernie_lab.net import Net, n_params, net_init, params_to_vector, vector_to_net
+from ernie_lab.net import (Net, hvp, n_params, net_init, params_to_vector,
+                           vector_to_net)
 
 
 def _linear_net(w):
@@ -162,3 +164,86 @@ def test_attack_soundness_pgd_beats_gaussian():
         v_rand = regularizer(net, obs, rand, "sq_l2")
         wins += v_pgd >= v_rand
     assert wins >= 0.8 * trials, f"pgd won only {wins}/{trials}"
+
+
+def _project_vjp_row(pre, epsilon, norm, u):
+    # Per-row reference: the transposed Jacobian of the l2 / linf projection.
+    if norm == "linf":
+        return np.where(np.abs(pre) <= epsilon, u, 0.0)
+    n = float(np.linalg.norm(pre))
+    if n <= epsilon:
+        return u
+    unit = pre / n
+    return (epsilon / n) * (u - unit * float(unit @ u))
+
+
+def test_project_vjp_batched_matches_rows():
+    rng = np.random.default_rng(3)
+    eps = 0.5
+    for norm in ("l2", "linf"):
+        # rows inside, outside and on either side of the ball's surface
+        pre = rng.standard_normal((12, 4)) * np.repeat([0.05, 0.2, 1.0, 3.0], 3)[:, None]
+        u = rng.standard_normal((12, 4))
+        got = _project_vjp(pre, eps, norm, u)
+        want = np.stack([_project_vjp_row(p, eps, norm, v) for p, v in zip(pre, u)])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        inside = (np.linalg.norm(pre, axis=1) <= eps if norm == "l2"
+                  else np.abs(pre).max(axis=1) <= eps)
+        assert inside.any() and not inside.all()
+        assert np.allclose(_project_vjp(pre[5], eps, norm, u[5]), want[5], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("metric", ["sq_l2", "kl"])
+def test_joint_grad_dir_matches_fd_hvp(metric):
+    # Exact forward-over-reverse vs the finite-difference HVP of the joint
+    # (delta, theta) gradient along (u, 0), on tanh nets with the metric's head.
+    rng = np.random.default_rng(17)
+    head = default_head(metric)
+    for trial in range(5):
+        net = net_init([4, 6, 3], activation="tanh", seed=trial, scale=1.5)
+        rows, dim = 3, net.in_dim
+        obs = rng.uniform(-1.0, 1.0, size=(rows, dim))
+        delta = 0.3 * rng.standard_normal((rows, dim))
+        u = rng.standard_normal((rows, dim))
+        theta = params_to_vector(net)
+
+        def joint_grad(z):
+            m = vector_to_net(net, z[rows * dim:])
+            _, gd, gt = reg_value_and_grads(m, obs, z[:rows * dim].reshape(rows, dim),
+                                            metric, head)
+            return np.concatenate([gd.ravel(), gt])
+
+        fd = hvp(joint_grad, np.concatenate([delta.ravel(), theta]),
+                 np.concatenate([u.ravel(), np.zeros_like(theta)]))
+        h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric, head)
+        exact = np.concatenate([h_delta.ravel(), h_theta])
+        assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("metric,norm", [("sq_l2", "l2"), ("kl", "linf")])
+def test_stackelberg_batched_equals_sum_of_rows(metric, norm):
+    rng = np.random.default_rng(5)
+    net = net_init([5, 7, 3], activation="tanh", seed=9, scale=2.0)
+    obs = rng.uniform(-1.0, 1.0, size=(6, 5))
+    cfg = AttackConfig(epsilon=0.4, k_steps=3, metric=metric, norm=norm, seed=21)
+    # one rng shared by the row calls draws the same initial points as the
+    # batched call
+    batched = stackelberg_grad(net, obs, cfg, rng=np.random.default_rng(8))
+    row_rng = np.random.default_rng(8)
+    rows = sum(stackelberg_grad(net, o, cfg, rng=row_rng) for o in obs)
+    assert np.linalg.norm(batched - rows) <= 1e-10 * np.linalg.norm(rows)
+
+
+@pytest.mark.parametrize("project_each_step", [True, False])
+def test_stackelberg_attack_is_pgd_attack(project_each_step):
+    rng = np.random.default_rng(2)
+    net = net_init([4, 6, 2], seed=4)
+    obs = rng.uniform(-1.0, 1.0, size=(5, 4))
+    cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2", seed=1,
+                       project_each_step=project_each_step)
+    r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
+    _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1, return_attack=True)
+    want = pgd_attack(net, obs, cfg, rng=r2)
+    assert np.array_equal(delta, want)
+    assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2")[0])
+    assert r1.bit_generator.state == r2.bit_generator.state

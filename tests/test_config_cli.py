@@ -61,6 +61,13 @@ def test_start_frac_range_checked():
         resolve_config({"ernie": {"start_frac": -0.1}})
 
 
+def test_stackelberg_requires_pgd_mode():
+    cfg = resolve_config({"ernie": {"stackelberg": True}})
+    assert cfg["ernie"]["stackelberg"] is True
+    with pytest.raises(ConfigError):
+        resolve_config({"ernie": {"stackelberg": True, "mode": "gaussian"}})
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         resolve_config({"learning_rate": 0.1})

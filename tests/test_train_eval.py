@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ernie_lab.advreg import AttackConfig
 from ernie_lab.config import resolve_config
 from ernie_lab.evaluate import evaluate_checkpoint, load_checkpoint, sweep_specs
-from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, train_run
+from ernie_lab.net import net_init
+from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
 
 
 def _ddpg_doc(**over):
@@ -156,3 +158,18 @@ def test_mf_ddpg_runs_and_differs_from_ddpg(tmp_path):
     b = Path(train_run(mf, tmp_path / "mf")[0]["out_dir"])
     assert (b / "metrics.csv").exists()
     assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
+
+
+def test_stackelberg_logs_the_attack_it_differentiates():
+    # One PGD draw per call: the logged value and norm come from the delta^K
+    # the Stackelberg gradient differentiates through, and the attack stream
+    # advances exactly as in plain PGD mode.
+    net = net_init([5, 8, 2], activation="tanh", seed=3)
+    obs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(6, 5))
+    acfg = AttackConfig(epsilon=0.5, k_steps=2, seed=0)
+    logged = {}
+    for stackelberg in (False, True):
+        rng = np.random.default_rng(4)
+        value, _, norm = _obs_regularizer(net, obs, acfg, "pgd", rng, stackelberg)
+        logged[stackelberg] = (value, norm, rng.bit_generator.state)
+    assert logged[True] == logged[False]
