@@ -4,11 +4,12 @@
 # with exact, row-batched Hessian-vector products.
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .net import Net, _act, _act_grad, grads_to_vector, net_forward, net_grads
+from .net import Net, _act, _act_grad, grads_to_vector, net_forward, net_vjp
 
 KL_FLOOR = 1e-12
 
@@ -124,17 +125,18 @@ def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = No
     db, _ = _as_batch(delta)
     if ob.shape != db.shape:
         raise ValueError(f"obs shape {ob.shape} != delta shape {db.shape}")
-    xa = ob + db
-    ya = policy_forward(net, xa, head)
-    yb = policy_forward(net, ob, head)
+    ya, vjp_a = net_vjp(net, ob + db)
+    yb, vjp_b = net_vjp(net, ob)
+    if head == "softmax":
+        ya, yb = softmax(ya), softmax(yb)
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
     up_a = _softmax_vjp(ya, d_ya) if head == "softmax" else d_ya
     up_b = _softmax_vjp(yb, d_yb) if head == "softmax" else d_yb
-    ga = net_grads(net, xa, up_a)
+    ga = vjp_a(up_a)
     grad_delta = ga.grad_input
     grad_theta = None
     if need_theta:
-        gb = net_grads(net, ob, up_b)
+        gb = vjp_b(up_b)
         grad_theta = grads_to_vector(ga.grad_params) + grads_to_vector(gb.grad_params)
     if squeezed:
         return float(vals[0]), grad_delta[0], grad_theta
@@ -173,12 +175,15 @@ def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> n
 def sample_ball(dim: int, radius: float, norm: str, rng: np.random.Generator) -> np.ndarray:
     if norm == "linf":
         return rng.uniform(-radius, radius, size=dim)
+    # Called once per attacked row, hence scalar math: sqrt(x.dot(x)) is
+    # np.linalg.norm's 1-D formula and rng.random() is rng.uniform()'s draw.
     direction = rng.standard_normal(dim)
-    d_norm = np.linalg.norm(direction)
+    d_norm = math.sqrt(direction.dot(direction))
     if d_norm == 0.0:
         return np.zeros(dim)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return direction / d_norm * r
+    direction /= d_norm
+    direction *= radius * rng.random() ** (1.0 / dim)
+    return direction
 
 
 def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
@@ -276,7 +281,8 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
         acts.append(a)
         act_dots.append(a_dot)
 
-    pa, pa_dot, pb = a, a_dot, net_forward(net, obs)
+    pb, vjp_b = net_vjp(net, obs)
+    pa, pa_dot = a, a_dot
     if head == "softmax":
         pa, pb = softmax(pa), softmax(pb)
         pa_dot = pa * (pa_dot - np.sum(pa * pa_dot, axis=-1, keepdims=True))
@@ -305,7 +311,7 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
         grad_params[i] = (dz_dot.T @ acts[i] + dz.T @ act_dots[i], dz_dot.sum(axis=0))
         dz, dz_dot = dz @ net.weights[i], dz_dot @ net.weights[i]
     h_theta = (grads_to_vector(grad_params)
-               + grads_to_vector(net_grads(net, obs, up_b_dot).grad_params))
+               + grads_to_vector(vjp_b(up_b_dot).grad_params))
     return dz_dot, h_theta
 
 

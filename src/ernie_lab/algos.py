@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, grads_to_vector, net_forward, net_grads, params_to_vector, vector_to_net
+from .net import Net, grads_to_vector, net_forward, net_vjp, params_to_vector, vector_to_net
 
 
 @dataclass
@@ -34,8 +34,9 @@ def soft_update(target: Net, online: Net, tau: float) -> Net:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if target.layer_dims != online.layer_dims:
         raise ValueError("target/online layer shapes differ")
-    mixed = (1.0 - tau) * params_to_vector(target) + tau * params_to_vector(online)
-    return vector_to_net(target, mixed)
+    mix = lambda t, o: (1.0 - tau) * t + tau * o
+    return Net(target.layer_dims, tuple(map(mix, target.weights, online.weights)),
+               tuple(map(mix, target.biases, online.biases)), target.activation)
 
 
 def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
@@ -66,11 +67,9 @@ def select_action_continuous(actor: Net, obs: np.ndarray, noise_scale: float,
 def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
     """(B, N) int actions -> (B, N * n_actions) concatenated one-hots."""
     b, n = actions.shape
-    out = np.zeros((b, n * n_actions))
-    rows = np.arange(b)
-    for i in range(n):
-        out[rows, i * n_actions + actions[:, i]] = 1.0
-    return out
+    out = np.zeros(b * n * n_actions)
+    out[np.arange(b * n) * n_actions + actions.ravel()] = 1.0
+    return out.reshape(b, n * n_actions)
 
 
 def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: float):
@@ -90,10 +89,10 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     not_done = 1.0 - batch["done"]
 
     q_sel = np.empty((b, n))
-    q_all = []
+    vjp_ind = []
     for i in range(n):
-        qi = net_forward(agents.ind[i], batch["obs"][:, i])
-        q_all.append(qi)
+        qi, vjp = net_vjp(agents.ind[i], batch["obs"][:, i])
+        vjp_ind.append(vjp)
         q_sel[:, i] = qi[rows, actions[:, i]]
 
     # individual TD targets and next greedy joint action from the target nets
@@ -108,7 +107,8 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
 
     x_glob = np.concatenate([batch["state"], _joint_onehot(actions, a_count)], axis=1)
     x_next = np.concatenate([batch["next_state"], _joint_onehot(a_next, a_count)], axis=1)
-    q_glob = net_forward(agents.glob, x_glob)[:, 0]
+    q_glob, vjp_glob = net_vjp(agents.glob, x_glob)
+    q_glob = q_glob[:, 0]
     y_glob = batch["global_reward"] + gamma * not_done * net_forward(
         agents.glob_target, x_next)[:, 0]
     td_glob = q_glob - y_glob
@@ -122,10 +122,9 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     for i in range(n):
         upstream = np.zeros((b, a_count))
         upstream[rows, actions[:, i]] = td_ind[:, i] / (b * n) - lambda_q * consistency / b
-        grads_ind.append(grads_to_vector(
-            net_grads(agents.ind[i], batch["obs"][:, i], upstream).grad_params))
+        grads_ind.append(grads_to_vector(vjp_ind[i](upstream).grad_params))
     up_glob = ((td_glob + lambda_q * consistency) / b)[:, None]
-    grad_glob = grads_to_vector(net_grads(agents.glob, x_glob, up_glob).grad_params)
+    grad_glob = grads_to_vector(vjp_glob(up_glob).grad_params)
 
     losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
     return losses, {"ind": grads_ind, "glob": grad_glob}
@@ -143,26 +142,26 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     a_next = np.stack([net_forward(agents.actor_target[i], batch["next_obs"][:, i])
                        for i in range(n)], axis=1)
     x_next = np.concatenate([batch["next_state"], a_next.reshape(b, n * da)], axis=1)
-    q = net_forward(agents.critic, x_c)[:, 0]
+    q, vjp_c = net_vjp(agents.critic, x_c)
+    q = q[:, 0]
     y = batch["global_reward"] + gamma * not_done * net_forward(
         agents.critic_target, x_next)[:, 0]
     td = q - y
     loss_critic = 0.5 * float(np.mean(td ** 2))
-    grad_critic = grads_to_vector(
-        net_grads(agents.critic, x_c, (td / b)[:, None]).grad_params)
+    grad_critic = grads_to_vector(vjp_c((td / b)[:, None]).grad_params)
 
     # actor gradients: ascend Q at the actors' current outputs
-    mu = np.stack([net_forward(agents.actors[i], batch["obs"][:, i]) for i in range(n)], axis=1)
+    mu, vjp_actors = zip(*(net_vjp(agents.actors[i], batch["obs"][:, i]) for i in range(n)))
+    mu = np.stack(mu, axis=1)
     x_mu = np.concatenate([batch["state"], mu.reshape(b, n * da)], axis=1)
-    q_mu = net_forward(agents.critic, x_mu)[:, 0]
-    actor_obj = float(np.mean(q_mu))
-    dq_dinput = net_grads(agents.critic, x_mu, np.full((b, 1), 1.0 / b)).grad_input
+    q_mu, vjp_mu = net_vjp(agents.critic, x_mu)
+    actor_obj = float(np.mean(q_mu[:, 0]))
+    dq_dinput = vjp_mu(np.full((b, 1), 1.0 / b)).grad_input
     state_dim = batch["state"].shape[1]
     grads_actors = []
     for i in range(n):
         block = dq_dinput[:, state_dim + i * da: state_dim + (i + 1) * da]
-        grads_actors.append(grads_to_vector(
-            net_grads(agents.actors[i], batch["obs"][:, i], -block).grad_params))
+        grads_actors.append(grads_to_vector(vjp_actors[i](-block).grad_params))
 
     losses = {"critic": loss_critic, "actor_obj": actor_obj}
     return losses, {"critic": grad_critic, "actors": grads_actors}

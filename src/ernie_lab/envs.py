@@ -2,6 +2,7 @@
 # queue grid) plus the evaluation-time perturbation harness.
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -55,15 +56,14 @@ def coopnav_obs_dim(n_agents: int) -> int:
 
 
 def _coopnav_obs(state: CoopNavState) -> np.ndarray:
-    n = state.pos.shape[0]
-    rows = []
-    for i in range(n):
-        parts = [state.pos[i], state.vel[i], (state.landmarks - state.pos[i]).ravel()]
-        others = np.delete(state.pos, i, axis=0) - state.pos[i]
-        if n > 1:
-            parts.append(others.ravel())
-        rows.append(np.concatenate(parts))
-    return np.stack(rows)
+    # Row i: own position and velocity, landmarks relative to agent i, then
+    # the other agents (in index order) relative to agent i.
+    pos = state.pos
+    n = pos.shape[0]
+    landmarks = state.landmarks[None, :, :] - pos[:, None, :]
+    others = (pos[None, :, :] - pos[:, None, :])[~np.eye(n, dtype=bool)]
+    return np.concatenate([pos, state.vel, landmarks.reshape(n, -1),
+                           others.reshape(n, -1)], axis=1)
 
 
 def coopnav_reset(n_agents: int, seed: int):
@@ -94,7 +94,8 @@ def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale: 
     collisions = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if np.linalg.norm(pos[i] - pos[j]) < COLLISION_DIST:
+            d = pos[i] - pos[j]
+            if np.sqrt(d.dot(d)) < COLLISION_DIST:  # np.linalg.norm(d), without its overhead
                 collisions += 1
     r = coverage - 1.0 * collisions
     rewards = np.full(n, r)
@@ -163,14 +164,19 @@ def _neighbor(idx: int, direction: int, rows: int, cols: int) -> int:
     return r * cols + c
 
 
+@functools.lru_cache(maxsize=None)
+def _neighbor_table(rows: int, cols: int) -> np.ndarray:
+    # (N, 4) neighbor indices in the order N, S, E, W; shared, so read-only
+    table = np.array([[_neighbor(i, d, rows, cols) for d in (DIR_N, DIR_S, DIR_E, DIR_W)]
+                      for i in range(rows * cols)])
+    table.flags.writeable = False
+    return table
+
+
 def _gridq_obs(state: GridQueueState) -> np.ndarray:
-    n = state.queues.shape[0]
-    rows = []
-    for i in range(n):
-        neighbor_sums = [state.queues[_neighbor(i, d, state.rows, state.cols)].sum()
-                         for d in (DIR_N, DIR_S, DIR_E, DIR_W)]
-        rows.append(np.concatenate([state.queues[i], neighbor_sums, [state.phases[i]]]))
-    return np.stack(rows)
+    # Row i: own queues, each neighbor's total queue (N, S, E, W), own phase.
+    neighbor_sums = state.queues[_neighbor_table(state.rows, state.cols)].sum(axis=2)
+    return np.concatenate([state.queues, neighbor_sums, state.phases[:, None]], axis=1)
 
 
 def gridq_reset(rows: int, cols: int, seed: int):

@@ -99,25 +99,42 @@ def net_grads(net: Net, x, upstream) -> GradBundle:
     upstream = np.asarray(upstream, dtype=float)
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} != net input dim {net.in_dim}")
-    if upstream.shape[-1] != net.out_dim:
-        raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
     single = x.ndim == 1
     xb = x[None, :] if single else x
     ub = upstream[None, :] if single else upstream
-    if xb.shape[0] != ub.shape[0]:
-        raise ValueError("batch sizes of x and upstream differ")
-
     zs, acts, _ = _forward_cached(net, xb)
+    bundle = _backward(net, zs, acts, ub)
+    if single:
+        bundle.grad_input = bundle.grad_input[0]
+    return bundle
+
+
+def net_vjp(net: Net, x):
+    """net_forward(net, x) on a batch (B, d), and a function mapping an
+    upstream (B, out) to net_grads(net, x, upstream) that reuses this
+    forward pass instead of repeating it."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[-1] != net.in_dim:
+        raise ValueError(f"input shape {x.shape} is not (B, {net.in_dim})")
+    zs, acts, y = _forward_cached(net, x)
+    return y, lambda upstream: _backward(net, zs, acts, np.asarray(upstream, dtype=float))
+
+
+def _backward(net: Net, zs, acts, upstream: np.ndarray) -> GradBundle:
+    # Reverse pass over _forward_cached's record of a (B, d) batch.
+    if upstream.shape[-1] != net.out_dim:
+        raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
+    if acts[0].shape[0] != upstream.shape[0]:
+        raise ValueError("batch sizes of x and upstream differ")
     n_layers = len(net.weights)
     grad_params = [None] * n_layers
-    dz = ub
+    dz = upstream
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             dz = dz * _act_grad(zs[i], net.activation)
         grad_params[i] = (dz.T @ acts[i], dz.sum(axis=0))
         dz = dz @ net.weights[i]
-    grad_input = dz[0] if single else dz
-    return GradBundle(grad_params, grad_input)
+    return GradBundle(grad_params, dz)
 
 
 def n_params(net: Net) -> int:

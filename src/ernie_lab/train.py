@@ -19,8 +19,7 @@ from .algos import (DdpgAgents, QComboAgents, _joint_onehot, apply_grad,
                     select_action_discrete, soft_update)
 from .config import ExperimentConfig
 from .envs import CoopNavEnv, GridQueueEnv
-from .net import (grads_to_vector, n_params, net_forward, net_grads, net_init,
-                  save_net)
+from .net import grads_to_vector, n_params, net_forward, net_init, net_vjp, save_net
 from .replay import ReplayBuffer, Transition, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
@@ -134,13 +133,13 @@ def _action_regularizer_grad(agents: QComboAgents, batch: dict, k: int, rows: in
     if not keep:
         return 0.0, np.zeros(n_params(agents.glob)), 0
     xc, xa = np.stack(x_clean), np.stack(x_adv)
-    qc = net_forward(agents.glob, xc)[:, 0]
-    qa = net_forward(agents.glob, xa)[:, 0]
-    diff = qc - qa
+    qc, vjp_c = net_vjp(agents.glob, xc)
+    qa, vjp_a = net_vjp(agents.glob, xa)
+    diff = qc[:, 0] - qa[:, 0]
     value = float(np.sum(diff ** 2) / rows)
     up = (2.0 * diff / rows)[:, None]
-    grad = (grads_to_vector(net_grads(agents.glob, xc, up).grad_params)
-            - grads_to_vector(net_grads(agents.glob, xa, up).grad_params))
+    grad = (grads_to_vector(vjp_c(up).grad_params)
+            - grads_to_vector(vjp_a(up).grad_params))
     return value, grad, len(keep)
 
 
@@ -153,7 +152,8 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
     rows = min(rows, batch["state"].shape[0])
     acts = batch["actions"][:rows].reshape(rows, -1)
     x0 = np.concatenate([batch["state"][:rows], acts], axis=1)
-    q0 = net_forward(critic, x0)[:, 0]
+    q0, vjp0 = net_vjp(critic, x0)
+    q0 = q0[:, 0]
     pdim = 2 * n_agents
     pos0 = x0[:, :pdim]
     pos = pos0 + (jitter * attack_rng.standard_normal(pos0.shape) if jitter > 0
@@ -161,19 +161,20 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
     for _ in range(steps):
         x = x0.copy()
         x[:, :pdim] = pos
-        q = net_forward(critic, x)[:, 0]
-        gin = net_grads(critic, x, (2.0 * (q - q0))[:, None]).grad_input[:, :pdim]
+        q, vjp = net_vjp(critic, x)
+        gin = vjp((2.0 * (q[:, 0] - q0))[:, None]).grad_input[:, :pdim]
         dpos = (pos - pos0).reshape(rows, n_agents, 2)
         nrm = np.linalg.norm(dpos, axis=2, keepdims=True)
         pen = np.where(nrm > 1e-12, dpos / np.maximum(nrm, 1e-12), 0.0)
         pos = pos + eta * (gin - lam_w * pen.reshape(rows, pdim) / n_agents)
     x = x0.copy()
     x[:, :pdim] = pos
-    diff = net_forward(critic, x)[:, 0] - q0
+    q, vjp = net_vjp(critic, x)
+    diff = q[:, 0] - q0
     value = float(np.mean(diff ** 2))
     up = (2.0 * diff / rows)[:, None]
-    grad = (grads_to_vector(net_grads(critic, x, up).grad_params)
-            - grads_to_vector(net_grads(critic, x0, up).grad_params))
+    grad = (grads_to_vector(vjp(up).grad_params)
+            - grads_to_vector(vjp0(up).grad_params))
     move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
     return value, grad, move
 

@@ -1,9 +1,13 @@
 # Acceptance suite: one test per criterion, each printing a pass/fail line.
-# Criteria 8 and 9 train real policies and dominate the runtime; everything
-# else completes in a couple of minutes.
+# Criteria 8 and 9 train real policies and dominate the runtime; they spread
+# their independent seed runs over up to two worker processes. Everything else
+# completes in a couple of minutes.
 import itertools
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +158,19 @@ def _robustness_run(doc: dict, seed: int, root: Path) -> dict:
             s["mean"] for s in out["specs"]}
 
 
+def _robustness_runs(jobs: list) -> list:
+    """_robustness_run over (doc, seed, root) jobs, two at a time where two
+    CPUs are available, results in job order.
+
+    Each run is seeded on its own and writes only under its root, so the
+    results do not depend on which worker ran it.
+    """
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_robustness_run, *zip(*jobs)))
+
+
 def test_criterion_8_observation_noise_robustness(workdir):
     t0 = time.monotonic()
     seeds = [0, 1, 2, 3, 4]
@@ -161,11 +178,10 @@ def test_criterion_8_observation_noise_robustness(workdir):
            "eval": {"obs_noise_sigmas": [0.0, 0.5, 1.0], "episodes": 100}}
     ernie = {"ernie": {"enabled": True, "epsilon": 3.0, "k_steps": 2,
                        "lambda": 10.0, "reg_rows": 32, "start_frac": 0.5}}
-    base, reg = {}, {}
-    for seed in seeds:
-        base[seed] = _robustness_run(doc, seed, workdir / f"c8_base_{seed}")
-        reg[seed] = _robustness_run({**doc, **ernie}, seed,
-                                    workdir / f"c8_ernie_{seed}")
+    runs = _robustness_runs(
+        [({**doc, **ernie}, seed, workdir / f"c8_ernie_{seed}") for seed in seeds]
+        + [(doc, seed, workdir / f"c8_base_{seed}") for seed in seeds])
+    reg, base = dict(zip(seeds, runs[:5])), dict(zip(seeds, runs[5:]))
     elapsed = time.monotonic() - t0
     means = {}
     for sigma in (0.5, 1.0):
@@ -190,11 +206,11 @@ def test_criterion_9_malicious_action_robustness(workdir):
            "eval": {"obs_noise_sigmas": [0.0], "malicious_rates": [0.03, 0.05],
                     "malicious_mode": "adversarial", "episodes": 100}}
     ernie_a = {"ernie_a": {"enabled": True, "k": 1, "lambda": 0.01, "rows": 4}}
+    runs = _robustness_runs(
+        [({**doc, **ernie_a}, seed, workdir / f"c9_ernie_a_{seed}") for seed in seeds]
+        + [(doc, seed, workdir / f"c9_base_{seed}") for seed in seeds])
     wins = {0.03: 0, 0.05: 0}
-    for seed in seeds:
-        base = _robustness_run(doc, seed, workdir / f"c9_base_{seed}")
-        reg = _robustness_run({**doc, **ernie_a}, seed,
-                              workdir / f"c9_ernie_a_{seed}")
+    for reg, base in zip(runs[:5], runs[5:]):
         for rate in (0.03, 0.05):
             wins[rate] += reg[(0.0, rate)] >= base[(0.0, rate)]
     elapsed = time.monotonic() - t0

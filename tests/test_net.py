@@ -5,8 +5,8 @@ import pytest
 
 from ernie_lab.net import (GradBundle, Net, grads_to_vector, hvp, load_net,
                            n_params, net_forward, net_from_json, net_grads,
-                           net_init, net_to_json, params_to_vector, save_net,
-                           vector_to_net)
+                           net_init, net_to_json, net_vjp, params_to_vector,
+                           save_net, vector_to_net)
 
 
 def test_init_deterministic():
@@ -128,6 +128,25 @@ def test_batched_forward_matches_rows():
     for i in range(5):
         # matrix-matrix and matrix-vector BLAS paths differ at ulp level
         assert np.abs(batched[i] - net_forward(net, xs[i])).max() < 1e-12
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_vjp_reuses_forward_bit_for_bit(activation):
+    net = net_init([5, 7, 6, 3], activation=activation, seed=4)
+    rng = np.random.default_rng(2)
+    x, u = rng.standard_normal((9, 5)), rng.standard_normal((9, 3))
+    y, vjp = net_vjp(net, x)
+    assert y.tobytes() == net_forward(net, x).tobytes()
+    got, want = vjp(u), net_grads(net, x, u)
+    assert got.grad_input.tobytes() == want.grad_input.tobytes()
+    assert grads_to_vector(got.grad_params).tobytes() == \
+        grads_to_vector(want.grad_params).tobytes()
+    with pytest.raises(ValueError):
+        vjp(u[:4])
+    with pytest.raises(ValueError):
+        vjp(u[:, :2])
+    with pytest.raises(ValueError):
+        net_vjp(net, x[0])
 
 
 def test_json_roundtrip(tmp_path):
