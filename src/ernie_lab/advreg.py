@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .net import Net, _act, _act_grad, grads_to_vector, net_forward, net_vjp
+from .net import Net, _act, _act_grad, layer_views, net_forward, net_vjp
 
 KL_FLOOR = 1e-12
 
@@ -27,7 +27,6 @@ class AttackConfig:
     metric: str = "sq_l2"
     init: str = "random_ball"
     seed: int = 0
-    project_each_step: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -137,7 +136,7 @@ def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = No
     grad_theta = None
     if need_theta:
         gb = vjp_b(up_b)
-        grad_theta = grads_to_vector(ga.grad_params) + grads_to_vector(gb.grad_params)
+        grad_theta = ga.grad_theta + gb.grad_theta
     if squeezed:
         return float(vals[0]), grad_delta[0], grad_theta
     return vals, grad_delta, grad_theta
@@ -218,11 +217,7 @@ def pgd_attack(net: Net, obs, cfg: AttackConfig, head: str | None = None,
         _, gd, _ = reg_value_and_grads(net, ob, db, cfg.metric, head, need_theta=False)
         if not np.all(np.isfinite(gd)):
             raise FloatingPointError("non-finite attack gradient")
-        db = db + eta * gd
-        if cfg.project_each_step:
-            db = project(db, cfg.epsilon, cfg.norm)
-    if not cfg.project_each_step:
-        db = project(db, cfg.epsilon, cfg.norm)
+        db = project(db + eta * gd, cfg.epsilon, cfg.norm)
     return db[0] if squeezed else db
 
 
@@ -301,17 +296,18 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     else:
         up, up_dot, up_b_dot = da, da_dot, db_dot
 
-    grad_params = [None] * n_layers
+    h_theta = np.empty(net.theta.size)
+    hws, hbs = layer_views(h_theta, net.layer_dims)
     dz, dz_dot = up, up_dot
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             g1 = _act_grad(zs[i], net.activation)
             dz_dot = dz_dot * g1 + dz * _act_second(zs[i], net.activation) * z_dots[i]
             dz = dz * g1
-        grad_params[i] = (dz_dot.T @ acts[i] + dz.T @ act_dots[i], dz_dot.sum(axis=0))
+        hws[i][...] = dz_dot.T @ acts[i] + dz.T @ act_dots[i]
+        np.sum(dz_dot, axis=0, out=hbs[i])
         dz, dz_dot = dz @ net.weights[i], dz_dot @ net.weights[i]
-    h_theta = (grads_to_vector(grad_params)
-               + grads_to_vector(vjp_b(up_b_dot).grad_params))
+    h_theta += vjp_b(up_b_dot).grad_theta
     return dz_dot, h_theta
 
 
@@ -354,17 +350,12 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
                 raise FloatingPointError("non-finite attack gradient")
             pre = deltas[-1] + eta * gd
             pres.append(pre)
-            deltas.append(project(pre, cfg.epsilon, cfg.norm) if cfg.project_each_step else pre)
+            deltas.append(project(pre, cfg.epsilon, cfg.norm))
     final = deltas[-1]
-    if cfg.epsilon > 0.0 and not cfg.project_each_step:
-        final = project(final, cfg.epsilon, cfg.norm)
 
     vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric, head)
-    if pres and not cfg.project_each_step:
-        u = _project_vjp(deltas[-1], cfg.epsilon, cfg.norm, u)
     for k in range(len(pres) - 1, -1, -1):
-        if cfg.project_each_step:
-            u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
+        u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
         if not np.any(u):
             break
         h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric, head)

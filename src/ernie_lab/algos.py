@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, grads_to_vector, net_forward, net_vjp, params_to_vector, vector_to_net
+from .net import Net, _from_vector, net_forward, net_vjp
 
 
 @dataclass
@@ -29,19 +29,20 @@ class DdpgAgents:
 
 
 def soft_update(target: Net, online: Net, tau: float) -> Net:
-    """target <- (1 - tau) * target + tau * online, per parameter."""
+    """target <- (1 - tau) * target + tau * online, on the parameter vectors."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if target.layer_dims != online.layer_dims:
         raise ValueError("target/online layer shapes differ")
-    mix = lambda t, o: (1.0 - tau) * t + tau * o
-    return Net(target.layer_dims, tuple(map(mix, target.weights, online.weights)),
-               tuple(map(mix, target.biases, online.biases)), target.activation)
+    return _from_vector(target.layer_dims, (1.0 - tau) * target.theta + tau * online.theta,
+                        target.activation)
 
 
 def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
-    """Plain SGD step."""
-    return vector_to_net(net, params_to_vector(net) - lr * flat_grad)
+    """Plain SGD step on the parameter vector."""
+    if np.shape(flat_grad) != net.theta.shape:
+        raise ValueError(f"gradient shape {np.shape(flat_grad)} != param count {net.theta.size}")
+    return _from_vector(net.layer_dims, net.theta - lr * flat_grad, net.activation)
 
 
 def select_action_discrete(qnet: Net, obs: np.ndarray, explore_rate: float,
@@ -70,6 +71,18 @@ def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
     out = np.zeros(b * n * n_actions)
     out[np.arange(b * n) * n_actions + actions.ravel()] = 1.0
     return out.reshape(b, n * n_actions)
+
+
+def global_q_fn(glob: Net, ind: list):
+    """Q_glob(state, joint action) as a callable, with the action count taken
+    from the individual Q-nets' output width."""
+    n_actions = ind[0].out_dim
+
+    def q(state_vec, joint):
+        joint = np.asarray(joint, dtype=int)
+        x = np.concatenate([state_vec, _joint_onehot(joint[None, :], n_actions)[0]])
+        return float(net_forward(glob, x)[0])
+    return q
 
 
 def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: float):
@@ -122,9 +135,9 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     for i in range(n):
         upstream = np.zeros((b, a_count))
         upstream[rows, actions[:, i]] = td_ind[:, i] / (b * n) - lambda_q * consistency / b
-        grads_ind.append(grads_to_vector(vjp_ind[i](upstream).grad_params))
+        grads_ind.append(vjp_ind[i](upstream).grad_theta)
     up_glob = ((td_glob + lambda_q * consistency) / b)[:, None]
-    grad_glob = grads_to_vector(vjp_glob(up_glob).grad_params)
+    grad_glob = vjp_glob(up_glob).grad_theta
 
     losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
     return losses, {"ind": grads_ind, "glob": grad_glob}
@@ -148,7 +161,7 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
         agents.critic_target, x_next)[:, 0]
     td = q - y
     loss_critic = 0.5 * float(np.mean(td ** 2))
-    grad_critic = grads_to_vector(vjp_c((td / b)[:, None]).grad_params)
+    grad_critic = vjp_c((td / b)[:, None]).grad_theta
 
     # actor gradients: ascend Q at the actors' current outputs
     mu, vjp_actors = zip(*(net_vjp(agents.actors[i], batch["obs"][:, i]) for i in range(n)))
@@ -161,7 +174,7 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     grads_actors = []
     for i in range(n):
         block = dq_dinput[:, state_dim + i * da: state_dim + (i + 1) * da]
-        grads_actors.append(grads_to_vector(vjp_actors[i](-block).grad_params))
+        grads_actors.append(vjp_actors[i](-block).grad_theta)
 
     losses = {"critic": loss_critic, "actor_obj": actor_obj}
     return losses, {"critic": grad_critic, "actors": grads_actors}

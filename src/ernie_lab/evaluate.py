@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algos import _joint_onehot
+from .algos import global_q_fn
 from .config import ExperimentConfig
 from .envs import PerturbSpec, rollout
 from .net import load_net, net_forward
@@ -19,7 +19,8 @@ RESULTS_HEADER = "obs_noise_sigma,dynamics_scale,malicious_rate,malicious_mode,e
 def load_checkpoint(path) -> dict:
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-    nets = {name: load_net(path / fname) for name, fname in manifest["files"].items()}
+    nets = {name: load_net(path / e["file"], e["layer_dims"], e["activation"])
+            for name, e in manifest["nets"].items()}
     return {"manifest": manifest, "nets": nets}
 
 
@@ -30,18 +31,12 @@ def build_policy(ckpt: dict):
     n = manifest["n_agents"]
     if manifest["algo"] == "qcombo":
         ind = [nets[f"ind_{i}"] for i in range(n)]
-        glob = nets["glob"]
 
         def act(obs):
             return np.array([int(np.argmax(net_forward(ind[i], obs[i])))
                              for i in range(n)])
 
-        def q_global(state_vec, joint):
-            joint = np.asarray(joint, dtype=int)
-            x = np.concatenate([state_vec, _joint_onehot(joint[None, :], 2)[0]])
-            return float(net_forward(glob, x)[0])
-
-        return act, q_global
+        return act, global_q_fn(nets["glob"], ind)
     actors = [nets[f"actor_{i}"] for i in range(n)]
 
     def act(obs):

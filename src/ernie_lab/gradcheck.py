@@ -6,8 +6,8 @@ import numpy as np
 
 from .advreg import (AttackConfig, _init_delta, default_head, policy_forward,
                      project, reg_value_and_grads, stackelberg_grad)
-from .net import (Net, grads_to_vector, hvp, net_forward, net_grads, net_init,
-                  n_params, params_to_vector, vector_to_net)
+from .net import (Net, hvp, net_forward, net_grads, net_init, n_params,
+                  params_to_vector, vector_to_net)
 
 GRAD_TOL = 1e-4
 KINK_MARGIN = 1e-4
@@ -52,7 +52,7 @@ def _random_small_net(rng: np.random.Generator, activation: str,
 
 
 def check_net_grads(n_trials: int = 100, seed: int = 0) -> dict:
-    """grad_params and grad_input vs central finite differences."""
+    """grad_theta and grad_input vs central finite differences."""
     rng = np.random.default_rng(seed)
     worst_p, worst_x = 0.0, 0.0
     done = 0
@@ -72,7 +72,7 @@ def check_net_grads(n_trials: int = 100, seed: int = 0) -> dict:
         def f_x(xi):
             return float(u @ net_forward(net, xi))
 
-        worst_p = max(worst_p, _rel_err(grads_to_vector(bundle.grad_params),
+        worst_p = max(worst_p, _rel_err(bundle.grad_theta,
                                         _fd_grad(f_theta, theta, h)))
         worst_x = max(worst_x, _rel_err(bundle.grad_input, _fd_grad(f_x, x.copy(), h)))
         done += 1
@@ -98,7 +98,7 @@ def check_hvp(seed: int = 0) -> dict:
     def grad_fn(t):
         m = vector_to_net(net, t)
         resid = net_forward(m, x) - target
-        return grads_to_vector(net_grads(m, x, resid).grad_params)
+        return net_grads(m, x, resid).grad_theta
 
     v = rng.standard_normal(theta.size)
     lin_err = _rel_err(hvp(grad_fn, theta, 10.0 * v), 10.0 * hvp(grad_fn, theta, v))

@@ -1,10 +1,12 @@
 # Minimal dense-network engine: deterministic init, reverse-mode gradients
-# w.r.t. parameters and inputs, and a finite-difference Hessian-vector product
-# that serves only as the oracle for the exact one in advreg.
-# Everything is float64; nets are immutable values.
+# w.r.t. parameters and inputs, binary parameter files, and a finite-difference
+# Hessian-vector product that serves only as the oracle for the exact one in
+# advreg. Everything is float64; nets are immutable values, each holding its
+# parameters in one flat vector that gradients, SGD, target updates and
+# checkpoints share.
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,12 +14,59 @@ import numpy as np
 ACTIVATIONS = ("relu", "tanh")
 
 
-@dataclass(frozen=True)
+def _dims(layer_dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2:
+        raise ValueError("layer_dims needs at least an input and an output width")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"layer widths must be positive, got {dims}")
+    return dims
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(dims: tuple[int, ...]):
+    """Per layer (weight slice, weight shape, bias slice) of the flat
+    vector, and the total parameter count."""
+    layers, k = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w_end = k + fan_out * fan_in
+        layers.append((slice(k, w_end), (fan_out, fan_in), slice(w_end, w_end + fan_out)))
+        k = w_end + fan_out
+    return tuple(layers), k
+
+
+def layer_views(vec: np.ndarray, layer_dims) -> tuple:
+    """((W_0, W_1, ...), (b_0, b_1, ...)) as views into a flat vector laid
+    out like Net.theta."""
+    layers = _layout(tuple(layer_dims))[0]
+    return (tuple([vec[w].reshape(shape) for w, shape, _ in layers]),
+            tuple([vec[b] for _, _, b in layers]))
+
+
 class Net:
-    layer_dims: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]  # each (out, in)
-    biases: tuple[np.ndarray, ...]
-    activation: str = "relu"
+    """Dense net: affine layers with `activation` between them; the final
+    layer is affine. All parameters live in one read-only float64 vector
+    `theta`, laid out W_0 (row-major, (out, in)), b_0, W_1, b_1, ...;
+    `weights` and `biases` are views into it. Nets are immutable values."""
+
+    __slots__ = ("layer_dims", "theta", "weights", "biases", "activation")
+
+    def __init__(self, layer_dims, weights, biases, activation: str = "relu"):
+        dims = _dims(layer_dims)
+        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+            raise ValueError(f"{len(dims) - 1} layers need as many weights and biases")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if np.shape(w) != (dims[i + 1], dims[i]) or np.shape(b) != (dims[i + 1],):
+                raise ValueError(f"layer {i} shapes inconsistent with layer_dims {dims}")
+        theta = np.concatenate([np.ravel(p) for w, b in zip(weights, biases)
+                                for p in (w, b)]).astype(float, copy=False)
+        _bind(self, dims, theta, activation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Net is immutable")
+
+    def __reduce__(self):
+        return _from_vector, (self.layer_dims, self.theta, self.activation)
 
     @property
     def in_dim(self) -> int:
@@ -28,19 +77,33 @@ class Net:
         return self.layer_dims[-1]
 
 
+def _bind(net: Net, dims: tuple[int, ...], theta: np.ndarray, activation: str) -> Net:
+    # theta must be a float64 vector of the right size that nothing else writes.
+    theta.setflags(write=False)
+    set_ = object.__setattr__
+    set_(net, "layer_dims", dims)
+    set_(net, "theta", theta)
+    ws, bs = layer_views(theta, dims)
+    set_(net, "weights", ws)
+    set_(net, "biases", bs)
+    set_(net, "activation", activation)
+    return net
+
+
+def _from_vector(dims: tuple[int, ...], theta: np.ndarray, activation: str) -> Net:
+    """A Net that takes ownership of theta, without copying it."""
+    return _bind(object.__new__(Net), dims, theta, activation)
+
+
 @dataclass
 class GradBundle:
-    grad_params: list  # [(dW, db), ...] matching net layers
+    grad_theta: np.ndarray  # flat parameter gradient, laid out like Net.theta
     grad_input: np.ndarray
 
 
 def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
     """Seeded uniform init: W ~ U(-scale/sqrt(fan_in), +scale/sqrt(fan_in)), b = 0."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ValueError("layer_dims needs at least an input and an output width")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"layer widths must be positive, got {dims}")
+    dims = _dims(layer_dims)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
     if activation not in ACTIVATIONS:
@@ -51,7 +114,7 @@ def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
         bound = scale / np.sqrt(fan_in)
         ws.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         bs.append(np.zeros(fan_out))
-    return Net(dims, tuple(ws), tuple(bs), activation)
+    return Net(dims, ws, bs, activation)
 
 
 def _act(z, kind):
@@ -121,53 +184,40 @@ def net_vjp(net: Net, x):
 
 
 def _backward(net: Net, zs, acts, upstream: np.ndarray) -> GradBundle:
-    # Reverse pass over _forward_cached's record of a (B, d) batch.
+    # Reverse pass over _forward_cached's record of a (B, d) batch, writing
+    # each layer's parameter gradient into its view of one flat vector.
     if upstream.shape[-1] != net.out_dim:
         raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
     if acts[0].shape[0] != upstream.shape[0]:
         raise ValueError("batch sizes of x and upstream differ")
     n_layers = len(net.weights)
-    grad_params = [None] * n_layers
+    grad = np.empty(net.theta.size)
+    gws, gbs = layer_views(grad, net.layer_dims)
     dz = upstream
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             dz = dz * _act_grad(zs[i], net.activation)
-        grad_params[i] = (dz.T @ acts[i], dz.sum(axis=0))
+        np.matmul(dz.T, acts[i], out=gws[i])
+        np.sum(dz, axis=0, out=gbs[i])
         dz = dz @ net.weights[i]
-    return GradBundle(grad_params, dz)
+    return GradBundle(grad, dz)
 
 
 def n_params(net: Net) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    return net.theta.size
 
 
 def params_to_vector(net: Net) -> np.ndarray:
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    """The net's read-only parameter vector itself, not a copy."""
+    return net.theta
 
 
 def vector_to_net(template: Net, vec: np.ndarray) -> Net:
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != n_params(template):
-        raise ValueError(f"vector size {vec.size} != param count {n_params(template)}")
-    ws, bs, k = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        ws.append(vec[k:k + w.size].reshape(w.shape))
-        k += w.size
-        bs.append(vec[k:k + b.size].copy())
-        k += b.size
-    return Net(template.layer_dims, tuple(ws), tuple(bs), template.activation)
-
-
-def grads_to_vector(grad_params) -> np.ndarray:
-    parts = []
-    for dw, db in grad_params:
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
+    """A net shaped like template with a copy of vec as its parameters."""
+    vec = np.array(vec, dtype=float)
+    if vec.shape != template.theta.shape:
+        raise ValueError(f"vector shape {vec.shape} != param count {template.theta.size}")
+    return _from_vector(template.layer_dims, vec, template.activation)
 
 
 def hvp(grad_fn, theta, v, h=None) -> np.ndarray:
@@ -190,33 +240,30 @@ def hvp(grad_fn, theta, v, h=None) -> np.ndarray:
     return (grad_fn(theta + hp * v) - grad_fn(theta - hp * v)) / (2.0 * hp)
 
 
-def net_to_json(net: Net) -> dict:
-    return {
-        "layer_dims": list(net.layer_dims),
-        "activation": net.activation,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def net_from_json(doc: dict) -> Net:
-    dims = tuple(int(d) for d in doc["layer_dims"])
-    ws = tuple(np.asarray(w, dtype=float) for w in doc["weights"])
-    bs = tuple(np.asarray(b, dtype=float) for b in doc["biases"])
-    net = Net(dims, ws, bs, doc["activation"])
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-            raise ValueError(f"checkpoint layer {i} shapes inconsistent with layer_dims")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"checkpoint layer {i} has non-finite parameters")
-    return net
-
-
 def save_net(net: Net, path) -> None:
-    with open(path, "w") as f:
-        json.dump(net_to_json(net), f, sort_keys=True)
+    """Write the parameter vector as one .npy file at exactly `path`. The
+    file holds no layer dims or activation; the caller records them (a
+    checkpoint keeps them in its manifest) and hands them to load_net."""
+    with open(path, "wb") as fh:
+        np.save(fh, net.theta, allow_pickle=False)
 
 
-def load_net(path) -> Net:
-    with open(path) as f:
-        return net_from_json(json.load(f))
+def load_net(path, layer_dims, activation: str) -> Net:
+    """Read a save_net file as a Net with the given layer dims and activation.
+
+    Rejects pickled data, anything but a 1-D float64 vector, a size that
+    layer_dims does not give, and non-finite parameters.
+    """
+    dims = _dims(layer_dims)
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"checkpoint activation must be one of {ACTIVATIONS}, got {activation!r}")
+    with open(path, "rb") as fh:
+        theta = np.load(fh, allow_pickle=False)
+    if not isinstance(theta, np.ndarray) or theta.dtype != np.float64 or theta.ndim != 1:
+        raise ValueError(f"{path}: not a float64 parameter vector")
+    want = _layout(dims)[1]
+    if theta.size != want:
+        raise ValueError(f"{path}: {theta.size} parameters, layer_dims {dims} need {want}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{path}: non-finite parameters")
+    return _from_vector(dims, theta, activation)

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from collections import deque
 from pathlib import Path
@@ -15,11 +16,11 @@ from .actionreg import greedy_action_attack
 from .advreg import (AttackConfig, pgd_attack, reg_value_and_grads,
                      regularized_grad, stackelberg_grad)
 from .algos import (DdpgAgents, QComboAgents, _joint_onehot, apply_grad,
-                    ddpg_updates, qcombo_losses, select_action_continuous,
-                    select_action_discrete, soft_update)
+                    ddpg_updates, global_q_fn, qcombo_losses,
+                    select_action_continuous, select_action_discrete, soft_update)
 from .config import ExperimentConfig
 from .envs import CoopNavEnv, GridQueueEnv
-from .net import grads_to_vector, n_params, net_forward, net_init, net_vjp, save_net
+from .net import n_params, net_init, net_vjp, save_net
 from .replay import ReplayBuffer, Transition, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
@@ -105,20 +106,12 @@ def _obs_regularizer(net, obs_rows, acfg: AttackConfig, mode: str,
     return value, gt / rows, norm
 
 
-def _glob_q_fn(glob_net, n_actions: int):
-    def q(state_vec, joint):
-        joint = np.asarray(joint, dtype=int)
-        x = np.concatenate([state_vec, _joint_onehot(joint[None, :], n_actions)[0]])
-        return float(net_forward(glob_net, x)[0])
-    return q
-
-
 def _action_regularizer_grad(agents: QComboAgents, batch: dict, k: int, rows: int):
     """Mean (Q(s,a) - Q(s, a_adv))^2 over the first rows of the batch, with its
     gradient w.r.t. the global Q parameters."""
     rows = min(rows, batch["state"].shape[0])
     n_actions = agents.n_actions
-    qfn = _glob_q_fn(agents.glob, n_actions)
+    qfn = global_q_fn(agents.glob, agents.ind)
     x_clean, x_adv, keep = [], [], []
     for r in range(rows):
         state = batch["state"][r]
@@ -138,8 +131,7 @@ def _action_regularizer_grad(agents: QComboAgents, batch: dict, k: int, rows: in
     diff = qc[:, 0] - qa[:, 0]
     value = float(np.sum(diff ** 2) / rows)
     up = (2.0 * diff / rows)[:, None]
-    grad = (grads_to_vector(vjp_c(up).grad_params)
-            - grads_to_vector(vjp_a(up).grad_params))
+    grad = vjp_c(up).grad_theta - vjp_a(up).grad_theta
     return value, grad, len(keep)
 
 
@@ -173,8 +165,7 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
     diff = q[:, 0] - q0
     value = float(np.mean(diff ** 2))
     up = (2.0 * diff / rows)[:, None]
-    grad = (grads_to_vector(vjp(up).grad_params)
-            - grads_to_vector(vjp0(up).grad_params))
+    grad = vjp(up).grad_theta - vjp0(up).grad_theta
     move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
     return value, grad, move
 
@@ -191,15 +182,35 @@ class _MetricsWriter:
 
 
 def _save_checkpoint(out: Path, step: int, nets: dict, meta: dict) -> Path:
+    """Write ckpt_<step>/: one save_net file per net and a manifest with
+    each net's file, layer dims and activation. Everything goes into a hidden
+    sibling directory that is renamed into place only after the manifest is
+    written, so a run killed part-way leaves no ckpt_* to be read as complete."""
     ck = out / f"ckpt_{step:06d}"
-    ck.mkdir(parents=True, exist_ok=True)
-    files = {}
+    tmp = out / f".{ck.name}.tmp"
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    entries = {}
     for name, net in nets.items():
-        save_net(net, ck / f"{name}.json")
-        files[name] = f"{name}.json"
-    manifest = dict(meta, step=step, files=files)
-    (ck / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        save_net(net, tmp / f"{name}.npy")
+        entries[name] = {"file": f"{name}.npy", "layer_dims": list(net.layer_dims),
+                         "activation": net.activation}
+    manifest = dict(meta, step=step, nets=entries)
+    (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if ck.exists():
+        shutil.rmtree(ck)
+    tmp.rename(ck)
     return ck
+
+
+def _check_finite(nets: dict, step: int, seed: int) -> None:
+    # Run on the SGD-updated nets only: each target is a convex mix of its
+    # previous value and a checked net.
+    for name, net in nets.items():
+        if not np.isfinite(net.theta).all():
+            raise FloatingPointError(f"non-finite parameters in {name} after the "
+                                     f"update at step {step}, seed {seed}")
 
 
 def _episode_stats(recent) -> tuple[float, float]:
@@ -282,6 +293,7 @@ def train_qcombo(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             for i in range(env.n_agents):
                 agents.ind[i] = apply_grad(agents.ind[i], grads["ind"][i], lr_t)
             agents.glob = apply_grad(agents.glob, grads["glob"], lr_t)
+            _check_finite(nets(), t, seed)
             agents.ind_target = [soft_update(tg, on, cfg["tau"])
                                  for tg, on in zip(agents.ind_target, agents.ind)]
             agents.glob_target = soft_update(agents.glob_target, agents.glob, cfg["tau"])
@@ -377,6 +389,7 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             for i in range(env.n_agents):
                 agents.actors[i] = apply_grad(agents.actors[i], grads["actors"][i],
                                               actor_lr_t)
+            _check_finite(nets(), t, seed)
             agents.critic_target = soft_update(agents.critic_target, agents.critic,
                                                cfg["tau"])
             agents.actor_target = [soft_update(tg, on, cfg["tau"])

@@ -234,13 +234,11 @@ def test_stackelberg_batched_equals_sum_of_rows(metric, norm):
     assert np.linalg.norm(batched - rows) <= 1e-10 * np.linalg.norm(rows)
 
 
-@pytest.mark.parametrize("project_each_step", [True, False])
-def test_stackelberg_attack_is_pgd_attack(project_each_step):
+def test_stackelberg_attack_is_pgd_attack():
     rng = np.random.default_rng(2)
     net = net_init([4, 6, 2], seed=4)
     obs = rng.uniform(-1.0, 1.0, size=(5, 4))
-    cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2", seed=1,
-                       project_each_step=project_each_step)
+    cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2", seed=1)
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
     _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1, return_attack=True)
     want = pgd_attack(net, obs, cfg, rng=r2)

@@ -55,6 +55,31 @@ def test_apply_grad_is_sgd():
                        params_to_vector(net) - 0.1, atol=1e-15)
 
 
+def test_flat_updates_match_per_layer_formulas():
+    # apply_grad and soft_update act on the flat vectors; per element the
+    # arithmetic is the per-layer formula's, so the bits must agree.
+    rng = np.random.default_rng(6)
+    net = net_init([5, 7, 3], activation="tanh", seed=2)
+    other = net_init([5, 7, 3], activation="tanh", seed=3)
+    grad = rng.standard_normal(params_to_vector(net).size)
+    lr, tau = 0.0137, 0.01
+    g_layers, k = [], 0
+    for w, b in zip(net.weights, net.biases):
+        g_layers.append((grad[k:k + w.size].reshape(w.shape),
+                         grad[k + w.size:k + w.size + b.size]))
+        k += w.size + b.size
+    stepped = apply_grad(net, grad, lr)
+    mixed = soft_update(net, other, tau)
+    for i, (gw, gb) in enumerate(g_layers):
+        assert stepped.weights[i].tobytes() == (net.weights[i] - lr * gw).tobytes()
+        assert stepped.biases[i].tobytes() == (net.biases[i] - lr * gb).tobytes()
+        for got, t, o in ((mixed.weights[i], net.weights[i], other.weights[i]),
+                          (mixed.biases[i], net.biases[i], other.biases[i])):
+            assert got.tobytes() == ((1.0 - tau) * t + tau * o).tobytes()
+    with pytest.raises(ValueError):
+        apply_grad(net, grad[:-1], lr)
+
+
 def test_select_action_discrete_greedy_and_explore():
     # Q(a) = [x0, 2*x0]: greedy picks 1 for positive input
     net = _linear_net(np.array([[1.0], [2.0]]), np.zeros(2))

@@ -1,12 +1,11 @@
-import json
+import pickle
 
 import numpy as np
 import pytest
 
-from ernie_lab.net import (GradBundle, Net, grads_to_vector, hvp, load_net,
-                           n_params, net_forward, net_from_json, net_grads,
-                           net_init, net_to_json, net_vjp, params_to_vector,
-                           save_net, vector_to_net)
+from ernie_lab.net import (Net, hvp, load_net, n_params, net_forward, net_grads,
+                           net_init, net_vjp, params_to_vector, save_net,
+                           vector_to_net)
 
 
 def test_init_deterministic():
@@ -68,15 +67,14 @@ def test_grads_single_affine_oracle():
     u = rng.standard_normal(3)
     g = net_grads(net, x, u)
     assert np.allclose(g.grad_input, w.T @ u)
-    assert np.allclose(g.grad_params[0][0], np.outer(u, x))
-    assert np.allclose(g.grad_params[0][1], u)
+    assert np.allclose(g.grad_theta, np.concatenate([np.outer(u, x).ravel(), u]))
 
 
 def test_grads_zero_upstream():
     net = net_init([3, 5, 2], seed=4)
     g = net_grads(net, np.ones(3), np.zeros(2))
     assert not np.any(g.grad_input)
-    assert not np.any(grads_to_vector(g.grad_params))
+    assert not np.any(g.grad_theta)
 
 
 def test_grads_match_finite_differences():
@@ -92,7 +90,7 @@ def test_grads_match_finite_differences():
         fp = u @ net_forward(vector_to_net(net, theta + e), x)
         fm = u @ net_forward(vector_to_net(net, theta - e), x)
         fd[i] = (fp - fm) / (2 * h)
-    got = grads_to_vector(net_grads(net, x, u).grad_params)
+    got = net_grads(net, x, u).grad_theta
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -109,7 +107,7 @@ def test_hvp_linear_in_v():
 
     def grad_fn(t):
         m = vector_to_net(net, t)
-        return grads_to_vector(net_grads(m, x, net_forward(m, x)).grad_params)
+        return net_grads(m, x, net_forward(m, x)).grad_theta
 
     v = np.random.default_rng(5).standard_normal(theta.size)
     a, b = hvp(grad_fn, theta, 10 * v), 10 * hvp(grad_fn, theta, v)
@@ -139,8 +137,7 @@ def test_vjp_reuses_forward_bit_for_bit(activation):
     assert y.tobytes() == net_forward(net, x).tobytes()
     got, want = vjp(u), net_grads(net, x, u)
     assert got.grad_input.tobytes() == want.grad_input.tobytes()
-    assert grads_to_vector(got.grad_params).tobytes() == \
-        grads_to_vector(want.grad_params).tobytes()
+    assert got.grad_theta.tobytes() == want.grad_theta.tobytes()
     with pytest.raises(ValueError):
         vjp(u[:4])
     with pytest.raises(ValueError):
@@ -149,22 +146,71 @@ def test_vjp_reuses_forward_bit_for_bit(activation):
         net_vjp(net, x[0])
 
 
-def test_json_roundtrip(tmp_path):
+def test_params_are_one_read_only_vector():
+    w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
+    w1, b1 = np.array([[8.0, 9.0]]), np.array([10.0])
+    net = Net((3, 2, 1), (w0, w1), (b0, b1))
+    theta = params_to_vector(net)
+    assert theta is net.theta and np.array_equal(theta, np.arange(11.0))
+    assert not theta.flags.writeable
+    for view, want in zip(net.weights + net.biases, (w0, w1, b0, b1)):
+        assert view.base is theta and np.array_equal(view, want)
+    with pytest.raises(ValueError):
+        net.weights[0][0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        net.theta = theta
+    with pytest.raises(ValueError):
+        Net((3, 2, 1), (w0.T, w1), (b0, b1))
+    # vector_to_net copies, so the caller's buffer stays its own
+    vec = np.ones(11)
+    ones = vector_to_net(net, vec)
+    vec[0] = 5.0
+    assert ones.weights[0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        vector_to_net(net, np.ones(10))
+    back = pickle.loads(pickle.dumps(net))
+    assert back.theta.tobytes() == theta.tobytes() and back.layer_dims == net.layer_dims
+
+
+def test_checkpoint_roundtrip(tmp_path):
     net = net_init([3, 4, 2], activation="tanh", seed=8)
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.npy"
     save_net(net, path)
-    loaded = load_net(path)
+    loaded = load_net(path, [3, 4, 2], "tanh")
     assert loaded.layer_dims == net.layer_dims
     assert loaded.activation == net.activation
-    for a, b in zip(loaded.weights, net.weights):
-        assert np.array_equal(a, b)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"layer_dims", "activation", "weights", "biases"}
+    assert loaded.theta.tobytes() == net.theta.tobytes()
+    assert not loaded.theta.flags.writeable
+    # a bare .npy vector: header plus 8 bytes per parameter, readable by numpy
+    assert np.array_equal(np.load(path), net.theta)
+    assert path.stat().st_size == 128 + 8 * n_params(net)
+    # written to exactly the given path, also without an .npy suffix
+    save_net(net, tmp_path / "plain")
+    assert (tmp_path / "plain").read_bytes() == path.read_bytes()
 
 
-def test_json_rejects_nonfinite():
+def test_checkpoint_rejects_bad_files(tmp_path):
     net = net_init([2, 2], seed=0)
-    doc = net_to_json(net)
-    doc["weights"][0][0][0] = float("nan")
+    bad = tmp_path / "bad.npy"
+    nan = net.theta.copy()
+    nan[0] = float("nan")
+    np.save(bad, nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_net(bad, [2, 2], "relu")
+    np.save(bad, np.ones(n_params(net) + 1))
+    with pytest.raises(ValueError, match="parameters"):
+        load_net(bad, [2, 2], "relu")
+    np.save(bad, net.theta.astype(np.float32))
+    with pytest.raises(ValueError, match="float64"):
+        load_net(bad, [2, 2], "relu")
+    np.save(bad, np.array([net.theta], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError):
-        net_from_json(json.loads(json.dumps(doc)))
+        load_net(bad, [2, 2], "relu")
+    bad.write_bytes(pickle.dumps(net.theta))
+    with pytest.raises(ValueError):
+        load_net(bad, [2, 2], "relu")
+    save_net(net, bad)
+    with pytest.raises(ValueError):
+        load_net(bad, [2, 2], "softplus")
+    with pytest.raises(ValueError):
+        load_net(bad, [2, 0, 2], "relu")

@@ -1,15 +1,17 @@
-# Trainer and evaluation harness behavior: artifacts, byte determinism, and
-# the disabled-regularizer identity.
+# Trainer and evaluation harness behavior: artifacts, byte determinism, the
+# disabled-regularizer identity, atomic checkpoints and fail-loud updates.
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ernie_lab.train as train_mod
 from ernie_lab.advreg import AttackConfig
 from ernie_lab.config import resolve_config
-from ernie_lab.evaluate import evaluate_checkpoint, load_checkpoint, sweep_specs
-from ernie_lab.net import net_init
+from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, load_checkpoint,
+                                sweep_specs)
+from ernie_lab.net import net_forward, net_init
 from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
 
 
@@ -173,3 +175,61 @@ def test_stackelberg_logs_the_attack_it_differentiates():
         value, _, norm = _obs_regularizer(net, obs, acfg, "pgd", rng, stackelberg)
         logged[stackelberg] = (value, norm, rng.bit_generator.state)
     assert logged[True] == logged[False]
+
+
+def test_global_q_takes_action_count_from_individual_nets():
+    # 2 agents with 3 actions each: the joint one-hot is 6 wide
+    state_dim, n, a_count = 4, 2, 3
+    nets = {f"ind_{i}": net_init([3, 5, a_count], seed=i) for i in range(n)}
+    nets["glob"] = net_init([state_dim + n * a_count, 5, 1], seed=9)
+    _, q = build_policy({"manifest": {"algo": "qcombo", "n_agents": n}, "nets": nets})
+    state = np.random.default_rng(0).uniform(-1, 1, size=state_dim)
+    for joint in [(0, 0), (2, 1), (1, 2)]:
+        onehot = np.zeros(n * a_count)
+        onehot[[a_count * i + a for i, a in enumerate(joint)]] = 1.0
+        want = float(net_forward(nets["glob"], np.concatenate([state, onehot]))[0])
+        assert q(state, joint) == want
+
+
+def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
+    # save_net fails after the first net: nothing named ckpt_* may appear
+    real, calls = train_mod.save_net, []
+
+    def flaky(net, path):
+        if calls:
+            raise OSError("disk full")
+        calls.append(path)
+        real(net, path)
+
+    monkeypatch.setattr(train_mod, "save_net", flaky)
+    cfg = resolve_config(_ddpg_doc(train_steps=0))
+    with pytest.raises(OSError):
+        train_run(cfg, tmp_path)
+    run_dir = tmp_path / "seed_0"
+    assert calls and not list(run_dir.glob("ckpt_*"))
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(run_dir / "ckpt_000000")
+    # the next save of that step replaces the leftover and completes
+    monkeypatch.setattr(train_mod, "save_net", real)
+    train_run(cfg, tmp_path)
+    assert [p.name for p in run_dir.glob("*ckpt_*")] == ["ckpt_000000"]
+    assert load_checkpoint(run_dir / "ckpt_000000")["manifest"]["step"] == 0
+
+
+@pytest.mark.parametrize("doc_fn,learner,net",
+                         [(_ddpg_doc, "ddpg_updates", "critic"),
+                          (_qcombo_doc, "qcombo_losses", "glob")], ids=["ddpg", "qcombo"])
+def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, tmp_path, monkeypatch):
+    real = getattr(train_mod, learner)
+
+    def poisoned(batch, agents, *args):
+        losses, grads = real(batch, agents, *args)
+        grads[net][0] = float("nan")
+        return losses, grads
+
+    monkeypatch.setattr(train_mod, learner, poisoned)
+    cfg = resolve_config(doc_fn(train_steps=5, warmup=3, batch=2, seeds=[4]))
+    with pytest.raises(FloatingPointError,
+                       match=f"non-finite parameters in {net} after the update "
+                             "at step 3, seed 4"):
+        train_run(cfg, tmp_path)
