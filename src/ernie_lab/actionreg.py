@@ -13,9 +13,9 @@ BRUTE_MAX_ACTIONS = 6
 
 @dataclass
 class ActionAttackResult:
-    perturbed: tuple  # joint action
-    value: float      # (Q(s,a) - Q(s,a'))^2 at the reported action
-    changed_agents: tuple
+    perturbed: tuple  # joint action; (R, N) array for R rows
+    value: float      # (Q(s,a) - Q(s,a'))^2 at the reported action; (R,) for R rows
+    changed_agents: tuple  # agents flipped, in commit order; R tuples for R rows
     evals: int = 0
     warnings: list = field(default_factory=list)
 
@@ -40,17 +40,23 @@ class _CountingQ:
         return float(self.q_fn(self.state, tuple(joint)))
 
 
-def greedy_action_attack(q_global, state, actions, n_actions, k: int,
-                         restart_each_round: bool = False) -> ActionAttackResult:
+def greedy_action_attack(q_global, state, actions, n_actions, k: int) -> ActionAttackResult:
     """K rounds of single-agent flips, each committing the flip that maximizes
     (Q(s,a) - Q(s,a'))^2; reports the best value over all committed prefixes.
+    Ties break deterministically to the lowest (agent, action) index. K > N is
+    clamped to N with a warning record.
 
-    Flips accumulate by default; restart_each_round rescans from the original
-    joint action every round instead. Ties break deterministically to the
-    lowest (agent, action) index. K > N is clamped to N with a warning record.
+    One joint action (N,) is scored through q_global(state, joint). R rows
+    (R, N) with states (R, ...) are attacked independently, each as its own
+    single call would be, with every row's candidate flips of a round scored
+    in one q_global.rows(states, joints) call (see algos.GlobalQ); the result
+    then holds perturbed (R, N), value (R,) and changed_agents as R tuples,
+    and evals counts the evaluations of all rows.
     """
-    actions = tuple(int(a) for a in actions)
-    n = len(actions)
+    joint = np.asarray(actions, dtype=int)
+    batched = joint.ndim == 2
+    joint = joint.reshape(-1, joint.shape[-1])
+    n_rows, n = joint.shape
     counts = _per_agent_counts(n_actions, n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -58,39 +64,62 @@ def greedy_action_attack(q_global, state, actions, n_actions, k: int,
     if k > n:
         warnings.append(f"k={k} clamped to the number of agents {n}")
         k = n
-    for i, (a, c) in enumerate(zip(actions, counts)):
-        if not 0 <= a < c:
-            raise ValueError(f"agent {i} action {a} out of range [0, {c})")
+    for i, c in enumerate(counts):
+        bad = (joint[:, i] < 0) | (joint[:, i] >= c)
+        if bad.any():
+            raise ValueError(f"agent {i} action {joint[bad, i][0]} out of range [0, {c})")
 
-    q = _CountingQ(q_global, state)
-    q_orig = q(actions)
-    current = list(actions)
-    changed: list[int] = []
-    best_value, best_joint, best_changed = -1.0, actions, ()
-    for _ in range(k):
-        round_best = None  # (value, agent, action)
-        for agent in range(n):
-            if agent in changed:
-                continue
-            for alt in range(counts[agent]):
-                if alt == current[agent]:
-                    continue
-                cand = list(current)
-                cand[agent] = alt
-                val = (q_orig - q(cand)) ** 2
-                if round_best is None or val > round_best[0]:
-                    round_best = (val, agent, alt)
-        if round_best is None:
+    if batched:
+        states = np.asarray(state)
+        score = lambda idx, joints: q_global.rows(states[idx], joints).tolist()
+    else:
+        score = lambda idx, joints: [float(q_global(state, tuple(j)))
+                                     for j in joints.tolist()]
+
+    # Every (agent, action) pair in scan order; a round's candidates are the
+    # pairs of agents not yet flipped, minus each agent's current action.
+    pair_agent = np.repeat(np.arange(n), counts)
+    pair_alt = np.concatenate([np.arange(c) for c in counts])
+    q_orig = score(np.arange(n_rows), joint)
+    evals = n_rows
+    current = joint.copy()
+    flipped = np.zeros(joint.shape, dtype=bool)
+    order = np.zeros((n_rows, k), dtype=int)   # agents in commit order
+    best_value = np.full(n_rows, -1.0)
+    best_joint = joint.copy()
+    best_len = np.zeros(n_rows, dtype=int)
+    for rnd in range(k):
+        valid = ~flipped[:, pair_agent] & (current[:, pair_agent] != pair_alt)
+        r_idx, c_idx = np.nonzero(valid)
+        if r_idx.size == 0:
             break
-        val, agent, alt = round_best
-        current[agent] = alt
-        changed.append(agent)
-        if val > best_value:
-            best_value, best_joint, best_changed = val, tuple(current), tuple(changed)
-        if restart_each_round:
-            current = list(actions)
-    return ActionAttackResult(best_joint, float(max(best_value, 0.0)), best_changed,
-                              evals=q.evals, warnings=warnings)
+        cand = current[r_idx]
+        cand[np.arange(r_idx.size), pair_agent[c_idx]] = pair_alt[c_idx]
+        evals += r_idx.size
+        # Python float arithmetic, as in a scalar scan: its ** 2 is libm's
+        # pow, which differs from numpy's x * x in the last bit.
+        vals = np.full(valid.shape, -np.inf)
+        vals[r_idx, c_idx] = [(q_orig[r] - qc) ** 2
+                              for r, qc in zip(r_idx.tolist(), score(r_idx, cand))]
+        live = np.flatnonzero(valid.any(axis=1))
+        pick = vals[live].argmax(axis=1)   # the first maximum: lowest (agent, action)
+        agent = pair_agent[pick]
+        current[live, agent] = pair_alt[pick]
+        flipped[live, agent] = True
+        order[live, rnd] = agent
+        val = vals[live, pick]
+        up = val > best_value[live]
+        better = live[up]
+        best_value[better] = val[up]
+        best_joint[better] = current[better]
+        best_len[better] = rnd + 1
+
+    value = np.maximum(best_value, 0.0)
+    changed = [tuple(order[r, :best_len[r]].tolist()) for r in range(n_rows)]
+    if batched:
+        return ActionAttackResult(best_joint, value, changed, evals=evals, warnings=warnings)
+    return ActionAttackResult(tuple(best_joint[0].tolist()), float(value[0]), changed[0],
+                              evals=evals, warnings=warnings)
 
 
 def brute_force_action_attack(q_global, state, actions, n_actions, k: int) -> ActionAttackResult:
@@ -118,14 +147,3 @@ def brute_force_action_attack(q_global, state, actions, n_actions, k: int) -> Ac
     changed = tuple(i for i, (a, b) in enumerate(zip(actions, best_joint)) if a != b)
     return ActionAttackResult(best_joint, float(best_value), changed, evals=q.evals)
 
-
-def action_regularizer(q_global, state, actions, n_actions, k: int,
-                       mode: str = "greedy") -> float:
-    """Attack value (Q(s,a) - Q(s,a'))^2 under the chosen solver; k=0 -> 0."""
-    if k == 0:
-        return 0.0
-    if mode == "greedy":
-        return greedy_action_attack(q_global, state, actions, n_actions, k).value
-    if mode == "brute":
-        return brute_force_action_attack(q_global, state, actions, n_actions, k).value
-    raise ValueError(f"mode must be 'greedy' or 'brute', got {mode!r}")

@@ -12,54 +12,65 @@ from .net import Net, _from_vector, net_forward, net_vjp
 
 @dataclass
 class QComboAgents:
-    ind: list          # per-agent Net, obs -> |A| values
+    ind: Net           # agent stack of individual Q-nets, obs -> |A| values
     glob: Net          # (state, joint one-hot) -> scalar
-    ind_target: list
+    ind_target: Net    # agent stack
     glob_target: Net
     n_actions: int
 
 
 @dataclass
 class DdpgAgents:
-    actors: list       # per-agent Net, obs -> action vector
+    actors: Net        # agent stack, obs -> action vector
     critic: Net        # (state, joint action) -> scalar
-    actor_target: list
+    actor_target: Net  # agent stack
     critic_target: Net
     action_dim: int
 
 
 def soft_update(target: Net, online: Net, tau: float) -> Net:
-    """target <- (1 - tau) * target + tau * online, on the parameter vectors."""
+    """target <- (1 - tau) * target + tau * online, on the parameter vectors
+    (on the whole block for an agent stack)."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
-    if target.layer_dims != online.layer_dims:
+    if target.layer_dims != online.layer_dims or target.theta.shape != online.theta.shape:
         raise ValueError("target/online layer shapes differ")
     return _from_vector(target.layer_dims, (1.0 - tau) * target.theta + tau * online.theta,
                         target.activation)
 
 
 def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
-    """Plain SGD step on the parameter vector."""
+    """Plain SGD step on the parameter vector (the whole (N, P) block for an
+    agent stack)."""
     if np.shape(flat_grad) != net.theta.shape:
-        raise ValueError(f"gradient shape {np.shape(flat_grad)} != param count {net.theta.size}")
+        raise ValueError(f"gradient shape {np.shape(flat_grad)} != parameter shape "
+                         f"{net.theta.shape}")
     return _from_vector(net.layer_dims, net.theta - lr * flat_grad, net.activation)
 
 
-def select_action_discrete(qnet: Net, obs: np.ndarray, explore_rate: float,
-                           rng: np.random.Generator | None, n_actions: int) -> int:
+def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
+                           rng: np.random.Generator | None, n_actions: int) -> np.ndarray:
+    """Joint action (N,) from the agent stack's greedy actions on obs (N, d);
+    agent by agent, each explores with probability explore_rate, drawing
+    first the coin and then the uniform action from rng."""
     if not 0.0 <= explore_rate <= 1.0:
         raise ValueError(f"explore rate must be in [0,1], got {explore_rate}")
-    if explore_rate > 0.0 and rng is not None and rng.uniform() < explore_rate:
-        return int(rng.integers(n_actions))
-    return int(np.argmax(net_forward(qnet, obs)))
+    actions = np.argmax(net_forward(qnets, obs), axis=1)
+    if explore_rate > 0.0 and rng is not None:
+        for i in range(actions.size):
+            if rng.uniform() < explore_rate:
+                actions[i] = rng.integers(n_actions)
+    return actions
 
 
-def select_action_continuous(actor: Net, obs: np.ndarray, noise_scale: float,
+def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
                              rng: np.random.Generator | None,
                              low: float = -1.0, high: float = 1.0) -> np.ndarray:
+    """Joint action (N, action_dim) from the agent stack on obs (N, d), with
+    one (N, action_dim) Gaussian draw as exploration noise, clipped."""
     if noise_scale < 0:
         raise ValueError(f"noise scale must be >= 0, got {noise_scale}")
-    a = net_forward(actor, obs)
+    a = net_forward(actors, obs)
     if noise_scale > 0.0 and rng is not None:
         a = a + noise_scale * rng.standard_normal(a.shape)
     return np.clip(a, low, high)
@@ -73,20 +84,29 @@ def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
     return out.reshape(b, n * n_actions)
 
 
-def global_q_fn(glob: Net, ind: list):
-    """Q_glob(state, joint action) as a callable, with the action count taken
-    from the individual Q-nets' output width."""
-    n_actions = ind[0].out_dim
+class GlobalQ:
+    """Q_glob(state, joint action) of a global Q-net over n_actions actions
+    per agent. Calling it scores one pair; `rows` scores M pairs in one
+    forward pass, each bit for bit the value of the single call."""
 
-    def q(state_vec, joint):
+    def __init__(self, glob: Net, n_actions: int):
+        self.glob = glob
+        self.n_actions = n_actions
+
+    def __call__(self, state_vec, joint) -> float:
         joint = np.asarray(joint, dtype=int)
-        x = np.concatenate([state_vec, _joint_onehot(joint[None, :], n_actions)[0]])
-        return float(net_forward(glob, x)[0])
-    return q
+        x = np.concatenate([state_vec, _joint_onehot(joint[None, :], self.n_actions)[0]])
+        return float(net_forward(self.glob, x)[0])
+
+    def rows(self, states: np.ndarray, joints: np.ndarray) -> np.ndarray:
+        """(M,) values for states (M, state_dim) and joint actions (M, N)."""
+        x = np.concatenate([states, _joint_onehot(joints, self.n_actions)], axis=1)
+        return net_forward(self.glob, x[:, None, :])[:, 0, 0]
 
 
 def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: float):
-    """QCOMBO losses and flat gradients.
+    """QCOMBO losses and gradients: an (N, P) block for the individual
+    Q-nets' stack and a vector for the global Q.
 
     L_ind averages the per-agent TD losses; L_glob is the central Bellman
     residual with next actions from per-agent target argmaxes; L_reg ties the
@@ -98,23 +118,20 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
         raise TypeError("qcombo requires discrete actions")
     b, n = actions.shape
     a_count = agents.n_actions
-    rows = np.arange(b)
+    rows = np.arange(b)[:, None]
+    agent = np.arange(n)
     not_done = 1.0 - batch["done"]
 
-    q_sel = np.empty((b, n))
-    vjp_ind = []
-    for i in range(n):
-        qi, vjp = net_vjp(agents.ind[i], batch["obs"][:, i])
-        vjp_ind.append(vjp)
-        q_sel[:, i] = qi[rows, actions[:, i]]
+    # The stacks run agent-major (N, B, ...); every (B, N) array below is
+    # built C-contiguous, so its reductions sum in the per-agent code's order.
+    q_ind, vjp_ind = net_vjp(agents.ind, batch["obs"].transpose(1, 0, 2))
+    q_sel = q_ind[agent, rows, actions]
 
     # individual TD targets and next greedy joint action from the target nets
-    y_ind = np.empty((b, n))
-    a_next = np.empty((b, n), dtype=int)
-    for i in range(n):
-        qt = net_forward(agents.ind_target[i], batch["next_obs"][:, i])
-        y_ind[:, i] = batch["rewards"][:, i] + gamma * not_done * qt.max(axis=1)
-        a_next[:, i] = qt.argmax(axis=1)
+    qt = net_forward(agents.ind_target, batch["next_obs"].transpose(1, 0, 2))
+    y_ind = batch["rewards"] + gamma * not_done[:, None] * np.ascontiguousarray(
+        qt.max(axis=2).T)
+    a_next = qt.argmax(axis=2).T
     td_ind = q_sel - y_ind
     loss_ind = 0.5 * float(np.mean(td_ind ** 2))
 
@@ -131,20 +148,19 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     loss_reg = 0.5 * float(np.mean(consistency ** 2))
     total = loss_glob + loss_ind + lambda_q * loss_reg
 
-    grads_ind = []
-    for i in range(n):
-        upstream = np.zeros((b, a_count))
-        upstream[rows, actions[:, i]] = td_ind[:, i] / (b * n) - lambda_q * consistency / b
-        grads_ind.append(vjp_ind[i](upstream).grad_theta)
+    upstream = np.zeros((n, b, a_count))
+    upstream[agent, rows, actions] = td_ind / (b * n) - (lambda_q * consistency / b)[:, None]
+    grad_ind = vjp_ind(upstream).grad_theta
     up_glob = ((td_glob + lambda_q * consistency) / b)[:, None]
     grad_glob = vjp_glob(up_glob).grad_theta
 
     losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
-    return losses, {"ind": grads_ind, "glob": grad_glob}
+    return losses, {"ind": grad_ind, "glob": grad_glob}
 
 
 def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
-    """Critic TD gradient and per-agent deterministic policy gradients."""
+    """Critic TD gradient, and the deterministic policy gradients of the
+    actors' stack as one (N, P) block."""
     actions = batch["actions"]
     if np.issubdtype(actions.dtype, np.integer):
         raise TypeError("ddpg requires continuous actions")
@@ -152,9 +168,9 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     not_done = 1.0 - batch["done"]
 
     x_c = np.concatenate([batch["state"], actions.reshape(b, n * da)], axis=1)
-    a_next = np.stack([net_forward(agents.actor_target[i], batch["next_obs"][:, i])
-                       for i in range(n)], axis=1)
-    x_next = np.concatenate([batch["next_state"], a_next.reshape(b, n * da)], axis=1)
+    a_next = net_forward(agents.actor_target, batch["next_obs"].transpose(1, 0, 2))
+    x_next = np.concatenate([batch["next_state"],
+                             a_next.transpose(1, 0, 2).reshape(b, n * da)], axis=1)
     q, vjp_c = net_vjp(agents.critic, x_c)
     q = q[:, 0]
     y = batch["global_reward"] + gamma * not_done * net_forward(
@@ -164,17 +180,15 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     grad_critic = vjp_c((td / b)[:, None]).grad_theta
 
     # actor gradients: ascend Q at the actors' current outputs
-    mu, vjp_actors = zip(*(net_vjp(agents.actors[i], batch["obs"][:, i]) for i in range(n)))
-    mu = np.stack(mu, axis=1)
-    x_mu = np.concatenate([batch["state"], mu.reshape(b, n * da)], axis=1)
+    mu, vjp_actors = net_vjp(agents.actors, batch["obs"].transpose(1, 0, 2))
+    x_mu = np.concatenate([batch["state"], mu.transpose(1, 0, 2).reshape(b, n * da)],
+                          axis=1)
     q_mu, vjp_mu = net_vjp(agents.critic, x_mu)
     actor_obj = float(np.mean(q_mu[:, 0]))
     dq_dinput = vjp_mu(np.full((b, 1), 1.0 / b)).grad_input
     state_dim = batch["state"].shape[1]
-    grads_actors = []
-    for i in range(n):
-        block = dq_dinput[:, state_dim + i * da: state_dim + (i + 1) * da]
-        grads_actors.append(vjp_actors[i](-block).grad_theta)
+    dq_da = dq_dinput[:, state_dim:state_dim + n * da].reshape(b, n, da)
+    grad_actors = vjp_actors(-np.ascontiguousarray(dq_da.transpose(1, 0, 2))).grad_theta
 
     losses = {"critic": loss_critic, "actor_obj": actor_obj}
-    return losses, {"critic": grad_critic, "actors": grads_actors}
+    return losses, {"critic": grad_critic, "actors": grad_actors}

@@ -46,7 +46,6 @@ DEFAULTS = {
     "ernie_a": {
         "enabled": False,
         "k": 1,
-        "mode": "greedy",
         "lambda": 0.1,
         "rows": 8,
     },
@@ -55,7 +54,6 @@ DEFAULTS = {
         "lambda_w": 1.0,
         "mf_steps": 10,
         "mf_eta": 0.05,
-        "attack_avg_action": False,
     },
     "eval": {
         "obs_noise_sigmas": [0.0, 0.1, 0.25, 0.5, 1.0],
@@ -154,8 +152,6 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("ernie.k_steps must be >= 0")
     if not 0.0 <= raw["ernie"]["start_frac"] <= 1.0:
         raise ConfigError("ernie.start_frac must be in [0, 1]")
-    if raw["ernie_a"]["mode"] not in ("greedy", "brute"):
-        raise ConfigError("ernie_a.mode must be 'greedy' or 'brute'")
     if raw["ernie_a"]["k"] < 0:
         raise ConfigError("ernie_a.k must be >= 0")
     if raw["eval"]["episodes"] < 1:

@@ -138,6 +138,9 @@ GRIDQ_FORWARD_FRAC = 0.5
 DIR_N, DIR_S, DIR_E, DIR_W = 0, 1, 2, 3
 _OPPOSITE = {DIR_N: DIR_S, DIR_S: DIR_N, DIR_E: DIR_W, DIR_W: DIR_E}
 PHASE_SERVES = {0: (DIR_N, DIR_S), 1: (DIR_E, DIR_W)}
+# (phase, direction) -> whether the phase serves that direction's queue
+_PHASE_MASK = np.array([[d in PHASE_SERVES[p] for d in range(4)] for p in (0, 1)])
+_PHASE_MASK.flags.writeable = False
 
 
 @dataclass
@@ -173,6 +176,20 @@ def _neighbor_table(rows: int, cols: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _inflow_table(rows: int, cols: int) -> np.ndarray:
+    # (N * 4,) flat source slot of each flat queue slot: the served cars of
+    # (i, d) forward to (neighbor(i, d), opposite(d)). That map is a bijection
+    # of the slots, so each slot receives from exactly one source; shared,
+    # so read-only.
+    table = np.empty(rows * cols * 4, dtype=int)
+    for i in range(rows * cols):
+        for d in range(4):
+            table[_neighbor(i, d, rows, cols) * 4 + _OPPOSITE[d]] = i * 4 + d
+    table.flags.writeable = False
+    return table
+
+
 def _gridq_obs(state: GridQueueState) -> np.ndarray:
     # Row i: own queues, each neighbor's total queue (N, S, E, W), own phase.
     neighbor_sums = state.queues[_neighbor_table(state.rows, state.cols)].sum(axis=2)
@@ -195,19 +212,16 @@ def gridq_reset(rows: int, cols: int, seed: int):
 
 def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale: float = 1.0):
     phases = np.asarray(joint_phases, dtype=int).ravel()
-    n = state.queues.shape[0]
+    if phases.shape != (state.queues.shape[0],) or phases.min() < 0 or phases.max() > 1:
+        raise ValueError(f"joint phases must be {state.queues.shape[0]} values in {{0, 1}}, "
+                         f"got {joint_phases!r}")
     serve = state.serve * dynamics_scale
     loaded = state.queues + state.arrivals
-    served = np.zeros_like(loaded)
-    for i in range(n):
-        for d in PHASE_SERVES[int(phases[i])]:
-            served[i, d] = min(loaded[i, d], serve)
-    queues = loaded - served
-    for i in range(n):
-        for d in range(4):
-            if served[i, d] > 0.0:
-                queues[_neighbor(i, d, state.rows, state.cols),
-                       _OPPOSITE[d]] += GRIDQ_FORWARD_FRAC * served[i, d]
+    served = np.where(_PHASE_MASK[phases], np.minimum(loaded, serve), 0.0)
+    # Each slot gets one addition from its single source; adding a zero
+    # (an unserved source) leaves a nonnegative queue's bits as they are.
+    inflow = served.ravel()[_inflow_table(state.rows, state.cols)].reshape(served.shape)
+    queues = (loaded - served) + GRIDQ_FORWARD_FRAC * inflow
     new = GridQueueState(queues, phases, state.arrivals, state.serve,
                          state.rows, state.cols, state.t + 1)
     rewards = -queues.sum(axis=1)
@@ -288,6 +302,18 @@ def malicious_injector(joint_action, q_global, spec: PerturbSpec,
     return out
 
 
+def _lazy_state_q(q_global_fn, env, state):
+    """joint -> q_global_fn(global state, joint), building the global state
+    on the first call only: the injector fires on few steps."""
+    gs = []
+
+    def q_fn(joint):
+        if not gs:
+            gs.append(env.global_state(state))
+        return q_global_fn(gs[0], joint)
+    return q_fn
+
+
 def rollout(env, act_fn, T: int, spec: PerturbSpec, seed: int, q_global_fn=None,
              record_trajectory: bool = False):
     """One episode: perturb observations before acting, inject malicious
@@ -307,8 +333,7 @@ def rollout(env, act_fn, T: int, spec: PerturbSpec, seed: int, q_global_fn=None,
             if spec.malicious_mode == "adversarial":
                 if q_global_fn is None:
                     raise ValueError("adversarial injection needs a global Q function")
-                gs = env.global_state(state)
-                q_fn = lambda joint: q_global_fn(gs, joint)
+                q_fn = _lazy_state_q(q_global_fn, env, state)
             actions = malicious_injector(actions, q_fn, spec, rng, env.n_phases)
         state, obs, rewards, global_reward = env.step(state, actions, spec.dynamics_scale)
         returns += rewards

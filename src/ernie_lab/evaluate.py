@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algos import global_q_fn
+from .algos import GlobalQ
 from .config import ExperimentConfig
 from .envs import PerturbSpec, rollout
-from .net import load_net, net_forward
+from .net import load_net, net_forward, stack_nets
 from .train import make_env
 
 RESULTS_HEADER = "obs_noise_sigma,dynamics_scale,malicious_rate,malicious_mode,episode,episodic_return"
@@ -25,23 +25,22 @@ def load_checkpoint(path) -> dict:
 
 
 def build_policy(ckpt: dict):
-    """Greedy/deterministic execution policy from a checkpoint, plus the
-    global Q callable used by the adversarial injector (qcombo only)."""
+    """Greedy/deterministic execution policy from a checkpoint, evaluating
+    all agents' nets as one agent stack, plus the global Q callable used by
+    the adversarial injector (qcombo only)."""
     manifest, nets = ckpt["manifest"], ckpt["nets"]
     n = manifest["n_agents"]
     if manifest["algo"] == "qcombo":
-        ind = [nets[f"ind_{i}"] for i in range(n)]
+        ind = stack_nets(nets[f"ind_{i}"] for i in range(n))
 
         def act(obs):
-            return np.array([int(np.argmax(net_forward(ind[i], obs[i])))
-                             for i in range(n)])
+            return np.argmax(net_forward(ind, obs), axis=1)
 
-        return act, global_q_fn(nets["glob"], ind)
-    actors = [nets[f"actor_{i}"] for i in range(n)]
+        return act, GlobalQ(nets["glob"], ind.out_dim)
+    actors = stack_nets(nets[f"actor_{i}"] for i in range(n))
 
     def act(obs):
-        return np.stack([np.clip(net_forward(actors[i], obs[i]), -1.0, 1.0)
-                         for i in range(n)])
+        return np.clip(net_forward(actors, obs), -1.0, 1.0)
 
     return act, None
 

@@ -3,7 +3,9 @@
 # Hessian-vector product that serves only as the oracle for the exact one in
 # advreg. Everything is float64; nets are immutable values, each holding its
 # parameters in one flat vector that gradients, SGD, target updates and
-# checkpoints share.
+# checkpoints share. N same-shaped nets (one per agent) can be held as one
+# agent stack: an (N, P) block whose rows are the nets' vectors, evaluated
+# and differentiated by the same code with batched np.matmul.
 from __future__ import annotations
 
 import functools
@@ -37,17 +39,23 @@ def _layout(dims: tuple[int, ...]):
 
 def layer_views(vec: np.ndarray, layer_dims) -> tuple:
     """((W_0, W_1, ...), (b_0, b_1, ...)) as views into a flat vector laid
-    out like Net.theta."""
+    out like Net.theta, or into an (N, P) block of such vectors, giving
+    (N, out, in) weights and (N, out) biases."""
     layers = _layout(tuple(layer_dims))[0]
-    return (tuple([vec[w].reshape(shape) for w, shape, _ in layers]),
-            tuple([vec[b] for _, _, b in layers]))
+    lead = vec.shape[:-1]
+    return (tuple([vec[..., w].reshape(lead + shape) for w, shape, _ in layers]),
+            tuple([vec[..., b] for _, _, b in layers]))
 
 
 class Net:
     """Dense net: affine layers with `activation` between them; the final
     layer is affine. All parameters live in one read-only float64 vector
     `theta`, laid out W_0 (row-major, (out, in)), b_0, W_1, b_1, ...;
-    `weights` and `biases` are views into it. Nets are immutable values."""
+    `weights` and `biases` are views into it. Nets are immutable values.
+
+    An agent stack (see stack_nets) is a Net whose `theta` is an (N, P)
+    block, one row per agent; its weights are (N, out, in) and its biases
+    (N, out). `stack[i]` is agent i's Net, a view of row i."""
 
     __slots__ = ("layer_dims", "theta", "weights", "biases", "activation")
 
@@ -69,6 +77,20 @@ class Net:
         return _from_vector, (self.layer_dims, self.theta, self.activation)
 
     @property
+    def stacked(self) -> bool:
+        return self.theta.ndim == 2
+
+    def __len__(self) -> int:
+        if not self.stacked:
+            raise TypeError("a single Net has no agents to count")
+        return self.theta.shape[0]
+
+    def __getitem__(self, i: int) -> "Net":
+        if not self.stacked:
+            raise TypeError("only an agent stack can be indexed")
+        return _from_vector(self.layer_dims, self.theta[i], self.activation)
+
+    @property
     def in_dim(self) -> int:
         return self.layer_dims[0]
 
@@ -78,7 +100,8 @@ class Net:
 
 
 def _bind(net: Net, dims: tuple[int, ...], theta: np.ndarray, activation: str) -> Net:
-    # theta must be a float64 vector of the right size that nothing else writes.
+    # theta must be a float64 vector (or (N, P) block) of the right size that
+    # nothing else writes.
     theta.setflags(write=False)
     set_ = object.__setattr__
     set_(net, "layer_dims", dims)
@@ -95,9 +118,24 @@ def _from_vector(dims: tuple[int, ...], theta: np.ndarray, activation: str) -> N
     return _bind(object.__new__(Net), dims, theta, activation)
 
 
+def stack_nets(nets) -> Net:
+    """One agent stack from same-shaped nets: row i of its (N, P) block is
+    nets[i].theta."""
+    nets = list(nets)
+    if not nets:
+        raise ValueError("cannot stack zero nets")
+    first = nets[0]
+    for net in nets:
+        if net.stacked or net.layer_dims != first.layer_dims \
+                or net.activation != first.activation:
+            raise ValueError("stacked nets need equal layer dims and activation")
+    return _from_vector(first.layer_dims, np.stack([net.theta for net in nets]),
+                        first.activation)
+
+
 @dataclass
 class GradBundle:
-    grad_theta: np.ndarray  # flat parameter gradient, laid out like Net.theta
+    grad_theta: np.ndarray  # parameter gradient, laid out like Net.theta
     grad_input: np.ndarray
 
 
@@ -117,10 +155,10 @@ def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
     return Net(dims, ws, bs, activation)
 
 
-def _act(z, kind):
+def _act(z, kind, out=None):
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def _act_grad(z, kind):
@@ -130,76 +168,109 @@ def _act_grad(z, kind):
     return 1.0 - t * t
 
 
+def _act_grad_from_output(a, kind):
+    # _act_grad(z) from a = _act(z): relu's a > 0 exactly where z > 0, and
+    # tanh's a is the t that _act_grad computes.
+    if kind == "relu":
+        return a > 0
+    return 1.0 - a * a
+
+
 def _forward_cached(net: Net, x: np.ndarray):
-    """Returns (pre-activations per layer, post-activation inputs per layer, output)."""
+    """Returns (the input of every layer, output). A single net takes x of
+    any shape (..., d); a stack takes (N, B, d) and runs one matmul over the
+    agent axis, which is bitwise the per-agent products. Bias and activation
+    are applied in place: no pre-activation is kept, and no temporary
+    beside the matmul's output is made, which matters for a stack's
+    (N, B, width) blocks."""
     a = x
-    zs, acts = [], [a]
+    acts = [a]
     n_layers = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        a = z if i == n_layers - 1 else _act(z, net.activation)
-        acts.append(a)
-    return zs, acts, a
+        if net.stacked:
+            a = np.matmul(a, w.transpose(0, 2, 1))
+            a += b[:, None, :]
+        else:
+            a = a @ w.T
+            a += b
+        if i < n_layers - 1:
+            a = _act(a, net.activation, out=a)
+            acts.append(a)
+    return acts, a
+
+
+def _check_input(net: Net, x: np.ndarray, batched: bool) -> None:
+    if x.shape[-1] != net.in_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != net input dim {net.in_dim}")
+    if net.stacked and (x.ndim != (3 if batched else 2) or x.shape[0] != len(net)):
+        want = f"({len(net)}, B, {net.in_dim})" if batched else f"({len(net)}, {net.in_dim})"
+        raise ValueError(f"agent stack input shape {x.shape} is not {want}")
 
 
 def net_forward(net: Net, x) -> np.ndarray:
-    """Evaluate the net on a single input (d,) or a batch (B, d). Final layer is affine."""
+    """Evaluate the net on a single input (d,) or a batch (B, d); a stack of
+    (M, 1, d) rows gives each row's single-input result bit for bit. Final
+    layer is affine.
+
+    An agent stack takes one input per agent (N, d), giving (N, out), or a
+    batch per agent (N, B, d), giving (N, B, out)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != net input dim {net.in_dim}")
-    _, _, y = _forward_cached(net, x)
-    return y
+    _check_input(net, x, batched=x.ndim == 3)
+    if net.stacked and x.ndim == 2:
+        return _forward_cached(net, x[:, None, :])[1][:, 0, :]
+    return _forward_cached(net, x)[1]
 
 
 def net_grads(net: Net, x, upstream) -> GradBundle:
     """Reverse-mode gradients of upstream . f(x) w.r.t. parameters and input.
 
     Batched inputs (B, d) with upstream (B, out) give parameter grads summed
-    over the batch and per-row input grads.
+    over the batch and per-row input grads; an agent stack takes (N, B, d)
+    and (N, B, out) and gives an (N, P) parameter gradient.
     """
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    if x.shape[-1] != net.in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != net input dim {net.in_dim}")
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    ub = upstream[None, :] if single else upstream
-    zs, acts, _ = _forward_cached(net, xb)
-    bundle = _backward(net, zs, acts, ub)
+    single = x.ndim == 1 and not net.stacked
+    if single:
+        x, upstream = x[None, :], upstream[None, :]
+    y, vjp = net_vjp(net, x)
+    bundle = vjp(upstream)
     if single:
         bundle.grad_input = bundle.grad_input[0]
     return bundle
 
 
 def net_vjp(net: Net, x):
-    """net_forward(net, x) on a batch (B, d), and a function mapping an
-    upstream (B, out) to net_grads(net, x, upstream) that reuses this
-    forward pass instead of repeating it."""
+    """net_forward(net, x) on a batch (B, d) (an agent stack: (N, B, d)), and
+    a function mapping an upstream of the output's shape to
+    net_grads(net, x, upstream) that reuses this forward pass instead of
+    repeating it."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[-1] != net.in_dim:
-        raise ValueError(f"input shape {x.shape} is not (B, {net.in_dim})")
-    zs, acts, y = _forward_cached(net, x)
-    return y, lambda upstream: _backward(net, zs, acts, np.asarray(upstream, dtype=float))
+    if x.ndim != (3 if net.stacked else 2):
+        raise ValueError(f"input shape {x.shape} is not a batch for this net")
+    _check_input(net, x, batched=True)
+    acts, y = _forward_cached(net, x)
+    return y, lambda upstream: _backward(net, acts, np.asarray(upstream, dtype=float))
 
 
-def _backward(net: Net, zs, acts, upstream: np.ndarray) -> GradBundle:
-    # Reverse pass over _forward_cached's record of a (B, d) batch, writing
-    # each layer's parameter gradient into its view of one flat vector.
+def _backward(net: Net, acts, upstream: np.ndarray) -> GradBundle:
+    # Reverse pass over _forward_cached's record of a (B, d) batch (a stack:
+    # (N, B, d)), writing each layer's parameter gradient into its view of
+    # one flat vector (a stack: one (N, P) block).
     if upstream.shape[-1] != net.out_dim:
         raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
-    if acts[0].shape[0] != upstream.shape[0]:
+    if acts[0].shape[:-1] != upstream.shape[:-1]:
         raise ValueError("batch sizes of x and upstream differ")
     n_layers = len(net.weights)
-    grad = np.empty(net.theta.size)
+    grad = np.empty(net.theta.shape)
     gws, gbs = layer_views(grad, net.layer_dims)
     dz = upstream
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            dz = dz * _act_grad(zs[i], net.activation)
-        np.matmul(dz.T, acts[i], out=gws[i])
-        np.sum(dz, axis=0, out=gbs[i])
-        dz = dz @ net.weights[i]
+            dz *= _act_grad_from_output(acts[i + 1], net.activation)  # dz is ours
+        np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
+        np.sum(dz, axis=-2, out=gbs[i])
+        dz = np.matmul(dz, net.weights[i])
     return GradBundle(grad, dz)
 
 
@@ -243,7 +314,10 @@ def hvp(grad_fn, theta, v, h=None) -> np.ndarray:
 def save_net(net: Net, path) -> None:
     """Write the parameter vector as one .npy file at exactly `path`. The
     file holds no layer dims or activation; the caller records them (a
-    checkpoint keeps them in its manifest) and hands them to load_net."""
+    checkpoint keeps them in its manifest) and hands them to load_net. An
+    agent stack is saved one row (`stack[i]`) per file."""
+    if net.stacked:
+        raise ValueError("save_net writes one net; save each agent's row")
     with open(path, "wb") as fh:
         np.save(fh, net.theta, allow_pickle=False)
 

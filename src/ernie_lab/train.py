@@ -15,13 +15,13 @@ import numpy as np
 from .actionreg import greedy_action_attack
 from .advreg import (AttackConfig, pgd_attack, reg_value_and_grads,
                      regularized_grad, stackelberg_grad)
-from .algos import (DdpgAgents, QComboAgents, _joint_onehot, apply_grad,
-                    ddpg_updates, global_q_fn, qcombo_losses,
-                    select_action_continuous, select_action_discrete, soft_update)
+from .algos import (DdpgAgents, GlobalQ, QComboAgents, _joint_onehot, apply_grad,
+                    ddpg_updates, qcombo_losses, select_action_continuous,
+                    select_action_discrete, soft_update)
 from .config import ExperimentConfig
 from .envs import CoopNavEnv, GridQueueEnv
-from .net import n_params, net_init, net_vjp, save_net
-from .replay import ReplayBuffer, Transition, stack_batch
+from .net import n_params, net_init, net_vjp, save_net, stack_nets
+from .replay import ReplayBuffer, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
                  "loss_ind,loss_glob,loss_reg,loss_total,reg_value_mean,attack_norm_mean")
@@ -62,9 +62,10 @@ def build_qcombo(cfg: ExperimentConfig, env: GridQueueEnv, seed: int) -> QComboA
     hid = cfg["hidden"]
     n = env.n_agents
     seeds = _net_seeds(seed, n + 1)
-    ind = [net_init([env.obs_dim, hid, env.n_phases], seed=seeds[i]) for i in range(n)]
+    ind = stack_nets([net_init([env.obs_dim, hid, env.n_phases], seed=seeds[i])
+                      for i in range(n)])
     glob = net_init([env.state_dim + n * env.n_phases, hid, 1], seed=seeds[n])
-    return QComboAgents(ind=ind, glob=glob, ind_target=list(ind), glob_target=glob,
+    return QComboAgents(ind=ind, glob=glob, ind_target=ind, glob_target=glob,
                         n_actions=env.n_phases)
 
 
@@ -72,9 +73,10 @@ def build_ddpg(cfg: ExperimentConfig, env: CoopNavEnv, seed: int) -> DdpgAgents:
     hid = cfg["hidden"]
     n = env.n_agents
     seeds = _net_seeds(seed, n + 1)
-    actors = [net_init([env.obs_dim, hid, env.action_dim], seed=seeds[i]) for i in range(n)]
+    actors = stack_nets([net_init([env.obs_dim, hid, env.action_dim], seed=seeds[i])
+                         for i in range(n)])
     critic = net_init([env.state_dim + n * env.action_dim, hid, 1], seed=seeds[n])
-    return DdpgAgents(actors=actors, critic=critic, actor_target=list(actors),
+    return DdpgAgents(actors=actors, critic=critic, actor_target=actors,
                       critic_target=critic, action_dim=env.action_dim)
 
 
@@ -108,24 +110,19 @@ def _obs_regularizer(net, obs_rows, acfg: AttackConfig, mode: str,
 
 def _action_regularizer_grad(agents: QComboAgents, batch: dict, k: int, rows: int):
     """Mean (Q(s,a) - Q(s, a_adv))^2 over the first rows of the batch, with its
-    gradient w.r.t. the global Q parameters."""
+    gradient w.r.t. the global Q parameters. One greedy attack covers all
+    rows."""
     rows = min(rows, batch["state"].shape[0])
     n_actions = agents.n_actions
-    qfn = global_q_fn(agents.glob, agents.ind)
-    x_clean, x_adv, keep = [], [], []
-    for r in range(rows):
-        state = batch["state"][r]
-        actions = tuple(int(a) for a in batch["actions"][r])
-        res = greedy_action_attack(qfn, state, actions, n_actions, k)
-        if res.perturbed == actions:
-            continue
-        oh = _joint_onehot(np.asarray([actions, res.perturbed]), n_actions)
-        x_clean.append(np.concatenate([state, oh[0]]))
-        x_adv.append(np.concatenate([state, oh[1]]))
-        keep.append(r)
-    if not keep:
+    states, actions = batch["state"][:rows], batch["actions"][:rows]
+    res = greedy_action_attack(GlobalQ(agents.glob, n_actions), states, actions,
+                               n_actions, k)
+    keep = np.flatnonzero((res.perturbed != actions).any(axis=1))
+    if not keep.size:
         return 0.0, np.zeros(n_params(agents.glob)), 0
-    xc, xa = np.stack(x_clean), np.stack(x_adv)
+    xc = np.concatenate([states[keep], _joint_onehot(actions[keep], n_actions)], axis=1)
+    xa = np.concatenate([states[keep], _joint_onehot(res.perturbed[keep], n_actions)],
+                        axis=1)
     qc, vjp_c = net_vjp(agents.glob, xc)
     qa, vjp_a = net_vjp(agents.glob, xa)
     diff = qc[:, 0] - qa[:, 0]
@@ -206,11 +203,27 @@ def _save_checkpoint(out: Path, step: int, nets: dict, meta: dict) -> Path:
 
 def _check_finite(nets: dict, step: int, seed: int) -> None:
     # Run on the SGD-updated nets only: each target is a convex mix of its
-    # previous value and a checked net.
+    # previous value and a checked net. Row i of an agent stack `name` is
+    # reported as name_i, its checkpoint name.
     for name, net in nets.items():
-        if not np.isfinite(net.theta).all():
+        finite = np.isfinite(net.theta)
+        if not finite.all():
+            if net.stacked:
+                name = f"{name}_{int(np.flatnonzero(~finite.all(axis=1))[0])}"
             raise FloatingPointError(f"non-finite parameters in {name} after the "
                                      f"update at step {step}, seed {seed}")
+
+
+def _env_step(env, buf: ReplayBuffer, state, obs, gs, actions, ep_len: int):
+    """One environment step from (state, obs, global state gs), pushed to buf.
+    Returns the next (state, obs, global state), the global reward and
+    whether the episode ends."""
+    nstate, nobs, rewards, g_reward = env.step(state, actions)
+    ngs = env.global_state(nstate)
+    done = ep_len + 1 >= env.episode_len
+    buf.push(obs=obs, state=gs, actions=actions, rewards=rewards, global_reward=g_reward,
+             next_obs=nobs, next_state=ngs, done=done)
+    return nstate, nobs, ngs, g_reward, done
 
 
 def _episode_stats(recent) -> tuple[float, float]:
@@ -226,7 +239,7 @@ def train_qcombo(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     steps = int(cfg["train_steps"])
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    buf = ReplayBuffer(cfg["replay_capacity"])
+    buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
     metrics = _MetricsWriter(out_dir / "metrics.csv", QCOMBO_HEADER)
     meta = {"algo": "qcombo", "env": cfg.env, "n_agents": env.n_agents,
             "hidden": cfg["hidden"], "seed": seed}
@@ -242,28 +255,22 @@ def train_qcombo(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     ernie_a_on = bool(ea["enabled"]) and ea["lambda"] != 0.0 and ea["k"] > 0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))
+    gs = env.global_state(state)
     recent = deque(maxlen=10)
     ep_ret, ep_len = 0.0, 0
     t0 = time.monotonic()
     for t in range(1, steps + 1):
         rate = _explore_rate(t, steps, cfg["explore_final"])
-        actions = np.array([select_action_discrete(agents.ind[i], obs[i], rate,
-                                                   env_rng, env.n_phases)
-                            for i in range(env.n_agents)])
-        gs = env.global_state(state)
-        nstate, nobs, rewards, g_reward = env.step(state, actions)
-        done = ep_len + 1 >= env.episode_len
-        buf.push(Transition(obs=obs.copy(), global_state=gs, joint_action=actions,
-                            rewards=rewards, global_reward=g_reward,
-                            next_obs=nobs.copy(),
-                            next_global_state=env.global_state(nstate), done=done))
+        actions = select_action_discrete(agents.ind, obs, rate, env_rng, env.n_phases)
+        state, obs, gs, g_reward, done = _env_step(env, buf, state, obs, gs, actions,
+                                                   ep_len)
         ep_ret += g_reward
         ep_len += 1
-        state, obs = nstate, nobs
         if done:
             recent.append(ep_ret)
             ep_ret, ep_len = 0.0, 0
             state, obs = env.reset(int(env_rng.integers(2 ** 31)))
+            gs = env.global_state(state)
 
         losses = {"ind": 0.0, "glob": 0.0, "reg": 0.0, "total": 0.0}
         reg_val, atk_norm = 0.0, 0.0
@@ -290,12 +297,10 @@ def train_qcombo(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                     grads["glob"] = regularized_grad(grads["glob"], [ag], ea["lambda"])
                 reg_val += float(av)
             lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
-            for i in range(env.n_agents):
-                agents.ind[i] = apply_grad(agents.ind[i], grads["ind"][i], lr_t)
+            agents.ind = apply_grad(agents.ind, grads["ind"], lr_t)
             agents.glob = apply_grad(agents.glob, grads["glob"], lr_t)
-            _check_finite(nets(), t, seed)
-            agents.ind_target = [soft_update(tg, on, cfg["tau"])
-                                 for tg, on in zip(agents.ind_target, agents.ind)]
+            _check_finite({"ind": agents.ind, "glob": agents.glob}, t, seed)
+            agents.ind_target = soft_update(agents.ind_target, agents.ind, cfg["tau"])
             agents.glob_target = soft_update(agents.glob_target, agents.glob, cfg["tau"])
 
         if t % cfg["log_interval"] == 0:
@@ -318,7 +323,7 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     steps = int(cfg["train_steps"])
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    buf = ReplayBuffer(cfg["replay_capacity"])
+    buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
     metrics = _MetricsWriter(out_dir / "metrics.csv", DDPG_HEADER)
     meta = {"algo": cfg.algo, "env": cfg.env, "n_agents": env.n_agents,
             "hidden": cfg["hidden"], "seed": seed}
@@ -334,27 +339,21 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     mf_on = cfg.algo == "mf_ddpg" and bool(mf["enabled"]) and ecfg["lambda"] != 0.0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))
+    gs = env.global_state(state)
     recent = deque(maxlen=10)
     ep_ret, ep_len = 0.0, 0
     t0 = time.monotonic()
     for t in range(1, steps + 1):
-        actions = np.stack([select_action_continuous(agents.actors[i], obs[i],
-                                                     cfg["actor_noise"], env_rng)
-                            for i in range(env.n_agents)])
-        gs = env.global_state(state)
-        nstate, nobs, rewards, g_reward = env.step(state, actions)
-        done = ep_len + 1 >= env.episode_len
-        buf.push(Transition(obs=obs.copy(), global_state=gs, joint_action=actions,
-                            rewards=rewards, global_reward=g_reward,
-                            next_obs=nobs.copy(),
-                            next_global_state=env.global_state(nstate), done=done))
+        actions = select_action_continuous(agents.actors, obs, cfg["actor_noise"], env_rng)
+        state, obs, gs, g_reward, done = _env_step(env, buf, state, obs, gs, actions,
+                                                   ep_len)
         ep_ret += g_reward
         ep_len += 1
-        state, obs = nstate, nobs
         if done:
             recent.append(ep_ret)
             ep_ret, ep_len = 0.0, 0
             state, obs = env.reset(int(env_rng.integers(2 ** 31)))
+            gs = env.global_state(state)
 
         losses = {"critic": 0.0, "actor_obj": 0.0}
         reg_val, atk_norm = 0.0, 0.0
@@ -386,14 +385,11 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             actor_lr = cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"]
             actor_lr_t = _lr_at(t, steps, actor_lr, cfg["lr_decay"])
             agents.critic = apply_grad(agents.critic, grads["critic"], lr_t)
-            for i in range(env.n_agents):
-                agents.actors[i] = apply_grad(agents.actors[i], grads["actors"][i],
-                                              actor_lr_t)
-            _check_finite(nets(), t, seed)
+            agents.actors = apply_grad(agents.actors, grads["actors"], actor_lr_t)
+            _check_finite({"actor": agents.actors, "critic": agents.critic}, t, seed)
             agents.critic_target = soft_update(agents.critic_target, agents.critic,
                                                cfg["tau"])
-            agents.actor_target = [soft_update(tg, on, cfg["tau"])
-                                   for tg, on in zip(agents.actor_target, agents.actors)]
+            agents.actor_target = soft_update(agents.actor_target, agents.actors, cfg["tau"])
 
         if t % cfg["log_interval"] == 0:
             m, s = _episode_stats(recent)

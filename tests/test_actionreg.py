@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ernie_lab.actionreg import (action_regularizer, brute_force_action_attack,
-                                 greedy_action_attack)
+from ernie_lab.actionreg import brute_force_action_attack, greedy_action_attack
+from ernie_lab.algos import GlobalQ
+from ernie_lab.net import Net, net_init
 
 # Hand table: Q(0,0)=1.0 Q(1,0)=2.0 Q(0,1)=1.5 Q(1,1)=0.2
 TABLE = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.5, (1, 1): 0.2}
@@ -46,15 +47,12 @@ def test_greedy_prefix_max_reporting():
     assert res.perturbed == (1, 0)
 
 
-def test_greedy_restart_each_round_scans_single_flips():
-    # restart mode: round 2 flips agent 1 from the ORIGINAL (0,0), reaching
-    # (0,1) with value 0.25 instead of the cumulative (1,1)
-    res = greedy_action_attack(q_table, None, (0, 0), 2, k=2,
-                               restart_each_round=True)
-    assert res.value == 1.0
-    assert res.perturbed == (1, 0)
-    cumulative = greedy_action_attack(q_table, None, (0, 0), 2, k=2)
-    assert res.evals == cumulative.evals
+def test_greedy_value_is_the_scalar_scans_square():
+    # The reported value is Python's (q - q') ** 2, which goes through libm's
+    # pow and, for this q, differs in the last bit from q * q.
+    q0 = 1.2772299458181684
+    res = greedy_action_attack(lambda s, j: q0 if j == (0, 0) else 0.0, None, (0, 0), 2, k=1)
+    assert res.value == q0 ** 2
 
 
 def test_greedy_k_clamped_with_warning():
@@ -112,10 +110,92 @@ def test_brute_size_limits():
         brute_force_action_attack(q, None, tuple([0] * 7), 3, 1)
 
 
-def test_action_regularizer():
-    assert action_regularizer(q_table, None, (0, 0), 2, 0) == 0.0
-    assert action_regularizer(q_table, None, (0, 0), 2, 1, mode="greedy") == 1.0
-    assert action_regularizer(q_table, None, (0, 0), 2, 1, mode="brute") == 1.0
-    assert action_regularizer(q_const, None, (0, 0), 2, 2) == 0.0
-    with pytest.raises(ValueError):
-        action_regularizer(q_table, None, (0, 0), 2, 1, mode="other")
+
+def _greedy_loop(q_global, state, actions, counts, k):
+    # Reference scan: one Q call per candidate, flips accumulating round by
+    # round, the first strict maximum winning each round.
+    actions = tuple(actions)
+    k = min(k, len(actions))
+    q_orig = float(q_global(state, actions))
+    current, changed, evals = list(actions), [], 1
+    best = (-1.0, actions, ())
+    for _ in range(k):
+        round_best = None
+        for agent in range(len(actions)):
+            if agent in changed:
+                continue
+            for alt in range(counts[agent]):
+                if alt == current[agent]:
+                    continue
+                cand = list(current)
+                cand[agent] = alt
+                val = (q_orig - float(q_global(state, tuple(cand)))) ** 2
+                evals += 1
+                if round_best is None or val > round_best[0]:
+                    round_best = (val, agent, alt)
+        if round_best is None:
+            break
+        val, agent, alt = round_best
+        current[agent] = alt
+        changed.append(agent)
+        if val > best[0]:
+            best = (val, tuple(current), tuple(changed))
+    return best[1], max(best[0], 0.0), best[2], evals
+
+
+def test_greedy_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        counts = [int(c) for c in rng.integers(1, 4, size=n)]
+        table = {j: rng.standard_normal() if rng.uniform() < 0.7 else 0.5
+                 for j in itertools.product(*(range(c) for c in counts))}
+        q = lambda state, joint: table[tuple(joint)]
+        start = tuple(int(rng.integers(c)) for c in counts)
+        k = int(rng.integers(1, n + 2))
+        res = greedy_action_attack(q, None, start, counts, k)
+        assert (res.perturbed, res.value, res.changed_agents, res.evals) == \
+            _greedy_loop(q, None, start, counts, k)
+
+
+def _global_q(rng, n, a_count, state_dim, constant):
+    glob = net_init([state_dim + n * a_count, 16, 1], seed=int(rng.integers(1000)))
+    if constant:  # only the output bias is nonzero: every joint action ties
+        glob = Net(glob.layer_dims, [np.zeros_like(w) for w in glob.weights],
+                   [np.zeros(16), np.array([0.7])], glob.activation)
+    return GlobalQ(glob, a_count)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a_count", [2, 3])
+@pytest.mark.parametrize("constant", [False, True], ids=["random", "constant"])
+def test_row_stacked_greedy_equals_scalar_calls(rows, k, a_count, constant):
+    # All rows' flips of a round go through one GlobalQ.rows pass; each row
+    # must get exactly what its own scalar call (one Q call per candidate)
+    # reports, constant-Q ties included.
+    rng = np.random.default_rng(rows * 100 + k * 10 + a_count)
+    n, state_dim = 4, 6
+    q = _global_q(rng, n, a_count, state_dim, constant)
+    states = rng.uniform(-1, 1, size=(rows, state_dim))
+    actions = rng.integers(0, a_count, size=(rows, n))
+    got = greedy_action_attack(q, states, actions, a_count, k)
+    assert got.perturbed.shape == (rows, n) and got.value.shape == (rows,)
+    evals = 0
+    for r in range(rows):
+        one = greedy_action_attack(q, states[r], tuple(actions[r]), a_count, k)
+        assert tuple(got.perturbed[r].tolist()) == one.perturbed
+        assert got.value[r] == one.value
+        assert got.changed_agents[r] == one.changed_agents
+        evals += one.evals
+    assert got.evals == evals
+    if constant:
+        # first-index tie order: agent 0 flips to its lowest other action
+        assert (got.value == 0.0).all() and all(c == (0,) for c in got.changed_agents)
+        assert (got.perturbed[:, 0] == (actions[:, 0] == 0)).all()
+
+
+def test_row_stacked_greedy_validates_every_row():
+    q = _global_q(np.random.default_rng(0), 2, 2, 3, False)
+    with pytest.raises(ValueError, match="agent 1 action 2"):
+        greedy_action_attack(q, np.zeros((2, 3)), np.array([[0, 1], [1, 2]]), 2, 1)

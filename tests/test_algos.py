@@ -1,5 +1,6 @@
 # Learner-level checks: soft updates, action selection, and finite-difference
-# verification of the QCOMBO and DDPG gradients on frozen minibatches.
+# verification of the QCOMBO and DDPG gradients on frozen minibatches. The
+# per-agent nets are agent stacks; the selection oracles loop over agents.
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from ernie_lab.net import (
     net_forward,
     net_init,
     params_to_vector,
+    stack_nets,
     vector_to_net,
 )
 
@@ -81,36 +83,84 @@ def test_flat_updates_match_per_layer_formulas():
 
 
 def test_select_action_discrete_greedy_and_explore():
-    # Q(a) = [x0, 2*x0]: greedy picks 1 for positive input
-    net = _linear_net(np.array([[1.0], [2.0]]), np.zeros(2))
-    assert select_action_discrete(net, np.array([1.0]), 0.0, None, 2) == 1
+    # Q(a) = [x0, 2*x0]: greedy picks 1 for positive input, 0 for negative
+    net = stack_nets([_linear_net(np.array([[1.0], [2.0]]), np.zeros(2))] * 2)
+    obs = np.array([[1.0], [-1.0]])
+    assert select_action_discrete(net, obs, 0.0, None, 2).tolist() == [1, 0]
     rng = np.random.default_rng(0)
-    picks = {select_action_discrete(net, np.array([1.0]), 1.0, rng, 4)
-             for _ in range(200)}
+    picks = {int(a) for _ in range(100)
+             for a in select_action_discrete(net, obs, 1.0, rng, 4)}
     assert picks == {0, 1, 2, 3}
     with pytest.raises(ValueError):
-        select_action_discrete(net, np.array([1.0]), 1.5, rng, 2)
+        select_action_discrete(net, obs, 1.5, rng, 2)
 
 
 def test_select_action_continuous_clips_and_noise():
-    net = _linear_net(np.array([[5.0]]), np.zeros(1))
-    a = select_action_continuous(net, np.array([1.0]), 0.0, None)
-    assert a.tolist() == [1.0]
+    net = stack_nets([_linear_net(np.array([[5.0]]), np.zeros(1))] * 2)
+    a = select_action_continuous(net, np.array([[1.0], [-0.1]]), 0.0, None)
+    assert a.tolist() == [[1.0], [-0.5]]
     rng = np.random.default_rng(0)
-    b = select_action_continuous(net, np.array([0.0]), 0.5, rng)
-    assert -1.0 <= b[0] <= 1.0
+    b = select_action_continuous(net, np.array([[0.0], [0.0]]), 0.5, rng)
+    assert np.all((-1.0 <= b) & (b <= 1.0))
     with pytest.raises(ValueError):
-        select_action_continuous(net, np.array([0.0]), -0.1, rng)
+        select_action_continuous(net, np.array([[0.0], [0.0]]), -0.1, rng)
+
+
+def _select_loop_discrete(nets, obs, rate, rng, n_actions):
+    # The per-agent selection the stacked one replaces.
+    out = []
+    for net, o in zip(nets, obs):
+        if rate > 0.0 and rng.uniform() < rate:
+            out.append(int(rng.integers(n_actions)))
+        else:
+            out.append(int(np.argmax(net_forward(net, o))))
+    return np.array(out)
+
+
+def _select_loop_continuous(nets, obs, noise, rng):
+    out = []
+    for net, o in zip(nets, obs):
+        a = net_forward(net, o)
+        if noise > 0.0:
+            a = a + noise * rng.standard_normal(a.shape)
+        out.append(np.clip(a, -1.0, 1.0))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_select_action_discrete_matches_per_agent_loop(rate):
+    nets = [net_init([9, 16, 3], seed=s) for s in range(4)]
+    stack = stack_nets(nets)
+    obs_rng = np.random.default_rng(1)
+    rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(30):
+        obs = obs_rng.standard_normal((4, 9))
+        got = select_action_discrete(stack, obs, rate, rng_a, 3)
+        assert got.tolist() == _select_loop_discrete(nets, obs, rate, rng_b, 3).tolist()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_select_action_continuous_matches_per_agent_loop(noise):
+    nets = [net_init([14, 16, 2], activation="tanh", seed=s) for s in range(3)]
+    stack = stack_nets(nets)
+    obs_rng = np.random.default_rng(3)
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(30):
+        obs = obs_rng.standard_normal((3, 14))
+        got = select_action_continuous(stack, obs, noise, rng_a)
+        assert got.tobytes() == _select_loop_continuous(nets, obs, noise, rng_b).tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def _qcombo_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
                    n_actions: int = 2) -> QComboAgents:
-    ind = [net_init([obs_dim, 5, n_actions], activation="tanh", seed=seed + i)
-           for i in range(n)]
+    ind = stack_nets([net_init([obs_dim, 5, n_actions], activation="tanh", seed=seed + i)
+                      for i in range(n)])
     glob = net_init([state_dim + n * n_actions, 5, 1], activation="tanh",
                     seed=seed + 100)
-    ind_t = [net_init([obs_dim, 5, n_actions], activation="tanh", seed=seed + 50 + i)
-             for i in range(n)]
+    ind_t = stack_nets([net_init([obs_dim, 5, n_actions], activation="tanh",
+                                 seed=seed + 50 + i) for i in range(n)])
     glob_t = net_init([state_dim + n * n_actions, 5, 1], activation="tanh",
                       seed=seed + 200)
     return QComboAgents(ind=ind, glob=glob, ind_target=ind_t,
@@ -139,8 +189,9 @@ def test_qcombo_zero_nets_losses_from_rewards_only():
     zglob = Net(layer_dims=(state_dim + n * a_count, 1),
                 weights=(np.zeros((1, state_dim + n * a_count)),),
                 biases=(np.zeros(1),), activation="tanh")
-    agents = QComboAgents(ind=[zero, zero], glob=zglob, ind_target=[zero, zero],
-                          glob_target=zglob, n_actions=a_count)
+    agents = QComboAgents(ind=stack_nets([zero, zero]), glob=zglob,
+                          ind_target=stack_nets([zero, zero]), glob_target=zglob,
+                          n_actions=a_count)
     batch = _qcombo_batch(np.random.default_rng(0))
     losses, grads = qcombo_losses(batch, agents, gamma=0.9, lambda_q=1.0)
     # all Q values are zero, so TD residuals reduce to the rewards
@@ -174,7 +225,7 @@ def test_qcombo_grads_match_finite_differences():
     h = 1e-6
 
     def total_with(ind0: Net, glob: Net) -> float:
-        trial = QComboAgents(ind=[ind0, agents.ind[1]], glob=glob,
+        trial = QComboAgents(ind=stack_nets([ind0, agents.ind[1]]), glob=glob,
                              ind_target=agents.ind_target,
                              glob_target=agents.glob_target,
                              n_actions=agents.n_actions)
@@ -197,11 +248,11 @@ def test_qcombo_grads_match_finite_differences():
 
 def _ddpg_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
                  da: int = 2) -> DdpgAgents:
-    actors = [net_init([obs_dim, 5, da], activation="tanh", seed=seed + i)
-              for i in range(n)]
+    actors = stack_nets([net_init([obs_dim, 5, da], activation="tanh", seed=seed + i)
+                         for i in range(n)])
     critic = net_init([state_dim + n * da, 5, 1], activation="tanh", seed=seed + 100)
-    actors_t = [net_init([obs_dim, 5, da], activation="tanh", seed=seed + 50 + i)
-                for i in range(n)]
+    actors_t = stack_nets([net_init([obs_dim, 5, da], activation="tanh", seed=seed + 50 + i)
+                           for i in range(n)])
     critic_t = net_init([state_dim + n * da, 5, 1], activation="tanh",
                         seed=seed + 200)
     return DdpgAgents(actors=actors, critic=critic, actor_target=actors_t,
@@ -239,7 +290,8 @@ def test_ddpg_linear_critic_actor_grad_hand_check():
                          np.zeros(1))
     actor_w = np.array([[1.0, 0.0], [0.0, 1.0]])
     actor = _linear_net(actor_w, np.zeros(da))
-    agents = DdpgAgents(actors=[actor], critic=critic, actor_target=[actor],
+    agents = DdpgAgents(actors=stack_nets([actor]), critic=critic,
+                        actor_target=stack_nets([actor]),
                         critic_target=critic, action_dim=da)
     batch = _ddpg_batch(np.random.default_rng(2), b=3, n=n, obs_dim=obs_dim,
                         state_dim=state_dim, da=da)
@@ -283,7 +335,7 @@ def test_ddpg_grads_match_finite_differences():
         def actor_obj(v: np.ndarray, i=i) -> float:
             trial_actors = list(agents.actors)
             trial_actors[i] = vector_to_net(agents.actors[i], v)
-            trial = DdpgAgents(actors=trial_actors, critic=agents.critic,
+            trial = DdpgAgents(actors=stack_nets(trial_actors), critic=agents.critic,
                                actor_target=agents.actor_target,
                                critic_target=agents.critic_target,
                                action_dim=agents.action_dim)

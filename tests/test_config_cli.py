@@ -75,6 +75,17 @@ def test_unknown_key_rejected():
         resolve_config({"ernie": {"epsilonn": 0.5}})
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"ernie_a": {"mode": "brute"}}, "ernie_a.mode"),
+    ({"meanfield": {"attack_avg_action": True}}, "meanfield.attack_avg_action"),
+])
+def test_removed_keys_rejected_as_unknown(doc, key):
+    # No code path read these keys; a config that sets one is rejected
+    # instead of being silently ignored.
+    with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+        resolve_config(doc)
+
+
 def test_resolved_config_round_trips(tmp_path):
     cfg = resolve_config({"algo": "ddpg", "env": "coopnav",
                           "ernie": {"enabled": True, "epsilon": 0.3}})

@@ -2,8 +2,14 @@
 # conservation, and the evaluation perturbation harness.
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ernie_lab.envs import (
+    GRIDQ_FORWARD_FRAC,
+    PHASE_SERVES,
+    _OPPOSITE,
+    _neighbor,
     CoopNavEnv,
     CoopNavState,
     GridQueueEnv,
@@ -135,6 +141,52 @@ def test_gridq_service_drains_mass_and_policy_matters():
     assert r_serve > r_idle
 
 
+def _gridq_step_loop(state, phases, dynamics_scale):
+    # Reference: the per-agent, per-direction loop the vectorized step
+    # replaced; returns (queues, rewards).
+    n = state.queues.shape[0]
+    serve = state.serve * dynamics_scale
+    loaded = state.queues + state.arrivals
+    served = np.zeros_like(loaded)
+    for i in range(n):
+        for d in PHASE_SERVES[int(phases[i])]:
+            served[i, d] = min(loaded[i, d], serve)
+    queues = loaded - served
+    for i in range(n):
+        for d in range(4):
+            if served[i, d] > 0.0:
+                queues[_neighbor(i, d, state.rows, state.cols),
+                       _OPPOSITE[d]] += GRIDQ_FORWARD_FRAC * served[i, d]
+    return queues, -queues.sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), data=st.data(),
+       scale=st.sampled_from([0.5, 1.0, 1.25]), log_q=st.floats(-3.0, 4.0))
+def test_gridq_step_matches_loop_bit_for_bit(rows, cols, data, scale, log_q):
+    n = rows * cols
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    rng = np.random.default_rng(seed)
+    queues = 10.0 ** log_q * rng.uniform(0.0, 1.0, size=(n, 4))
+    queues[rng.uniform(size=(n, 4)) < 0.2] = 0.0
+    state = GridQueueState(queues=queues, phases=np.zeros(n, dtype=int),
+                           arrivals=rng.uniform(0.0, 0.35, size=(n, 4)) * (seed % 3 > 0),
+                           serve=1.0, rows=rows, cols=cols)
+    phases = rng.integers(0, 2, size=n)
+    new, obs, rewards, g = gridq_step(state, phases, scale)
+    want_q, want_r = _gridq_step_loop(state, phases, scale)
+    assert new.queues.tobytes() == want_q.tobytes()
+    assert rewards.tobytes() == want_r.tobytes()
+    assert g == float(want_r.mean())
+
+
+def test_gridq_step_rejects_bad_phases():
+    state, _ = gridq_reset(2, 2, seed=0)
+    for bad in ([0, 1, 2, 0], [0, -1, 0, 0], [0, 1, 0]):
+        with pytest.raises(ValueError):
+            gridq_step(state, np.array(bad))
+
+
 def test_gridq_reward_is_negative_queue_mass():
     env = GridQueueEnv(2, 2)
     state, _ = env.reset(seed=1)
@@ -225,3 +277,24 @@ def test_rollout_adversarial_requires_q():
     q = lambda gs, joint: 0.0
     _, rets, _ = rollout(env, act, 5, spec, seed=0, q_global_fn=q)
     assert rets.shape == (4,)
+
+
+def test_rollout_builds_global_state_only_when_the_injector_fires():
+    class CountingEnv(GridQueueEnv):
+        calls = 0
+
+        def global_state(self, state):
+            CountingEnv.calls += 1
+            return super().global_state(state)
+
+    env, seen = CountingEnv(2, 2), []
+    act = lambda obs: np.zeros(4, dtype=int)
+    spec = PerturbSpec(malicious_rate=0.2, malicious_mode="adversarial")
+
+    def q(gs, joint):
+        seen.append(gs)
+        return float(sum(joint))
+
+    rollout(env, act, 50, spec, seed=3, q_global_fn=q)
+    # one Q call per firing with two phases, each on that step's state
+    assert 0 < CountingEnv.calls == len(seen) < 50

@@ -5,7 +5,7 @@ import pytest
 
 from ernie_lab.net import (Net, hvp, load_net, n_params, net_forward, net_grads,
                            net_init, net_vjp, params_to_vector, save_net,
-                           vector_to_net)
+                           stack_nets, vector_to_net)
 
 
 def test_init_deterministic():
@@ -144,6 +144,85 @@ def test_vjp_reuses_forward_bit_for_bit(activation):
         vjp(u[:, :2])
     with pytest.raises(ValueError):
         net_vjp(net, x[0])
+
+
+def _agents(activation, n=3, dims=(6, 8, 3), seed=0):
+    # per-agent nets with nonzero biases, and their stack
+    rng = np.random.default_rng(seed)
+    nets = []
+    for i in range(n):
+        net = net_init(dims, activation=activation, seed=seed + i)
+        nets.append(vector_to_net(net, net.theta + 0.1 * rng.standard_normal(net.theta.size)))
+    return nets, stack_nets(nets)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("batch", [1, 32, 64])
+def test_stack_forward_and_vjp_match_per_agent_bit_for_bit(activation, batch):
+    nets, stack = _agents(activation)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 3, 6))           # (B, N, d), as a replay batch
+    u = rng.standard_normal((3, batch, 3))
+    xs = x.transpose(1, 0, 2)                        # agent-major view, not a copy
+    y = net_forward(stack, xs)
+    y_vjp, vjp = net_vjp(stack, xs)
+    got = vjp(u)
+    assert y.shape == (3, batch, 3) and got.grad_theta.shape == stack.theta.shape
+    assert y_vjp.tobytes() == y.tobytes()
+    for i, net in enumerate(nets):
+        assert y[i].tobytes() == net_forward(net, x[:, i]).tobytes()
+        want = net_grads(net, x[:, i], u[i])
+        assert got.grad_theta[i].tobytes() == want.grad_theta.tobytes()
+        assert got.grad_input[i].tobytes() == want.grad_input.tobytes()
+    stacked_grads = net_grads(stack, xs, u)
+    assert stacked_grads.grad_theta.tobytes() == got.grad_theta.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stack_forward_one_observation_per_agent(activation):
+    # (N, d): each agent's 1-D single-input result, bit for bit
+    nets, stack = _agents(activation, n=4)
+    obs = np.random.default_rng(5).standard_normal((4, 6))
+    y = net_forward(stack, obs)
+    assert y.shape == (4, 3)
+    for i, net in enumerate(nets):
+        assert y[i].tobytes() == net_forward(net, obs[i]).tobytes()
+    for bad in (obs[:3], obs[0], obs[:, :5]):
+        with pytest.raises(ValueError):
+            net_forward(stack, bad)
+    with pytest.raises(ValueError):
+        net_vjp(stack, obs)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_row_stack_forward_matches_single_inputs(activation):
+    # (M, 1, d) through a single net: row r is net_forward of the 1-D row,
+    # bit for bit, unlike an (M, d) batch (test_batched_forward_matches_rows)
+    net = _agents(activation, n=1, dims=(28, 64, 1))[0][0]
+    xs = np.random.default_rng(6).standard_normal((20, 28))
+    y = net_forward(net, xs[:, None, :])
+    for r in range(20):
+        assert y[r, 0].tobytes() == net_forward(net, xs[r]).tobytes()
+
+
+def test_stack_rows_are_read_only_views():
+    nets, stack = _agents("tanh")
+    assert stack.stacked and not nets[0].stacked and len(stack) == 3
+    assert not stack.theta.flags.writeable
+    for i, row in enumerate(stack):
+        assert np.shares_memory(row.theta, stack.theta)
+        assert row.theta.tobytes() == nets[i].theta.tobytes()
+        assert row.weights[0].tobytes() == stack.weights[0][i].tobytes()
+        assert row.biases[1].tobytes() == stack.biases[1][i].tobytes()
+    assert stack.weights[0].shape == (3, 8, 6) and stack.biases[0].shape == (3, 8)
+    with pytest.raises(ValueError):
+        stack_nets([nets[0], net_init([6, 9, 3], activation="tanh")])
+    with pytest.raises(ValueError):
+        stack_nets([nets[0], net_init([6, 8, 3], activation="relu")])
+    with pytest.raises(TypeError):
+        nets[0][0]
+    with pytest.raises(ValueError):
+        save_net(stack, "unused.npy")
 
 
 def test_params_are_one_read_only_vector():

@@ -2,38 +2,54 @@
 import numpy as np
 import pytest
 
-from ernie_lab.replay import ReplayBuffer, Transition, stack_batch
+from ernie_lab.replay import ReplayBuffer, stack_batch
 
 
-def _trans(tag: float, n_agents: int = 2, obs_dim: int = 3) -> Transition:
-    return Transition(
+def _trans(tag: float, n_agents: int = 2, obs_dim: int = 3) -> dict:
+    return dict(
         obs=np.full((n_agents, obs_dim), tag),
-        global_state=np.full(4, tag),
-        joint_action=np.full(n_agents, int(tag)),
+        state=np.full(4, tag),
+        actions=np.full(n_agents, int(tag)),
         rewards=np.full(n_agents, tag),
         global_reward=float(tag),
         next_obs=np.full((n_agents, obs_dim), tag + 0.5),
-        next_global_state=np.full(4, tag + 0.5),
+        next_state=np.full(4, tag + 0.5),
         done=False,
     )
 
 
+def _filled(tags, capacity: int) -> ReplayBuffer:
+    buf = ReplayBuffer(capacity=capacity)
+    for tag in tags:
+        buf.push(**_trans(tag))
+    return buf
+
+
+def _all_rows(buf: ReplayBuffer) -> dict:
+    # every filled slot, in slot order
+    arrays, _ = buf.sample(1, np.random.default_rng(0))
+    return stack_batch((arrays, np.arange(len(buf))))
+
+
 def test_push_grows_then_evicts_oldest():
-    buf = ReplayBuffer(capacity=3)
-    for i in range(3):
-        buf.push(_trans(i))
+    buf = _filled(range(3), capacity=3)
     assert len(buf) == 3
-    buf.push(_trans(3))
+    buf.push(**_trans(3))
     assert len(buf) == 3
-    tags = sorted(t.global_reward for t in buf._items)
-    assert tags == [1.0, 2.0, 3.0]
+    # the oldest slot was overwritten: slot order is now 3, 1, 2
+    assert _all_rows(buf)["global_reward"].tolist() == [3.0, 1.0, 2.0]
+    buf.push(**_trans(4))
+    assert _all_rows(buf)["global_reward"].tolist() == [3.0, 4.0, 2.0]
 
 
 def test_push_rejects_mismatched_arity():
     buf = ReplayBuffer(capacity=4)
-    buf.push(_trans(0, n_agents=2))
+    buf.push(**_trans(0, n_agents=2))
     with pytest.raises(ValueError):
-        buf.push(_trans(1, n_agents=3))
+        buf.push(**_trans(1, n_agents=3))
+    with pytest.raises(ValueError):
+        buf.push(**dict(_trans(1), actions=np.zeros((2, 2))))
+    assert len(buf) == 1
 
 
 def test_capacity_validation():
@@ -49,40 +65,65 @@ def test_sample_empty_raises():
 
 def test_single_item_fills_batch():
     # uniform with replacement: size-1 buffer can serve any batch size
-    buf = ReplayBuffer(capacity=5)
-    buf.push(_trans(7))
-    got = buf.sample(3, np.random.default_rng(0))
-    assert len(got) == 3
-    assert all(t.global_reward == 7.0 for t in got)
+    buf = _filled([7], capacity=5)
+    got = stack_batch(buf.sample(3, np.random.default_rng(0)))
+    assert got["global_reward"].tolist() == [7.0, 7.0, 7.0]
 
 
 def test_sample_seeded_deterministic():
-    buf = ReplayBuffer(capacity=10)
-    for i in range(10):
-        buf.push(_trans(i))
-    a = [t.global_reward for t in buf.sample_seeded(16, seed=42)]
-    b = [t.global_reward for t in buf.sample_seeded(16, seed=42)]
-    c = [t.global_reward for t in buf.sample_seeded(16, seed=43)]
-    assert a == b
-    assert a != c
+    buf = _filled(range(10), capacity=10)
+    draw = lambda seed: stack_batch(buf.sample(16, np.random.default_rng(seed)))
+    a, b, c = draw(42), draw(42), draw(43)
+    assert a["global_reward"].tolist() == b["global_reward"].tolist()
+    assert a["global_reward"].tolist() != c["global_reward"].tolist()
 
 
 def test_sample_frequencies_near_uniform():
-    buf = ReplayBuffer(capacity=4)
-    for i in range(4):
-        buf.push(_trans(i))
-    got = buf.sample(100000, np.random.default_rng(3))
-    counts = np.bincount([int(t.global_reward) for t in got], minlength=4)
+    buf = _filled(range(4), capacity=4)
+    got = stack_batch(buf.sample(100000, np.random.default_rng(3)))
+    counts = np.bincount(got["global_reward"].astype(int), minlength=4)
     freqs = counts / 100000.0
     assert np.all(np.abs(freqs - 0.25) < 0.02)
 
 
 def test_stack_batch_shapes_and_values():
-    ts = [_trans(i) for i in range(3)]
-    batch = stack_batch(ts)
+    buf = _filled(range(3), capacity=3)
+    batch = _all_rows(buf)
     assert batch["obs"].shape == (3, 2, 3)
     assert batch["state"].shape == (3, 4)
     assert batch["actions"].shape == (3, 2)
     assert batch["rewards"].shape == (3, 2)
     assert batch["global_reward"].tolist() == [0.0, 1.0, 2.0]
     assert batch["done"].tolist() == [0.0, 0.0, 0.0]
+    assert batch["actions"].dtype == np.int64 and batch["done"].dtype == np.float64
+
+
+@pytest.mark.parametrize("capacity,pushes", [(5, 3), (5, 5), (5, 13), (1, 4)])
+def test_batch_is_pushed_rows_at_drawn_indices(capacity, pushes):
+    # Oracle: a list of the pushed transitions with the old list buffer's
+    # eviction (append, then overwrite at a cursor), sampled by the same
+    # rng.integers draw; the gathered batch must equal its rows bit for bit,
+    # across ring wrap-around.
+    rng = np.random.default_rng(capacity * 100 + pushes)
+    buf, items, cursor = ReplayBuffer(capacity), [], 0
+    for _ in range(pushes):
+        t = _trans(0.0)
+        t.update(obs=rng.standard_normal((2, 3)), state=rng.standard_normal(4),
+                 actions=rng.integers(0, 3, size=2), rewards=rng.standard_normal(2),
+                 global_reward=float(rng.standard_normal()),
+                 next_obs=rng.standard_normal((2, 3)), next_state=rng.standard_normal(4),
+                 done=bool(rng.integers(2)))
+        buf.push(**t)
+        if len(items) < capacity:
+            items.append(t)
+        else:
+            items[cursor] = t
+        cursor = (cursor + 1) % capacity
+    draw_a, draw_b = np.random.default_rng(9), np.random.default_rng(9)
+    batch = stack_batch(buf.sample(11, draw_a))
+    idx = draw_b.integers(0, len(items), size=11)
+    for key in batch:
+        want = np.array([items[i][key] for i in idx],
+                        dtype=float if key in ("global_reward", "done") else None)
+        assert batch[key].tobytes() == want.tobytes()
+    assert draw_a.bit_generator.state == draw_b.bit_generator.state

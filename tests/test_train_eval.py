@@ -216,20 +216,25 @@ def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
     assert load_checkpoint(run_dir / "ckpt_000000")["manifest"]["step"] == 0
 
 
-@pytest.mark.parametrize("doc_fn,learner,net",
-                         [(_ddpg_doc, "ddpg_updates", "critic"),
-                          (_qcombo_doc, "qcombo_losses", "glob")], ids=["ddpg", "qcombo"])
-def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, tmp_path, monkeypatch):
+@pytest.mark.parametrize("doc_fn,learner,net,index,name",
+                         [(_ddpg_doc, "ddpg_updates", "critic", 0, "critic"),
+                          (_qcombo_doc, "qcombo_losses", "glob", 0, "glob"),
+                          (_ddpg_doc, "ddpg_updates", "actors", (1, 5), "actor_1"),
+                          (_qcombo_doc, "qcombo_losses", "ind", (3, 0), "ind_3")],
+                         ids=["ddpg", "qcombo", "ddpg_actor_row", "qcombo_ind_row"])
+def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, index, name, tmp_path,
+                                          monkeypatch):
+    # A poisoned row of an agent stack is named by its checkpoint name.
     real = getattr(train_mod, learner)
 
     def poisoned(batch, agents, *args):
         losses, grads = real(batch, agents, *args)
-        grads[net][0] = float("nan")
+        grads[net][index] = float("nan")
         return losses, grads
 
     monkeypatch.setattr(train_mod, learner, poisoned)
     cfg = resolve_config(doc_fn(train_steps=5, warmup=3, batch=2, seeds=[4]))
     with pytest.raises(FloatingPointError,
-                       match=f"non-finite parameters in {net} after the update "
+                       match=f"non-finite parameters in {name} after the update "
                              "at step 3, seed 4"):
         train_run(cfg, tmp_path)
