@@ -232,16 +232,6 @@ def regularizer(net: Net, obs, delta, metric: str, head: str | None = None):
     return vals
 
 
-def gaussian_delta(dim: int, sigma: float, seed: int) -> np.ndarray:
-    """Seeded standard-normal perturbation scaled by sigma."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros(dim)
-    rng = np.random.default_rng(seed)
-    return sigma * rng.standard_normal(dim)
-
-
 def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
     # Second derivative of the hidden activation; relu's is 0 away from the kink.
     if kind == "relu":

@@ -1,6 +1,6 @@
 # Baseline cooperative MARL learners: QCOMBO (discrete) and a MADDPG-style
 # deterministic actor-critic (continuous). Losses and gradients are produced
-# here; adversarial-regularizer hooks live in the trainers.
+# here; adversarial-regularizer hooks live in the trainer.
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,22 +10,19 @@ import numpy as np
 from .net import Net, _from_vector, net_forward, net_vjp
 
 
-@dataclass
-class QComboAgents:
-    ind: Net           # agent stack of individual Q-nets, obs -> |A| values
-    glob: Net          # (state, joint one-hot) -> scalar
-    ind_target: Net    # agent stack
-    glob_target: Net
-    n_actions: int
+# Checkpoint names of each learner's policy stack (row i saved as
+# "<name>_i") and of its central net.
+NET_NAMES = {"qcombo": ("ind", "glob"), "ddpg": ("actor", "critic"),
+             "mf_ddpg": ("actor", "critic")}
 
 
 @dataclass
-class DdpgAgents:
-    actors: Net        # agent stack, obs -> action vector
-    critic: Net        # (state, joint action) -> scalar
-    actor_target: Net  # agent stack
-    critic_target: Net
-    action_dim: int
+class Agents:
+    """QCOMBO's individual Q-nets and global Q, or DDPG's actors and critic."""
+    policy: Net          # agent stack, obs -> |A| Q-values or an action vector
+    central: Net         # (state, joint action) -> scalar
+    policy_target: Net   # agent stack
+    central_target: Net
 
 
 def soft_update(target: Net, online: Net, tau: float) -> Net:
@@ -104,9 +101,9 @@ class GlobalQ:
         return net_forward(self.glob, x[:, None, :])[:, 0, 0]
 
 
-def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: float):
+def qcombo_losses(batch: dict, agents: Agents, gamma: float, lambda_q: float):
     """QCOMBO losses and gradients: an (N, P) block for the individual
-    Q-nets' stack and a vector for the global Q.
+    Q-nets' stack (policy) and a vector for the global Q (central).
 
     L_ind averages the per-agent TD losses; L_glob is the central Bellman
     residual with next actions from per-agent target argmaxes; L_reg ties the
@@ -117,18 +114,18 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     if not np.issubdtype(actions.dtype, np.integer):
         raise TypeError("qcombo requires discrete actions")
     b, n = actions.shape
-    a_count = agents.n_actions
+    a_count = agents.policy.out_dim
     rows = np.arange(b)[:, None]
     agent = np.arange(n)
     not_done = 1.0 - batch["done"]
 
     # The stacks run agent-major (N, B, ...); every (B, N) array below is
     # built C-contiguous, so its reductions sum in the per-agent code's order.
-    q_ind, vjp_ind = net_vjp(agents.ind, batch["obs"].transpose(1, 0, 2))
+    q_ind, vjp_ind = net_vjp(agents.policy, batch["obs"].transpose(1, 0, 2))
     q_sel = q_ind[agent, rows, actions]
 
     # individual TD targets and next greedy joint action from the target nets
-    qt = net_forward(agents.ind_target, batch["next_obs"].transpose(1, 0, 2))
+    qt = net_forward(agents.policy_target, batch["next_obs"].transpose(1, 0, 2))
     y_ind = batch["rewards"] + gamma * not_done[:, None] * np.ascontiguousarray(
         qt.max(axis=2).T)
     a_next = qt.argmax(axis=2).T
@@ -137,10 +134,10 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
 
     x_glob = np.concatenate([batch["state"], _joint_onehot(actions, a_count)], axis=1)
     x_next = np.concatenate([batch["next_state"], _joint_onehot(a_next, a_count)], axis=1)
-    q_glob, vjp_glob = net_vjp(agents.glob, x_glob)
+    q_glob, vjp_glob = net_vjp(agents.central, x_glob)
     q_glob = q_glob[:, 0]
     y_glob = batch["global_reward"] + gamma * not_done * net_forward(
-        agents.glob_target, x_next)[:, 0]
+        agents.central_target, x_next)[:, 0]
     td_glob = q_glob - y_glob
     loss_glob = 0.5 * float(np.mean(td_glob ** 2))
 
@@ -155,12 +152,12 @@ def qcombo_losses(batch: dict, agents: QComboAgents, gamma: float, lambda_q: flo
     grad_glob = vjp_glob(up_glob).grad_theta
 
     losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
-    return losses, {"ind": grad_ind, "glob": grad_glob}
+    return losses, {"policy": grad_ind, "central": grad_glob}
 
 
-def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
-    """Critic TD gradient, and the deterministic policy gradients of the
-    actors' stack as one (N, P) block."""
+def ddpg_updates(batch: dict, agents: Agents, gamma: float):
+    """Critic TD gradient (central), and the deterministic policy gradients
+    of the actors' stack (policy) as one (N, P) block."""
     actions = batch["actions"]
     if np.issubdtype(actions.dtype, np.integer):
         raise TypeError("ddpg requires continuous actions")
@@ -168,22 +165,22 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     not_done = 1.0 - batch["done"]
 
     x_c = np.concatenate([batch["state"], actions.reshape(b, n * da)], axis=1)
-    a_next = net_forward(agents.actor_target, batch["next_obs"].transpose(1, 0, 2))
+    a_next = net_forward(agents.policy_target, batch["next_obs"].transpose(1, 0, 2))
     x_next = np.concatenate([batch["next_state"],
                              a_next.transpose(1, 0, 2).reshape(b, n * da)], axis=1)
-    q, vjp_c = net_vjp(agents.critic, x_c)
+    q, vjp_c = net_vjp(agents.central, x_c)
     q = q[:, 0]
     y = batch["global_reward"] + gamma * not_done * net_forward(
-        agents.critic_target, x_next)[:, 0]
+        agents.central_target, x_next)[:, 0]
     td = q - y
     loss_critic = 0.5 * float(np.mean(td ** 2))
     grad_critic = vjp_c((td / b)[:, None]).grad_theta
 
     # actor gradients: ascend Q at the actors' current outputs
-    mu, vjp_actors = net_vjp(agents.actors, batch["obs"].transpose(1, 0, 2))
+    mu, vjp_actors = net_vjp(agents.policy, batch["obs"].transpose(1, 0, 2))
     x_mu = np.concatenate([batch["state"], mu.transpose(1, 0, 2).reshape(b, n * da)],
                           axis=1)
-    q_mu, vjp_mu = net_vjp(agents.critic, x_mu)
+    q_mu, vjp_mu = net_vjp(agents.central, x_mu)
     actor_obj = float(np.mean(q_mu[:, 0]))
     dq_dinput = vjp_mu(np.full((b, 1), 1.0 / b)).grad_input
     state_dim = batch["state"].shape[1]
@@ -191,4 +188,4 @@ def ddpg_updates(batch: dict, agents: DdpgAgents, gamma: float):
     grad_actors = vjp_actors(-np.ascontiguousarray(dq_da.transpose(1, 0, 2))).grad_theta
 
     losses = {"critic": loss_critic, "actor_obj": actor_obj}
-    return losses, {"critic": grad_critic, "actors": grad_actors}
+    return losses, {"policy": grad_actors, "central": grad_critic}

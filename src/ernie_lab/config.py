@@ -130,6 +130,9 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError(f"algo {raw['algo']} requires a continuous env (coopnav)")
     if raw["ernie_a"]["enabled"] and raw["env"] != "gridq":
         raise ConfigError("ernie_a requires a discrete env")
+    if raw["meanfield"]["enabled"] and raw["algo"] != "mf_ddpg":
+        raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
+                          "the cloud attack regularizes")
 
     if raw["env"] == "gridq":
         side = int(round(raw["n_agents"] ** 0.5))
@@ -154,6 +157,10 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("ernie.start_frac must be in [0, 1]")
     if raw["ernie_a"]["k"] < 0:
         raise ConfigError("ernie_a.k must be >= 0")
+    if raw["meanfield"]["mf_steps"] < 0:
+        raise ConfigError("meanfield.mf_steps must be >= 0")
+    if raw["meanfield"]["lambda_w"] < 0:
+        raise ConfigError("meanfield.lambda_w must be >= 0")
     if raw["eval"]["episodes"] < 1:
         raise ConfigError("eval.episodes must be >= 1")
     if raw["eval"]["malicious_mode"] not in ("random", "adversarial"):

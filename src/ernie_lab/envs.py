@@ -113,7 +113,7 @@ class CoopNavEnv:
         self.n_agents = n_agents
         self.obs_dim = coopnav_obs_dim(n_agents)
         self.state_dim = 4 * n_agents + 2 * n_agents
-        self.action_dim = 2
+        self.n_out = 2  # policy output width per agent: the action dimension
 
     def reset(self, seed: int):
         return coopnav_reset(self.n_agents, seed)
@@ -233,6 +233,7 @@ class GridQueueEnv:
     discrete = True
     episode_len = 100
     n_phases = 2
+    n_out = n_phases  # policy output width per agent: one Q-value per phase
 
     def __init__(self, rows: int = 2, cols: int = 2):
         self.rows, self.cols = rows, cols
@@ -254,15 +255,8 @@ class GridQueueEnv:
 # Perturbation harness
 # ---------------------------------------------------------------------------
 
-def perturb_obs(obs: np.ndarray, spec: PerturbSpec, seed: int) -> np.ndarray:
-    """obs + sigma * standard normal; bitwise identity at sigma = 0."""
-    if spec.obs_noise_sigma == 0.0:
-        return obs
-    rng = np.random.default_rng(seed)
-    return obs + spec.obs_noise_sigma * rng.standard_normal(obs.shape)
-
-
 def _perturb_obs_rng(obs, sigma, rng):
+    """obs + sigma * standard normal from rng; bitwise identity at sigma = 0."""
     if sigma == 0.0:
         return obs
     return obs + sigma * rng.standard_normal(obs.shape)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algos import GlobalQ
+from .algos import NET_NAMES, GlobalQ
 from .config import ExperimentConfig
 from .envs import PerturbSpec, rollout
 from .net import load_net, net_forward, stack_nets
@@ -29,18 +29,16 @@ def build_policy(ckpt: dict):
     all agents' nets as one agent stack, plus the global Q callable used by
     the adversarial injector (qcombo only)."""
     manifest, nets = ckpt["manifest"], ckpt["nets"]
-    n = manifest["n_agents"]
+    policy_name, central_name = NET_NAMES[manifest["algo"]]
+    policy = stack_nets(nets[f"{policy_name}_{i}"] for i in range(manifest["n_agents"]))
     if manifest["algo"] == "qcombo":
-        ind = stack_nets(nets[f"ind_{i}"] for i in range(n))
-
         def act(obs):
-            return np.argmax(net_forward(ind, obs), axis=1)
+            return np.argmax(net_forward(policy, obs), axis=1)
 
-        return act, GlobalQ(nets["glob"], ind.out_dim)
-    actors = stack_nets(nets[f"actor_{i}"] for i in range(n))
+        return act, GlobalQ(nets[central_name], policy.out_dim)
 
     def act(obs):
-        return np.clip(net_forward(actors, obs), -1.0, 1.0)
+        return np.clip(net_forward(policy, obs), -1.0, 1.0)
 
     return act, None
 

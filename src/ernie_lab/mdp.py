@@ -3,7 +3,6 @@
 # measurement, and the perturbed-value dynamic program.
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,27 +348,3 @@ def mdp_to_json(mdp: TabularMdp) -> dict:
         "reward": mdp.reward.tolist(),
         "trans": mdp.trans.tolist(),
     }
-
-
-def mdp_from_json(doc: dict) -> TabularMdp:
-    mdp = TabularMdp(
-        embed=np.asarray(doc["embed"], dtype=float),
-        reward=np.asarray(doc["reward"], dtype=float),
-        trans=np.asarray(doc["trans"], dtype=float),
-        gamma=float(doc["gamma"]),
-        l_r=float(doc["l_r"]),
-        l_p=float(doc["l_p"]),
-    )
-    if mdp.n_states != int(doc["n_states"]) or mdp.n_actions != int(doc["n_actions"]):
-        raise ValueError("declared sizes disagree with array shapes")
-    return mdp
-
-
-def save_mdp(mdp: TabularMdp, path) -> None:
-    with open(path, "w") as f:
-        json.dump(mdp_to_json(mdp), f, sort_keys=True)
-
-
-def load_mdp(path) -> TabularMdp:
-    with open(path) as f:
-        return mdp_from_json(json.load(f))

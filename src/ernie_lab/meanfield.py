@@ -1,55 +1,12 @@
-# Mean-field Q inputs (empirical neighbor-state cloud, average neighbor action)
-# and the Wasserstein-penalized distributional attack on the state cloud.
+# Transport distances between equal-weight particle clouds, the metric of the
+# mean-field cloud attack (the attack itself is train._cloud_regularizer_grad).
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .net import Net, net_forward, net_grads
-from .advreg import sample_ball
-
 W_MODES = ("identity_coupling", "exact_matching", "closed_form_1d")
-EXACT_PERM_MAX = 8
 EXACT_MAX = 16
-
-
-@dataclass
-class MeanFieldInput:
-    own_state: np.ndarray
-    cloud: np.ndarray      # (n, d) neighbor states, uniform weights
-    own_action: np.ndarray  # one-hot for discrete agents
-    avg_action: np.ndarray
-
-
-def mean_embedding(neighbor_states, neighbor_actions):
-    """Average neighbor action plus the neighbor-state cloud (kept verbatim).
-
-    Returns (cloud, avg_action). The flat network input is built by
-    flatten_input(): own state, cloud mean, per-coordinate cloud std,
-    own action, average action.
-    """
-    states = np.atleast_2d(np.asarray(neighbor_states, dtype=float))
-    actions = np.atleast_2d(np.asarray(neighbor_actions, dtype=float))
-    if states.shape[0] == 0 or actions.shape[0] == 0:
-        raise ValueError("mean_embedding needs at least one neighbor")
-    if states.shape[0] != actions.shape[0]:
-        raise ValueError("neighbor state/action counts differ")
-    return states, actions.mean(axis=0)
-
-
-def cloud_summary(cloud: np.ndarray):
-    """Mean and per-coordinate population std of a particle cloud."""
-    cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    return cloud.mean(axis=0), cloud.std(axis=0)
-
-
-def flatten_input(mf: MeanFieldInput) -> np.ndarray:
-    mean, std = cloud_summary(mf.cloud)
-    return np.concatenate([np.asarray(mf.own_state, float), mean, std,
-                           np.asarray(mf.own_action, float), np.asarray(mf.avg_action, float)])
 
 
 def _pair_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,95 +39,5 @@ def w_distance(cloud_a, cloud_b, mode: str) -> float:
     if n > EXACT_MAX:
         raise ValueError(f"exact_matching limited to n <= {EXACT_MAX}")
     costs = _pair_costs(a, b)
-    if n <= EXACT_PERM_MAX:
-        best = min(sum(costs[i, p[i]] for i in range(n)) for p in permutations(range(n)))
-        return float(best / n)
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / n)
-
-
-class MeanFieldQ:
-    """Q(s_j, d_s, a_j, a_bar) over a discrete own-action set, backed by one net.
-
-    The net consumes the flat embedding from flatten_input(); own actions are
-    one-hot so the action sum in the regularizer enumerates the action set.
-    """
-
-    def __init__(self, net: Net, state_dim: int, n_actions: int, action_dim: int | None = None):
-        self.net = net
-        self.state_dim = int(state_dim)
-        self.n_actions = int(n_actions)
-        self.action_dim = self.n_actions if action_dim is None else int(action_dim)
-        expected = self.state_dim * 3 + self.n_actions + self.action_dim
-        if net.in_dim != expected:
-            raise ValueError(f"net input dim {net.in_dim} != expected {expected}")
-
-    def _inputs_all_actions(self, own_state, cloud, avg_action):
-        mean, std = cloud_summary(cloud)
-        base = np.concatenate([np.asarray(own_state, float), mean, std])
-        rows = []
-        for a in range(self.n_actions):
-            onehot = np.zeros(self.n_actions)
-            onehot[a] = 1.0
-            rows.append(np.concatenate([base, onehot, np.asarray(avg_action, float)]))
-        return np.stack(rows)
-
-    def q_values(self, own_state, cloud, avg_action) -> np.ndarray:
-        x = self._inputs_all_actions(own_state, cloud, avg_action)
-        return net_forward(self.net, x)[:, 0]
-
-    def q_cloud_grads(self, own_state, cloud, avg_action, upstream: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the cloud particle coordinates of sum_a upstream_a * Q_a."""
-        cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-        n, d = cloud.shape
-        x = self._inputs_all_actions(own_state, cloud, avg_action)
-        up = np.asarray(upstream, dtype=float)[:, None]
-        gin = net_grads(self.net, x, up).grad_input.sum(axis=0)
-        sd = self.state_dim
-        g_mean = gin[sd:2 * sd]
-        g_std = gin[2 * sd:3 * sd]
-        mean, std = cloud_summary(cloud)
-        grad = np.tile(g_mean / n, (n, 1))
-        safe = std > 1e-12
-        centered = cloud - mean
-        grad += np.where(safe, g_std * centered / (n * np.maximum(std, 1e-12)), 0.0)
-        return grad
-
-
-def mf_regularizer(q: MeanFieldQ, mf: MeanFieldInput, perturbed_cloud) -> float:
-    """Sum over own actions of squared Q differences between perturbed and clean clouds."""
-    q_clean = q.q_values(mf.own_state, mf.cloud, mf.avg_action)
-    q_pert = q.q_values(mf.own_state, perturbed_cloud, mf.avg_action)
-    d = q_pert - q_clean
-    return float(np.sum(d * d))
-
-
-def mf_attack(q: MeanFieldQ, mf: MeanFieldInput, lambda_w: float = 1.0, steps: int = 10,
-              eta: float = 0.05, seed: int = 0, jitter: float = 0.01) -> np.ndarray:
-    """Gradient ascent on the particle coordinates of the perturbed cloud.
-
-    Objective: sum_a (Q_a(d') - Q_a(d))^2 - lambda_w * W_identity(d', d);
-    the identity-coupling penalty keeps the objective differentiable.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if lambda_w < 0:
-        raise ValueError(f"lambda_w must be >= 0, got {lambda_w}")
-    cloud = np.atleast_2d(np.asarray(mf.cloud, dtype=float))
-    n, d = cloud.shape
-    rng = np.random.default_rng(seed)
-    pert = cloud.copy()
-    if jitter > 0:
-        pert = pert + np.stack([sample_ball(d, jitter, "l2", rng) for _ in range(n)])
-    q_clean = q.q_values(mf.own_state, cloud, mf.avg_action)
-    for _ in range(steps):
-        q_pert = q.q_values(mf.own_state, pert, mf.avg_action)
-        upstream = 2.0 * (q_pert - q_clean)
-        grad = q.q_cloud_grads(mf.own_state, pert, mf.avg_action, upstream)
-        diff = pert - cloud
-        norms = np.linalg.norm(diff, axis=-1, keepdims=True)
-        penalty_grad = np.where(norms > 1e-12, diff / np.maximum(norms, 1e-12) / n, 0.0)
-        pert = pert + eta * (grad - lambda_w * penalty_grad)
-        if not np.all(np.isfinite(pert)):
-            raise FloatingPointError("non-finite perturbed cloud")
-    return pert

@@ -61,6 +61,8 @@ class Net:
 
     def __init__(self, layer_dims, weights, biases, activation: str = "relu"):
         dims = _dims(layer_dims)
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
         if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise ValueError(f"{len(dims) - 1} layers need as many weights and biases")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -144,8 +146,6 @@ def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
     dims = _dims(layer_dims)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     rng = np.random.default_rng(seed)
     ws, bs = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -1,21 +1,23 @@
-# Training loops for QCOMBO (gridq) and MADDPG-style DDPG (coopnav) with the
-# adversarial-regularization hooks. Single-threaded per seed; all randomness
-# comes from two named streams so the regularizer path never shifts the
-# environment stream.
+# One training loop for QCOMBO (gridq) and MADDPG-style DDPG (coopnav) with the
+# adversarial-regularization hooks; a per-learner record holds what differs.
+# Single-threaded per seed; all randomness comes from two named streams so the
+# regularizer path never shifts the environment stream.
 from __future__ import annotations
 
 import json
 import shutil
 import time
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .actionreg import greedy_action_attack
 from .advreg import (AttackConfig, pgd_attack, reg_value_and_grads,
                      regularized_grad, stackelberg_grad)
-from .algos import (DdpgAgents, GlobalQ, QComboAgents, _joint_onehot, apply_grad,
+from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     ddpg_updates, qcombo_losses, select_action_continuous,
                     select_action_discrete, soft_update)
 from .config import ExperimentConfig
@@ -58,26 +60,17 @@ def _net_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(2 ** 31, size=count)]
 
 
-def build_qcombo(cfg: ExperimentConfig, env: GridQueueEnv, seed: int) -> QComboAgents:
+def build_agents(cfg: ExperimentConfig, env, seed: int) -> Agents:
+    """The policy agent stack and the central net, each target starting as a
+    copy of its net."""
     hid = cfg["hidden"]
     n = env.n_agents
     seeds = _net_seeds(seed, n + 1)
-    ind = stack_nets([net_init([env.obs_dim, hid, env.n_phases], seed=seeds[i])
-                      for i in range(n)])
-    glob = net_init([env.state_dim + n * env.n_phases, hid, 1], seed=seeds[n])
-    return QComboAgents(ind=ind, glob=glob, ind_target=ind, glob_target=glob,
-                        n_actions=env.n_phases)
-
-
-def build_ddpg(cfg: ExperimentConfig, env: CoopNavEnv, seed: int) -> DdpgAgents:
-    hid = cfg["hidden"]
-    n = env.n_agents
-    seeds = _net_seeds(seed, n + 1)
-    actors = stack_nets([net_init([env.obs_dim, hid, env.action_dim], seed=seeds[i])
+    policy = stack_nets([net_init([env.obs_dim, hid, env.n_out], seed=seeds[i])
                          for i in range(n)])
-    critic = net_init([env.state_dim + n * env.action_dim, hid, 1], seed=seeds[n])
-    return DdpgAgents(actors=actors, critic=critic, actor_target=actors,
-                      critic_target=critic, action_dim=env.action_dim)
+    central = net_init([env.state_dim + n * env.n_out, hid, 1], seed=seeds[n])
+    return Agents(policy=policy, central=central, policy_target=policy,
+                  central_target=central)
 
 
 def _attack_config(cfg: ExperimentConfig, seed: int) -> AttackConfig:
@@ -108,23 +101,22 @@ def _obs_regularizer(net, obs_rows, acfg: AttackConfig, mode: str,
     return value, gt / rows, norm
 
 
-def _action_regularizer_grad(agents: QComboAgents, batch: dict, k: int, rows: int):
+def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     """Mean (Q(s,a) - Q(s, a_adv))^2 over the first rows of the batch, with its
-    gradient w.r.t. the global Q parameters. One greedy attack covers all
-    rows."""
+    gradient w.r.t. the global Q (central) parameters. One greedy attack covers
+    all rows."""
     rows = min(rows, batch["state"].shape[0])
-    n_actions = agents.n_actions
+    glob, n_actions = agents.central, agents.policy.out_dim
     states, actions = batch["state"][:rows], batch["actions"][:rows]
-    res = greedy_action_attack(GlobalQ(agents.glob, n_actions), states, actions,
-                               n_actions, k)
+    res = greedy_action_attack(GlobalQ(glob, n_actions), states, actions, n_actions, k)
     keep = np.flatnonzero((res.perturbed != actions).any(axis=1))
     if not keep.size:
-        return 0.0, np.zeros(n_params(agents.glob)), 0
+        return 0.0, np.zeros(n_params(glob)), 0
     xc = np.concatenate([states[keep], _joint_onehot(actions[keep], n_actions)], axis=1)
     xa = np.concatenate([states[keep], _joint_onehot(res.perturbed[keep], n_actions)],
                         axis=1)
-    qc, vjp_c = net_vjp(agents.glob, xc)
-    qa, vjp_a = net_vjp(agents.glob, xa)
+    qc, vjp_c = net_vjp(glob, xc)
+    qa, vjp_a = net_vjp(glob, xa)
     diff = qc[:, 0] - qa[:, 0]
     value = float(np.sum(diff ** 2) / rows)
     up = (2.0 * diff / rows)[:, None]
@@ -233,110 +225,79 @@ def _episode_stats(recent) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def train_qcombo(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
+@dataclass(frozen=True)
+class _Learner:
+    """What the training loop does differently for QCOMBO and for DDPG."""
+    header: str
+    act: Callable           # (policy stack, obs, step, env_rng) -> joint action
+    update: Callable        # (batch, agents) -> losses, {"policy", "central"} grads
+    central_reg: Callable | None  # (agents, batch, central grad, attack_rng)
+                                  # -> (value, regularized central grad)
+    policy_lr: float
+    columns: Callable       # (losses, regularizer value) -> the four loss columns
+
+
+def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
+    # The closures look the learner functions up by name when called, so
+    # that wrapping them in this module (tracing, tests) takes effect.
+    if cfg.algo == "qcombo":
+        ea = cfg["ernie_a"]
+        reg = None
+        if ea["enabled"] and ea["lambda"] != 0.0 and ea["k"] > 0:
+            def reg(agents, batch, grad, attack_rng):
+                value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
+                                                          int(ea["rows"]))
+                # adding a zero gradient could turn a -0.0 into 0.0
+                return value, regularized_grad(grad, [g], ea["lambda"]) if hits else grad
+        return _Learner(
+            QCOMBO_HEADER,
+            lambda policy, obs, t, rng: select_action_discrete(
+                policy, obs, _explore_rate(t, steps, cfg["explore_final"]), rng,
+                env.n_out),
+            lambda batch, agents: qcombo_losses(batch, agents, cfg["gamma"],
+                                                cfg["lambda_q"]),
+            reg, cfg["lr"],
+            lambda losses, reg_val: (losses["ind"], losses["glob"], losses["reg"],
+                                     losses["total"]))
+    ecfg, mf = cfg["ernie"], cfg["meanfield"]
+    reg = None
+    if mf["enabled"] and ecfg["lambda"] != 0.0:
+        def reg(agents, batch, grad, attack_rng):
+            value, g, _ = _cloud_regularizer_grad(
+                agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
+                int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]), 0.01,
+                attack_rng)
+            return value, regularized_grad(grad, [g], ecfg["lambda"])
+    return _Learner(
+        DDPG_HEADER,
+        lambda policy, obs, t, rng: select_action_continuous(policy, obs,
+                                                             cfg["actor_noise"], rng),
+        lambda batch, agents: ddpg_updates(batch, agents, cfg["gamma"]),
+        reg, cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"],
+        lambda losses, reg_val: (losses["critic"], losses["actor_obj"], reg_val,
+                                 losses["critic"] + reg_val))
+
+
+def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     env = make_env(cfg)
-    agents = build_qcombo(cfg, env, seed)
+    agents = build_agents(cfg, env, seed)
     steps = int(cfg["train_steps"])
+    learner = _learner(cfg, env, steps)
+    policy_name, central_name = NET_NAMES[cfg.algo]
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
     buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
-    metrics = _MetricsWriter(out_dir / "metrics.csv", QCOMBO_HEADER)
-    meta = {"algo": "qcombo", "env": cfg.env, "n_agents": env.n_agents,
-            "hidden": cfg["hidden"], "seed": seed}
-    nets = lambda: {**{f"ind_{i}": agents.ind[i] for i in range(env.n_agents)},
-                    "glob": agents.glob}
-    _save_checkpoint(out_dir, 0, nets(), meta)
-    interval = max(1, steps // 10)
-
-    ecfg = cfg["ernie"]
-    acfg = _attack_config(cfg, seed)
-    ernie_on = bool(ecfg["enabled"]) and ecfg["lambda"] != 0.0
-    ea = cfg["ernie_a"]
-    ernie_a_on = bool(ea["enabled"]) and ea["lambda"] != 0.0 and ea["k"] > 0
-
-    state, obs = env.reset(int(env_rng.integers(2 ** 31)))
-    gs = env.global_state(state)
-    recent = deque(maxlen=10)
-    ep_ret, ep_len = 0.0, 0
-    t0 = time.monotonic()
-    for t in range(1, steps + 1):
-        rate = _explore_rate(t, steps, cfg["explore_final"])
-        actions = select_action_discrete(agents.ind, obs, rate, env_rng, env.n_phases)
-        state, obs, gs, g_reward, done = _env_step(env, buf, state, obs, gs, actions,
-                                                   ep_len)
-        ep_ret += g_reward
-        ep_len += 1
-        if done:
-            recent.append(ep_ret)
-            ep_ret, ep_len = 0.0, 0
-            state, obs = env.reset(int(env_rng.integers(2 ** 31)))
-            gs = env.global_state(state)
-
-        losses = {"ind": 0.0, "glob": 0.0, "reg": 0.0, "total": 0.0}
-        reg_val, atk_norm = 0.0, 0.0
-        if t >= cfg["warmup"]:
-            batch = stack_batch(buf.sample(cfg["batch"], env_rng))
-            losses, grads = qcombo_losses(batch, agents, cfg["gamma"], cfg["lambda_q"])
-            if ernie_on and t >= ecfg["start_frac"] * steps:
-                vals, norms = [], []
-                rows = min(int(ecfg["reg_rows"]), batch["obs"].shape[0])
-                for i in range(env.n_agents):
-                    v, gt, nn = _obs_regularizer(agents.ind[i], batch["obs"][:rows, i],
-                                                 acfg, ecfg["mode"], attack_rng,
-                                                 bool(ecfg["stackelberg"]))
-                    grads["ind"][i] = regularized_grad(grads["ind"][i], [gt],
-                                                       ecfg["lambda"])
-                    vals.append(v)
-                    norms.append(nn)
-                reg_val = float(np.mean(vals))
-                atk_norm = float(np.mean(norms))
-            if ernie_a_on:
-                av, ag, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
-                                                        int(ea["rows"]))
-                if hits:
-                    grads["glob"] = regularized_grad(grads["glob"], [ag], ea["lambda"])
-                reg_val += float(av)
-            lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
-            agents.ind = apply_grad(agents.ind, grads["ind"], lr_t)
-            agents.glob = apply_grad(agents.glob, grads["glob"], lr_t)
-            _check_finite({"ind": agents.ind, "glob": agents.glob}, t, seed)
-            agents.ind_target = soft_update(agents.ind_target, agents.ind, cfg["tau"])
-            agents.glob_target = soft_update(agents.glob_target, agents.glob, cfg["tau"])
-
-        if t % cfg["log_interval"] == 0:
-            m, s = _episode_stats(recent)
-            metrics.row([str(t), str(seed), _fmt(m), _fmt(s), _fmt(losses["ind"]),
-                         _fmt(losses["glob"]), _fmt(losses["reg"]),
-                         _fmt(losses["total"]), _fmt(reg_val), _fmt(atk_norm)])
-        if t % interval == 0:
-            _save_checkpoint(out_dir, t, nets(), meta)
-
-    (out_dir / "timings.json").write_text(json.dumps(
-        {"seed": seed, "steps": steps,
-         "wall_ms": (time.monotonic() - t0) * 1000.0}) + "\n")
-    return {"out_dir": str(out_dir), "final_checkpoint": str(out_dir / f"ckpt_{steps:06d}")}
-
-
-def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
-    env = make_env(cfg)
-    agents = build_ddpg(cfg, env, seed)
-    steps = int(cfg["train_steps"])
-    ss = np.random.SeedSequence(seed)
-    env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
-    metrics = _MetricsWriter(out_dir / "metrics.csv", DDPG_HEADER)
+    metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
     meta = {"algo": cfg.algo, "env": cfg.env, "n_agents": env.n_agents,
             "hidden": cfg["hidden"], "seed": seed}
-    nets = lambda: {**{f"actor_{i}": agents.actors[i] for i in range(env.n_agents)},
-                    "critic": agents.critic}
+    nets = lambda: {**{f"{policy_name}_{i}": agents.policy[i] for i in range(env.n_agents)},
+                    central_name: agents.central}
     _save_checkpoint(out_dir, 0, nets(), meta)
     interval = max(1, steps // 10)
 
     ecfg = cfg["ernie"]
     acfg = _attack_config(cfg, seed)
     ernie_on = bool(ecfg["enabled"]) and ecfg["lambda"] != 0.0
-    mf = cfg["meanfield"]
-    mf_on = cfg.algo == "mf_ddpg" and bool(mf["enabled"]) and ecfg["lambda"] != 0.0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))
     gs = env.global_state(state)
@@ -344,7 +305,7 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     ep_ret, ep_len = 0.0, 0
     t0 = time.monotonic()
     for t in range(1, steps + 1):
-        actions = select_action_continuous(agents.actors, obs, cfg["actor_noise"], env_rng)
+        actions = learner.act(agents.policy, obs, t, env_rng)
         state, obs, gs, g_reward, done = _env_step(env, buf, state, obs, gs, actions,
                                                    ep_len)
         ep_ret += g_reward
@@ -355,47 +316,43 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             state, obs = env.reset(int(env_rng.integers(2 ** 31)))
             gs = env.global_state(state)
 
-        losses = {"critic": 0.0, "actor_obj": 0.0}
-        reg_val, atk_norm = 0.0, 0.0
+        columns, reg_val, atk_norm = (0.0, 0.0, 0.0, 0.0), 0.0, 0.0
         if t >= cfg["warmup"]:
             batch = stack_batch(buf.sample(cfg["batch"], env_rng))
-            losses, grads = ddpg_updates(batch, agents, cfg["gamma"])
+            losses, grads = learner.update(batch, agents)
             if ernie_on and t >= ecfg["start_frac"] * steps:
                 vals, norms = [], []
                 rows = min(int(ecfg["reg_rows"]), batch["obs"].shape[0])
                 for i in range(env.n_agents):
-                    v, gt, nn = _obs_regularizer(agents.actors[i], batch["obs"][:rows, i],
+                    v, gt, nn = _obs_regularizer(agents.policy[i], batch["obs"][:rows, i],
                                                  acfg, ecfg["mode"], attack_rng,
                                                  bool(ecfg["stackelberg"]))
-                    grads["actors"][i] = regularized_grad(grads["actors"][i], [gt],
+                    grads["policy"][i] = regularized_grad(grads["policy"][i], [gt],
                                                           ecfg["lambda"])
                     vals.append(v)
                     norms.append(nn)
                 reg_val = float(np.mean(vals))
                 atk_norm = float(np.mean(norms))
-            if mf_on:
-                mv, mg, _ = _cloud_regularizer_grad(
-                    agents.critic, batch, env.n_agents, int(ecfg["reg_rows"]),
-                    int(mf["mf_steps"]), float(mf["mf_eta"]),
-                    float(mf["lambda_w"]), 0.01, attack_rng)
-                grads["critic"] = regularized_grad(grads["critic"], [mg],
-                                                   ecfg["lambda"])
-                reg_val += mv
+            if learner.central_reg is not None:
+                value, grads["central"] = learner.central_reg(agents, batch,
+                                                              grads["central"], attack_rng)
+                reg_val += value
             lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
-            actor_lr = cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"]
-            actor_lr_t = _lr_at(t, steps, actor_lr, cfg["lr_decay"])
-            agents.critic = apply_grad(agents.critic, grads["critic"], lr_t)
-            agents.actors = apply_grad(agents.actors, grads["actors"], actor_lr_t)
-            _check_finite({"actor": agents.actors, "critic": agents.critic}, t, seed)
-            agents.critic_target = soft_update(agents.critic_target, agents.critic,
+            policy_lr_t = _lr_at(t, steps, learner.policy_lr, cfg["lr_decay"])
+            agents.policy = apply_grad(agents.policy, grads["policy"], policy_lr_t)
+            agents.central = apply_grad(agents.central, grads["central"], lr_t)
+            _check_finite({policy_name: agents.policy, central_name: agents.central},
+                          t, seed)
+            agents.policy_target = soft_update(agents.policy_target, agents.policy,
                                                cfg["tau"])
-            agents.actor_target = soft_update(agents.actor_target, agents.actors, cfg["tau"])
+            agents.central_target = soft_update(agents.central_target, agents.central,
+                                                cfg["tau"])
+            columns = learner.columns(losses, reg_val)
 
         if t % cfg["log_interval"] == 0:
             m, s = _episode_stats(recent)
-            metrics.row([str(t), str(seed), _fmt(m), _fmt(s), _fmt(losses["critic"]),
-                         _fmt(losses["actor_obj"]), _fmt(reg_val),
-                         _fmt(losses["critic"] + reg_val), _fmt(reg_val), _fmt(atk_norm)])
+            metrics.row([str(t), str(seed)]
+                        + [_fmt(x) for x in (m, s, *columns, reg_val, atk_norm)])
         if t % interval == 0:
             _save_checkpoint(out_dir, t, nets(), meta)
 
@@ -407,8 +364,4 @@ def train_ddpg(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
 
 def train_run(cfg: ExperimentConfig, out_root) -> list[dict]:
     out_root = Path(out_root)
-    results = []
-    for seed in cfg.seeds:
-        fn = train_qcombo if cfg.algo == "qcombo" else train_ddpg
-        results.append(fn(cfg, int(seed), out_root / f"seed_{seed}"))
-    return results
+    return [train_seed(cfg, int(seed), out_root / f"seed_{seed}") for seed in cfg.seeds]

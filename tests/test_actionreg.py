@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ernie_lab.actionreg import brute_force_action_attack, greedy_action_attack
-from ernie_lab.algos import GlobalQ
-from ernie_lab.net import Net, net_init
+from ernie_lab.algos import Agents, GlobalQ
+from ernie_lab.net import Net, net_init, stack_nets, vector_to_net
+from ernie_lab.train import _action_regularizer_grad
 
 # Hand table: Q(0,0)=1.0 Q(1,0)=2.0 Q(0,1)=1.5 Q(1,1)=0.2
 TABLE = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.5, (1, 1): 0.2}
@@ -199,3 +200,29 @@ def test_row_stacked_greedy_validates_every_row():
     q = _global_q(np.random.default_rng(0), 2, 2, 3, False)
     with pytest.raises(ValueError, match="agent 1 action 2"):
         greedy_action_attack(q, np.zeros((2, 3)), np.array([[0, 1], [1, 2]]), 2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_action_regularizer_grad_matches_fd(k):
+    # The greedy flip is locally constant in the global Q's parameters, so the
+    # returned gradient is the derivative of the returned value.
+    n, a_count, state_dim, rows = 3, 3, 4, 6
+    rng = np.random.default_rng(k)
+    ind = stack_nets([net_init([5, 4, a_count], seed=i) for i in range(n)])
+    glob = net_init([state_dim + n * a_count, 8, 1], activation="tanh", seed=10 + k)
+    batch = {"state": rng.uniform(-1, 1, size=(rows + 2, state_dim)),
+             "actions": rng.integers(0, a_count, size=(rows + 2, n))}
+
+    def reg(central):
+        return _action_regularizer_grad(Agents(ind, central, ind, central), batch, k, rows)
+
+    value, grad, hits = reg(glob)
+    assert value > 0.0 and hits == rows
+    theta, h = glob.theta, 1e-6
+    fd = np.empty_like(theta)
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = h
+        fd[j] = (reg(vector_to_net(glob, theta + e))[0]
+                 - reg(vector_to_net(glob, theta - e))[0]) / (2 * h)
+    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6

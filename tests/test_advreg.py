@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from ernie_lab.advreg import (AttackConfig, _joint_grad_dir, _project_vjp,
-                              default_head, divergence, gaussian_delta,
+                              default_head, divergence,
                               pgd_attack, project, reg_value_and_grads,
                               regularized_grad, regularizer, sample_ball,
                               stackelberg_grad)
 from ernie_lab.net import (Net, hvp, n_params, net_init, params_to_vector,
                            vector_to_net)
+from ernie_lab.train import _obs_regularizer
 
 
 def _linear_net(w):
     w = np.asarray(w, dtype=float)
     return Net(layer_dims=(w.shape[1], w.shape[0]), weights=(w,),
-               biases=(np.zeros(w.shape[0]),), activation="identity")
+               biases=(np.zeros(w.shape[0]),), activation="relu")
 
 
 def test_divergence_zero_at_equality():
@@ -97,11 +98,26 @@ def test_regularizer_identity_linear():
 
 
 def test_gaussian_delta():
-    assert np.array_equal(gaussian_delta(5, 0.0, 3), np.zeros(5))
-    assert np.array_equal(gaussian_delta(8, 1.0, 4), gaussian_delta(8, 1.0, 4))
-    big = gaussian_delta(10 ** 4, 1.0, 0)
-    assert abs(big.mean()) < 0.05
-    assert 0.9 < big.var() < 1.1
+    # The gaussian ERNIE baseline draws delta = sigma * N(0, I) for all rows
+    # in one draw from the attack stream, and none at sigma = 0. Through an
+    # identity net at obs = 0, the sq_l2 value of a row is ||delta||^2.
+    net = _linear_net(np.eye(4))
+    obs = np.zeros((10 ** 4, 4))
+    rng = np.random.default_rng(3)
+    value, grad, norm = _obs_regularizer(net, obs[:5], AttackConfig(epsilon=0.0),
+                                         "gaussian", rng, False)
+    assert (value, norm) == (0.0, 0.0) and not grad.any()
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+    for sigma in (1.0, 0.3):
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        value, _, norm = _obs_regularizer(net, obs, AttackConfig(epsilon=sigma),
+                                          "gaussian", rng, False)
+        delta = sigma * ref.standard_normal(obs.shape)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert value == pytest.approx(np.mean(np.sum(delta ** 2, axis=1)), rel=1e-12)
+        assert norm == pytest.approx(np.mean(np.linalg.norm(delta, axis=1)), rel=1e-12)
+        assert abs(delta.mean()) < 0.05 * sigma
+        assert 0.9 < value / (4 * sigma ** 2) < 1.1
 
 
 def test_attack_config_validation():
@@ -158,7 +174,7 @@ def test_attack_soundness_pgd_beats_gaussian():
         cfg = AttackConfig(epsilon=0.5, k_steps=10, metric="sq_l2",
                            seed=int(rng.integers(2 ** 31)))
         delta = pgd_attack(net, obs, cfg)
-        raw = gaussian_delta(4, 1.0, i)
+        raw = np.random.default_rng(i).standard_normal(4)
         rand = raw / np.linalg.norm(raw) * np.linalg.norm(delta)
         v_pgd = regularizer(net, obs, delta, "sq_l2")
         v_rand = regularizer(net, obs, rand, "sq_l2")

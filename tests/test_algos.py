@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ernie_lab.algos import (
-    DdpgAgents,
-    QComboAgents,
+    Agents,
     apply_grad,
     ddpg_updates,
     qcombo_losses,
@@ -154,7 +153,7 @@ def test_select_action_continuous_matches_per_agent_loop(noise):
 
 
 def _qcombo_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
-                   n_actions: int = 2) -> QComboAgents:
+                   n_actions: int = 2) -> Agents:
     ind = stack_nets([net_init([obs_dim, 5, n_actions], activation="tanh", seed=seed + i)
                       for i in range(n)])
     glob = net_init([state_dim + n * n_actions, 5, 1], activation="tanh",
@@ -163,8 +162,7 @@ def _qcombo_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
                                  seed=seed + 50 + i) for i in range(n)])
     glob_t = net_init([state_dim + n * n_actions, 5, 1], activation="tanh",
                       seed=seed + 200)
-    return QComboAgents(ind=ind, glob=glob, ind_target=ind_t,
-                        glob_target=glob_t, n_actions=n_actions)
+    return Agents(policy=ind, central=glob, policy_target=ind_t, central_target=glob_t)
 
 
 def _qcombo_batch(rng: np.random.Generator, b: int = 4, n: int = 2,
@@ -189,9 +187,8 @@ def test_qcombo_zero_nets_losses_from_rewards_only():
     zglob = Net(layer_dims=(state_dim + n * a_count, 1),
                 weights=(np.zeros((1, state_dim + n * a_count)),),
                 biases=(np.zeros(1),), activation="tanh")
-    agents = QComboAgents(ind=stack_nets([zero, zero]), glob=zglob,
-                          ind_target=stack_nets([zero, zero]), glob_target=zglob,
-                          n_actions=a_count)
+    agents = Agents(policy=stack_nets([zero, zero]), central=zglob,
+                    policy_target=stack_nets([zero, zero]), central_target=zglob)
     batch = _qcombo_batch(np.random.default_rng(0))
     losses, grads = qcombo_losses(batch, agents, gamma=0.9, lambda_q=1.0)
     # all Q values are zero, so TD residuals reduce to the rewards
@@ -225,17 +222,16 @@ def test_qcombo_grads_match_finite_differences():
     h = 1e-6
 
     def total_with(ind0: Net, glob: Net) -> float:
-        trial = QComboAgents(ind=stack_nets([ind0, agents.ind[1]]), glob=glob,
-                             ind_target=agents.ind_target,
-                             glob_target=agents.glob_target,
-                             n_actions=agents.n_actions)
+        trial = Agents(policy=stack_nets([ind0, agents.policy[1]]), central=glob,
+                       policy_target=agents.policy_target,
+                       central_target=agents.central_target)
         return qcombo_losses(batch, trial, gamma, lam)[0]["total"]
 
     for net, flat, rebuild in [
-        (agents.ind[0], grads["ind"][0],
-         lambda v: total_with(vector_to_net(agents.ind[0], v), agents.glob)),
-        (agents.glob, grads["glob"],
-         lambda v: total_with(agents.ind[0], vector_to_net(agents.glob, v))),
+        (agents.policy[0], grads["policy"][0],
+         lambda v: total_with(vector_to_net(agents.policy[0], v), agents.central)),
+        (agents.central, grads["central"],
+         lambda v: total_with(agents.policy[0], vector_to_net(agents.central, v))),
     ]:
         theta = params_to_vector(net)
         fd = np.empty_like(theta)
@@ -247,7 +243,7 @@ def test_qcombo_grads_match_finite_differences():
 
 
 def _ddpg_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
-                 da: int = 2) -> DdpgAgents:
+                 da: int = 2) -> Agents:
     actors = stack_nets([net_init([obs_dim, 5, da], activation="tanh", seed=seed + i)
                          for i in range(n)])
     critic = net_init([state_dim + n * da, 5, 1], activation="tanh", seed=seed + 100)
@@ -255,8 +251,8 @@ def _ddpg_agents(seed: int, n: int = 2, obs_dim: int = 3, state_dim: int = 4,
                            for i in range(n)])
     critic_t = net_init([state_dim + n * da, 5, 1], activation="tanh",
                         seed=seed + 200)
-    return DdpgAgents(actors=actors, critic=critic, actor_target=actors_t,
-                      critic_target=critic_t, action_dim=da)
+    return Agents(policy=actors, central=critic, policy_target=actors_t,
+                  central_target=critic_t)
 
 
 def _ddpg_batch(rng: np.random.Generator, b: int = 4, n: int = 2,
@@ -290,16 +286,15 @@ def test_ddpg_linear_critic_actor_grad_hand_check():
                          np.zeros(1))
     actor_w = np.array([[1.0, 0.0], [0.0, 1.0]])
     actor = _linear_net(actor_w, np.zeros(da))
-    agents = DdpgAgents(actors=stack_nets([actor]), critic=critic,
-                        actor_target=stack_nets([actor]),
-                        critic_target=critic, action_dim=da)
+    agents = Agents(policy=stack_nets([actor]), central=critic,
+                    policy_target=stack_nets([actor]), central_target=critic)
     batch = _ddpg_batch(np.random.default_rng(2), b=3, n=n, obs_dim=obs_dim,
                         state_dim=state_dim, da=da)
     _, grads = ddpg_updates(batch, agents, gamma=0.9)
     obs = batch["obs"][:, 0]
     want_w = -np.einsum("i,bj->ij", w_a, obs) / obs.shape[0]
     want = np.concatenate([want_w.ravel(), -w_a])
-    assert np.allclose(grads["actors"][0], want, atol=1e-12)
+    assert np.allclose(grads["policy"][0], want, atol=1e-12)
 
 
 def test_ddpg_grads_match_finite_differences():
@@ -310,14 +305,13 @@ def test_ddpg_grads_match_finite_differences():
     h = 1e-6
 
     # critic gradient against FD of the critic loss
-    theta = params_to_vector(agents.critic)
+    theta = params_to_vector(agents.central)
 
     def critic_loss(v: np.ndarray) -> float:
-        trial = DdpgAgents(actors=agents.actors,
-                           critic=vector_to_net(agents.critic, v),
-                           actor_target=agents.actor_target,
-                           critic_target=agents.critic_target,
-                           action_dim=agents.action_dim)
+        trial = Agents(policy=agents.policy,
+                       central=vector_to_net(agents.central, v),
+                       policy_target=agents.policy_target,
+                       central_target=agents.central_target)
         return ddpg_updates(batch, trial, gamma)[0]["critic"]
 
     fd = np.empty_like(theta)
@@ -326,19 +320,18 @@ def test_ddpg_grads_match_finite_differences():
         e[j] = h
         fd[j] = (critic_loss(theta + e) - critic_loss(theta - e)) / (2 * h)
     # the actor objective also moves with critic params; isolate the TD part
-    assert np.linalg.norm(grads["critic"] - fd) / np.linalg.norm(fd) < 1e-5
+    assert np.linalg.norm(grads["central"] - fd) / np.linalg.norm(fd) < 1e-5
 
     # actor gradient is descent on -mean Q(mu); FD the objective directly
     for i in range(2):
-        phi = params_to_vector(agents.actors[i])
+        phi = params_to_vector(agents.policy[i])
 
         def actor_obj(v: np.ndarray, i=i) -> float:
-            trial_actors = list(agents.actors)
-            trial_actors[i] = vector_to_net(agents.actors[i], v)
-            trial = DdpgAgents(actors=stack_nets(trial_actors), critic=agents.critic,
-                               actor_target=agents.actor_target,
-                               critic_target=agents.critic_target,
-                               action_dim=agents.action_dim)
+            trial_actors = list(agents.policy)
+            trial_actors[i] = vector_to_net(agents.policy[i], v)
+            trial = Agents(policy=stack_nets(trial_actors), central=agents.central,
+                           policy_target=agents.policy_target,
+                           central_target=agents.central_target)
             return ddpg_updates(batch, trial, gamma)[0]["actor_obj"]
 
         fd = np.empty_like(phi)
@@ -346,4 +339,4 @@ def test_ddpg_grads_match_finite_differences():
             e = np.zeros_like(phi)
             e[j] = h
             fd[j] = (actor_obj(phi + e) - actor_obj(phi - e)) / (2 * h)
-        assert np.linalg.norm(grads["actors"][i] + fd) / np.linalg.norm(fd) < 1e-5
+        assert np.linalg.norm(grads["policy"][i] + fd) / np.linalg.norm(fd) < 1e-5

@@ -4,13 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from ernie_lab.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from ernie_lab.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, _out_dir, main
 from ernie_lab.config import (
+    DEFAULTS,
     ConfigError,
+    ExperimentConfig,
     echo_config,
     load_config,
     resolve_config,
 )
+from ernie_lab.evaluate import evaluate_checkpoint
+from ernie_lab.train import train_run
 
 
 def test_empty_doc_resolves_to_defaults():
@@ -183,3 +187,49 @@ def test_cli_seed_override(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     assert (out / "seed_7" / "metrics.csv").exists()
     assert not (out / "seed_3").exists()
+
+
+class _Recorder(dict):
+    """A config dict that records the dotted name of every key read."""
+
+    def __init__(self, doc, seen, prefix=""):
+        super().__init__({k: _Recorder(v, seen, f"{prefix}{k}.") if isinstance(v, dict)
+                          else v for k, v in doc.items()})
+        self.seen, self.prefix = seen, prefix
+
+    def __getitem__(self, key):
+        self.seen.add(self.prefix + key)
+        return super().__getitem__(key)
+
+
+def _leaves(doc, prefix=""):
+    return {name for k, v in doc.items()
+            for name in (_leaves(v, f"{prefix}{k}.") if isinstance(v, dict)
+                         else [prefix + k])}
+
+
+def test_every_default_leaf_is_read(tmp_path, monkeypatch):
+    # Between them, a qcombo run (gaussian ERNIE, ERNIE-A, dynamics and
+    # malicious sweeps) and an mf_ddpg run (Stackelberg ERNIE, cloud attack)
+    # read every config leaf in train, evaluate and the CLI's out-dir lookup.
+    monkeypatch.delenv("ERNIE_LAB_OUT", raising=False)
+    small = {"seeds": [1], "train_steps": 12, "warmup": 4, "batch": 4, "hidden": 4,
+             "log_interval": 4}
+    docs = [
+        dict(small, algo="qcombo", env="gridq",
+             ernie={"enabled": True, "mode": "gaussian", "reg_rows": 2},
+             ernie_a={"enabled": True, "rows": 2},
+             eval={"obs_noise_sigmas": [0.0], "dynamics_scales": [0.8],
+                   "malicious_rates": [0.1], "episodes": 1}),
+        dict(small, algo="mf_ddpg", env="coopnav",
+             ernie={"enabled": True, "stackelberg": True, "k_steps": 1, "reg_rows": 2},
+             meanfield={"enabled": True, "mf_steps": 1},
+             eval={"obs_noise_sigmas": [0.0], "episodes": 1}),
+    ]
+    seen = set()
+    for i, doc in enumerate(docs):
+        cfg = ExperimentConfig(raw=_Recorder(resolve_config(doc).raw, seen))
+        run = train_run(cfg, tmp_path / f"train{i}")[0]
+        evaluate_checkpoint(cfg, run["final_checkpoint"], tmp_path / f"eval{i}")
+        _out_dir(None, cfg)
+    assert sorted(_leaves(DEFAULTS) - seen) == []

@@ -10,6 +10,7 @@ from ernie_lab.envs import (
     PHASE_SERVES,
     _OPPOSITE,
     _neighbor,
+    _perturb_obs_rng,
     CoopNavEnv,
     CoopNavState,
     GridQueueEnv,
@@ -21,7 +22,6 @@ from ernie_lab.envs import (
     gridq_reset,
     gridq_step,
     malicious_injector,
-    perturb_obs,
     rollout,
 )
 
@@ -210,13 +210,16 @@ def test_perturb_spec_validation():
 
 def test_perturb_obs_sigma_zero_is_bitwise_identity():
     obs = np.random.default_rng(0).uniform(size=(3, 5))
-    out = perturb_obs(obs, PerturbSpec(), seed=7)
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    out = _perturb_obs_rng(obs, PerturbSpec().obs_noise_sigma, rng)
     assert out is obs
+    assert rng.bit_generator.state == before  # no draw at sigma = 0
 
 
 def test_perturb_obs_noise_statistics():
     obs = np.zeros((100, 100))
-    out = perturb_obs(obs, PerturbSpec(obs_noise_sigma=0.5), seed=3)
+    out = _perturb_obs_rng(obs, 0.5, np.random.default_rng(3))
     assert abs(out.std() - 0.5) / 0.5 < 0.05
     assert abs(out.mean()) < 0.01
 

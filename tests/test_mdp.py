@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 from ernie_lab.mdp import (TabularMdp, TabularPolicy, audit_smoothness,
                            delta_grid, empirical_lipschitz, gen_smooth_mdp,
-                           interpolate_policy, lipschitz_bounds, load_mdp,
-                           mdp_from_json, mdp_to_json, optimal_values,
-                           perturbed_value_gap, policy_eval, random_policy,
-                           save_mdp, softmax_policy, validate_mdp,
+                           interpolate_policy, lipschitz_bounds, mdp_to_json,
+                           optimal_values, perturbed_value_gap, policy_eval,
+                           random_policy, softmax_policy, validate_mdp,
                            value_iteration)
 
 
@@ -190,17 +190,16 @@ def test_value_pair_invariants():
     assert np.abs(vp.v - np.sum(pol.probs * vp.q, axis=1)).max() < 1e-8
 
 
-def test_json_roundtrip(tmp_path):
+def test_json_roundtrip():
+    # certify writes offending instances with mdp_to_json
     mdp = gen_smooth_mdp(5, 2, 0.4, 0.6, 0.9, seed=11)
-    doc = mdp_to_json(mdp)
+    doc = json.loads(json.dumps(mdp_to_json(mdp)))
     assert {"n_states", "n_actions", "gamma", "l_r", "l_p", "embed", "reward",
             "trans"} <= set(doc)
-    back = mdp_from_json(doc)
-    assert np.array_equal(back.reward, mdp.reward)
-    assert np.array_equal(back.trans, mdp.trans)
-    path = tmp_path / "mdp.json"
-    save_mdp(mdp, path)
-    assert np.array_equal(load_mdp(path).embed, mdp.embed)
+    assert (doc["n_states"], doc["n_actions"], doc["gamma"]) == (5, 2, mdp.gamma)
+    assert (doc["l_r"], doc["l_p"]) == (mdp.l_r, mdp.l_p)
+    for key in ("embed", "reward", "trans"):
+        assert np.array_equal(np.asarray(doc[key]), getattr(mdp, key))
 
 
 def test_validate_rejects_bad_mdp():

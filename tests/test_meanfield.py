@@ -1,56 +1,34 @@
+# The mean-field cloud attack on the critic (train._cloud_regularizer_grad)
+# and the transport distances between particle clouds.
+import itertools
+
 import numpy as np
 import pytest
 
-from ernie_lab.meanfield import (MeanFieldInput, MeanFieldQ, cloud_summary,
-                                 flatten_input, mean_embedding, mf_attack,
-                                 mf_regularizer, w_distance)
-from ernie_lab.net import Net, net_init
+from ernie_lab.config import ConfigError, resolve_config
+from ernie_lab.meanfield import w_distance
+from ernie_lab.net import Net, net_init, vector_to_net
+from ernie_lab.train import _cloud_regularizer_grad
+
+N_AGENTS, ROWS = 3, 6
+STATE_DIM = 6 * N_AGENTS           # coopnav: agent positions come first
+IN_DIM = STATE_DIM + 2 * N_AGENTS  # plus the joint action
 
 
-def _mfq(state_dim=2, n_actions=3, seed=0, net=None):
-    if net is None:
-        net = net_init([3 * state_dim + n_actions + n_actions, 8, 1], seed=seed)
-    return MeanFieldQ(net, state_dim, n_actions)
+def _batch(seed):
+    rng = np.random.default_rng(seed)
+    return {"state": rng.uniform(-1, 1, size=(ROWS, STATE_DIM)),
+            "actions": rng.uniform(-1, 1, size=(ROWS, N_AGENTS, 2))}
 
 
-def _mf_input(rng, state_dim=2, n_actions=3, n_cloud=5):
-    own_action = np.zeros(n_actions)
-    own_action[0] = 1.0
-    return MeanFieldInput(own_state=rng.standard_normal(state_dim),
-                          cloud=rng.standard_normal((n_cloud, state_dim)),
-                          own_action=own_action,
-                          avg_action=rng.dirichlet(np.ones(n_actions)))
+def _linear_critic(w, bias=0.0):
+    return Net(layer_dims=(IN_DIM, 1), weights=(np.asarray(w, float)[None, :],),
+               biases=(np.array([bias]),), activation="relu")
 
 
-def test_mean_embedding_single_neighbor():
-    cloud, avg = mean_embedding([[1.0, 2.0]], [[0.0, 1.0]])
-    assert np.array_equal(avg, [0.0, 1.0])
-    _, std = cloud_summary(cloud)
-    assert np.array_equal(std, [0.0, 0.0])
-
-
-def test_mean_embedding_two_neighbors():
-    cloud, _ = mean_embedding([[0.0, 0.0], [2.0, 0.0]], [[1.0], [0.0]])
-    mean, std = cloud_summary(cloud)
-    assert np.array_equal(mean, [1.0, 0.0])
-    assert np.array_equal(std, [1.0, 0.0])
-
-
-def test_mean_embedding_permutation_invariant():
-    rng = np.random.default_rng(0)
-    states = rng.standard_normal((4, 2))
-    actions = rng.standard_normal((4, 3))
-    perm = [2, 0, 3, 1]
-    c1, a1 = mean_embedding(states, actions)
-    c2, a2 = mean_embedding(states[perm], actions[perm])
-    mf1 = MeanFieldInput(np.zeros(2), c1, np.zeros(3), a1)
-    mf2 = MeanFieldInput(np.zeros(2), c2, np.zeros(3), a2)
-    assert np.allclose(flatten_input(mf1), flatten_input(mf2))
-
-
-def test_mean_embedding_empty_rejected():
-    with pytest.raises(ValueError):
-        mean_embedding(np.empty((0, 2)), np.empty((0, 2)))
+def _cloud(critic, batch, steps=0, eta=0.05, lam_w=1.0, jitter=0.01, seed=0):
+    return _cloud_regularizer_grad(critic, batch, N_AGENTS, ROWS, steps, eta, lam_w,
+                                   jitter, np.random.default_rng(seed))
 
 
 def test_w_distance_identical_clouds():
@@ -115,87 +93,96 @@ def test_w_distance_assignment_branch():
         w_distance(a, b, "closed_form_1d")
 
 
+def test_exact_matching_matches_brute_force():
+    # the assignment solver against every permutation, at n <= 7
+    rng = np.random.default_rng(12)
+    for n in range(1, 8):
+        for _ in range(3):
+            a, b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+            costs = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+            brute = min(sum(costs[i, p[i]] for i in range(n))
+                        for p in itertools.permutations(range(n))) / n
+            assert abs(w_distance(a, b, "exact_matching") - brute) < 1e-12
+
+
 def test_mf_regularizer_zero_cases():
-    rng = np.random.default_rng(5)
-    q = _mfq()
-    mf = _mf_input(rng)
-    assert mf_regularizer(q, mf, mf.cloud) == 0.0
-    zero_net = Net(layer_dims=(12, 1), weights=(np.zeros((1, 12)),),
-                   biases=(np.array([4.2]),), activation="identity")
-    q_const = MeanFieldQ(zero_net, 2, 3)
-    assert mf_regularizer(q_const, mf, mf.cloud + 1.0) == 0.0
+    batch = _batch(5)
+    critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=3)
+    value, grad, move = _cloud(critic, batch, jitter=0.0)
+    assert (value, move) == (0.0, 0.0) and not grad.any()
+    const = _linear_critic(np.zeros(IN_DIM), bias=4.2)
+    value, grad, move = _cloud(const, batch, jitter=0.5)
+    assert value == 0.0 and not grad.any() and move > 0.0
 
 
 def test_mf_regularizer_linear_closed_form():
-    # Q linear in the cloud mean: shifting the mean by v changes each action's
-    # Q by w.v, so the regularizer is |A| * (w.v)^2
-    state_dim, n_actions = 2, 3
-    w_row = np.zeros(3 * state_dim + 2 * n_actions)
-    w_row[state_dim:2 * state_dim] = [0.7, -0.3]  # cloud-mean block
-    net = Net(layer_dims=(w_row.size, 1), weights=(w_row[None, :],),
-              biases=(np.zeros(1),), activation="identity")
-    q = MeanFieldQ(net, state_dim, n_actions)
-    rng = np.random.default_rng(6)
-    mf = _mf_input(rng)
-    v = np.array([0.2, 0.5])
-    got = mf_regularizer(q, mf, mf.cloud + v)
-    want = n_actions * float(np.array([0.7, -0.3]) @ v) ** 2
-    assert abs(got - want) < 1e-12
+    # Q linear in the agent positions: a cloud shift v changes Q by w.v, so
+    # the regularizer is the mean of (w.v)^2 over rows
+    w = np.zeros(IN_DIM)
+    w[:2 * N_AGENTS] = np.random.default_rng(6).standard_normal(2 * N_AGENTS)
+    shift = 0.3 * np.random.default_rng(0).standard_normal((ROWS, 2 * N_AGENTS))
+    value, _, move = _cloud(_linear_critic(w), _batch(6), jitter=0.3)
+    assert value == pytest.approx(np.mean((shift @ w[:2 * N_AGENTS]) ** 2), rel=1e-12)
+    want = np.mean(np.linalg.norm(shift.reshape(ROWS, N_AGENTS, 2), axis=2))
+    assert move == pytest.approx(want, rel=1e-12)
 
 
 def test_mf_attack_constant_q_penalty_only():
-    zero_net = Net(layer_dims=(12, 1), weights=(np.zeros((1, 12)),),
-                   biases=(np.zeros(1),), activation="identity")
-    q = MeanFieldQ(zero_net, 2, 3)
-    rng = np.random.default_rng(7)
-    mf = _mf_input(rng)
-    pert = mf_attack(q, mf, lambda_w=1.0, steps=20, eta=0.005, seed=0)
-    start = np.linalg.norm(mf.cloud - mf.cloud)  # zero reference
-    assert np.linalg.norm(pert - mf.cloud) < 0.02  # shrinks toward the clean cloud
+    # with no Q gradient each particle steps eta * lam_w / N toward its clean
+    # position, so it ends within one step of it
+    const = _linear_critic(np.zeros(IN_DIM))
+    batch = _batch(7)
+    _, _, start = _cloud(const, batch, steps=0)
+    value, _, move = _cloud(const, batch, steps=40, eta=0.005)
+    assert value == 0.0
+    assert move <= 0.005 / N_AGENTS + 1e-12 < start
 
 
 def test_mf_attack_large_penalty_pins_cloud():
-    rng = np.random.default_rng(8)
-    q = _mfq(seed=3)
-    mf = _mf_input(rng)
-    pert = mf_attack(q, mf, lambda_w=1e6, steps=100, eta=1e-9, seed=1)
-    assert np.abs(pert - mf.cloud).max() < 1e-3
+    critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=3)
+    _, _, move = _cloud(critic, _batch(8), steps=100, eta=1e-9, lam_w=1e6)
+    assert move < 1e-3
 
 
 def test_mf_attack_deterministic():
-    rng = np.random.default_rng(9)
-    q = _mfq(seed=4)
-    mf = _mf_input(rng)
-    a = mf_attack(q, mf, steps=1, jitter=0.0, seed=5)
-    b = mf_attack(q, mf, steps=1, jitter=0.0, seed=5)
-    assert np.array_equal(a, b)
-    assert mf_regularizer(q, mf, a) >= 0.0
+    critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=4)
+    batch = _batch(9)
+    a = _cloud(critic, batch, steps=3, seed=5)
+    b = _cloud(critic, batch, steps=3, seed=5)
+    assert a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+    assert a[0] >= 0.0
+    # the jitter is the attack stream's only draw
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    _cloud_regularizer_grad(critic, batch, N_AGENTS, ROWS, 3, 0.05, 1.0, 0.01, rng)
+    ref.standard_normal((ROWS, 2 * N_AGENTS))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_mf_attack_validation():
-    rng = np.random.default_rng(10)
-    q = _mfq(seed=5)
-    mf = _mf_input(rng)
-    with pytest.raises(ValueError):
-        mf_attack(q, mf, steps=0)
-    with pytest.raises(ValueError):
-        mf_attack(q, mf, lambda_w=-1.0)
+    doc = {"algo": "mf_ddpg", "env": "coopnav"}
+    for bad in ({"mf_steps": -1}, {"lambda_w": -1.0}):
+        with pytest.raises(ConfigError):
+            resolve_config(dict(doc, meanfield=dict(bad, enabled=True)))
+    # the cloud attack runs on mf_ddpg only
+    for algo, env in (("ddpg", "coopnav"), ("qcombo", "gridq")):
+        with pytest.raises(ConfigError, match="meanfield.enabled"):
+            resolve_config({"algo": algo, "env": env, "meanfield": {"enabled": True}})
+    assert resolve_config(dict(doc, meanfield={"enabled": True}))["meanfield"]["enabled"]
 
 
-def test_q_cloud_grads_match_fd():
-    rng = np.random.default_rng(11)
-    q = _mfq(net=net_init([12, 8, 1], activation="tanh", seed=6))
-    mf = _mf_input(rng)
-    upstream = rng.standard_normal(3)
-    got = q.q_cloud_grads(mf.own_state, mf.cloud, mf.avg_action, upstream)
-    h = 1e-6
-    fd = np.zeros_like(mf.cloud)
-    for i in range(mf.cloud.shape[0]):
-        for j in range(mf.cloud.shape[1]):
-            cp, cm = mf.cloud.copy(), mf.cloud.copy()
-            cp[i, j] += h
-            cm[i, j] -= h
-            fp = upstream @ q.q_values(mf.own_state, cp, mf.avg_action)
-            fm = upstream @ q.q_values(mf.own_state, cm, mf.avg_action)
-            fd[i, j] = (fp - fm) / (2 * h)
-    assert np.abs(got - fd).max() < 1e-4
+def test_cloud_regularizer_grad_matches_fd():
+    # steps = 0: the jittered positions do not depend on theta, so the
+    # returned theta-gradient is the derivative of the returned value
+    critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=6)
+    batch = _batch(11)
+    value, grad, _ = _cloud(critic, batch, jitter=0.4, seed=2)
+    assert value > 0.0
+    theta, h = critic.theta, 1e-6
+    fd = np.empty_like(theta)
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = h
+        fd[j] = (_cloud(vector_to_net(critic, theta + e), batch, jitter=0.4, seed=2)[0]
+                 - _cloud(vector_to_net(critic, theta - e), batch, jitter=0.4,
+                          seed=2)[0]) / (2 * h)
+    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6

@@ -40,8 +40,9 @@ def test_forward_zero_params():
 
 
 def test_forward_identity_layer():
+    # one affine layer applies no activation
     net = Net(layer_dims=(2, 2), weights=(np.eye(2),), biases=(np.zeros(2),),
-              activation="identity")
+              activation="relu")
     x = np.array([0.3, -1.2])
     assert np.array_equal(net_forward(net, x), x)
 
@@ -50,6 +51,15 @@ def test_forward_single_affine():
     net = Net(layer_dims=(1, 1), weights=(np.array([[2.0]]),),
               biases=(np.array([1.0]),), activation="relu")
     assert net_forward(net, np.array([3.0]))[0] == 7.0
+
+
+def test_unknown_activation_rejected():
+    # an unknown name used to compute tanh silently
+    with pytest.raises(ValueError, match="activation must be one of"):
+        Net(layer_dims=(1, 1, 1), weights=(np.ones((1, 1)), np.ones((1, 1))),
+            biases=(np.zeros(1), np.zeros(1)), activation="sigmoid")
+    with pytest.raises(ValueError, match="activation must be one of"):
+        net_init([2, 3, 1], activation="identity")
 
 
 def test_forward_shape_error():
@@ -62,7 +72,7 @@ def test_grads_single_affine_oracle():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((3, 4))
     net = Net(layer_dims=(4, 3), weights=(w,), biases=(np.zeros(3),),
-              activation="identity")
+              activation="relu")
     x = rng.standard_normal(4)
     u = rng.standard_normal(3)
     g = net_grads(net, x, u)

@@ -217,10 +217,10 @@ def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("doc_fn,learner,net,index,name",
-                         [(_ddpg_doc, "ddpg_updates", "critic", 0, "critic"),
-                          (_qcombo_doc, "qcombo_losses", "glob", 0, "glob"),
-                          (_ddpg_doc, "ddpg_updates", "actors", (1, 5), "actor_1"),
-                          (_qcombo_doc, "qcombo_losses", "ind", (3, 0), "ind_3")],
+                         [(_ddpg_doc, "ddpg_updates", "central", 0, "critic"),
+                          (_qcombo_doc, "qcombo_losses", "central", 0, "glob"),
+                          (_ddpg_doc, "ddpg_updates", "policy", (1, 5), "actor_1"),
+                          (_qcombo_doc, "qcombo_losses", "policy", (3, 0), "ind_3")],
                          ids=["ddpg", "qcombo", "ddpg_actor_row", "qcombo_ind_row"])
 def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, index, name, tmp_path,
                                           monkeypatch):
