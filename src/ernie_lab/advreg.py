@@ -1,11 +1,11 @@
-# Observation-space adversarial regularizer: divergence metrics, projected
-# gradient ascent on the perturbation, Gaussian noise baseline, and the
-# leader-follower (total-derivative) gradient through the unrolled attack,
-# with exact, row-batched Hessian-vector products.
+# Observation-space adversarial regularizer: divergence values and gradients,
+# projected gradient ascent on the perturbation, and the leader-follower
+# gradient through the unrolled attack, with exact Hessian-vector products.
+# Each takes one net's rows or an agent stack's (N, B, d) block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,25 +76,6 @@ def policy_forward(net: Net, x, head: str) -> np.ndarray:
     return softmax(y) if head == "softmax" else y
 
 
-def divergence(out_a, out_b, metric: str) -> float:
-    """KL (simplex inputs) or squared l2 between two output vectors."""
-    a = np.asarray(out_a, dtype=float)
-    b = np.asarray(out_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if metric == "sq_l2":
-        d = a - b
-        return float(np.sum(d * d))
-    if metric == "kl":
-        for v, name in ((a, "out_a"), (b, "out_b")):
-            if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"kl divergence needs {name} on the probability simplex")
-        bf = np.maximum(b, KL_FLOOR)
-        terms = np.where(a > 0, a * (np.log(np.maximum(a, KL_FLOOR)) - np.log(bf)), 0.0)
-        return float(terms.sum())
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _divergence_grads(a: np.ndarray, b: np.ndarray, metric: str):
     """Row-wise divergence values and gradients; a, b are (B, m)."""
     if metric == "sq_l2":
@@ -118,7 +99,8 @@ def _as_batch(x):
 def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = None,
                         need_theta: bool = True):
     """Per-row regularizer value D(pi(o+delta), pi(o)), gradient w.r.t. delta,
-    and (optionally) flat parameter gradient summed over rows."""
+    and (optionally) flat parameter gradient summed over rows; an agent stack
+    takes (N, B, d) rows, giving (N, B) values and an (N, P) gradient."""
     head = default_head(metric) if head is None else head
     ob, squeezed = _as_batch(obs)
     db, _ = _as_batch(delta)
@@ -143,7 +125,7 @@ def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = No
 
 
 def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
-    """Row-wise exact projection onto the epsilon-ball of the given norm."""
+    """Row-wise (last axis) exact projection onto the epsilon-ball of the norm."""
     if epsilon == 0.0:
         return np.zeros_like(delta)
     if norm == "linf":
@@ -158,7 +140,7 @@ def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
 
 def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> np.ndarray:
     """Row-wise transposed Jacobian of project() at the pre-projection rows
-    `pre`, (d,) or (B, d), applied to u of the same shape."""
+    `pre`, (..., d), applied to u of the same shape."""
     if epsilon == 0.0:
         return np.zeros_like(u)
     if norm == "linf":
@@ -171,18 +153,29 @@ def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> n
     return np.where(inside, u, (epsilon / n) * (u - radial))
 
 
-def sample_ball(dim: int, radius: float, norm: str, rng: np.random.Generator) -> np.ndarray:
+def sample_ball(shape, radius: float, norm: str, rng: np.random.Generator) -> np.ndarray:
+    """One point drawn uniformly from the radius-ball of the norm for every
+    row of an array of `shape`, (..., d); an int d is a single point."""
     if norm == "linf":
-        return rng.uniform(-radius, radius, size=dim)
-    # Called once per attacked row, hence scalar math: sqrt(x.dot(x)) is
-    # np.linalg.norm's 1-D formula and rng.random() is rng.uniform()'s draw.
-    direction = rng.standard_normal(dim)
-    d_norm = math.sqrt(direction.dot(direction))
-    if d_norm == 0.0:
-        return np.zeros(dim)
-    direction /= d_norm
-    direction *= radius * rng.random() ** (1.0 / dim)
-    return direction
+        return rng.uniform(-radius, radius, size=shape)
+    out = np.empty(shape)
+    rows = out.reshape(-1, out.shape[-1])
+    norms, scales = np.ones((len(rows), 1)), np.ones((len(rows), 1))
+    # Per row in C order: a normal direction, then the radius draw, which a
+    # zero direction skips. The norm and the radius are scalar math, as the
+    # per-point formula is: sqrt(x.dot(x)) is np.linalg.norm's 1-D formula,
+    # and an array pow differs from the scalar one in the last bit.
+    for row, norm_j, scale_j in zip(rows, norms, scales):
+        rng.standard_normal(out=row)
+        d_norm = math.sqrt(row.dot(row))
+        if d_norm == 0.0:
+            row[...] = 0.0
+            continue
+        norm_j[0] = d_norm
+        scale_j[0] = radius * rng.random() ** (1.0 / rows.shape[1])
+    rows /= norms
+    rows *= scales
+    return out
 
 
 def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
@@ -190,26 +183,23 @@ def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarra
     # zero init would make gradient ascent a no-op.
     if cfg.init == "zero" or cfg.epsilon == 0.0:
         return np.zeros(shape)
-    if len(shape) == 1:
-        return sample_ball(shape[0], 0.1 * cfg.epsilon, cfg.norm, rng)
-    return np.stack([sample_ball(shape[1], 0.1 * cfg.epsilon, cfg.norm, rng)
-                     for _ in range(shape[0])])
+    return sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng)
 
 
 def pgd_attack(net: Net, obs, cfg: AttackConfig, head: str | None = None,
                rng: np.random.Generator | None = None) -> np.ndarray:
     """K steps of gradient ascent on the divergence, projected after every step.
 
-    obs may be a single observation (d,) or a batch (B, d); the attack is
-    row-independent. Returns delta with the shape of obs.
+    obs may be a single observation (d,) or a batch (B, d), or for an agent
+    stack one batch per agent (N, B, d); the attack is row-independent, and
+    a stack's result is bitwise that of one call per agent in agent order
+    with a shared rng. Returns delta with the shape of obs.
     """
     head = default_head(metric=cfg.metric) if head is None else head
     ob, squeezed = _as_batch(obs)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    delta = _init_delta(ob.shape if not squeezed else (ob.shape[1],), cfg, rng)
-    db = delta[None, :] if squeezed else delta
-    db = project(db, cfg.epsilon, cfg.norm)
+    db = project(_init_delta(ob.shape, cfg, rng), cfg.epsilon, cfg.norm)
     if cfg.epsilon == 0.0:
         return db[0] if squeezed else db
     eta = cfg.step_size
@@ -219,17 +209,6 @@ def pgd_attack(net: Net, obs, cfg: AttackConfig, head: str | None = None,
             raise FloatingPointError("non-finite attack gradient")
         db = project(db + eta * gd, cfg.epsilon, cfg.norm)
     return db[0] if squeezed else db
-
-
-def regularizer(net: Net, obs, delta, metric: str, head: str | None = None):
-    """Divergence between the net's outputs at obs+delta and obs."""
-    head = default_head(metric) if head is None else head
-    ya = policy_forward(net, np.asarray(obs, dtype=float) + np.asarray(delta, dtype=float), head)
-    yb = policy_forward(net, obs, head)
-    if ya.ndim == 1:
-        return divergence(ya, yb, metric)
-    vals, _, _ = _divergence_grads(ya, yb, metric)
-    return vals
 
 
 def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
@@ -243,7 +222,8 @@ def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
 def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
                     metric: str, head: str):
     """Exact derivative of reg_value_and_grads' (grad_delta, grad_theta) along
-    (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows.
+    (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows, or
+    for an agent stack (N, B, d) rows and an (N, P) H_td u.
 
     Forward-over-reverse (Pearlmutter's R-operator): the forward pass of the
     perturbed branch o + delta carries the tangent u through the net, the
@@ -256,7 +236,8 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     a, a_dot = obs + delta, u
     zs, z_dots, acts, act_dots = [], [], [a], [a_dot]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z, z_dot = a @ w.T + b, a_dot @ w.T
+        wt = np.swapaxes(w, -1, -2)
+        z, z_dot = np.matmul(a, wt) + b[..., None, :], np.matmul(a_dot, wt)
         zs.append(z)
         z_dots.append(z_dot)
         if i == n_layers - 1:
@@ -286,7 +267,7 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     else:
         up, up_dot, up_b_dot = da, da_dot, db_dot
 
-    h_theta = np.empty(net.theta.size)
+    h_theta = np.empty(net.theta.shape)
     hws, hbs = layer_views(h_theta, net.layer_dims)
     dz, dz_dot = up, up_dot
     for i in range(n_layers - 1, -1, -1):
@@ -294,9 +275,10 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
             g1 = _act_grad(zs[i], net.activation)
             dz_dot = dz_dot * g1 + dz * _act_second(zs[i], net.activation) * z_dots[i]
             dz = dz * g1
-        hws[i][...] = dz_dot.T @ acts[i] + dz.T @ act_dots[i]
-        np.sum(dz_dot, axis=0, out=hbs[i])
-        dz, dz_dot = dz @ net.weights[i], dz_dot @ net.weights[i]
+        hws[i][...] = (np.matmul(np.swapaxes(dz_dot, -1, -2), acts[i])
+                       + np.matmul(np.swapaxes(dz, -1, -2), act_dots[i]))
+        np.sum(dz_dot, axis=-2, out=hbs[i])
+        dz, dz_dot = np.matmul(dz, net.weights[i]), np.matmul(dz_dot, net.weights[i])
     h_theta += vjp_b(up_b_dot).grad_theta
     return dz_dot, h_theta
 
@@ -304,7 +286,9 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
 def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
                      rng: np.random.Generator | None = None, return_attack: bool = False):
     """Total derivative of sum_rows R(o, delta^K(theta); theta) w.r.t. the
-    parameters, for one observation (d,) or a block of rows (B, d).
+    parameters, for one observation (d,) or a block of rows (B, d), or for
+    an agent stack one block per agent (N, B, d), giving an (N, P) gradient
+    that is bitwise one call per agent in agent order with a shared rng.
 
     The initial points come from rng exactly as pgd_attack draws them, and
     the forward pass repeats pgd_attack's steps, so from equal rng states
@@ -317,7 +301,9 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
     - reverse (Maclaurin et al. 2015), step k = K-1..0: u <- the projection's
       transposed Jacobian applied to u, row-wise; then one exact
       forward-over-reverse pass (Pearlmutter 1994) at delta^k gives
-      H_dd u and H_td u, and grad += eta H_td u, u += eta H_dd u.
+      H_dd u and H_td u, and grad += eta H_td u, u += eta H_dd u. An agent
+      whose u is all zero leaves the reverse pass: its rows are masked and
+      its H_td u is not added, since adding a zero turns -0.0 into +0.0.
 
     Every product is exact, so the only error is floating point. K=0
     reduces to the plain gradient at the initialization. With return_attack
@@ -328,8 +314,7 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
     ob, squeezed = _as_batch(obs)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    delta = _init_delta(ob.shape if not squeezed else (ob.shape[1],), cfg, rng)
-    db = project(delta[None, :] if squeezed else delta, cfg.epsilon, cfg.norm)
+    db = project(_init_delta(ob.shape, cfg, rng), cfg.epsilon, cfg.norm)
     eta = cfg.step_size
 
     deltas, pres = [db], []
@@ -344,12 +329,17 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
     final = deltas[-1]
 
     vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric, head)
+    live = np.ones(ob.shape[:-2], dtype=bool)  # per agent; one flag for a net
     for k in range(len(pres) - 1, -1, -1):
         u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
-        if not np.any(u):
+        live = live & np.any(u, axis=(-2, -1))
+        if not live.any():
             break
+        if not live.all():
+            u = np.where(live[..., None, None], u, 0.0)
         h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric, head)
-        theta_acc = theta_acc + eta * h_theta
+        step = theta_acc + eta * h_theta
+        theta_acc = step if live.all() else np.where(live[..., None], step, theta_acc)
         u = u + eta * h_delta
     if not np.all(np.isfinite(theta_acc)):
         raise FloatingPointError("non-finite leader gradient")

@@ -70,6 +70,9 @@ DEFAULTS = {
 _ENV_DEFAULT_AGENTS = {"gridq": 4, "coopnav": 3}
 _DISCRETE_ALGOS = {"qcombo"}
 _CONTINUOUS_ALGOS = {"ddpg", "mf_ddpg"}
+# Top-level leaves that only one kind of learner reads.
+_LEARNER_ONLY = {"actor_lr": _CONTINUOUS_ALGOS, "actor_noise": _CONTINUOUS_ALGOS,
+                 "lambda_q": _DISCRETE_ALGOS, "explore_final": _DISCRETE_ALGOS}
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -130,6 +133,11 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError(f"algo {raw['algo']} requires a continuous env (coopnav)")
     if raw["ernie_a"]["enabled"] and raw["env"] != "gridq":
         raise ConfigError("ernie_a requires a discrete env")
+    # A resolved config holds every leaf, so only a changed value is an error.
+    for key, algos in _LEARNER_ONLY.items():
+        if raw[key] != DEFAULTS[key] and raw["algo"] not in algos:
+            raise ConfigError(f"{key} is not read by algo {raw['algo']}; it applies "
+                              f"to {' and '.join(sorted(algos))} only")
     if raw["meanfield"]["enabled"] and raw["algo"] != "mf_ddpg":
         raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
                           "the cloud attack regularizes")

@@ -80,25 +80,24 @@ def _attack_config(cfg: ExperimentConfig, seed: int) -> AttackConfig:
                         metric=e["metric"] or "sq_l2", seed=seed)
 
 
-def _obs_regularizer(net, obs_rows, acfg: AttackConfig, mode: str,
+def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
                      attack_rng: np.random.Generator, stackelberg: bool):
-    """Mean regularizer value, mean parameter gradient, mean attack norm, all
-    from one attack drawn from attack_rng."""
-    rows = obs_rows.shape[0]
+    """Per-agent mean regularizer values (N,), mean attack norms (N,) and
+    the (N, P) mean parameter gradient of the policy agent stack on its
+    (N, R, d) observation rows, all from one attack drawn from attack_rng."""
     if stackelberg:
-        gt, delta, vals = stackelberg_grad(net, obs_rows, acfg, rng=attack_rng,
+        gt, delta, vals = stackelberg_grad(policy, obs, acfg, rng=attack_rng,
                                            return_attack=True)
     else:
         if mode == "gaussian":
             sigma = acfg.epsilon
-            delta = (np.zeros_like(obs_rows) if sigma == 0.0
-                     else sigma * attack_rng.standard_normal(obs_rows.shape))
+            delta = (np.zeros_like(obs) if sigma == 0.0
+                     else sigma * attack_rng.standard_normal(obs.shape))
         else:
-            delta = pgd_attack(net, obs_rows, acfg, rng=attack_rng)
-        vals, _, gt = reg_value_and_grads(net, obs_rows, delta, acfg.metric)
-    value = float(np.mean(vals))
-    norm = float(np.mean(np.linalg.norm(delta, axis=-1)))
-    return value, gt / rows, norm
+            delta = pgd_attack(policy, obs, acfg, rng=attack_rng)
+        vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric)
+    return (np.mean(vals, axis=-1), np.mean(np.linalg.norm(delta, axis=-1), axis=-1),
+            gt / obs.shape[-2])
 
 
 def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
@@ -204,6 +203,13 @@ def _check_finite(nets: dict, step: int, seed: int) -> None:
                 name = f"{name}_{int(np.flatnonzero(~finite.all(axis=1))[0])}"
             raise FloatingPointError(f"non-finite parameters in {name} after the "
                                      f"update at step {step}, seed {seed}")
+
+
+def _check_finite_losses(header: str, values, step: int, seed: int) -> None:
+    # values: the header's four loss columns and reg_value_mean, in order
+    for name, value in zip(header.split(",")[4:9], values):
+        if not np.isfinite(value):
+            raise FloatingPointError(f"non-finite {name} in the update at step {step}, seed {seed}")
 
 
 def _env_step(env, buf: ReplayBuffer, state, obs, gs, actions, ep_len: int):
@@ -321,22 +327,19 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             batch = stack_batch(buf.sample(cfg["batch"], env_rng))
             losses, grads = learner.update(batch, agents)
             if ernie_on and t >= ecfg["start_frac"] * steps:
-                vals, norms = [], []
                 rows = min(int(ecfg["reg_rows"]), batch["obs"].shape[0])
-                for i in range(env.n_agents):
-                    v, gt, nn = _obs_regularizer(agents.policy[i], batch["obs"][:rows, i],
-                                                 acfg, ecfg["mode"], attack_rng,
-                                                 bool(ecfg["stackelberg"]))
-                    grads["policy"][i] = regularized_grad(grads["policy"][i], [gt],
-                                                          ecfg["lambda"])
-                    vals.append(v)
-                    norms.append(nn)
+                vals, norms, gt = _obs_regularizer(
+                    agents.policy, batch["obs"][:rows].transpose(1, 0, 2), acfg,
+                    ecfg["mode"], attack_rng, bool(ecfg["stackelberg"]))
+                grads["policy"] += ecfg["lambda"] * gt
                 reg_val = float(np.mean(vals))
                 atk_norm = float(np.mean(norms))
             if learner.central_reg is not None:
                 value, grads["central"] = learner.central_reg(agents, batch,
                                                               grads["central"], attack_rng)
                 reg_val += value
+            columns = learner.columns(losses, reg_val)
+            _check_finite_losses(learner.header, (*columns, reg_val), t, seed)
             lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
             policy_lr_t = _lr_at(t, steps, learner.policy_lr, cfg["lr_decay"])
             agents.policy = apply_grad(agents.policy, grads["policy"], policy_lr_t)
@@ -347,7 +350,6 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                                                cfg["tau"])
             agents.central_target = soft_update(agents.central_target, agents.central,
                                                 cfg["tau"])
-            columns = learner.columns(losses, reg_val)
 
         if t % cfg["log_interval"] == 0:
             m, s = _episode_stats(recent)

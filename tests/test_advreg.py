@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ernie_lab.advreg import (AttackConfig, _joint_grad_dir, _project_vjp,
-                              default_head, divergence,
-                              pgd_attack, project, reg_value_and_grads,
-                              regularized_grad, regularizer, sample_ball,
+from ernie_lab.advreg import (AttackConfig, _divergence_grads, _joint_grad_dir,
+                              _project_vjp, default_head, pgd_attack, project,
+                              reg_value_and_grads, regularized_grad, sample_ball,
                               stackelberg_grad)
-from ernie_lab.net import (Net, hvp, n_params, net_init, params_to_vector,
+from ernie_lab.net import (Net, hvp, n_params, net_init, params_to_vector, stack_nets,
                            vector_to_net)
 from ernie_lab.train import _obs_regularizer
 
@@ -19,34 +18,35 @@ def _linear_net(w):
                biases=(np.zeros(w.shape[0]),), activation="relu")
 
 
+def _divergence(a, b, metric):
+    return float(_divergence_grads(np.asarray([a]), np.asarray([b]), metric)[0][0])
+
+
+def _value(net, obs, delta, metric):
+    # the regularizer value D(pi(obs + delta), pi(obs)) of one row
+    return reg_value_and_grads(net, obs, delta, metric, need_theta=False)[0]
+
+
 def test_divergence_zero_at_equality():
     p = np.array([0.3, 0.7])
-    assert divergence(p, p, "kl") == 0.0
-    assert divergence(p, p, "sq_l2") == 0.0
+    assert _divergence(p, p, "kl") == 0.0
+    assert _divergence(p, p, "sq_l2") == 0.0
 
 
 def test_divergence_kl_oracle():
-    got = divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]), "kl")
+    got = _divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]), "kl")
     assert abs(got - math.log(2)) < 1e-12
 
 
 def test_divergence_sq_l2_oracle():
-    assert divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "sq_l2") == 2.0
-
-
-def test_divergence_kl_rejects_non_simplex():
-    with pytest.raises(ValueError):
-        divergence(np.array([0.9, 0.3]), np.array([0.5, 0.5]), "kl")
-    with pytest.raises(ValueError):
-        divergence(np.array([1.2, -0.2]), np.array([0.5, 0.5]), "kl")
+    assert _divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "sq_l2") == 2.0
 
 
 def test_kl_nonnegative_on_random_simplex_pairs():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = rng.dirichlet(np.ones(4))
-        b = rng.dirichlet(np.ones(4))
-        assert divergence(a, b, "kl") >= 0.0
+    pairs = np.array([[rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))]
+                      for _ in range(200)])
+    assert (_divergence_grads(pairs[:, 0], pairs[:, 1], "kl")[0] >= 0.0).all()
 
 
 def test_pgd_constant_policy_keeps_init():
@@ -71,7 +71,7 @@ def test_pgd_linear_top_singular_direction():
     delta = pgd_attack(net, np.array([0.5, -0.5]), cfg)
     assert abs(abs(delta[0]) - 0.1) < 1e-6
     assert abs(delta[1]) < 1e-4
-    assert abs(regularizer(net, np.array([0.5, -0.5]), delta, "sq_l2") - 0.04) < 1e-6
+    assert abs(_value(net, np.array([0.5, -0.5]), delta, "sq_l2") - 0.04) < 1e-6
 
 
 def test_pgd_projection_invariant():
@@ -88,34 +88,34 @@ def test_pgd_projection_invariant():
 
 def test_regularizer_zero_delta():
     net = net_init([3, 4, 2], seed=0)
-    assert regularizer(net, np.ones(3), np.zeros(3), "sq_l2") == 0.0
+    assert _value(net, np.ones(3), np.zeros(3), "sq_l2") == 0.0
 
 
 def test_regularizer_identity_linear():
     net = _linear_net(np.eye(3))
     delta = np.array([0.1, 0.0, 0.0])
-    assert abs(regularizer(net, np.ones(3), delta, "sq_l2") - 0.01) < 1e-15
+    assert abs(_value(net, np.ones(3), delta, "sq_l2") - 0.01) < 1e-15
 
 
 def test_gaussian_delta():
     # The gaussian ERNIE baseline draws delta = sigma * N(0, I) for all rows
     # in one draw from the attack stream, and none at sigma = 0. Through an
     # identity net at obs = 0, the sq_l2 value of a row is ||delta||^2.
-    net = _linear_net(np.eye(4))
-    obs = np.zeros((10 ** 4, 4))
+    policy = stack_nets([_linear_net(np.eye(4))])
+    obs = np.zeros((1, 10 ** 4, 4))
     rng = np.random.default_rng(3)
-    value, grad, norm = _obs_regularizer(net, obs[:5], AttackConfig(epsilon=0.0),
+    value, norm, grad = _obs_regularizer(policy, obs[:, :5], AttackConfig(epsilon=0.0),
                                          "gaussian", rng, False)
-    assert (value, norm) == (0.0, 0.0) and not grad.any()
+    assert (value[0], norm[0]) == (0.0, 0.0) and not grad.any()
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
     for sigma in (1.0, 0.3):
         rng, ref = np.random.default_rng(0), np.random.default_rng(0)
-        value, _, norm = _obs_regularizer(net, obs, AttackConfig(epsilon=sigma),
-                                          "gaussian", rng, False)
+        (value,), (norm,), _ = _obs_regularizer(policy, obs, AttackConfig(epsilon=sigma),
+                                                "gaussian", rng, False)
         delta = sigma * ref.standard_normal(obs.shape)
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert value == pytest.approx(np.mean(np.sum(delta ** 2, axis=1)), rel=1e-12)
-        assert norm == pytest.approx(np.mean(np.linalg.norm(delta, axis=1)), rel=1e-12)
+        assert value == pytest.approx(np.mean(np.sum(delta ** 2, axis=-1)), rel=1e-12)
+        assert norm == pytest.approx(np.mean(np.linalg.norm(delta, axis=-1)), rel=1e-12)
         assert abs(delta.mean()) < 0.05 * sigma
         assert 0.9 < value / (4 * sigma ** 2) < 1.1
 
@@ -176,8 +176,8 @@ def test_attack_soundness_pgd_beats_gaussian():
         delta = pgd_attack(net, obs, cfg)
         raw = np.random.default_rng(i).standard_normal(4)
         rand = raw / np.linalg.norm(raw) * np.linalg.norm(delta)
-        v_pgd = regularizer(net, obs, delta, "sq_l2")
-        v_rand = regularizer(net, obs, rand, "sq_l2")
+        v_pgd = _value(net, obs, delta, "sq_l2")
+        v_rand = _value(net, obs, rand, "sq_l2")
         wins += v_pgd >= v_rand
     assert wins >= 0.8 * trials, f"pgd won only {wins}/{trials}"
 
@@ -261,3 +261,79 @@ def test_stackelberg_attack_is_pgd_attack():
     assert np.array_equal(delta, want)
     assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2")[0])
     assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def _sample_ball_row(dim, radius, norm, rng):
+    # The per-point sampler the block sampler replaces, called once per row.
+    if norm == "linf":
+        return rng.uniform(-radius, radius, size=dim)
+    direction = rng.standard_normal(dim)
+    d_norm = math.sqrt(direction.dot(direction))
+    if d_norm == 0.0:
+        return np.zeros(dim)
+    direction /= d_norm
+    direction *= radius * rng.random() ** (1.0 / dim)
+    return direction
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_sample_ball_block_matches_rows(norm):
+    for dim in range(1, 65):
+        got_rng, want_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        got = sample_ball((2, 3, dim), 0.7, norm, got_rng)
+        want = np.stack([_sample_ball_row(dim, 0.7, norm, want_rng) for _ in range(6)])
+        assert got.tobytes() == want.reshape(2, 3, dim).tobytes()
+        point = sample_ball(dim, 0.7, norm, got_rng)
+        assert point.tobytes() == _sample_ball_row(dim, 0.7, norm, want_rng).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class _ZeroSecondDirection:
+    """A generator whose second normal draw comes out all zero."""
+
+    def __init__(self, seed):
+        self.rng, self.normals = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size, out=out)
+        self.normals += 1
+        if self.normals == 2:
+            x[...] = 0.0
+        return x
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_sample_ball_zero_norm_row():
+    # A zero direction gives a zero row and skips that row's radius draw.
+    got_rng, want_rng = _ZeroSecondDirection(4), _ZeroSecondDirection(4)
+    got = sample_ball((3, 5), 0.2, "l2", got_rng)
+    want = np.stack([_sample_ball_row(5, 0.2, "l2", want_rng) for _ in range(3)])
+    assert got.tobytes() == want.tobytes()
+    assert not got[1].any() and got[0].any() and got[2].any()
+    assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
+
+
+def test_stackelberg_zero_direction_agent():
+    # Under linf with a huge step every coordinate of agent 0 is clipped in
+    # the last ascent step, so its reverse pass is all zero from the start;
+    # agent 1's flat net never leaves the ball. Each agent's gradient is
+    # bitwise its own call's.
+    policy = stack_nets([net_init([4, 6, 3], activation="tanh", seed=1, scale=3.0),
+                         net_init([4, 6, 3], activation="tanh", seed=2, scale=1e-4)])
+    obs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 5, 4))
+    for metric in ("sq_l2", "kl"):
+        cfg = AttackConfig(epsilon=0.1, k_steps=2, eta=1e4, norm="linf", metric=metric)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = stackelberg_grad(policy, obs, cfg, rng=got_rng)
+        for i in range(2):
+            want = stackelberg_grad(policy[i], obs[i], cfg, rng=want_rng)
+            assert got[i].tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # agent 0 gets only the partial gradient at delta^K, agent 1 more
+        rng = np.random.default_rng(3)
+        for i, reversed_ in ((0, False), (1, True)):
+            delta = pgd_attack(policy[i], obs[i], cfg, rng=rng)
+            plain = reg_value_and_grads(policy[i], obs[i], delta, metric)[2]
+            assert np.array_equal(got[i], plain) != reversed_

@@ -72,6 +72,26 @@ def test_stackelberg_requires_pgd_mode():
         resolve_config({"ernie": {"stackelberg": True, "mode": "gaussian"}})
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"actor_lr": 1e-3}, "actor_lr"),
+    ({"actor_noise": 0.2}, "actor_noise"),
+    ({"algo": "ddpg", "env": "coopnav", "lambda_q": 2.0}, "lambda_q"),
+    ({"algo": "ddpg", "env": "coopnav", "explore_final": 0.1}, "explore_final"),
+    ({"algo": "mf_ddpg", "env": "coopnav", "lambda_q": 0.5}, "lambda_q"),
+    ({"algo": "mf_ddpg", "env": "coopnav", "explore_final": 0.2}, "explore_final"),
+])
+def test_other_learners_keys_rejected(doc, key):
+    # A value the chosen learner would never read is an error; the default,
+    # which every resolved config holds, is not.
+    algo = doc.get("algo", "qcombo")
+    with pytest.raises(ConfigError, match=f"{key} is not read by algo {algo}"):
+        resolve_config(doc)
+    assert resolve_config(dict(doc, **{key: DEFAULTS[key]}))[key] == DEFAULTS[key]
+    own = ({"algo": "ddpg", "env": "coopnav"} if key in ("actor_lr", "actor_noise")
+           else {"algo": "qcombo"})
+    assert resolve_config(dict(own, **{key: doc[key]}))[key] == doc[key]
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         resolve_config({"learning_rate": 0.1})

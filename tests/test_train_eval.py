@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import ernie_lab.train as train_mod
-from ernie_lab.advreg import AttackConfig
+from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from ernie_lab.config import resolve_config
 from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, load_checkpoint,
                                 sweep_specs)
-from ernie_lab.net import net_forward, net_init
+from ernie_lab.net import net_forward, net_init, stack_nets
 from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
 
 
@@ -166,15 +166,66 @@ def test_stackelberg_logs_the_attack_it_differentiates():
     # One PGD draw per call: the logged value and norm come from the delta^K
     # the Stackelberg gradient differentiates through, and the attack stream
     # advances exactly as in plain PGD mode.
-    net = net_init([5, 8, 2], activation="tanh", seed=3)
-    obs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(6, 5))
+    policy = stack_nets([net_init([5, 8, 2], activation="tanh", seed=3)])
+    obs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, 6, 5))
     acfg = AttackConfig(epsilon=0.5, k_steps=2, seed=0)
     logged = {}
     for stackelberg in (False, True):
         rng = np.random.default_rng(4)
-        value, _, norm = _obs_regularizer(net, obs, acfg, "pgd", rng, stackelberg)
-        logged[stackelberg] = (value, norm, rng.bit_generator.state)
+        value, norm, _ = _obs_regularizer(policy, obs, acfg, "pgd", rng, stackelberg)
+        logged[stackelberg] = (value.tolist(), norm.tolist(), rng.bit_generator.state)
     assert logged[True] == logged[False]
+
+
+def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
+    # The per-agent loop that _obs_regularizer's one stacked call replaces.
+    values, norms, grads = [], [], []
+    for i in range(len(policy)):
+        net, rows = policy[i], obs[i]
+        if stackelberg:
+            gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng, return_attack=True)
+        else:
+            if mode == "gaussian":
+                delta = (np.zeros_like(rows) if acfg.epsilon == 0.0
+                         else acfg.epsilon * rng.standard_normal(rows.shape))
+            else:
+                delta = pgd_attack(net, rows, acfg, rng=rng)
+            vals, _, gt = reg_value_and_grads(net, rows, delta, acfg.metric)
+        values.append(np.mean(vals))
+        norms.append(np.mean(np.linalg.norm(delta, axis=-1)))
+        grads.append(gt / rows.shape[0])
+    return np.array(values), np.array(norms), np.stack(grads)
+
+
+# name -> (mode, AttackConfig fields beyond epsilon 0.5 and K 2, stackelberg)
+_OBS_REG_CASES = {
+    "pgd_l2": ("pgd", {}, False),
+    "pgd_linf": ("pgd", {"norm": "linf"}, False),
+    "gaussian": ("gaussian", {}, False),
+    "gaussian_sigma0": ("gaussian", {"epsilon": 0.0}, False),
+    "stackelberg_sq_l2": ("pgd", {}, True),
+    "stackelberg_kl": ("pgd", {"metric": "kl"}, True),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("case", sorted(_OBS_REG_CASES))
+def test_obs_regularizer_stack_matches_per_agent_loop(case, activation, n_agents, rows):
+    mode, fields, stackelberg = _OBS_REG_CASES[case]
+    acfg = AttackConfig(**{"epsilon": 0.5, "k_steps": 2, **fields})
+    policy = stack_nets([net_init([6, 8, 2], activation=activation, seed=10 + i, scale=2.0)
+                         for i in range(n_agents)])
+    # agent-major rows of a (B, N, d) batch, as the trainer passes them
+    obs = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, n_agents, 6))
+    obs = obs.transpose(1, 0, 2)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = _obs_regularizer(policy, obs, acfg, mode, got_rng, stackelberg)
+    want = _obs_regularizer_per_agent(policy, obs, acfg, mode, want_rng, stackelberg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_global_q_takes_action_count_from_individual_nets():
@@ -237,4 +288,38 @@ def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, index, name, tmp
     with pytest.raises(FloatingPointError,
                        match=f"non-finite parameters in {name} after the update "
                              "at step 3, seed 4"):
+        train_run(cfg, tmp_path)
+
+
+def _poison_loss(name):
+    def poison(real):
+        def poisoned(*args):
+            losses, grads = real(*args)
+            return dict(losses, **{name: float("inf")}), grads
+        return poisoned
+    return poison
+
+
+def _poison_obs_values(real):
+    def poisoned(*args):
+        values, norms, grads = real(*args)
+        return values * np.nan, norms, grads
+    return poisoned
+
+
+@pytest.mark.parametrize("doc_fn,target,poison,column",
+                         [(_ddpg_doc, "ddpg_updates", _poison_loss("critic"), "loss_critic"),
+                          (_ddpg_doc, "ddpg_updates", _poison_loss("actor_obj"), "actor_obj"),
+                          (_qcombo_doc, "qcombo_losses", _poison_loss("glob"), "loss_glob"),
+                          (_qcombo_doc, "_obs_regularizer", _poison_obs_values,
+                           "reg_value_mean")],
+                         ids=["critic", "actor_obj", "glob", "reg_value"])
+def test_nonfinite_losses_fail_loudly(doc_fn, target, poison, column, tmp_path,
+                                      monkeypatch):
+    # The gradients stay finite: the loss check, not the parameter check, fires.
+    monkeypatch.setattr(train_mod, target, poison(getattr(train_mod, target)))
+    cfg = resolve_config(doc_fn(train_steps=5, warmup=3, batch=2, seeds=[4],
+                                ernie={"enabled": True, "reg_rows": 2}))
+    with pytest.raises(FloatingPointError,
+                       match=f"non-finite {column} in the update at step 3, seed 4"):
         train_run(cfg, tmp_path)
