@@ -25,22 +25,22 @@ def load_checkpoint(path) -> dict:
 
 
 def build_policy(ckpt: dict):
-    """Greedy/deterministic execution policy from a checkpoint, evaluating
-    all agents' nets as one agent stack, plus the global Q callable used by
-    the adversarial injector (qcombo only)."""
+    """Greedy/deterministic execution policy from a checkpoint, mapping the
+    observations (E, N, d) of E episodes to their joint actions, plus the
+    global Q used by the adversarial injector (qcombo only). All agents'
+    nets run as one agent stack on E row stacks: each episode's actions are
+    bit for bit those of its own (N, d) call."""
     manifest, nets = ckpt["manifest"], ckpt["nets"]
     policy_name, central_name = NET_NAMES[manifest["algo"]]
     policy = stack_nets(nets[f"{policy_name}_{i}"] for i in range(manifest["n_agents"]))
+
+    def out(obs):
+        return net_forward(policy, obs[:, :, None, :])[:, :, 0, :]
+
     if manifest["algo"] == "qcombo":
-        def act(obs):
-            return np.argmax(net_forward(policy, obs), axis=1)
-
-        return act, GlobalQ(nets[central_name], policy.out_dim)
-
-    def act(obs):
-        return np.clip(net_forward(policy, obs), -1.0, 1.0)
-
-    return act, None
+        q_global = GlobalQ(nets[central_name], policy.out_dim)
+        return lambda obs: np.argmax(out(obs), axis=-1), q_global
+    return lambda obs: np.clip(out(obs), -1.0, 1.0), None
 
 
 def sweep_specs(cfg: ExperimentConfig) -> list[PerturbSpec]:
@@ -55,13 +55,17 @@ def sweep_specs(cfg: ExperimentConfig) -> list[PerturbSpec]:
 
 
 def evaluate_spec(env, act_fn, spec: PerturbSpec, episodes: int, base_seed: int,
-                  q_global_fn=None) -> np.ndarray:
-    rets = np.empty(episodes)
-    for ep in range(episodes):
-        seed = int(np.random.default_rng(
-            np.random.SeedSequence([base_seed, ep])).integers(2 ** 31))
-        _, _, rets[ep] = rollout(env, act_fn, env.episode_len, spec, seed,
-                                 q_global_fn=q_global_fn)
+                  q_global=None) -> np.ndarray:
+    """The global returns of episodes episodes under spec, run in lock step.
+    A non-finite return raises FloatingPointError naming its episode and seed."""
+    seeds = [int(np.random.default_rng(np.random.SeedSequence([base_seed, ep]))
+                 .integers(2 ** 31)) for ep in range(episodes)]
+    rets = rollout(env, act_fn, env.episode_len, spec, seeds, q_global)
+    bad = np.flatnonzero(~np.isfinite(rets))
+    if bad.size:
+        ep = int(bad[0])
+        raise FloatingPointError(f"non-finite return {float(rets[ep])!r} in episode {ep} "
+                                 f"(seed {seeds[ep]}) under {spec}")
     return rets
 
 
@@ -74,14 +78,17 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
         raise ValueError(f"checkpoint env {ckpt['manifest']['env']!r} "
                          f"does not match config env {cfg.env!r}")
     env = make_env(cfg)
-    act_fn, q_global_fn = build_policy(ckpt)
+    if ckpt["manifest"]["n_agents"] != env.n_agents:
+        raise ValueError(f"checkpoint has {ckpt['manifest']['n_agents']} agents, "
+                         f"config env {cfg.env!r} has {env.n_agents}")
+    act_fn, q_global = build_policy(ckpt)
     episodes = int(cfg["eval"]["episodes"])
 
     lines = [RESULTS_HEADER]
     summary = []
     for idx, spec in enumerate(sweep_specs(cfg)):
         rets = evaluate_spec(env, act_fn, spec, episodes,
-                             base_seed * 100003 + idx, q_global_fn)
+                             base_seed * 100003 + idx, q_global)
         for ep, r in enumerate(rets):
             lines.append(",".join([repr(spec.obs_noise_sigma),
                                    repr(spec.dynamics_scale),

@@ -178,8 +178,9 @@ def _act_grad_from_output(a, kind):
 
 def _forward_cached(net: Net, x: np.ndarray):
     """Returns (the input of every layer, output). A single net takes x of
-    any shape (..., d); a stack takes (N, B, d) and runs one matmul over the
-    agent axis, which is bitwise the per-agent products. Bias and activation
+    any shape (..., d); a stack takes (N, B, d), or (M, N, 1, d), and runs
+    one matmul over the agent axis, which is bitwise the per-agent products
+    (for (M, N, 1, d): each (m, i) row's own product). Bias and activation
     are applied in place: no pre-activation is kept, and no temporary
     beside the matmul's output is made, which matters for a stack's
     (N, B, width) blocks."""
@@ -200,11 +201,24 @@ def _forward_cached(net: Net, x: np.ndarray):
 
 
 def _check_input(net: Net, x: np.ndarray, batched: bool) -> None:
-    if x.shape[-1] != net.in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != net input dim {net.in_dim}")
-    if net.stacked and (x.ndim != (3 if batched else 2) or x.shape[0] != len(net)):
-        want = f"({len(net)}, B, {net.in_dim})" if batched else f"({len(net)}, {net.in_dim})"
-        raise ValueError(f"agent stack input shape {x.shape} is not {want}")
+    # A stack takes (N, d) unbatched; batched, (N, B, d) or M row stacks
+    # (M, N, 1, d). Each must have the stack's agent count N where the agent
+    # axis is: a 1-agent stack would otherwise broadcast over any N.
+    d = net.layer_dims[0]
+    if x.shape[-1] != d:
+        raise ValueError(f"input dim {x.shape[-1]} != net input dim {d}")
+    if net.theta.ndim == 1:
+        return
+    n, ndim = net.theta.shape[0], x.ndim
+    if batched:
+        if ndim == 3 and x.shape[0] == n or ndim == 4 and x.shape[1:3] == (n, 1):
+            return
+        want = f"({n}, B, {d}) or (M, {n}, 1, {d})"
+    else:
+        if ndim == 2 and x.shape[0] == n:
+            return
+        want = f"({n}, {d})"
+    raise ValueError(f"agent stack input shape {x.shape} is not {want}")
 
 
 def net_forward(net: Net, x) -> np.ndarray:
@@ -213,9 +227,11 @@ def net_forward(net: Net, x) -> np.ndarray:
     layer is affine.
 
     An agent stack takes one input per agent (N, d), giving (N, out), or a
-    batch per agent (N, B, d), giving (N, B, out)."""
+    batch per agent (N, B, d), giving (N, B, out). M row stacks
+    (M, N, 1, d) give (M, N, 1, out), row (m, i) bit for bit agent i's
+    result on its one row."""
     x = np.asarray(x, dtype=float)
-    _check_input(net, x, batched=x.ndim == 3)
+    _check_input(net, x, batched=x.ndim >= 3)
     if net.stacked and x.ndim == 2:
         return _forward_cached(net, x[:, None, :])[1][:, 0, :]
     return _forward_cached(net, x)[1]

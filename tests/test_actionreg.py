@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ernie_lab.actionreg import brute_force_action_attack, greedy_action_attack
 from ernie_lab.algos import Agents, GlobalQ
@@ -93,6 +95,26 @@ def test_greedy_bounded_by_brute():
             g = greedy_action_attack(q, None, start, 3, k)
             b = brute_force_action_attack(q, None, start, 3, k)
             assert g.value <= b.value + 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 4), a=st.integers(2, 4),
+       k=st.integers(1, 4), ties=st.booleans())
+def test_greedy_never_beats_brute_force(seed, n, a, k, ties):
+    # greedy commits one flip per round, so it searches a subset of brute
+    # force's joint actions within Hamming distance k
+    rng = np.random.default_rng(seed)
+    q = _random_q(rng, n, a)
+    if ties:  # a coarse table, full of equal values
+        table = {j: float(np.round(rng.standard_normal()))
+                 for j in itertools.product(range(a), repeat=n)}
+        q = lambda state, joint: table[tuple(joint)]
+    start = tuple(int(x) for x in rng.integers(a, size=n))
+    k = min(k, n)
+    g = greedy_action_attack(q, None, start, a, k)
+    b = brute_force_action_attack(q, None, start, a, k)
+    assert g.value <= b.value
+    assert sum(x != y for x, y in zip(g.perturbed, start)) <= k
 
 
 def test_brute_monotone_in_k():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ernie_lab.advreg import (AttackConfig, _divergence_grads, _joint_grad_dir,
+from ernie_lab.advreg import (KL_FLOOR, AttackConfig, _divergence_grads, _joint_grad_dir,
                               _project_vjp, default_head, pgd_attack, project,
                               reg_value_and_grads, regularized_grad, sample_ball,
                               stackelberg_grad)
@@ -47,6 +49,59 @@ def test_kl_nonnegative_on_random_simplex_pairs():
     pairs = np.array([[rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))]
                       for _ in range(200)])
     assert (_divergence_grads(pairs[:, 0], pairs[:, 1], "kl")[0] >= 0.0).all()
+
+
+def _simplex_rows(rng, rows, m, spread):
+    # softmax rows of logits at scale spread: strictly positive distributions
+    z = spread * rng.standard_normal((rows, m))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), rows=st.integers(1, 6), m=st.integers(1, 6),
+       spread=st.floats(0.0, 20.0), closeness=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+       metric=st.sampled_from(["kl", "sq_l2"]))
+def test_divergence_nonnegative_and_zero_at_equality(seed, rows, m, spread, closeness,
+                                                    metric):
+    rng = np.random.default_rng(seed)
+    a = _simplex_rows(rng, rows, m, spread)
+    # b near a (closeness 0: b is a), renormalized onto the simplex
+    b = a * np.exp(closeness * rng.standard_normal(a.shape))
+    b /= b.sum(axis=-1, keepdims=True)
+    vals, _, _ = _divergence_grads(a, b, metric)
+    # Gibbs' inequality holds for rows summing to exactly 1. KL floors b at
+    # KL_FLOOR, which can lift its sum to 1 + m * KL_FLOOR, and rows
+    # normalized in floating point sum to 1 only within rounding; either may
+    # take the value below 0 by that much (-1.7e-16 for two 2-entry rows
+    # equal up to rounding, -7.9e-13 where softmax entries fall below the floor).
+    floor = m * KL_FLOOR + 4 * m * np.finfo(float).eps
+    assert vals.shape == (rows,) and (vals >= -floor).all()
+    same, da, db = _divergence_grads(a, a.copy(), metric)
+    assert (same == 0.0).all()
+    if metric == "sq_l2":
+        assert (da == 0.0).all() and (db == 0.0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), rows=st.integers(1, 5), dim=st.integers(1, 8),
+       log_scale=st.floats(-4.0, 4.0), epsilon=st.floats(1e-3, 10.0),
+       norm=st.sampled_from(["l2", "linf"]))
+def test_project_lands_in_ball_and_is_idempotent(seed, rows, dim, log_scale, epsilon, norm):
+    delta = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((rows, dim))
+    once = project(delta, epsilon, norm)
+    twice = project(once, epsilon, norm)
+    if norm == "linf":
+        assert (np.abs(once) <= epsilon).all()
+        assert twice.tobytes() == once.tobytes()
+    else:
+        # the rescaled row's norm is epsilon up to rounding, so a second
+        # projection may rescale it by a factor within rounding of 1
+        assert (np.linalg.norm(once, axis=-1) <= epsilon * (1.0 + 1e-12)).all()
+        np.testing.assert_allclose(twice, once, rtol=1e-12, atol=0.0)
+    inside = np.linalg.norm(delta, axis=-1) <= epsilon if norm == "l2" \
+        else np.abs(delta).max(axis=-1) <= epsilon
+    assert once[inside].tobytes() == delta[inside].tobytes()  # the ball is left fixed
 
 
 def test_pgd_constant_policy_keeps_init():

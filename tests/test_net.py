@@ -205,6 +205,34 @@ def test_stack_forward_one_observation_per_agent(activation):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_stack_forward_row_stacks_match_per_episode_calls(activation, n):
+    # (M, N, 1, d): row stack m is bit for bit the (N, d) call on episode m,
+    # as lock-step evaluation relies on
+    nets, stack = _agents(activation, n=n)
+    obs = np.random.default_rng(8).standard_normal((15, n, 6))
+    y = net_forward(stack, obs[:, :, None, :])
+    assert y.shape == (15, n, 1, 3)
+    for m in range(15):
+        assert y[m, :, 0].tobytes() == net_forward(stack, obs[m]).tobytes()
+    with pytest.raises(ValueError):
+        net_vjp(stack, obs[:, :, None, :])
+
+
+def test_stack_rejects_row_stacks_of_another_agent_count():
+    # Without the guard a 1-agent stack would broadcast over any agent axis.
+    _, one = _agents("relu", n=1)
+    _, three = _agents("relu", n=3)
+    x = np.random.default_rng(9).standard_normal((4, 3, 1, 6))
+    assert net_forward(three, x).shape == (4, 3, 1, 3)
+    with pytest.raises(ValueError, match=r"is not \(1, B, 6\) or \(M, 1, 1, 6\)"):
+        net_forward(one, x)
+    for bad in (x[:, :2], np.repeat(x, 2, axis=2)):
+        with pytest.raises(ValueError, match="agent stack input shape"):
+            net_forward(three, bad)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_row_stack_forward_matches_single_inputs(activation):
     # (M, 1, d) through a single net: row r is net_forward of the 1-D row,
     # bit for bit, unlike an (M, d) batch (test_batched_forward_matches_rows)

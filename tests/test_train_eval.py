@@ -9,10 +9,13 @@ import pytest
 import ernie_lab.train as train_mod
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from ernie_lab.config import resolve_config
-from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, load_checkpoint,
-                                sweep_specs)
+import ernie_lab.evaluate as evaluate_mod
+from ernie_lab.envs import PerturbSpec, rollout
+from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_spec,
+                                load_checkpoint, sweep_specs)
 from ernie_lab.net import net_forward, net_init, stack_nets
-from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
+from ernie_lab.train import (DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, make_env,
+                             train_run)
 
 
 def _ddpg_doc(**over):
@@ -147,6 +150,61 @@ def test_evaluate_env_mismatch_raises(tmp_path):
     other = resolve_config(_qcombo_doc())
     with pytest.raises(ValueError):
         evaluate_checkpoint(other, res[0]["final_checkpoint"], tmp_path / "e")
+
+
+def test_evaluate_agent_count_mismatch_names_both(tmp_path):
+    # a 3-agent coopnav checkpoint under n_agents 2 fails before any rollout
+    cfg = resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2))
+    res = train_run(cfg, tmp_path)
+    other = resolve_config(_ddpg_doc(n_agents=2))
+    with pytest.raises(ValueError, match="checkpoint has 3 agents, config env 'coopnav' has 2"):
+        evaluate_checkpoint(other, res[0]["final_checkpoint"], tmp_path / "e")
+
+
+def test_evaluate_nonfinite_return_names_spec_episode_and_seed(tmp_path, monkeypatch):
+    cfg = resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2,
+                                   eval={"obs_noise_sigmas": [0.0, 0.2], "episodes": 3}))
+    res = train_run(cfg, tmp_path)
+    real = evaluate_mod.build_policy
+
+    def poisoned(ckpt):
+        act, q = real(ckpt)
+
+        def act_nan(obs):
+            a = act(obs)
+            a[1] = np.nan  # episode 1 of every spec
+            return a
+        return act_nan, q
+
+    monkeypatch.setattr(evaluate_mod, "build_policy", poisoned)
+    seed = int(np.random.default_rng(np.random.SeedSequence([0, 1])).integers(2 ** 31))
+    with pytest.raises(FloatingPointError,
+                       match=rf"non-finite return nan in episode 1 \(seed {seed}\) under "
+                             r"PerturbSpec\(obs_noise_sigma=0.0,"):
+        evaluate_checkpoint(cfg, res[0]["final_checkpoint"], tmp_path / "e")
+
+
+@pytest.mark.parametrize("doc_fn,spec",
+                         [(_ddpg_doc, PerturbSpec(obs_noise_sigma=0.5, dynamics_scale=1.25)),
+                          (_qcombo_doc, PerturbSpec(malicious_rate=0.5,
+                                                    malicious_mode="adversarial")),
+                          (_qcombo_doc, PerturbSpec(obs_noise_sigma=0.5, malicious_rate=0.5,
+                                                    malicious_mode="random"))],
+                         ids=["ddpg", "qcombo_adversarial", "qcombo_random"])
+def test_lockstep_evaluation_matches_lone_episodes(doc_fn, spec, tmp_path):
+    # A trained checkpoint's lock-step returns and actions are bit for bit
+    # those of each episode run alone and each episode's own (N, d) call.
+    cfg = resolve_config(doc_fn(train_steps=20, warmup=10, batch=4))
+    ckpt = load_checkpoint(train_run(cfg, tmp_path)[0]["final_checkpoint"])
+    env = make_env(cfg)
+    act, q_global = build_policy(ckpt)
+    rets = evaluate_spec(env, act, spec, 6, base_seed=11, q_global=q_global)
+    seeds = [int(np.random.default_rng(np.random.SeedSequence([11, ep])).integers(2 ** 31))
+             for ep in range(6)]
+    alone = [rollout(env, act, env.episode_len, spec, [s], q_global)[0] for s in seeds]
+    assert rets.tobytes() == np.array(alone).tobytes()
+    obs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, env.n_agents, env.obs_dim))
+    assert act(obs).tobytes() == np.stack([act(o[None])[0] for o in obs]).tobytes()
 
 
 def test_mf_ddpg_runs_and_differs_from_ddpg(tmp_path):
