@@ -113,12 +113,11 @@ def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = No
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
     up_a = _softmax_vjp(ya, d_ya) if head == "softmax" else d_ya
     up_b = _softmax_vjp(yb, d_yb) if head == "softmax" else d_yb
-    ga = vjp_a(up_a)
+    ga = vjp_a(up_a, wrt="both" if need_theta else "input")
     grad_delta = ga.grad_input
     grad_theta = None
     if need_theta:
-        gb = vjp_b(up_b)
-        grad_theta = ga.grad_theta + gb.grad_theta
+        grad_theta = ga.grad_theta + vjp_b(up_b, wrt="theta").grad_theta
     if squeezed:
         return float(vals[0]), grad_delta[0], grad_theta
     return vals, grad_delta, grad_theta
@@ -279,7 +278,7 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
                        + np.matmul(np.swapaxes(dz, -1, -2), act_dots[i]))
         np.sum(dz_dot, axis=-2, out=hbs[i])
         dz, dz_dot = np.matmul(dz, net.weights[i]), np.matmul(dz_dot, net.weights[i])
-    h_theta += vjp_b(up_b_dot).grad_theta
+    h_theta += vjp_b(up_b_dot, wrt="theta").grad_theta
     return dz_dot, h_theta
 
 

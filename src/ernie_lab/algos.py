@@ -147,9 +147,9 @@ def qcombo_losses(batch: dict, agents: Agents, gamma: float, lambda_q: float):
 
     upstream = np.zeros((n, b, a_count))
     upstream[agent, rows, actions] = td_ind / (b * n) - (lambda_q * consistency / b)[:, None]
-    grad_ind = vjp_ind(upstream).grad_theta
+    grad_ind = vjp_ind(upstream, wrt="theta").grad_theta
     up_glob = ((td_glob + lambda_q * consistency) / b)[:, None]
-    grad_glob = vjp_glob(up_glob).grad_theta
+    grad_glob = vjp_glob(up_glob, wrt="theta").grad_theta
 
     losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
     return losses, {"policy": grad_ind, "central": grad_glob}
@@ -174,7 +174,7 @@ def ddpg_updates(batch: dict, agents: Agents, gamma: float):
         agents.central_target, x_next)[:, 0]
     td = q - y
     loss_critic = 0.5 * float(np.mean(td ** 2))
-    grad_critic = vjp_c((td / b)[:, None]).grad_theta
+    grad_critic = vjp_c((td / b)[:, None], wrt="theta").grad_theta
 
     # actor gradients: ascend Q at the actors' current outputs
     mu, vjp_actors = net_vjp(agents.policy, batch["obs"].transpose(1, 0, 2))
@@ -182,10 +182,11 @@ def ddpg_updates(batch: dict, agents: Agents, gamma: float):
                           axis=1)
     q_mu, vjp_mu = net_vjp(agents.central, x_mu)
     actor_obj = float(np.mean(q_mu[:, 0]))
-    dq_dinput = vjp_mu(np.full((b, 1), 1.0 / b)).grad_input
+    dq_dinput = vjp_mu(np.full((b, 1), 1.0 / b), wrt="input").grad_input
     state_dim = batch["state"].shape[1]
     dq_da = dq_dinput[:, state_dim:state_dim + n * da].reshape(b, n, da)
-    grad_actors = vjp_actors(-np.ascontiguousarray(dq_da.transpose(1, 0, 2))).grad_theta
+    grad_actors = vjp_actors(-np.ascontiguousarray(dq_da.transpose(1, 0, 2)),
+                             wrt="theta").grad_theta
 
     losses = {"critic": loss_critic, "actor_obj": actor_obj}
     return losses, {"policy": grad_actors, "central": grad_critic}

@@ -173,6 +173,11 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("eval.episodes must be >= 1")
     if raw["eval"]["malicious_mode"] not in ("random", "adversarial"):
         raise ConfigError("eval.malicious_mode must be 'random' or 'adversarial'")
+    if raw["env"] != "gridq" and any(float(r) > 0.0
+                                     for r in raw["eval"]["malicious_rates"]):
+        raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
+                          "replaces discrete actions only, so continuous actions "
+                          "would never be replaced")
     return ExperimentConfig(raw=raw)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
+WRT = ("both", "theta", "input")  # the gradients a reverse pass computes
 
 
 def _dims(layer_dims) -> tuple[int, ...]:
@@ -137,8 +138,8 @@ def stack_nets(nets) -> Net:
 
 @dataclass
 class GradBundle:
-    grad_theta: np.ndarray  # parameter gradient, laid out like Net.theta
-    grad_input: np.ndarray
+    grad_theta: np.ndarray | None  # parameter gradient, laid out like Net.theta
+    grad_input: np.ndarray | None
 
 
 def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
@@ -260,34 +261,45 @@ def net_vjp(net: Net, x):
     """net_forward(net, x) on a batch (B, d) (an agent stack: (N, B, d)), and
     a function mapping an upstream of the output's shape to
     net_grads(net, x, upstream) that reuses this forward pass instead of
-    repeating it."""
+    repeating it. Its `wrt` argument picks the gradients computed: "both"
+    (the default), "theta" (grad_input is None) or "input" (grad_theta is
+    None); each field it computes is bitwise that of "both"."""
     x = np.asarray(x, dtype=float)
     if x.ndim != (3 if net.stacked else 2):
         raise ValueError(f"input shape {x.shape} is not a batch for this net")
     _check_input(net, x, batched=True)
     acts, y = _forward_cached(net, x)
-    return y, lambda upstream: _backward(net, acts, np.asarray(upstream, dtype=float))
+    return y, lambda upstream, wrt="both": _backward(
+        net, acts, np.asarray(upstream, dtype=float), wrt)
 
 
-def _backward(net: Net, acts, upstream: np.ndarray) -> GradBundle:
+def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both") -> GradBundle:
     # Reverse pass over _forward_cached's record of a (B, d) batch (a stack:
     # (N, B, d)), writing each layer's parameter gradient into its view of
-    # one flat vector (a stack: one (N, P) block).
+    # one flat vector (a stack: one (N, P) block). wrt="theta" skips the
+    # first layer's input product, wrt="input" every parameter product; the
+    # products that run are the same either way.
+    if wrt not in WRT:
+        raise ValueError(f"wrt must be one of {WRT}, got {wrt!r}")
     if upstream.shape[-1] != net.out_dim:
         raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
     if acts[0].shape[:-1] != upstream.shape[:-1]:
         raise ValueError("batch sizes of x and upstream differ")
     n_layers = len(net.weights)
-    grad = np.empty(net.theta.shape)
-    gws, gbs = layer_views(grad, net.layer_dims)
+    grad = gws = gbs = None
+    if wrt != "input":
+        grad = np.empty(net.theta.shape)
+        gws, gbs = layer_views(grad, net.layer_dims)
     dz = upstream
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             dz *= _act_grad_from_output(acts[i + 1], net.activation)  # dz is ours
-        np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
-        np.sum(dz, axis=-2, out=gbs[i])
-        dz = np.matmul(dz, net.weights[i])
-    return GradBundle(grad, dz)
+        if grad is not None:
+            np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
+            np.sum(dz, axis=-2, out=gbs[i])
+        if i > 0 or wrt != "theta":
+            dz = np.matmul(dz, net.weights[i])
+    return GradBundle(grad, dz if wrt != "theta" else None)
 
 
 def n_params(net: Net) -> int:

@@ -4,7 +4,10 @@
 # regularizer path never shifts the environment stream.
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import platform
 import shutil
 import time
 from collections import deque
@@ -14,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .actionreg import greedy_action_attack
 from .advreg import (AttackConfig, pgd_attack, reg_value_and_grads,
                      regularized_grad, stackelberg_grad)
@@ -22,7 +26,8 @@ from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     select_action_discrete, soft_update)
 from .config import ExperimentConfig
 from .envs import CoopNavEnv, GridQueueEnv
-from .net import n_params, net_init, net_vjp, save_net, stack_nets
+from .net import (_backward, _forward_cached, n_params, net_init, net_vjp, save_net,
+                  stack_nets)
 from .replay import ReplayBuffer, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
@@ -119,8 +124,13 @@ def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     diff = qc[:, 0] - qa[:, 0]
     value = float(np.sum(diff ** 2) / rows)
     up = (2.0 * diff / rows)[:, None]
-    grad = vjp_c(up).grad_theta - vjp_a(up).grad_theta
+    grad = vjp_c(up, wrt="theta").grad_theta - vjp_a(up, wrt="theta").grad_theta
     return value, grad, len(keep)
+
+
+# Radius of the Gaussian jitter that starts the cloud ascent off the clean
+# positions, where the squared critic change has a zero gradient.
+CLOUD_JITTER = 0.01
 
 
 def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
@@ -128,7 +138,9 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
                             attack_rng: np.random.Generator):
     """Mean-field cloud regularizer on the centralized critic: penalized
     ascent on the agent-position block (the empirical state cloud), with the
-    differentiable identity-coupling transport penalty."""
+    differentiable identity-coupling transport penalty. The ascent steps run
+    input-only reverse passes; only the final pass computes the parameter
+    gradient."""
     rows = min(rows, batch["state"].shape[0])
     acts = batch["actions"][:rows].reshape(rows, -1)
     x0 = np.concatenate([batch["state"][:rows], acts], axis=1)
@@ -138,24 +150,45 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
     pos0 = x0[:, :pdim]
     pos = pos0 + (jitter * attack_rng.standard_normal(pos0.shape) if jitter > 0
                   else 0.0)
+    x = x0.copy()
     for _ in range(steps):
-        x = x0.copy()
         x[:, :pdim] = pos
-        q, vjp = net_vjp(critic, x)
-        gin = vjp((2.0 * (q[:, 0] - q0))[:, None]).grad_input[:, :pdim]
+        layer_in, q = _forward_cached(critic, x)
+        gin = _backward(critic, layer_in, (2.0 * (q[:, 0] - q0))[:, None],
+                        wrt="input").grad_input[:, :pdim]
         dpos = (pos - pos0).reshape(rows, n_agents, 2)
-        nrm = np.linalg.norm(dpos, axis=2, keepdims=True)
+        # np.linalg.norm(dpos, axis=2, keepdims=True), by its own formula
+        nrm = np.sqrt(np.add.reduce(dpos * dpos, axis=2, keepdims=True))
         pen = np.where(nrm > 1e-12, dpos / np.maximum(nrm, 1e-12), 0.0)
         pos = pos + eta * (gin - lam_w * pen.reshape(rows, pdim) / n_agents)
-    x = x0.copy()
     x[:, :pdim] = pos
     q, vjp = net_vjp(critic, x)
     diff = q[:, 0] - q0
     value = float(np.mean(diff ** 2))
     up = (2.0 * diff / rows)[:, None]
-    grad = vjp(up).grad_theta - vjp0(up).grad_theta
+    grad = vjp(up, wrt="theta").grad_theta - vjp0(up, wrt="theta").grad_theta
     move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
     return value, grad, move
+
+
+def _versions() -> dict:
+    # scipy's version module is read without importing scipy, whose import
+    # costs more than a short training run.
+    spec = importlib.util.find_spec("scipy")
+    path = Path(spec.submodule_search_locations[0]) / "version.py"
+    scipy_version = importlib.util.spec_from_file_location("_scipy_version", path)
+    mod = importlib.util.module_from_spec(scipy_version)
+    scipy_version.loader.exec_module(mod)
+    return {"ernie-lab": __version__, "numpy": np.__version__,
+            "python": platform.python_version(), "scipy": mod.version}
+
+
+def _write_run_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
+    """run.json: package versions and the resolved config's SHA-256. It
+    holds no wall-clock time, so a rerun writes it byte-identical."""
+    doc = {"config_sha256": hashlib.sha256(cfg.to_json().encode()).hexdigest(),
+           "versions": _versions()}
+    (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class _MetricsWriter:
@@ -271,8 +304,8 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
         def reg(agents, batch, grad, attack_rng):
             value, g, _ = _cloud_regularizer_grad(
                 agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
-                int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]), 0.01,
-                attack_rng)
+                int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]),
+                CLOUD_JITTER, attack_rng)
             return value, regularized_grad(grad, [g], ecfg["lambda"])
     return _Learner(
         DDPG_HEADER,
@@ -294,6 +327,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
     buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
     metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
+    _write_run_manifest(out_dir, cfg)
     meta = {"algo": cfg.algo, "env": cfg.env, "n_agents": env.n_agents,
             "hidden": cfg["hidden"], "seed": seed}
     nets = lambda: {**{f"{policy_name}_{i}": agents.policy[i] for i in range(env.n_agents)},

@@ -171,6 +171,7 @@ def _robustness_runs(jobs: list) -> list:
         return list(pool.map(_robustness_run, *zip(*jobs)))
 
 
+@pytest.mark.slow
 def test_criterion_8_observation_noise_robustness(workdir):
     t0 = time.monotonic()
     seeds = [0, 1, 2, 3, 4]
@@ -199,6 +200,7 @@ def test_criterion_8_observation_noise_robustness(workdir):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_9_malicious_action_robustness(workdir):
     t0 = time.monotonic()
     seeds = [0, 1, 2, 3, 4]

@@ -1,4 +1,5 @@
 # Config resolution rules and the command-line entry points.
+import hashlib
 import json
 
 import numpy as np
@@ -47,6 +48,21 @@ def test_ernie_a_requires_gridq():
                         "ernie_a": {"enabled": True}})
     cfg = resolve_config({"ernie_a": {"enabled": True}})
     assert cfg["ernie_a"]["enabled"] is True
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "mf_ddpg"])
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_malicious_rates_require_gridq(algo, mode):
+    # The injector replaces discrete actions only: on coopnav a positive
+    # rate would write rows equal to an unperturbed run's.
+    doc = {"algo": algo, "env": "coopnav", "eval": {"malicious_mode": mode}}
+    with pytest.raises(ConfigError, match="malicious_rates > 0 requires env gridq.*"
+                                          "continuous actions"):
+        resolve_config(dict(doc, eval=dict(doc["eval"], malicious_rates=[0.0, 0.05])))
+    assert resolve_config(dict(doc, eval=dict(doc["eval"], malicious_rates=[0.0]))
+                          )["eval"]["malicious_rates"] == [0.0]
+    cfg = resolve_config({"eval": {"malicious_mode": mode, "malicious_rates": [0.05]}})
+    assert cfg["eval"]["malicious_rates"] == [0.05]
 
 
 def test_gridq_agents_must_be_square():
@@ -148,6 +164,10 @@ def test_cli_train_and_evaluate_ok(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
     assert (out / "config.resolved.json").exists()
     assert (out / "seed_0" / "metrics.csv").exists()
+    # the run manifest hashes the resolved config the CLI echoes
+    manifest = json.loads((out / "seed_0" / "run.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        (out / "config.resolved.json").read_bytes()).hexdigest()
     ckpt = out / "seed_0" / "ckpt_000005"
     assert main(["evaluate", "--config", cfg_path, "--checkpoint", str(ckpt),
                  "--out", str(out)]) == EXIT_OK

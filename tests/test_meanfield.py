@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ernie_lab.config import ConfigError, resolve_config
 from ernie_lab.meanfield import w_distance
-from ernie_lab.net import Net, net_init, vector_to_net
+from ernie_lab.net import Net, net_init, net_vjp, vector_to_net
 from ernie_lab.train import _cloud_regularizer_grad
 
 N_AGENTS, ROWS = 3, 6
@@ -62,6 +64,16 @@ def test_identity_coupling_upper_bounds_exact():
         b = rng.standard_normal((n, 2))
         assert (w_distance(a, b, "identity_coupling")
                 >= w_distance(a, b, "exact_matching") - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(-1e3, 1e3), min_size=2 * n, max_size=2 * n)] * 2)))
+def test_identity_coupling_upper_bounds_exact_property(clouds):
+    # two equal-size 2-D clouds of n <= 8 points, as flat coordinate lists
+    a, b = (np.reshape(c, (-1, 2)) for c in clouds)
+    assert (w_distance(a, b, "identity_coupling")
+            >= w_distance(a, b, "exact_matching") - 1e-9)
 
 
 def test_closed_form_1d_matches_exact():
@@ -168,6 +180,57 @@ def test_mf_attack_validation():
         with pytest.raises(ConfigError, match="meanfield.enabled"):
             resolve_config({"algo": algo, "env": env, "meanfield": {"enabled": True}})
     assert resolve_config(dict(doc, meanfield={"enabled": True}))["meanfield"]["enabled"]
+
+
+def _cloud_reference(critic, batch, n_agents, rows, steps, eta, lam_w, jitter,
+                     attack_rng):
+    # The cloud regularizer as one full net_vjp pass per ascent step, each
+    # keeping its parameter gradient unread: the form the input-only ascent
+    # must reproduce bit for bit.
+    rows = min(rows, batch["state"].shape[0])
+    acts = batch["actions"][:rows].reshape(rows, -1)
+    x0 = np.concatenate([batch["state"][:rows], acts], axis=1)
+    q0, vjp0 = net_vjp(critic, x0)
+    q0 = q0[:, 0]
+    pdim = 2 * n_agents
+    pos0 = x0[:, :pdim]
+    pos = pos0 + (jitter * attack_rng.standard_normal(pos0.shape) if jitter > 0
+                  else 0.0)
+    for _ in range(steps):
+        x = x0.copy()
+        x[:, :pdim] = pos
+        q, vjp = net_vjp(critic, x)
+        gin = vjp((2.0 * (q[:, 0] - q0))[:, None]).grad_input[:, :pdim]
+        dpos = (pos - pos0).reshape(rows, n_agents, 2)
+        nrm = np.linalg.norm(dpos, axis=2, keepdims=True)
+        pen = np.where(nrm > 1e-12, dpos / np.maximum(nrm, 1e-12), 0.0)
+        pos = pos + eta * (gin - lam_w * pen.reshape(rows, pdim) / n_agents)
+    x = x0.copy()
+    x[:, :pdim] = pos
+    q, vjp = net_vjp(critic, x)
+    diff = q[:, 0] - q0
+    value = float(np.mean(diff ** 2))
+    up = (2.0 * diff / rows)[:, None]
+    grad = vjp(up).grad_theta - vjp0(up).grad_theta
+    move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
+    return value, grad, move
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("steps", [0, 1, 10])
+@pytest.mark.parametrize("jitter", [0.0, 0.01, 0.4])
+def test_cloud_regularizer_matches_per_step_vjp_reference(activation, steps, jitter):
+    for seed in range(4):
+        critic = net_init([IN_DIM, 16, 1], activation=activation, seed=seed)
+        critic = vector_to_net(critic, critic.theta + 0.1 * np.random.default_rng(
+            seed).standard_normal(critic.theta.size))
+        batch = _batch(20 + seed)
+        args = (critic, batch, N_AGENTS, ROWS, steps, 0.05, 1.0, jitter)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        value, grad, move = _cloud_regularizer_grad(*args, rng)
+        want = _cloud_reference(*args, ref_rng)
+        assert (value, grad.tobytes(), move) == (want[0], want[1].tobytes(), want[2])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_cloud_regularizer_grad_matches_fd():

@@ -189,6 +189,34 @@ def test_stack_forward_and_vjp_match_per_agent_bit_for_bit(activation, batch):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dims", [(6, 3), (6, 8, 3), (6, 8, 5, 3)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_selective_reverse_pass_matches_both(activation, dims, stacked):
+    # wrt="theta" and wrt="input" compute their field bit for bit as the
+    # full pass does and leave the other None; the closure can be called
+    # again, in any order, with the same results
+    nets, stack = _agents(activation, dims=dims, seed=len(dims))
+    net = stack if stacked else nets[1]
+    rng = np.random.default_rng(len(dims))
+    lead = (3, 16) if stacked else (16,)
+    x, u = rng.standard_normal(lead + (6,)), rng.standard_normal(lead + (3,))
+    u_before = u.copy()
+    _, vjp = net_vjp(net, x)
+    both, theta, inp = vjp(u), vjp(u, wrt="theta"), vjp(u, wrt="input")
+    assert theta.grad_input is None and inp.grad_theta is None
+    assert theta.grad_theta.tobytes() == both.grad_theta.tobytes()
+    assert inp.grad_input.tobytes() == both.grad_input.tobytes()
+    again = vjp(u, wrt="both")
+    assert again.grad_theta.tobytes() == both.grad_theta.tobytes()
+    assert again.grad_input.tobytes() == both.grad_input.tobytes()
+    assert vjp(u, wrt="theta").grad_theta.tobytes() == theta.grad_theta.tobytes()
+    assert vjp(u, wrt="input").grad_input.tobytes() == inp.grad_input.tobytes()
+    assert u.tobytes() == u_before.tobytes()
+    with pytest.raises(ValueError, match="wrt must be one of"):
+        vjp(u, wrt="params")
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_stack_forward_one_observation_per_agent(activation):
     # (N, d): each agent's 1-D single-input result, bit for bit
     nets, stack = _agents(activation, n=4)

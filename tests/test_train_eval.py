@@ -1,11 +1,15 @@
 # Trainer and evaluation harness behavior: artifacts, byte determinism, the
 # disabled-regularizer identity, atomic checkpoints and fail-loud updates.
+import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import ernie_lab
 import ernie_lab.train as train_mod
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from ernie_lab.config import resolve_config
@@ -46,6 +50,21 @@ def test_zero_steps_writes_initial_artifacts(tmp_path):
     assert manifest["step"] == 0 and manifest["algo"] == "ddpg"
 
 
+def test_run_manifest_names_versions_and_config(tmp_path):
+    cfg = resolve_config(_ddpg_doc(train_steps=0))
+    run_dir = Path(train_run(cfg, tmp_path)[0]["out_dir"])
+    doc = json.loads((run_dir / "run.json").read_text())
+    assert doc == {"config_sha256": hashlib.sha256(cfg.to_json().encode()).hexdigest(),
+                   "versions": {"ernie-lab": ernie_lab.__version__,
+                                "numpy": np.__version__,
+                                "python": platform.python_version(),
+                                "scipy": scipy.__version__}}
+    other = resolve_config(_ddpg_doc(train_steps=0, lr=2e-3))
+    doc2 = json.loads((Path(train_run(other, tmp_path / "b")[0]["out_dir"])
+                       / "run.json").read_text())
+    assert doc2["config_sha256"] != doc["config_sha256"]
+
+
 def test_metrics_headers():
     assert QCOMBO_HEADER.startswith("step,seed,episodic_return_mean")
     assert "loss_ind" in QCOMBO_HEADER and "loss_critic" in DDPG_HEADER
@@ -58,6 +77,7 @@ def test_rerun_is_byte_identical(doc_fn, tmp_path):
     a = Path(train_run(cfg, tmp_path / "a")[0]["out_dir"])
     b = Path(train_run(cfg, tmp_path / "b")[0]["out_dir"])
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+    assert (a / "run.json").read_bytes() == (b / "run.json").read_bytes()
     for f in sorted(p.name for p in (a / "ckpt_000250").iterdir()):
         if f == "manifest.json":
             continue
