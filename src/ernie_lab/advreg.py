@@ -1,7 +1,9 @@
 # Observation-space adversarial regularizer: divergence values and gradients,
 # projected gradient ascent on the perturbation, and the leader-follower
 # gradient through the unrolled attack, with exact Hessian-vector products.
-# Each takes one net's rows or an agent stack's (N, B, d) block.
+# Each takes one net's rows or an agent stack's (N, B, d) block. The metric
+# fixes the policy head: kl compares stochastic policies' softmax rows,
+# sq_l2 deterministic policies' raw outputs.
 from __future__ import annotations
 
 import math
@@ -9,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, _act, _act_grad, layer_views, net_forward, net_vjp
+from .net import Net, _act, _act_grad, layer_views, net_vjp
 
 KL_FLOOR = 1e-12
 
 NORMS = ("l2", "linf")
 METRICS = ("kl", "sq_l2")
-INITS = ("zero", "random_ball")
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,6 @@ class AttackConfig:
     eta: float | None = None  # default 2.5*eps/K
     norm: str = "l2"
     metric: str = "sq_l2"
-    init: str = "random_ball"
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -37,8 +36,6 @@ class AttackConfig:
             raise ValueError(f"norm must be one of {NORMS}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be one of {INITS}")
         # epsilon=0 short-circuits the attack, so a zero derived step is fine
         if self.k_steps > 0 and self.epsilon > 0 and self.step_size <= 0:
             raise ValueError("eta must be > 0 when k_steps > 0")
@@ -52,12 +49,6 @@ class AttackConfig:
         return 2.5 * self.epsilon / max(self.k_steps, 1)
 
 
-def default_head(metric: str) -> str:
-    # Stochastic policies emit simplex rows through a softmax head; deterministic
-    # policies are compared on raw outputs.
-    return "softmax" if metric == "kl" else "identity"
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     m = z.max(axis=-1, keepdims=True)
@@ -69,11 +60,6 @@ def _softmax_vjp(y: np.ndarray, u: np.ndarray) -> np.ndarray:
     # y = softmax(z); returns J^T u.
     dot = (u * y).sum(axis=-1, keepdims=True)
     return y * (u - dot)
-
-
-def policy_forward(net: Net, x, head: str) -> np.ndarray:
-    y = net_forward(net, x)
-    return softmax(y) if head == "softmax" else y
 
 
 def _divergence_grads(a: np.ndarray, b: np.ndarray, metric: str):
@@ -96,23 +82,22 @@ def _as_batch(x):
     return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
-def reg_value_and_grads(net: Net, obs, delta, metric: str, head: str | None = None,
-                        need_theta: bool = True):
+def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = True):
     """Per-row regularizer value D(pi(o+delta), pi(o)), gradient w.r.t. delta,
     and (optionally) flat parameter gradient summed over rows; an agent stack
     takes (N, B, d) rows, giving (N, B) values and an (N, P) gradient."""
-    head = default_head(metric) if head is None else head
+    softmax_head = metric == "kl"
     ob, squeezed = _as_batch(obs)
     db, _ = _as_batch(delta)
     if ob.shape != db.shape:
         raise ValueError(f"obs shape {ob.shape} != delta shape {db.shape}")
     ya, vjp_a = net_vjp(net, ob + db)
     yb, vjp_b = net_vjp(net, ob)
-    if head == "softmax":
+    if softmax_head:
         ya, yb = softmax(ya), softmax(yb)
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
-    up_a = _softmax_vjp(ya, d_ya) if head == "softmax" else d_ya
-    up_b = _softmax_vjp(yb, d_yb) if head == "softmax" else d_yb
+    up_a = _softmax_vjp(ya, d_ya) if softmax_head else d_ya
+    up_b = _softmax_vjp(yb, d_yb) if softmax_head else d_yb
     ga = vjp_a(up_a, wrt="both" if need_theta else "input")
     grad_delta = ga.grad_input
     grad_theta = None
@@ -178,35 +163,43 @@ def sample_ball(shape, radius: float, norm: str, rng: np.random.Generator) -> np
 
 
 def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
-    # Radius 0.1*eps: at delta=0 both metrics have a vanishing gradient, so a
-    # zero init would make gradient ascent a no-op.
-    if cfg.init == "zero" or cfg.epsilon == 0.0:
+    """The ascent's starting point for rows of `shape`: a uniform draw from
+    the 0.1*eps ball, projected onto the eps ball; zero at eps = 0, with no
+    draw. At delta = 0 both metrics have a vanishing gradient, so a zero start
+    would make gradient ascent a no-op."""
+    if cfg.epsilon == 0.0:
         return np.zeros(shape)
-    return sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng)
+    return project(sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng), cfg.epsilon, cfg.norm)
 
 
-def pgd_attack(net: Net, obs, cfg: AttackConfig, head: str | None = None,
-               rng: np.random.Generator | None = None) -> np.ndarray:
-    """K steps of gradient ascent on the divergence, projected after every step.
+def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig):
+    """The K projected ascent steps delta <- project(delta + eta * dR/ddelta)
+    from delta, on obs's rows. Returns the iterates delta^0..delta^K and the
+    K points before projection; at eps = 0 there is no step."""
+    deltas, pres = [delta], []
+    if cfg.epsilon == 0.0:
+        return deltas, pres
+    eta = cfg.step_size
+    for _ in range(cfg.k_steps):
+        _, gd, _ = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, need_theta=False)
+        if not np.all(np.isfinite(gd)):
+            raise FloatingPointError("non-finite attack gradient")
+        pres.append(deltas[-1] + eta * gd)
+        deltas.append(project(pres[-1], cfg.epsilon, cfg.norm))
+    return deltas, pres
+
+
+def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
+    """K steps of gradient ascent on the divergence, projected after every
+    step, from a starting point drawn from rng.
 
     obs may be a single observation (d,) or a batch (B, d), or for an agent
     stack one batch per agent (N, B, d); the attack is row-independent, and
     a stack's result is bitwise that of one call per agent in agent order
     with a shared rng. Returns delta with the shape of obs.
     """
-    head = default_head(metric=cfg.metric) if head is None else head
     ob, squeezed = _as_batch(obs)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    db = project(_init_delta(ob.shape, cfg, rng), cfg.epsilon, cfg.norm)
-    if cfg.epsilon == 0.0:
-        return db[0] if squeezed else db
-    eta = cfg.step_size
-    for _ in range(cfg.k_steps):
-        _, gd, _ = reg_value_and_grads(net, ob, db, cfg.metric, head, need_theta=False)
-        if not np.all(np.isfinite(gd)):
-            raise FloatingPointError("non-finite attack gradient")
-        db = project(db + eta * gd, cfg.epsilon, cfg.norm)
+    db = _ascent(net, ob, _init_delta(ob.shape, cfg, rng), cfg)[0][-1]
     return db[0] if squeezed else db
 
 
@@ -219,14 +212,14 @@ def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
-                    metric: str, head: str):
+                    metric: str):
     """Exact derivative of reg_value_and_grads' (grad_delta, grad_theta) along
     (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows, or
     for an agent stack (N, B, d) rows and an (N, P) H_td u.
 
     Forward-over-reverse (Pearlmutter's R-operator): the forward pass of the
     perturbed branch o + delta carries the tangent u through the net, the
-    head and the divergence gradient; the reverse pass carries the tangent of
+    metric's head and the divergence gradient; the reverse pass carries the tangent of
     the backpropagated signal. The clean branch o has no input tangent, so
     its parameter-gradient tangent is one reverse pass with the tangent of
     its upstream.
@@ -246,9 +239,10 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
         acts.append(a)
         act_dots.append(a_dot)
 
+    softmax_head = metric == "kl"
     pb, vjp_b = net_vjp(net, obs)
     pa, pa_dot = a, a_dot
-    if head == "softmax":
+    if softmax_head:
         pa, pb = softmax(pa), softmax(pb)
         pa_dot = pa * (pa_dot - np.sum(pa * pa_dot, axis=-1, keepdims=True))
     _, da, db = _divergence_grads(pa, pb, metric)
@@ -257,7 +251,7 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     else:
         da_dot = np.where(pa > KL_FLOOR, pa_dot / np.maximum(pa, KL_FLOOR), 0.0)
         db_dot = np.where(pb > KL_FLOOR, -pa_dot / np.maximum(pb, KL_FLOOR), 0.0)
-    if head == "softmax":
+    if softmax_head:
         # up = pa * (da - s) with s = <da, pa>, differentiated by the product rule
         s = np.sum(da * pa, axis=-1, keepdims=True)
         s_dot = np.sum(da_dot * pa + da * pa_dot, axis=-1, keepdims=True)
@@ -282,18 +276,18 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     return dz_dot, h_theta
 
 
-def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
-                     rng: np.random.Generator | None = None, return_attack: bool = False):
+def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
+                     return_attack: bool = False):
     """Total derivative of sum_rows R(o, delta^K(theta); theta) w.r.t. the
     parameters, for one observation (d,) or a block of rows (B, d), or for
     an agent stack one block per agent (N, B, d), giving an (N, P) gradient
     that is bitwise one call per agent in agent order with a shared rng.
 
-    The initial points come from rng exactly as pgd_attack draws them, and
-    the forward pass repeats pgd_attack's steps, so from equal rng states
-    delta^K is pgd_attack's output bit for bit. Three passes:
+    The forward pass is pgd_attack's: the same start drawn from rng and the
+    same ascent, so from equal rng states delta^K is pgd_attack's output bit
+    for bit. Three passes:
 
-    - forward: the K projected ascent steps on all rows, recording delta^k
+    - forward: the K projected ascent steps on all rows, keeping delta^k
       and the pre-projection points;
     - start: reg_value_and_grads at delta^K gives u = dR/ddelta^K per row and
       the partial parameter gradient;
@@ -309,25 +303,11 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
     the result is (gradient, delta^K, per-row regularizer values at
     delta^K), shaped like obs.
     """
-    head = default_head(cfg.metric) if head is None else head
     ob, squeezed = _as_batch(obs)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    db = project(_init_delta(ob.shape, cfg, rng), cfg.epsilon, cfg.norm)
-    eta = cfg.step_size
+    deltas, pres = _ascent(net, ob, _init_delta(ob.shape, cfg, rng), cfg)
+    final, eta = deltas[-1], cfg.step_size
 
-    deltas, pres = [db], []
-    if cfg.epsilon > 0.0:
-        for _ in range(cfg.k_steps):
-            _, gd, _ = reg_value_and_grads(net, ob, deltas[-1], cfg.metric, head, need_theta=False)
-            if not np.all(np.isfinite(gd)):
-                raise FloatingPointError("non-finite attack gradient")
-            pre = deltas[-1] + eta * gd
-            pres.append(pre)
-            deltas.append(project(pre, cfg.epsilon, cfg.norm))
-    final = deltas[-1]
-
-    vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric, head)
+    vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric)
     live = np.ones(ob.shape[:-2], dtype=bool)  # per agent; one flag for a net
     for k in range(len(pres) - 1, -1, -1):
         u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
@@ -336,7 +316,7 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
             break
         if not live.all():
             u = np.where(live[..., None, None], u, 0.0)
-        h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric, head)
+        h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric)
         step = theta_acc + eta * h_theta
         theta_acc = step if live.all() else np.where(live[..., None], step, theta_acc)
         u = u + eta * h_delta
@@ -348,13 +328,3 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, head: str | None = None,
         return theta_acc, final[0], float(vals[0])
     return theta_acc, final, vals
 
-
-def regularized_grad(base_grad: np.ndarray, reg_grads, lam: float) -> np.ndarray:
-    """base + lambda * mean of sampled regularizer gradients; lambda=0 is bitwise base."""
-    if lam == 0.0:
-        return base_grad
-    reg_grads = [np.asarray(g, dtype=float) for g in reg_grads]
-    for g in reg_grads:
-        if g.shape != base_grad.shape:
-            raise ValueError("regularizer gradient shape mismatch")
-    return base_grad + lam * np.mean(reg_grads, axis=0)

@@ -35,10 +35,6 @@ class PerturbSpec:
         if self.malicious_mode not in ("random", "adversarial"):
             raise ValueError("malicious_mode must be 'random' or 'adversarial'")
 
-    def is_identity(self) -> bool:
-        return (self.obs_noise_sigma == 0.0 and self.dynamics_scale == 1.0
-                and self.malicious_rate == 0.0)
-
 
 # ---------------------------------------------------------------------------
 # Cooperative navigation: N agents cover N landmarks in a bounded 2-D world.

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .advreg import (AttackConfig, _init_delta, default_head, policy_forward,
-                     project, reg_value_and_grads, stackelberg_grad)
-from .net import (Net, hvp, net_forward, net_grads, net_init, n_params,
-                  params_to_vector, vector_to_net)
+from .advreg import (METRICS, AttackConfig, _ascent, _init_delta, _joint_grad_dir,
+                     reg_value_and_grads, stackelberg_grad)
+from .net import Net, hvp, net_forward, net_grads, net_init, n_params, vector_to_net
 
 GRAD_TOL = 1e-4
+JOINT_HVP_TOL = 1e-6
 KINK_MARGIN = 1e-4
 
 
@@ -63,7 +63,7 @@ def check_net_grads(n_trials: int = 100, seed: int = 0) -> dict:
             continue
         u = rng.standard_normal(net.out_dim)
         bundle = net_grads(net, x, u)
-        theta = params_to_vector(net)
+        theta = net.theta
         h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
 
         def f_theta(t):
@@ -82,8 +82,38 @@ def check_net_grads(n_trials: int = 100, seed: int = 0) -> dict:
             "tolerance": GRAD_TOL, "passed": passed}
 
 
+def _joint_grad_dir_err(rng: np.random.Generator, trials: int = 3) -> float:
+    """Worst relative error of the exact Hessian-vector product that the
+    Stackelberg reverse pass runs, _joint_grad_dir, against hvp's central
+    difference of reg_value_and_grads' joint (delta, theta) gradient along
+    (u, 0), on tanh nets, for each metric."""
+    worst = 0.0
+    rows = 3
+    for metric in METRICS:
+        for _ in range(trials):
+            net = net_init([4, 6, 3], activation="tanh", seed=int(rng.integers(2 ** 31)),
+                           scale=1.5)
+            dim = net.in_dim
+            obs = rng.uniform(-1.0, 1.0, size=(rows, dim))
+            delta = 0.3 * rng.standard_normal((rows, dim))
+            u = rng.standard_normal((rows, dim))
+
+            def joint_grad(z):
+                m = vector_to_net(net, z[rows * dim:])
+                _, gd, gt = reg_value_and_grads(m, obs, z[:rows * dim].reshape(rows, dim),
+                                                metric)
+                return np.concatenate([gd.ravel(), gt])
+
+            fd = hvp(joint_grad, np.concatenate([delta.ravel(), net.theta]),
+                     np.concatenate([u.ravel(), np.zeros(net.theta.size)]))
+            h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric)
+            worst = max(worst, _rel_err(np.concatenate([h_delta.ravel(), h_theta]), fd))
+    return worst
+
+
 def check_hvp(seed: int = 0) -> dict:
-    """Quadratic exactness, linearity in v, symmetry, and a dense FD oracle."""
+    """Quadratic exactness, linearity in v, symmetry, a dense FD oracle, and
+    the exact joint product of the Stackelberg reverse pass against hvp."""
     rng = np.random.default_rng(seed)
     a_diag = np.array([1.0, 2.0])
     grad_quad = lambda t: a_diag * t
@@ -91,7 +121,7 @@ def check_hvp(seed: int = 0) -> dict:
     quad_err = float(np.abs(exact - a_diag).max())
 
     net = net_init([3, 4, 2], activation="tanh", seed=seed)
-    theta = params_to_vector(net)
+    theta = net.theta
     x = rng.uniform(-1.0, 1.0, size=3)
     target = rng.standard_normal(2)
 
@@ -110,43 +140,36 @@ def check_hvp(seed: int = 0) -> dict:
     dense = np.stack([_fd_grad(lambda t, j=j: grad_fn(t)[j], theta, h)
                       for j in range(theta.size)])
     dense_err = _rel_err(hvp(grad_fn, theta, v), dense @ v)
+    joint_err = _joint_grad_dir_err(rng)
 
-    passed = quad_err < 1e-6 and lin_err < 1e-4 and sym_err < 1e-3 and dense_err < 1e-4
+    passed = (quad_err < 1e-6 and lin_err < 1e-4 and sym_err < 1e-3 and dense_err < 1e-4
+              and joint_err < JOINT_HVP_TOL)
     return {"suite": "hvp", "seed": seed, "quadratic_abs_err": quad_err,
             "linearity_rel_err": lin_err, "symmetry_rel_err": sym_err,
-            "dense_oracle_rel_err": dense_err, "passed": passed}
+            "dense_oracle_rel_err": dense_err, "joint_grad_dir_rel_err": joint_err,
+            "passed": passed}
 
 
 def attack_inclusive_value(template: Net, theta: np.ndarray, obs: np.ndarray,
-                           delta0: np.ndarray, cfg: AttackConfig, head: str) -> float:
+                           delta0: np.ndarray, cfg: AttackConfig) -> float:
     """R(obs, delta^K(theta); theta) with the attack unrolled from a FIXED
     initial delta, so the map is a pure function of theta."""
     net = vector_to_net(template, theta)
-    delta = delta0
-    eta = cfg.step_size
-    for _ in range(cfg.k_steps):
-        _, gd, _ = reg_value_and_grads(net, obs, delta, cfg.metric, head, need_theta=False)
-        delta = project(delta + eta * gd, cfg.epsilon, cfg.norm)
-    val, _, _ = reg_value_and_grads(net, obs, delta, cfg.metric, head, need_theta=False)
+    delta = _ascent(net, obs, delta0, cfg)[0][-1]
+    val, _, _ = reg_value_and_grads(net, obs, delta, cfg.metric, need_theta=False)
     return float(np.asarray(val).ravel()[0])
 
 
-def _projection_margins_ok(net: Net, obs, delta0, cfg: AttackConfig, head: str,
+def _projection_margins_ok(net: Net, obs, delta0, cfg: AttackConfig,
                            margin: float = 1e-3) -> bool:
     """Skip samples whose ascent iterates graze the ball boundary; the
     projection is non-differentiable exactly there."""
-    delta = delta0
-    eta = cfg.step_size
-    for _ in range(cfg.k_steps):
-        _, gd, _ = reg_value_and_grads(net, obs, delta, cfg.metric, head, need_theta=False)
-        pre = delta + eta * gd
+    for pre in _ascent(net, obs, delta0, cfg)[1]:
         if cfg.norm == "l2":
             if abs(float(np.linalg.norm(pre)) - cfg.epsilon) < margin:
                 return False
-        else:
-            if np.any(np.abs(np.abs(pre) - cfg.epsilon) < margin):
-                return False
-        delta = project(pre, cfg.epsilon, cfg.norm)
+        elif np.any(np.abs(np.abs(pre) - cfg.epsilon) < margin):
+            return False
     return True
 
 
@@ -163,29 +186,24 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
     while done < n_trials:
         k = 1 + done % 3
         metric = ("sq_l2", "kl")[done % 2]
-        cfg = AttackConfig(epsilon=0.5, k_steps=k, metric=metric,
-                           seed=int(rng.integers(2 ** 31)))
-        head = default_head(metric)
+        cfg = AttackConfig(epsilon=0.5, k_steps=k, metric=metric)
+        attack_seed = int(rng.integers(2 ** 31))
         net = _random_small_net(rng, activation="tanh")
         obs = rng.uniform(-1.0, 1.0, size=net.in_dim)
-        init_rng = np.random.default_rng(cfg.seed)
-        delta0 = project(_init_delta((net.in_dim,), cfg, init_rng), cfg.epsilon, cfg.norm)
-        if not _projection_margins_ok(net, obs, delta0, cfg, head):
+        delta0 = _init_delta((net.in_dim,), cfg, np.random.default_rng(attack_seed))
+        if not _projection_margins_ok(net, obs, delta0, cfg):
             continue
 
-        analytic = stackelberg_grad(net, obs, cfg, head=head,
-                                    rng=np.random.default_rng(cfg.seed))
-        theta = params_to_vector(net)
+        analytic = stackelberg_grad(net, obs, cfg, np.random.default_rng(attack_seed))
+        theta = net.theta
         h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
-        fd = _fd_grad(lambda t: attack_inclusive_value(net, t, obs, delta0, cfg, head),
-                      theta, h)
+        fd = _fd_grad(lambda t: attack_inclusive_value(net, t, obs, delta0, cfg), theta, h)
         worst = max(worst, _rel_err(analytic, fd))
 
         if exact_k0 is None:
-            cfg0 = AttackConfig(epsilon=0.5, k_steps=0, metric=metric, seed=cfg.seed)
-            g0 = stackelberg_grad(net, obs, cfg0, head=head,
-                                  rng=np.random.default_rng(cfg.seed))
-            _, _, gt = reg_value_and_grads(net, obs, delta0, metric, head)
+            cfg0 = AttackConfig(epsilon=0.5, k_steps=0, metric=metric)
+            g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed))
+            _, _, gt = reg_value_and_grads(net, obs, delta0, metric)
             exact_k0 = bool(np.array_equal(g0, gt))
         done += 1
     passed = worst < GRAD_TOL and bool(exact_k0)

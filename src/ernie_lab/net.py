@@ -306,11 +306,6 @@ def n_params(net: Net) -> int:
     return net.theta.size
 
 
-def params_to_vector(net: Net) -> np.ndarray:
-    """The net's read-only parameter vector itself, not a copy."""
-    return net.theta
-
-
 def vector_to_net(template: Net, vec: np.ndarray) -> Net:
     """A net shaped like template with a copy of vec as its parameters."""
     vec = np.array(vec, dtype=float)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .actionreg import greedy_action_attack
-from .advreg import (AttackConfig, pgd_attack, reg_value_and_grads,
-                     regularized_grad, stackelberg_grad)
+from .advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     ddpg_updates, qcombo_losses, select_action_continuous,
                     select_action_discrete, soft_update)
@@ -78,11 +77,10 @@ def build_agents(cfg: ExperimentConfig, env, seed: int) -> Agents:
                   central_target=central)
 
 
-def _attack_config(cfg: ExperimentConfig, seed: int) -> AttackConfig:
+def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
     e = cfg["ernie"]
     return AttackConfig(epsilon=float(e["epsilon"]), k_steps=int(e["k_steps"]),
-                        eta=e["eta"], norm=e["norm"],
-                        metric=e["metric"] or "sq_l2", seed=seed)
+                        eta=e["eta"], norm=e["norm"], metric=e["metric"] or "sq_l2")
 
 
 def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
@@ -287,7 +285,7 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
                 value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
                                                           int(ea["rows"]))
                 # adding a zero gradient could turn a -0.0 into 0.0
-                return value, regularized_grad(grad, [g], ea["lambda"]) if hits else grad
+                return value, grad + ea["lambda"] * g if hits else grad
         return _Learner(
             QCOMBO_HEADER,
             lambda policy, obs, t, rng: select_action_discrete(
@@ -306,7 +304,7 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
                 agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
                 int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]),
                 CLOUD_JITTER, attack_rng)
-            return value, regularized_grad(grad, [g], ecfg["lambda"])
+            return value, grad + ecfg["lambda"] * g
     return _Learner(
         DDPG_HEADER,
         lambda policy, obs, t, rng: select_action_continuous(policy, obs,
@@ -336,7 +334,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     interval = max(1, steps // 10)
 
     ecfg = cfg["ernie"]
-    acfg = _attack_config(cfg, seed)
+    acfg = _attack_config(cfg)
     ernie_on = bool(ecfg["enabled"]) and ecfg["lambda"] != 0.0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))

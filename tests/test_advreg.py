@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ernie_lab.advreg import (KL_FLOOR, AttackConfig, _divergence_grads, _joint_grad_dir,
-                              _project_vjp, default_head, pgd_attack, project,
-                              reg_value_and_grads, regularized_grad, sample_ball,
-                              stackelberg_grad)
-from ernie_lab.net import (Net, hvp, n_params, net_init, params_to_vector, stack_nets,
-                           vector_to_net)
+                              _project_vjp, pgd_attack, project, reg_value_and_grads,
+                              sample_ball, stackelberg_grad)
+from ernie_lab.net import Net, hvp, net_init, stack_nets, vector_to_net
 from ernie_lab.train import _obs_regularizer
 
 
@@ -106,8 +104,8 @@ def test_project_lands_in_ball_and_is_idempotent(seed, rows, dim, log_scale, eps
 
 def test_pgd_constant_policy_keeps_init():
     net = _linear_net(np.zeros((2, 3)))
-    cfg = AttackConfig(epsilon=0.2, k_steps=5, metric="sq_l2", seed=1)
-    delta = pgd_attack(net, np.zeros(3), cfg)
+    cfg = AttackConfig(epsilon=0.2, k_steps=5, metric="sq_l2")
+    delta = pgd_attack(net, np.zeros(3), cfg, np.random.default_rng(1))
     rng = np.random.default_rng(1)
     init = sample_ball(3, 0.1 * cfg.epsilon, "l2", rng)
     assert np.allclose(delta, init)
@@ -115,15 +113,16 @@ def test_pgd_constant_policy_keeps_init():
 
 def test_pgd_epsilon_zero():
     net = net_init([3, 2], seed=0)
-    cfg = AttackConfig(epsilon=0.0, k_steps=4, metric="sq_l2", seed=0)
-    assert np.array_equal(pgd_attack(net, np.ones(3), cfg), np.zeros(3))
+    cfg = AttackConfig(epsilon=0.0, k_steps=4, metric="sq_l2")
+    assert np.array_equal(pgd_attack(net, np.ones(3), cfg, np.random.default_rng(0)),
+                          np.zeros(3))
 
 
 def test_pgd_linear_top_singular_direction():
     # y = diag(2,1) x: the strongest l2 perturbation of norm 0.1 is (+-0.1, 0)
     net = _linear_net(np.diag([2.0, 1.0]))
-    cfg = AttackConfig(epsilon=0.1, k_steps=200, eta=0.01, metric="sq_l2", seed=3)
-    delta = pgd_attack(net, np.array([0.5, -0.5]), cfg)
+    cfg = AttackConfig(epsilon=0.1, k_steps=200, eta=0.01, metric="sq_l2")
+    delta = pgd_attack(net, np.array([0.5, -0.5]), cfg, np.random.default_rng(3))
     assert abs(abs(delta[0]) - 0.1) < 1e-6
     assert abs(delta[1]) < 1e-4
     assert abs(_value(net, np.array([0.5, -0.5]), delta, "sq_l2") - 0.04) < 1e-6
@@ -134,9 +133,9 @@ def test_pgd_projection_invariant():
     for norm in ("l2", "linf"):
         for _ in range(20):
             net = net_init([4, 6, 3], seed=int(rng.integers(2 ** 31)))
-            cfg = AttackConfig(epsilon=0.3, k_steps=3, metric="sq_l2", norm=norm,
-                               seed=int(rng.integers(2 ** 31)))
-            delta = pgd_attack(net, rng.standard_normal(4), cfg)
+            cfg = AttackConfig(epsilon=0.3, k_steps=3, metric="sq_l2", norm=norm)
+            attack_rng = np.random.default_rng(int(rng.integers(2 ** 31)))
+            delta = pgd_attack(net, rng.standard_normal(4), cfg, attack_rng)
             nrm = np.linalg.norm(delta) if norm == "l2" else np.abs(delta).max()
             assert nrm <= cfg.epsilon + 1e-12
 
@@ -191,8 +190,8 @@ def test_attack_config_validation():
 def test_stackelberg_k0_equals_plain_gradient():
     net = net_init([3, 4, 2], activation="tanh", seed=5)
     obs = np.array([0.2, -0.4, 0.9])
-    cfg = AttackConfig(epsilon=0.3, k_steps=0, metric="sq_l2", seed=11)
-    got = stackelberg_grad(net, obs, cfg)
+    cfg = AttackConfig(epsilon=0.3, k_steps=0, metric="sq_l2")
+    got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))
     rng = np.random.default_rng(11)
     from ernie_lab.advreg import _init_delta
     delta0 = project(_init_delta((3,), cfg, rng), cfg.epsilon, "l2")
@@ -202,20 +201,10 @@ def test_stackelberg_k0_equals_plain_gradient():
 
 def test_stackelberg_constant_policy_zero():
     net = _linear_net(np.zeros((2, 3)))
-    cfg = AttackConfig(epsilon=0.2, k_steps=2, metric="sq_l2", seed=0)
-    g = stackelberg_grad(net, np.ones(3), cfg)
+    cfg = AttackConfig(epsilon=0.2, k_steps=2, metric="sq_l2")
+    g = stackelberg_grad(net, np.ones(3), cfg, np.random.default_rng(0))
     # weight gradients vanish except through the (zero) divergence value
     assert np.allclose(g, 0.0)
-
-
-def test_regularized_grad():
-    base = np.array([1.0, -2.0, 0.5])
-    g = np.array([0.5, 0.5, 0.5])
-    assert regularized_grad(base, [g], 0.0) is base
-    assert np.array_equal(regularized_grad(base, [np.zeros(3)], 1.0), base)
-    assert np.array_equal(regularized_grad(base, [g], 2.0), base + 2 * g)
-    with pytest.raises(ValueError):
-        regularized_grad(base, [np.zeros(4)], 1.0)
 
 
 def test_attack_soundness_pgd_beats_gaussian():
@@ -226,9 +215,8 @@ def test_attack_soundness_pgd_beats_gaussian():
     for i in range(trials):
         net = net_init([4, 8, 3], seed=int(rng.integers(2 ** 31)), scale=2.0)
         obs = rng.uniform(-1, 1, size=4)
-        cfg = AttackConfig(epsilon=0.5, k_steps=10, metric="sq_l2",
-                           seed=int(rng.integers(2 ** 31)))
-        delta = pgd_attack(net, obs, cfg)
+        cfg = AttackConfig(epsilon=0.5, k_steps=10, metric="sq_l2")
+        delta = pgd_attack(net, obs, cfg, np.random.default_rng(int(rng.integers(2 ** 31))))
         raw = np.random.default_rng(i).standard_normal(4)
         rand = raw / np.linalg.norm(raw) * np.linalg.norm(delta)
         v_pgd = _value(net, obs, delta, "sq_l2")
@@ -269,24 +257,23 @@ def test_joint_grad_dir_matches_fd_hvp(metric):
     # Exact forward-over-reverse vs the finite-difference HVP of the joint
     # (delta, theta) gradient along (u, 0), on tanh nets with the metric's head.
     rng = np.random.default_rng(17)
-    head = default_head(metric)
     for trial in range(5):
         net = net_init([4, 6, 3], activation="tanh", seed=trial, scale=1.5)
         rows, dim = 3, net.in_dim
         obs = rng.uniform(-1.0, 1.0, size=(rows, dim))
         delta = 0.3 * rng.standard_normal((rows, dim))
         u = rng.standard_normal((rows, dim))
-        theta = params_to_vector(net)
+        theta = net.theta
 
         def joint_grad(z):
             m = vector_to_net(net, z[rows * dim:])
             _, gd, gt = reg_value_and_grads(m, obs, z[:rows * dim].reshape(rows, dim),
-                                            metric, head)
+                                            metric)
             return np.concatenate([gd.ravel(), gt])
 
         fd = hvp(joint_grad, np.concatenate([delta.ravel(), theta]),
                  np.concatenate([u.ravel(), np.zeros_like(theta)]))
-        h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric, head)
+        h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric)
         exact = np.concatenate([h_delta.ravel(), h_theta])
         assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -296,7 +283,7 @@ def test_stackelberg_batched_equals_sum_of_rows(metric, norm):
     rng = np.random.default_rng(5)
     net = net_init([5, 7, 3], activation="tanh", seed=9, scale=2.0)
     obs = rng.uniform(-1.0, 1.0, size=(6, 5))
-    cfg = AttackConfig(epsilon=0.4, k_steps=3, metric=metric, norm=norm, seed=21)
+    cfg = AttackConfig(epsilon=0.4, k_steps=3, metric=metric, norm=norm)
     # one rng shared by the row calls draws the same initial points as the
     # batched call
     batched = stackelberg_grad(net, obs, cfg, rng=np.random.default_rng(8))
@@ -309,7 +296,7 @@ def test_stackelberg_attack_is_pgd_attack():
     rng = np.random.default_rng(2)
     net = net_init([4, 6, 2], seed=4)
     obs = rng.uniform(-1.0, 1.0, size=(5, 4))
-    cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2", seed=1)
+    cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2")
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
     _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1, return_attack=True)
     want = pgd_attack(net, obs, cfg, rng=r2)

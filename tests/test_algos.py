@@ -17,7 +17,6 @@ from ernie_lab.net import (
     Net,
     net_forward,
     net_init,
-    params_to_vector,
     stack_nets,
     vector_to_net,
 )
@@ -32,12 +31,12 @@ def test_soft_update_endpoints_and_midpoint():
     target = net_init([3, 4, 2], seed=0)
     online = net_init([3, 4, 2], seed=1)
     same = soft_update(target, online, tau=0.0)
-    assert np.array_equal(params_to_vector(same), params_to_vector(target))
+    assert np.array_equal(same.theta, target.theta)
     full = soft_update(target, online, tau=1.0)
-    assert np.array_equal(params_to_vector(full), params_to_vector(online))
+    assert np.array_equal(full.theta, online.theta)
     mid = soft_update(target, online, tau=0.25)
-    want = 0.75 * params_to_vector(target) + 0.25 * params_to_vector(online)
-    assert np.allclose(params_to_vector(mid), want, atol=0, rtol=1e-15)
+    want = 0.75 * target.theta + 0.25 * online.theta
+    assert np.allclose(mid.theta, want, atol=0, rtol=1e-15)
 
 
 def test_soft_update_validation():
@@ -50,10 +49,9 @@ def test_soft_update_validation():
 
 def test_apply_grad_is_sgd():
     net = net_init([2, 2], seed=3)
-    g = np.ones(params_to_vector(net).size)
+    g = np.ones(net.theta.size)
     stepped = apply_grad(net, g, lr=0.1)
-    assert np.allclose(params_to_vector(stepped),
-                       params_to_vector(net) - 0.1, atol=1e-15)
+    assert np.allclose(stepped.theta, net.theta - 0.1, atol=1e-15)
 
 
 def test_flat_updates_match_per_layer_formulas():
@@ -62,7 +60,7 @@ def test_flat_updates_match_per_layer_formulas():
     rng = np.random.default_rng(6)
     net = net_init([5, 7, 3], activation="tanh", seed=2)
     other = net_init([5, 7, 3], activation="tanh", seed=3)
-    grad = rng.standard_normal(params_to_vector(net).size)
+    grad = rng.standard_normal(net.theta.size)
     lr, tau = 0.0137, 0.01
     g_layers, k = [], 0
     for w, b in zip(net.weights, net.biases):
@@ -233,7 +231,7 @@ def test_qcombo_grads_match_finite_differences():
         (agents.central, grads["central"],
          lambda v: total_with(agents.policy[0], vector_to_net(agents.central, v))),
     ]:
-        theta = params_to_vector(net)
+        theta = net.theta
         fd = np.empty_like(theta)
         for j in range(theta.size):
             e = np.zeros_like(theta)
@@ -305,7 +303,7 @@ def test_ddpg_grads_match_finite_differences():
     h = 1e-6
 
     # critic gradient against FD of the critic loss
-    theta = params_to_vector(agents.central)
+    theta = agents.central.theta
 
     def critic_loss(v: np.ndarray) -> float:
         trial = Agents(policy=agents.policy,
@@ -324,7 +322,7 @@ def test_ddpg_grads_match_finite_differences():
 
     # actor gradient is descent on -mean Q(mu); FD the objective directly
     for i in range(2):
-        phi = params_to_vector(agents.policy[i])
+        phi = agents.policy[i].theta
 
         def actor_obj(v: np.ndarray, i=i) -> float:
             trial_actors = list(agents.policy)

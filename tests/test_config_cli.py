@@ -204,6 +204,16 @@ def test_cli_certify_writes_report(tmp_path):
         assert report[key]["passed"] is True
 
 
+def test_cli_gradcheck_writes_report(tmp_path):
+    out = tmp_path / "grad"
+    assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "gradcheck_report.json").read_text())
+    assert report["passed"] is True
+    for key in ("net_grads", "hvp", "stackelberg"):
+        assert report[key]["passed"] is True
+    assert report["hvp"]["joint_grad_dir_rel_err"] < 1e-6
+
+
 def test_cli_out_env_var(tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("ERNIE_LAB_OUT", str(out))

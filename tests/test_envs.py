@@ -210,8 +210,6 @@ def test_perturb_spec_validation():
         PerturbSpec(malicious_rate=1.5)
     with pytest.raises(ValueError):
         PerturbSpec(malicious_mode="sneaky")
-    assert PerturbSpec().is_identity()
-    assert not PerturbSpec(obs_noise_sigma=0.1).is_identity()
 
 
 def test_perturb_obs_sigma_zero_is_bitwise_identity():

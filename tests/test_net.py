@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ernie_lab.net import (Net, hvp, load_net, n_params, net_forward, net_grads,
-                           net_init, net_vjp, params_to_vector, save_net,
+                           net_init, net_vjp, save_net,
                            stack_nets, vector_to_net)
 
 
@@ -91,7 +91,7 @@ def test_grads_match_finite_differences():
     net = net_init([3, 6, 2], activation="tanh", seed=9)
     x = np.array([0.4, -0.2, 0.7])
     u = np.array([1.0, -0.5])
-    theta = params_to_vector(net)
+    theta = net.theta
     h = 1e-6 * (1.0 + np.linalg.norm(theta))
     fd = np.empty_like(theta)
     for i in range(theta.size):
@@ -112,7 +112,7 @@ def test_hvp_quadratic():
 
 def test_hvp_linear_in_v():
     net = net_init([2, 3, 1], activation="tanh", seed=2)
-    theta = params_to_vector(net)
+    theta = net.theta
     x = np.array([0.2, -0.8])
 
     def grad_fn(t):
@@ -295,7 +295,7 @@ def test_params_are_one_read_only_vector():
     w0, b0 = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
     w1, b1 = np.array([[8.0, 9.0]]), np.array([10.0])
     net = Net((3, 2, 1), (w0, w1), (b0, b1))
-    theta = params_to_vector(net)
+    theta = net.theta
     assert theta is net.theta and np.array_equal(theta, np.arange(11.0))
     assert not theta.flags.writeable
     for view, want in zip(net.weights + net.biases, (w0, w1, b0, b1)):
