@@ -20,15 +20,6 @@ class ActionAttackResult:
     warnings: list = field(default_factory=list)
 
 
-def _per_agent_counts(n_actions, n_agents) -> list[int]:
-    if np.isscalar(n_actions):
-        return [int(n_actions)] * n_agents
-    counts = [int(c) for c in n_actions]
-    if len(counts) != n_agents:
-        raise ValueError("n_actions length must match number of agents")
-    return counts
-
-
 class _CountingQ:
     def __init__(self, q_fn, state):
         self.q_fn = q_fn
@@ -40,11 +31,13 @@ class _CountingQ:
         return float(self.q_fn(self.state, tuple(joint)))
 
 
-def greedy_action_attack(q_global, state, actions, n_actions, k: int) -> ActionAttackResult:
+def greedy_action_attack(q_global, state, actions, n_actions: int,
+                         k: int) -> ActionAttackResult:
     """K rounds of single-agent flips, each committing the flip that maximizes
     (Q(s,a) - Q(s,a'))^2; reports the best value over all committed prefixes.
-    Ties break deterministically to the lowest (agent, action) index. K > N is
-    clamped to N with a warning record.
+    Every agent has the same n_actions actions. Ties break deterministically
+    to the lowest (agent, action) index. K > N is clamped to N with a warning
+    record.
 
     One joint action (N,) is scored through q_global(state, joint). R rows
     (R, N) with states (R, ...) are attacked independently, each as its own
@@ -57,17 +50,17 @@ def greedy_action_attack(q_global, state, actions, n_actions, k: int) -> ActionA
     batched = joint.ndim == 2
     joint = joint.reshape(-1, joint.shape[-1])
     n_rows, n = joint.shape
-    counts = _per_agent_counts(n_actions, n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     warnings = []
     if k > n:
         warnings.append(f"k={k} clamped to the number of agents {n}")
         k = n
-    for i, c in enumerate(counts):
-        bad = (joint[:, i] < 0) | (joint[:, i] >= c)
+    for i in range(n):
+        bad = (joint[:, i] < 0) | (joint[:, i] >= n_actions)
         if bad.any():
-            raise ValueError(f"agent {i} action {joint[bad, i][0]} out of range [0, {c})")
+            raise ValueError(f"agent {i} action {joint[bad, i][0]} out of range "
+                             f"[0, {n_actions})")
 
     if batched:
         states = np.asarray(state)
@@ -78,8 +71,8 @@ def greedy_action_attack(q_global, state, actions, n_actions, k: int) -> ActionA
 
     # Every (agent, action) pair in scan order; a round's candidates are the
     # pairs of agents not yet flipped, minus each agent's current action.
-    pair_agent = np.repeat(np.arange(n), counts)
-    pair_alt = np.concatenate([np.arange(c) for c in counts])
+    pair_agent = np.repeat(np.arange(n), n_actions)
+    pair_alt = np.tile(np.arange(n_actions), n)
     q_orig = score(np.arange(n_rows), joint)
     evals = n_rows
     current = joint.copy()
@@ -122,22 +115,23 @@ def greedy_action_attack(q_global, state, actions, n_actions, k: int) -> ActionA
                               evals=evals, warnings=warnings)
 
 
-def brute_force_action_attack(q_global, state, actions, n_actions, k: int) -> ActionAttackResult:
-    """Exact maximizer over all joint actions within Hamming distance k."""
+def brute_force_action_attack(q_global, state, actions, n_actions: int,
+                              k: int) -> ActionAttackResult:
+    """Exact maximizer over all joint actions within Hamming distance k, with
+    n_actions actions per agent."""
     actions = tuple(int(a) for a in actions)
     n = len(actions)
-    counts = _per_agent_counts(n_actions, n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    if n > BRUTE_MAX_AGENTS or max(counts) > BRUTE_MAX_ACTIONS:
+    if n > BRUTE_MAX_AGENTS or n_actions > BRUTE_MAX_ACTIONS:
         raise ValueError(
             f"brute force limited to N <= {BRUTE_MAX_AGENTS}, |A| <= {BRUTE_MAX_ACTIONS}")
 
     q = _CountingQ(q_global, state)
     q_orig = q(actions)
     best_value, best_joint = 0.0, actions
-    for cand in product(*(range(c) for c in counts)):
+    for cand in product(range(n_actions), repeat=n):
         dist = sum(1 for a, b in zip(actions, cand) if a != b)
         if dist == 0 or dist > k:
             continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, _act, _act_grad, layer_views, net_vjp
+from .net import Net, _act_grad_from_output, _forward_cached, layer_views, net_vjp
 
 KL_FLOOR = 1e-12
 
@@ -77,22 +77,16 @@ def _divergence_grads(a: np.ndarray, b: np.ndarray, metric: str):
     return vals, da, db
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
-
-
 def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = True):
-    """Per-row regularizer value D(pi(o+delta), pi(o)), gradient w.r.t. delta,
-    and (optionally) flat parameter gradient summed over rows; an agent stack
-    takes (N, B, d) rows, giving (N, B) values and an (N, P) gradient."""
+    """Per-row regularizer value D(pi(o+delta), pi(o)) of (B, d) rows, its
+    gradient w.r.t. delta, and (optionally) the flat parameter gradient
+    summed over rows; an agent stack takes (N, B, d) rows, giving (N, B)
+    values and an (N, P) gradient."""
     softmax_head = metric == "kl"
-    ob, squeezed = _as_batch(obs)
-    db, _ = _as_batch(delta)
-    if ob.shape != db.shape:
-        raise ValueError(f"obs shape {ob.shape} != delta shape {db.shape}")
-    ya, vjp_a = net_vjp(net, ob + db)
-    yb, vjp_b = net_vjp(net, ob)
+    if np.shape(obs) != np.shape(delta):
+        raise ValueError(f"obs shape {np.shape(obs)} != delta shape {np.shape(delta)}")
+    ya, vjp_a = net_vjp(net, obs + delta)
+    yb, vjp_b = net_vjp(net, obs)
     if softmax_head:
         ya, yb = softmax(ya), softmax(yb)
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
@@ -103,8 +97,6 @@ def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = Tr
     grad_theta = None
     if need_theta:
         grad_theta = ga.grad_theta + vjp_b(up_b, wrt="theta").grad_theta
-    if squeezed:
-        return float(vals[0]), grad_delta[0], grad_theta
     return vals, grad_delta, grad_theta
 
 
@@ -114,12 +106,9 @@ def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
         return np.zeros_like(delta)
     if norm == "linf":
         return np.clip(delta, -epsilon, epsilon)
-    single = delta.ndim == 1
-    d = delta[None, :] if single else delta
-    norms = np.linalg.norm(d, axis=-1, keepdims=True)
+    norms = np.linalg.norm(delta, axis=-1, keepdims=True)
     scale = np.where(norms > epsilon, epsilon / np.maximum(norms, 1e-300), 1.0)
-    out = d * scale
-    return out[0] if single else out
+    return delta * scale
 
 
 def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> np.ndarray:
@@ -193,22 +182,20 @@ def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator) -> np
     """K steps of gradient ascent on the divergence, projected after every
     step, from a starting point drawn from rng.
 
-    obs may be a single observation (d,) or a batch (B, d), or for an agent
-    stack one batch per agent (N, B, d); the attack is row-independent, and
-    a stack's result is bitwise that of one call per agent in agent order
-    with a shared rng. Returns delta with the shape of obs.
+    obs is a batch (B, d), or for an agent stack one batch per agent
+    (N, B, d); the attack is row-independent, and a stack's result is
+    bitwise that of one call per agent in agent order with a shared rng.
+    Returns delta with the shape of obs.
     """
-    ob, squeezed = _as_batch(obs)
-    db = _ascent(net, ob, _init_delta(ob.shape, cfg, rng), cfg)[0][-1]
-    return db[0] if squeezed else db
+    return _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg)[0][-1]
 
 
-def _act_second(z: np.ndarray, kind: str) -> np.ndarray:
-    # Second derivative of the hidden activation; relu's is 0 away from the kink.
+def _act_second(a: np.ndarray, kind: str) -> np.ndarray:
+    # Second derivative of the hidden activation from its output a = _act(z):
+    # tanh's is -2a(1 - a^2); relu's is 0 away from the kink.
     if kind == "relu":
-        return np.zeros_like(z)
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
+        return np.zeros_like(a)
+    return -2.0 * a * (1.0 - a * a)
 
 
 def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
@@ -217,31 +204,27 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows, or
     for an agent stack (N, B, d) rows and an (N, P) H_td u.
 
-    Forward-over-reverse (Pearlmutter's R-operator): the forward pass of the
-    perturbed branch o + delta carries the tangent u through the net, the
-    metric's head and the divergence gradient; the reverse pass carries the tangent of
-    the backpropagated signal. The clean branch o has no input tangent, so
-    its parameter-gradient tangent is one reverse pass with the tangent of
-    its upstream.
+    Forward-over-reverse (Pearlmutter's R-operator): the net's forward pass
+    of the perturbed branch o + delta, and beside it the tangent u carried
+    through the net, the metric's head and the divergence gradient; the
+    reverse pass carries the tangent of the backpropagated signal. The clean
+    branch o has no input tangent, so its parameter-gradient tangent is one
+    reverse pass with the tangent of its upstream.
     """
     n_layers = len(net.weights)
-    a, a_dot = obs + delta, u
-    zs, z_dots, acts, act_dots = [], [], [a], [a_dot]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        wt = np.swapaxes(w, -1, -2)
-        z, z_dot = np.matmul(a, wt) + b[..., None, :], np.matmul(a_dot, wt)
-        zs.append(z)
-        z_dots.append(z_dot)
-        if i == n_layers - 1:
-            a, a_dot = z, z_dot
-        else:
-            a, a_dot = _act(z, net.activation), _act_grad(z, net.activation) * z_dot
-        acts.append(a)
-        act_dots.append(a_dot)
+    acts, pa = _forward_cached(net, obs + delta)
+    a_dot = u
+    z_dots, act_dots = [], [u]
+    for i, w in enumerate(net.weights):
+        a_dot = np.matmul(a_dot, np.swapaxes(w, -1, -2))
+        if i < n_layers - 1:
+            z_dots.append(a_dot)
+            a_dot = _act_grad_from_output(acts[i + 1], net.activation) * a_dot
+            act_dots.append(a_dot)
 
     softmax_head = metric == "kl"
     pb, vjp_b = net_vjp(net, obs)
-    pa, pa_dot = a, a_dot
+    pa_dot = a_dot
     if softmax_head:
         pa, pb = softmax(pa), softmax(pb)
         pa_dot = pa * (pa_dot - np.sum(pa * pa_dot, axis=-1, keepdims=True))
@@ -265,8 +248,8 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     dz, dz_dot = up, up_dot
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            g1 = _act_grad(zs[i], net.activation)
-            dz_dot = dz_dot * g1 + dz * _act_second(zs[i], net.activation) * z_dots[i]
+            g1 = _act_grad_from_output(acts[i + 1], net.activation)
+            dz_dot = dz_dot * g1 + dz * _act_second(acts[i + 1], net.activation) * z_dots[i]
             dz = dz * g1
         hws[i][...] = (np.matmul(np.swapaxes(dz_dot, -1, -2), acts[i])
                        + np.matmul(np.swapaxes(dz, -1, -2), act_dots[i]))
@@ -276,12 +259,11 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     return dz_dot, h_theta
 
 
-def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
-                     return_attack: bool = False):
+def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator):
     """Total derivative of sum_rows R(o, delta^K(theta); theta) w.r.t. the
-    parameters, for one observation (d,) or a block of rows (B, d), or for
-    an agent stack one block per agent (N, B, d), giving an (N, P) gradient
-    that is bitwise one call per agent in agent order with a shared rng.
+    parameters, for a block of rows (B, d), or for an agent stack one block
+    per agent (N, B, d), giving an (N, P) gradient that is bitwise one call
+    per agent in agent order with a shared rng.
 
     The forward pass is pgd_attack's: the same start drawn from rng and the
     same ascent, so from equal rng states delta^K is pgd_attack's output bit
@@ -299,16 +281,14 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
       its H_td u is not added, since adding a zero turns -0.0 into +0.0.
 
     Every product is exact, so the only error is floating point. K=0
-    reduces to the plain gradient at the initialization. With return_attack
-    the result is (gradient, delta^K, per-row regularizer values at
-    delta^K), shaped like obs.
+    reduces to the plain gradient at the initialization. Returns (gradient,
+    delta^K, per-row regularizer values at delta^K).
     """
-    ob, squeezed = _as_batch(obs)
-    deltas, pres = _ascent(net, ob, _init_delta(ob.shape, cfg, rng), cfg)
+    deltas, pres = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg)
     final, eta = deltas[-1], cfg.step_size
 
-    vals, u, theta_acc = reg_value_and_grads(net, ob, final, cfg.metric)
-    live = np.ones(ob.shape[:-2], dtype=bool)  # per agent; one flag for a net
+    vals, u, theta_acc = reg_value_and_grads(net, obs, final, cfg.metric)
+    live = np.ones(np.shape(obs)[:-2], dtype=bool)  # per agent; one flag for a net
     for k in range(len(pres) - 1, -1, -1):
         u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
         live = live & np.any(u, axis=(-2, -1))
@@ -316,15 +296,10 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
             break
         if not live.all():
             u = np.where(live[..., None, None], u, 0.0)
-        h_delta, h_theta = _joint_grad_dir(net, ob, deltas[k], u, cfg.metric)
+        h_delta, h_theta = _joint_grad_dir(net, obs, deltas[k], u, cfg.metric)
         step = theta_acc + eta * h_theta
         theta_acc = step if live.all() else np.where(live[..., None], step, theta_acc)
         u = u + eta * h_delta
     if not np.all(np.isfinite(theta_acc)):
         raise FloatingPointError("non-finite leader gradient")
-    if not return_attack:
-        return theta_acc
-    if squeezed:
-        return theta_acc, final[0], float(vals[0])
     return theta_acc, final, vals
-

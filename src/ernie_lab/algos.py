@@ -61,16 +61,16 @@ def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
 
 
 def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
-                             rng: np.random.Generator | None,
-                             low: float = -1.0, high: float = 1.0) -> np.ndarray:
+                             rng: np.random.Generator | None) -> np.ndarray:
     """Joint action (N, action_dim) from the agent stack on obs (N, d), with
-    one (N, action_dim) Gaussian draw as exploration noise, clipped."""
+    one (N, action_dim) Gaussian draw as exploration noise, clipped to
+    [-1, 1]."""
     if noise_scale < 0:
         raise ValueError(f"noise scale must be >= 0, got {noise_scale}")
     a = net_forward(actors, obs)
     if noise_scale > 0.0 and rng is not None:
         a = a + noise_scale * rng.standard_normal(a.shape)
-    return np.clip(a, low, high)
+    return np.clip(a, -1.0, 1.0)
 
 
 def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
@@ -83,17 +83,12 @@ def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
 
 class GlobalQ:
     """Q_glob(state, joint action) of a global Q-net over n_actions actions
-    per agent. Calling it scores one pair; `rows` scores M pairs in one
-    forward pass, each bit for bit the value of the single call."""
+    per agent; `rows` scores M pairs in one forward pass, each row bit for
+    bit its own single-row pass."""
 
     def __init__(self, glob: Net, n_actions: int):
         self.glob = glob
         self.n_actions = n_actions
-
-    def __call__(self, state_vec, joint) -> float:
-        joint = np.asarray(joint, dtype=int)
-        x = np.concatenate([state_vec, _joint_onehot(joint[None, :], self.n_actions)[0]])
-        return float(net_forward(self.glob, x)[0])
 
     def rows(self, states: np.ndarray, joints: np.ndarray) -> np.ndarray:
         """(M,) values for states (M, state_dim) and joint actions (M, N)."""

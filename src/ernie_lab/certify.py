@@ -72,7 +72,7 @@ def certify_theorem2(n_instances: int = 200, seed: int = 0,
             v_pol = policy_eval(mdp, pol).v
             gap_slack = float((star.v - v_pol).max()) - 2.0 * eps / (1.0 - mdp.gamma)
             lip_bound = n_actions * math.log(n_actions) * l_q / eps
-            lip_slack = empirical_lipschitz(pol.probs, mdp.embed, "l1") - lip_bound
+            lip_slack = empirical_lipschitz(pol.probs, mdp.embed) - lip_bound
             if max(gap_slack, lip_slack) > max(worst_gap, worst_lip):
                 worst_seed = inst_seed
                 if max(gap_slack, lip_slack) > SLACK_TOL:
@@ -105,7 +105,7 @@ def certify_theorem3(n_instances: int = 50, seed: int = 0,
         pol = softmax_policy(optimal_values(mdp).q, 0.1, n_actions)
         horizon = math.ceil(math.log(1e-6 * (1.0 - mdp.gamma)) / math.log(mdp.gamma)) + 1
         for eps in epsilons:
-            res = perturbed_value_gap(mdp, pol, eps, horizon, seed=inst_seed)
+            res = perturbed_value_gap(mdp, pol, eps, horizon)
             slack = res.gap - (res.bound + GAP_SLACK)
             results.append({"seed": inst_seed, "epsilon": eps, "gap": res.gap,
                             "bound": res.bound, "l_pi": res.l_pi})

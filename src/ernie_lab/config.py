@@ -163,6 +163,20 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("ernie.k_steps must be >= 0")
     if not 0.0 <= raw["ernie"]["start_frac"] <= 1.0:
         raise ConfigError("ernie.start_frac must be in [0, 1]")
+    if raw["ernie"]["metric"] not in (None, "kl", "sq_l2"):
+        raise ConfigError("ernie.metric must be null, 'kl' or 'sq_l2'")
+    if raw["ernie"]["eta"] is not None and not raw["ernie"]["eta"] > 0:
+        raise ConfigError("ernie.eta must be null or > 0")
+    for key, val in (("ernie.reg_rows", raw["ernie"]["reg_rows"]),
+                     ("ernie_a.rows", raw["ernie_a"]["rows"]),
+                     ("log_interval", raw["log_interval"])):
+        if val < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    for key in ("tau", "explore_final"):
+        if not 0.0 <= raw[key] <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1]")
+    if raw["actor_noise"] < 0:
+        raise ConfigError("actor_noise must be >= 0")
     if raw["ernie_a"]["k"] < 0:
         raise ConfigError("ernie_a.k must be >= 0")
     if raw["meanfield"]["mf_steps"] < 0:

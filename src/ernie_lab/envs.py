@@ -319,17 +319,15 @@ def malicious_injector(env, state, joint_actions, spec: PerturbSpec, rngs, q_glo
     flip minimizing q_global (an algos.GlobalQ) at the episode's global
     state, the first minimum in action order. The alternatives of every
     episode that fired are scored in one q_global.rows call, and the global
-    state is built for those episodes only. Continuous actions pass through
-    in random mode and are an error in adversarial mode.
+    state is built for those episodes only. At a positive rate, continuous
+    actions are a TypeError in either mode.
     """
     if spec.malicious_rate == 0.0:
         return joint_actions
     actions = np.asarray(joint_actions)
-    adversarial = spec.malicious_mode == "adversarial"
     if not np.issubdtype(actions.dtype, np.integer):
-        if adversarial:
-            raise TypeError("adversarial malicious mode requires discrete actions")
-        return joint_actions
+        raise TypeError("malicious injection requires discrete actions")
+    adversarial = spec.malicious_mode == "adversarial"
     if adversarial and q_global is None:
         raise ValueError("adversarial injection needs a global Q function")
     # rng.random() is the draw rng.uniform() returns, from the same stream

@@ -58,23 +58,23 @@ def check_net_grads(n_trials: int = 100, seed: int = 0) -> dict:
     done = 0
     while done < n_trials:
         net = _random_small_net(rng, activation=str(rng.choice(["relu", "tanh"])))
-        x = rng.uniform(-1.0, 1.0, size=net.in_dim)
+        x = rng.uniform(-1.0, 1.0, size=(1, net.in_dim))
         if not _preactivations_clear(net, x):
             continue
-        u = rng.standard_normal(net.out_dim)
+        u = rng.standard_normal((1, net.out_dim))
         bundle = net_grads(net, x, u)
         theta = net.theta
         h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
 
         def f_theta(t):
-            return float(u @ net_forward(vector_to_net(net, t), x))
+            return float(u[0] @ net_forward(vector_to_net(net, t), x[0]))
 
         def f_x(xi):
-            return float(u @ net_forward(net, xi))
+            return float(u[0] @ net_forward(net, xi))
 
         worst_p = max(worst_p, _rel_err(bundle.grad_theta,
                                         _fd_grad(f_theta, theta, h)))
-        worst_x = max(worst_x, _rel_err(bundle.grad_input, _fd_grad(f_x, x.copy(), h)))
+        worst_x = max(worst_x, _rel_err(bundle.grad_input[0], _fd_grad(f_x, x[0].copy(), h)))
         done += 1
     passed = worst_p < GRAD_TOL and worst_x < GRAD_TOL
     return {"suite": "net_grads", "trials": n_trials, "seed": seed,
@@ -122,7 +122,7 @@ def check_hvp(seed: int = 0) -> dict:
 
     net = net_init([3, 4, 2], activation="tanh", seed=seed)
     theta = net.theta
-    x = rng.uniform(-1.0, 1.0, size=3)
+    x = rng.uniform(-1.0, 1.0, size=(1, 3))
     target = rng.standard_normal(2)
 
     def grad_fn(t):
@@ -189,12 +189,12 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
         cfg = AttackConfig(epsilon=0.5, k_steps=k, metric=metric)
         attack_seed = int(rng.integers(2 ** 31))
         net = _random_small_net(rng, activation="tanh")
-        obs = rng.uniform(-1.0, 1.0, size=net.in_dim)
-        delta0 = _init_delta((net.in_dim,), cfg, np.random.default_rng(attack_seed))
+        obs = rng.uniform(-1.0, 1.0, size=(1, net.in_dim))
+        delta0 = _init_delta(obs.shape, cfg, np.random.default_rng(attack_seed))
         if not _projection_margins_ok(net, obs, delta0, cfg):
             continue
 
-        analytic = stackelberg_grad(net, obs, cfg, np.random.default_rng(attack_seed))
+        analytic = stackelberg_grad(net, obs, cfg, np.random.default_rng(attack_seed))[0]
         theta = net.theta
         h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
         fd = _fd_grad(lambda t: attack_inclusive_value(net, t, obs, delta0, cfg), theta, h)
@@ -202,7 +202,7 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
 
         if exact_k0 is None:
             cfg0 = AttackConfig(epsilon=0.5, k_steps=0, metric=metric)
-            g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed))
+            g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed))[0]
             _, _, gt = reg_value_and_grads(net, obs, delta0, metric)
             exact_k0 = bool(np.array_equal(g0, gt))
         done += 1

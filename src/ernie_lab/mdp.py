@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIRECT_SOLVE_MAX = 64
 ROW_SUM_TOL = 1e-12
 
 
@@ -32,14 +31,6 @@ class TabularMdp:
 @dataclass(frozen=True)
 class TabularPolicy:
     probs: np.ndarray  # (S, A)
-
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.probs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -150,24 +141,15 @@ def _check_policy(mdp: TabularMdp, policy: TabularPolicy) -> None:
 
 
 def policy_eval(mdp: TabularMdp, policy: TabularPolicy, tol: float = 1e-10) -> ValuePair:
-    """Exact policy evaluation: direct linear solve for small MDPs, otherwise
-    iterative refinement until the Bellman residual is within tol."""
+    """Exact policy evaluation by a direct linear solve, checked to leave a
+    Bellman residual within tol."""
     _check_policy(mdp, policy)
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     probs = policy.probs
     p_pi = np.einsum("sa,sat->st", probs, mdp.trans)
     r_pi = np.sum(probs * mdp.reward, axis=1)
-    if mdp.n_states <= DIRECT_SOLVE_MAX:
-        v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
-    else:
-        v = np.zeros(mdp.n_states)
-        while True:
-            v_new = r_pi + mdp.gamma * p_pi @ v
-            if np.max(np.abs(v_new - v)) * mdp.gamma / (1 - mdp.gamma) <= tol:
-                v = v_new
-                break
-            v = v_new
+    v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
     residual = np.max(np.abs(v - (r_pi + mdp.gamma * p_pi @ v)))
     if residual > tol:
         raise ArithmeticError(f"Bellman residual {residual} exceeds tol {tol}")
@@ -214,11 +196,9 @@ def softmax_policy(q_table: np.ndarray, epsilon_target: float, n_actions: int) -
     return TabularPolicy(e / e.sum(axis=1, keepdims=True))
 
 
-def empirical_lipschitz(values: np.ndarray, embed: np.ndarray, output_metric: str = "l1") -> float:
-    """Max over state pairs of output distance / embedding distance.
-
-    output_metric 'l1' for per-state vectors (e.g. policy rows), 'abs' for scalars.
-    """
+def empirical_lipschitz(values: np.ndarray, embed: np.ndarray) -> float:
+    """Max over state pairs of the l1 distance of their rows of values (e.g.
+    policy rows) / embedding distance."""
     values = np.asarray(values, dtype=float)
     embed = np.asarray(embed, dtype=float)
     if embed.shape[0] < 2:
@@ -229,12 +209,7 @@ def empirical_lipschitz(values: np.ndarray, embed: np.ndarray, output_metric: st
     mask = d > 1e-12
     if not np.any(mask):
         raise ValueError("all states are co-located; the metric is degenerate")
-    if output_metric == "abs":
-        out = np.abs(values[iu[0]] - values[iu[1]])
-    elif output_metric == "l1":
-        out = np.abs(values[iu[0]] - values[iu[1]]).sum(axis=-1)
-    else:
-        raise ValueError(f"output_metric must be 'l1' or 'abs', got {output_metric!r}")
+    out = np.abs(values[iu[0]] - values[iu[1]]).sum(axis=-1)
     return float(np.max(out[mask] / d[mask]))
 
 
@@ -272,13 +247,15 @@ def interpolate_policy(mdp: TabularMdp, policy: TabularPolicy):
     return pi
 
 
-def delta_grid(epsilon: float, d: int, resolution: int = 9, norm: str = "l2") -> np.ndarray:
-    """Finite perturbation grid inside the epsilon-ball (resolution^d candidates)."""
-    axes = [np.linspace(-epsilon, epsilon, resolution)] * d
+GRID_RESOLUTION = 9
+
+
+def delta_grid(epsilon: float, d: int) -> np.ndarray:
+    """Finite perturbation grid inside the l2 epsilon-ball: the points of the
+    GRID_RESOLUTION^d lattice on [-epsilon, epsilon]^d that lie in the ball."""
+    axes = [np.linspace(-epsilon, epsilon, GRID_RESOLUTION)] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    if norm == "l2":
-        pts = pts[np.linalg.norm(pts, axis=1) <= epsilon + 1e-15]
-    return pts
+    return pts[np.linalg.norm(pts, axis=1) <= epsilon + 1e-15]
 
 
 @dataclass(frozen=True)
@@ -290,8 +267,7 @@ class GapResult:
 
 
 def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
-                        horizon: int, grid_resolution: int = 9, seed: int = 0,
-                        delta_norm: str = "l2") -> GapResult:
+                        horizon: int) -> GapResult:
     """Worst-case value deviation under per-step grid-searched observation shifts.
 
     The adversary perturbs each state's observed embedding by a grid point in
@@ -305,7 +281,7 @@ def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
         raise ValueError(f"horizon {horizon} too small: gamma^T/(1-gamma) >= 1e-6")
     s, a = mdp.n_states, mdp.n_actions
     pi = interpolate_policy(mdp, policy)
-    grid = delta_grid(epsilon, mdp.embed.shape[1], grid_resolution, delta_norm)
+    grid = delta_grid(epsilon, mdp.embed.shape[1])
     g = grid.shape[0]
 
     tilde = np.empty((s, g, a))

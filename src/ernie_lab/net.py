@@ -162,16 +162,10 @@ def _act(z, kind, out=None):
     return np.tanh(z, out=out)
 
 
-def _act_grad(z, kind):
-    if kind == "relu":
-        return (z > 0).astype(float)  # subgradient 0 at the kink
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def _act_grad_from_output(a, kind):
-    # _act_grad(z) from a = _act(z): relu's a > 0 exactly where z > 0, and
-    # tanh's a is the t that _act_grad computes.
+    # The activation's derivative at z from its output a = _act(z): relu's
+    # is 1 where a > 0, exactly where z > 0 (subgradient 0 at the kink), and
+    # tanh's is 1 - a^2.
     if kind == "relu":
         return a > 0
     return 1.0 - a * a
@@ -245,16 +239,7 @@ def net_grads(net: Net, x, upstream) -> GradBundle:
     over the batch and per-row input grads; an agent stack takes (N, B, d)
     and (N, B, out) and gives an (N, P) parameter gradient.
     """
-    x = np.asarray(x, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    single = x.ndim == 1 and not net.stacked
-    if single:
-        x, upstream = x[None, :], upstream[None, :]
-    y, vjp = net_vjp(net, x)
-    bundle = vjp(upstream)
-    if single:
-        bundle.grad_input = bundle.grad_input[0]
-    return bundle
+    return net_vjp(net, x)[1](upstream)
 
 
 def net_vjp(net: Net, x):

@@ -40,15 +40,11 @@ def _fmt(x) -> str:
 
 
 def _explore_rate(t: int, steps: int, final: float) -> float:
-    if steps <= 0:
-        return final
     frac = min(1.0, t / (0.3 * steps))
     return 1.0 + (final - 1.0) * frac
 
 
 def _lr_at(t: int, steps: int, lr: float, decay: float) -> float:
-    if steps <= 0:
-        return lr
     return lr * (1.0 - decay * t / steps)
 
 
@@ -89,8 +85,7 @@ def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
     the (N, P) mean parameter gradient of the policy agent stack on its
     (N, R, d) observation rows, all from one attack drawn from attack_rng."""
     if stackelberg:
-        gt, delta, vals = stackelberg_grad(policy, obs, acfg, rng=attack_rng,
-                                           return_attack=True)
+        gt, delta, vals = stackelberg_grad(policy, obs, acfg, rng=attack_rng)
     else:
         if mode == "gaussian":
             sigma = acfg.epsilon
@@ -101,6 +96,16 @@ def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
         vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric)
     return (np.mean(vals, axis=-1), np.mean(np.linalg.norm(delta, axis=-1), axis=-1),
             gt / obs.shape[-2])
+
+
+def _squared_change(net, x: np.ndarray, q_ref: np.ndarray, vjp_ref, rows: int):
+    """sum((Q(x) - q_ref)^2) / rows over x's rows, and its parameter
+    gradient, given the reference pass's outputs q_ref (M,) and its vjp."""
+    q, vjp = net_vjp(net, x)
+    diff = q[:, 0] - q_ref
+    up = (2.0 * diff / rows)[:, None]
+    return (float(np.sum(diff ** 2) / rows),
+            vjp(up, wrt="theta").grad_theta - vjp_ref(up, wrt="theta").grad_theta)
 
 
 def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
@@ -118,11 +123,7 @@ def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     xa = np.concatenate([states[keep], _joint_onehot(res.perturbed[keep], n_actions)],
                         axis=1)
     qc, vjp_c = net_vjp(glob, xc)
-    qa, vjp_a = net_vjp(glob, xa)
-    diff = qc[:, 0] - qa[:, 0]
-    value = float(np.sum(diff ** 2) / rows)
-    up = (2.0 * diff / rows)[:, None]
-    grad = vjp_c(up, wrt="theta").grad_theta - vjp_a(up, wrt="theta").grad_theta
+    value, grad = _squared_change(glob, xa, qc[:, 0], vjp_c, rows)
     return value, grad, len(keep)
 
 
@@ -160,18 +161,17 @@ def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
         pen = np.where(nrm > 1e-12, dpos / np.maximum(nrm, 1e-12), 0.0)
         pos = pos + eta * (gin - lam_w * pen.reshape(rows, pdim) / n_agents)
     x[:, :pdim] = pos
-    q, vjp = net_vjp(critic, x)
-    diff = q[:, 0] - q0
-    value = float(np.mean(diff ** 2))
-    up = (2.0 * diff / rows)[:, None]
-    grad = vjp(up, wrt="theta").grad_theta - vjp0(up, wrt="theta").grad_theta
+    value, grad = _squared_change(critic, x, q0, vjp0, rows)
     move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
     return value, grad, move
 
 
 def _versions() -> dict:
     # scipy's version module is read without importing scipy, whose import
-    # costs more than a short training run.
+    # costs more than a short training run. importlib.metadata.version would
+    # also avoid it, but importing importlib.metadata adds 1.3-1.8 MB to the
+    # peak RSS (Python 3.11, numpy 2.4: 32.7 -> 34.0 MB at import), most of
+    # the 5 % that the benchmark allows on a run's ~38 MB peak RSS.
     spec = importlib.util.find_spec("scipy")
     path = Path(spec.submodule_search_locations[0]) / "version.py"
     scipy_version = importlib.util.spec_from_file_location("_scipy_version", path)

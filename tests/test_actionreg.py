@@ -134,7 +134,7 @@ def test_brute_size_limits():
 
 
 
-def _greedy_loop(q_global, state, actions, counts, k):
+def _greedy_loop(q_global, state, actions, n_actions, k):
     # Reference scan: one Q call per candidate, flips accumulating round by
     # round, the first strict maximum winning each round.
     actions = tuple(actions)
@@ -147,7 +147,7 @@ def _greedy_loop(q_global, state, actions, counts, k):
         for agent in range(len(actions)):
             if agent in changed:
                 continue
-            for alt in range(counts[agent]):
+            for alt in range(n_actions):
                 if alt == current[agent]:
                     continue
                 cand = list(current)
@@ -169,16 +169,15 @@ def _greedy_loop(q_global, state, actions, counts, k):
 def test_greedy_matches_loop_reference():
     rng = np.random.default_rng(4)
     for _ in range(300):
-        n = int(rng.integers(1, 5))
-        counts = [int(c) for c in rng.integers(1, 4, size=n)]
+        n, a = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         table = {j: rng.standard_normal() if rng.uniform() < 0.7 else 0.5
-                 for j in itertools.product(*(range(c) for c in counts))}
+                 for j in itertools.product(range(a), repeat=n)}
         q = lambda state, joint: table[tuple(joint)]
-        start = tuple(int(rng.integers(c)) for c in counts)
+        start = tuple(int(x) for x in rng.integers(a, size=n))
         k = int(rng.integers(1, n + 2))
-        res = greedy_action_attack(q, None, start, counts, k)
+        res = greedy_action_attack(q, None, start, a, k)
         assert (res.perturbed, res.value, res.changed_agents, res.evals) == \
-            _greedy_loop(q, None, start, counts, k)
+            _greedy_loop(q, None, start, a, k)
 
 
 def _global_q(rng, n, a_count, state_dim, constant):
@@ -205,8 +204,9 @@ def test_row_stacked_greedy_equals_scalar_calls(rows, k, a_count, constant):
     got = greedy_action_attack(q, states, actions, a_count, k)
     assert got.perturbed.shape == (rows, n) and got.value.shape == (rows,)
     evals = 0
+    one_q = lambda state, joint: q.rows(state[None, :], np.array([joint]))[0]
     for r in range(rows):
-        one = greedy_action_attack(q, states[r], tuple(actions[r]), a_count, k)
+        one = greedy_action_attack(one_q, states[r], tuple(actions[r]), a_count, k)
         assert tuple(got.perturbed[r].tolist()) == one.perturbed
         assert got.value[r] == one.value
         assert got.changed_agents[r] == one.changed_agents

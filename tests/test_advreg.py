@@ -23,8 +23,8 @@ def _divergence(a, b, metric):
 
 
 def _value(net, obs, delta, metric):
-    # the regularizer value D(pi(obs + delta), pi(obs)) of one row
-    return reg_value_and_grads(net, obs, delta, metric, need_theta=False)[0]
+    # the regularizer value D(pi(obs + delta), pi(obs)) of one (1, d) row
+    return reg_value_and_grads(net, obs, delta, metric, need_theta=False)[0][0]
 
 
 def test_divergence_zero_at_equality():
@@ -105,27 +105,28 @@ def test_project_lands_in_ball_and_is_idempotent(seed, rows, dim, log_scale, eps
 def test_pgd_constant_policy_keeps_init():
     net = _linear_net(np.zeros((2, 3)))
     cfg = AttackConfig(epsilon=0.2, k_steps=5, metric="sq_l2")
-    delta = pgd_attack(net, np.zeros(3), cfg, np.random.default_rng(1))
+    delta = pgd_attack(net, np.zeros((1, 3)), cfg, np.random.default_rng(1))
     rng = np.random.default_rng(1)
-    init = sample_ball(3, 0.1 * cfg.epsilon, "l2", rng)
+    init = sample_ball((1, 3), 0.1 * cfg.epsilon, "l2", rng)
     assert np.allclose(delta, init)
 
 
 def test_pgd_epsilon_zero():
     net = net_init([3, 2], seed=0)
     cfg = AttackConfig(epsilon=0.0, k_steps=4, metric="sq_l2")
-    assert np.array_equal(pgd_attack(net, np.ones(3), cfg, np.random.default_rng(0)),
-                          np.zeros(3))
+    assert np.array_equal(pgd_attack(net, np.ones((1, 3)), cfg, np.random.default_rng(0)),
+                          np.zeros((1, 3)))
 
 
 def test_pgd_linear_top_singular_direction():
     # y = diag(2,1) x: the strongest l2 perturbation of norm 0.1 is (+-0.1, 0)
     net = _linear_net(np.diag([2.0, 1.0]))
     cfg = AttackConfig(epsilon=0.1, k_steps=200, eta=0.01, metric="sq_l2")
-    delta = pgd_attack(net, np.array([0.5, -0.5]), cfg, np.random.default_rng(3))
-    assert abs(abs(delta[0]) - 0.1) < 1e-6
-    assert abs(delta[1]) < 1e-4
-    assert abs(_value(net, np.array([0.5, -0.5]), delta, "sq_l2") - 0.04) < 1e-6
+    obs = np.array([[0.5, -0.5]])
+    delta = pgd_attack(net, obs, cfg, np.random.default_rng(3))
+    assert abs(abs(delta[0, 0]) - 0.1) < 1e-6
+    assert abs(delta[0, 1]) < 1e-4
+    assert abs(_value(net, obs, delta, "sq_l2") - 0.04) < 1e-6
 
 
 def test_pgd_projection_invariant():
@@ -135,20 +136,20 @@ def test_pgd_projection_invariant():
             net = net_init([4, 6, 3], seed=int(rng.integers(2 ** 31)))
             cfg = AttackConfig(epsilon=0.3, k_steps=3, metric="sq_l2", norm=norm)
             attack_rng = np.random.default_rng(int(rng.integers(2 ** 31)))
-            delta = pgd_attack(net, rng.standard_normal(4), cfg, attack_rng)
+            delta = pgd_attack(net, rng.standard_normal((1, 4)), cfg, attack_rng)
             nrm = np.linalg.norm(delta) if norm == "l2" else np.abs(delta).max()
             assert nrm <= cfg.epsilon + 1e-12
 
 
 def test_regularizer_zero_delta():
     net = net_init([3, 4, 2], seed=0)
-    assert _value(net, np.ones(3), np.zeros(3), "sq_l2") == 0.0
+    assert _value(net, np.ones((1, 3)), np.zeros((1, 3)), "sq_l2") == 0.0
 
 
 def test_regularizer_identity_linear():
     net = _linear_net(np.eye(3))
-    delta = np.array([0.1, 0.0, 0.0])
-    assert abs(_value(net, np.ones(3), delta, "sq_l2") - 0.01) < 1e-15
+    delta = np.array([[0.1, 0.0, 0.0]])
+    assert abs(_value(net, np.ones((1, 3)), delta, "sq_l2") - 0.01) < 1e-15
 
 
 def test_gaussian_delta():
@@ -189,12 +190,12 @@ def test_attack_config_validation():
 
 def test_stackelberg_k0_equals_plain_gradient():
     net = net_init([3, 4, 2], activation="tanh", seed=5)
-    obs = np.array([0.2, -0.4, 0.9])
+    obs = np.array([[0.2, -0.4, 0.9]])
     cfg = AttackConfig(epsilon=0.3, k_steps=0, metric="sq_l2")
-    got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))
+    got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))[0]
     rng = np.random.default_rng(11)
     from ernie_lab.advreg import _init_delta
-    delta0 = project(_init_delta((3,), cfg, rng), cfg.epsilon, "l2")
+    delta0 = project(_init_delta((1, 3), cfg, rng), cfg.epsilon, "l2")
     _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2")
     assert np.array_equal(got, plain)
 
@@ -202,7 +203,7 @@ def test_stackelberg_k0_equals_plain_gradient():
 def test_stackelberg_constant_policy_zero():
     net = _linear_net(np.zeros((2, 3)))
     cfg = AttackConfig(epsilon=0.2, k_steps=2, metric="sq_l2")
-    g = stackelberg_grad(net, np.ones(3), cfg, np.random.default_rng(0))
+    g = stackelberg_grad(net, np.ones((1, 3)), cfg, np.random.default_rng(0))[0]
     # weight gradients vanish except through the (zero) divergence value
     assert np.allclose(g, 0.0)
 
@@ -214,10 +215,10 @@ def test_attack_soundness_pgd_beats_gaussian():
     trials = 500
     for i in range(trials):
         net = net_init([4, 8, 3], seed=int(rng.integers(2 ** 31)), scale=2.0)
-        obs = rng.uniform(-1, 1, size=4)
+        obs = rng.uniform(-1, 1, size=(1, 4))
         cfg = AttackConfig(epsilon=0.5, k_steps=10, metric="sq_l2")
         delta = pgd_attack(net, obs, cfg, np.random.default_rng(int(rng.integers(2 ** 31))))
-        raw = np.random.default_rng(i).standard_normal(4)
+        raw = np.random.default_rng(i).standard_normal((1, 4))
         rand = raw / np.linalg.norm(raw) * np.linalg.norm(delta)
         v_pgd = _value(net, obs, delta, "sq_l2")
         v_rand = _value(net, obs, rand, "sq_l2")
@@ -286,9 +287,9 @@ def test_stackelberg_batched_equals_sum_of_rows(metric, norm):
     cfg = AttackConfig(epsilon=0.4, k_steps=3, metric=metric, norm=norm)
     # one rng shared by the row calls draws the same initial points as the
     # batched call
-    batched = stackelberg_grad(net, obs, cfg, rng=np.random.default_rng(8))
+    batched = stackelberg_grad(net, obs, cfg, rng=np.random.default_rng(8))[0]
     row_rng = np.random.default_rng(8)
-    rows = sum(stackelberg_grad(net, o, cfg, rng=row_rng) for o in obs)
+    rows = sum(stackelberg_grad(net, o[None, :], cfg, rng=row_rng)[0] for o in obs)
     assert np.linalg.norm(batched - rows) <= 1e-10 * np.linalg.norm(rows)
 
 
@@ -298,7 +299,7 @@ def test_stackelberg_attack_is_pgd_attack():
     obs = rng.uniform(-1.0, 1.0, size=(5, 4))
     cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2")
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
-    _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1, return_attack=True)
+    _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1)
     want = pgd_attack(net, obs, cfg, rng=r2)
     assert np.array_equal(delta, want)
     assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2")[0])
@@ -368,9 +369,9 @@ def test_stackelberg_zero_direction_agent():
     for metric in ("sq_l2", "kl"):
         cfg = AttackConfig(epsilon=0.1, k_steps=2, eta=1e4, norm="linf", metric=metric)
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = stackelberg_grad(policy, obs, cfg, rng=got_rng)
+        got = stackelberg_grad(policy, obs, cfg, rng=got_rng)[0]
         for i in range(2):
-            want = stackelberg_grad(policy[i], obs[i], cfg, rng=want_rng)
+            want = stackelberg_grad(policy[i], obs[i], cfg, rng=want_rng)[0]
             assert got[i].tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         # agent 0 gets only the partial gradient at delta^K, agent 1 more

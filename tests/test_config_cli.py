@@ -181,6 +181,23 @@ def test_cli_train_bad_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    {"ernie": {"metric": "l1"}}, {"ernie": {"eta": -1}}, {"ernie": {"eta": 0}},
+    {"ernie": {"reg_rows": 0}}, {"ernie_a": {"rows": 0}}, {"log_interval": 0},
+    {"tau": 2.0}, {"tau": -0.1}, {"explore_final": 1.5},
+    {"algo": "ddpg", "env": "coopnav", "actor_noise": -0.1},
+])
+def test_values_training_rejects_fail_before_training(tmp_path, doc):
+    # Each value used to pass resolve_config and fail (or be ignored) only
+    # once training was under way, after the run directory was written.
+    with pytest.raises(ConfigError):
+        resolve_config(doc)
+    out = tmp_path / "o"
+    assert main(["train", "--config", _write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_cli_evaluate_env_mismatch_exits_2(tmp_path):
     train_cfg = _write_cfg(tmp_path, {
         "algo": "ddpg", "env": "coopnav", "train_steps": 2, "warmup": 1,

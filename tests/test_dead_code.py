@@ -36,3 +36,20 @@ def test_every_function_is_loaded_in_the_package():
                     if isinstance(node, ast.FunctionDef)
                     and node.name not in loaded and node.name not in ORACLES)
     assert not unused, f"functions that no code in the package loads: {unused}"
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function's body never reads is an option that
+    # changes nothing: callers set it in vain.
+    unread = []
+    for module, tree in _trees().items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}:{node.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters that their function never reads: {unread}"

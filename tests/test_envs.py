@@ -294,7 +294,8 @@ def test_malicious_injector_rate_zero_and_continuous():
     with pytest.raises(TypeError):
         malicious_injector(env, state, cont, spec_adv, [rng, rng])
     spec_rand = PerturbSpec(malicious_rate=1.0, malicious_mode="random")
-    assert malicious_injector(env, state, cont, spec_rand, [rng, rng]) is cont
+    with pytest.raises(TypeError):
+        malicious_injector(env, state, cont, spec_rand, [rng, rng])
     assert rng.bit_generator.state == before
 
 
@@ -354,10 +355,6 @@ def _inject_one(joint_action, q_global, spec, rng, n_actions):
     if spec.malicious_rate == 0.0:
         return joint_action
     actions = np.asarray(joint_action)
-    if not np.issubdtype(actions.dtype, np.integer):
-        if spec.malicious_mode == "adversarial":
-            raise TypeError("adversarial malicious mode requires discrete actions")
-        return joint_action
     if rng.uniform() >= spec.malicious_rate:
         return joint_action
     victim = int(rng.integers(actions.shape[0]))
@@ -391,7 +388,8 @@ def _rollout_one(env, act_one, T, spec, seed, q_global):
         if env.discrete and spec.malicious_rate > 0.0:
             q_fn = None
             if spec.malicious_mode == "adversarial":
-                q_fn = lambda joint, s=state: q_global(env.global_state(s), joint)
+                q_fn = lambda joint, s=state: q_global.rows(env.global_state(s)[None, :],
+                                                            np.array([joint]))[0]
             actions = _inject_one(actions, q_fn, spec, rng, env.n_phases)
         state, obs, _, global_reward = env.step(state, actions, spec.dynamics_scale)
         global_return += float(global_reward)
@@ -444,8 +442,7 @@ def test_lockstep_rollout_matches_per_episode_bit_for_bit(env_name, episodes, mo
     seeds = [int(s) for s in np.random.default_rng(episodes).integers(2 ** 31, size=episodes)]
     T = 30
     for spec in _SPECS:
-        if not env.discrete and spec.malicious_rate > 0.0 \
-                and spec.malicious_mode == "adversarial":
+        if not env.discrete and spec.malicious_rate > 0.0:
             with pytest.raises(TypeError):
                 rollout(env, act, T, spec, seeds, q_global)
             continue

@@ -108,18 +108,18 @@ def test_softmax_policy_oracles():
 def test_empirical_lipschitz():
     embed = np.array([[0.0, 0.0], [1.0, 0.0]])
     const = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert empirical_lipschitz(const, embed, "l1") == 0.0
+    assert empirical_lipschitz(const, embed) == 0.0
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert empirical_lipschitz(rows, embed, "l1") == 2.0
+    assert empirical_lipschitz(rows, embed) == 2.0
     with pytest.raises(ValueError):
-        empirical_lipschitz(rows, np.zeros((2, 2)), "l1")
+        empirical_lipschitz(rows, np.zeros((2, 2)))
 
 
 def test_empirical_lipschitz_matches_brute_force():
     rng = np.random.default_rng(4)
     embed = rng.uniform(0, 1, size=(6, 2))
     probs = rng.dirichlet(np.ones(3), size=6)
-    got = empirical_lipschitz(probs, embed, "l1")
+    got = empirical_lipschitz(probs, embed)
     best = 0.0
     for i in range(6):
         for j in range(i + 1, 6):
@@ -152,7 +152,7 @@ def test_interpolate_policy_exact_at_grid():
 
 
 def test_delta_grid_within_ball():
-    grid = delta_grid(0.1, 2, resolution=9, norm="l2")
+    grid = delta_grid(0.1, 2)
     assert np.all(np.linalg.norm(grid, axis=1) <= 0.1 + 1e-12)
     assert grid.shape[0] > 1
 
@@ -170,7 +170,7 @@ def test_perturbed_value_gap_trivial_cases():
 def test_perturbed_value_gap_bound_holds():
     mdp = gen_smooth_mdp(8, 3, 0.5, 0.5, 0.9, seed=8)
     pol = softmax_policy(optimal_values(mdp).q, 0.1, 3)
-    res = perturbed_value_gap(mdp, pol, 0.1, horizon=160, seed=8)
+    res = perturbed_value_gap(mdp, pol, 0.1, horizon=160)
     assert res.gap <= res.bound + 2e-6
     assert res.bound == 2 * res.l_pi * 0.1 / (1 - 0.9) ** 2
 

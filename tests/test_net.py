@@ -73,32 +73,32 @@ def test_grads_single_affine_oracle():
     w = rng.standard_normal((3, 4))
     net = Net(layer_dims=(4, 3), weights=(w,), biases=(np.zeros(3),),
               activation="relu")
-    x = rng.standard_normal(4)
-    u = rng.standard_normal(3)
+    x = rng.standard_normal((1, 4))
+    u = rng.standard_normal((1, 3))
     g = net_grads(net, x, u)
-    assert np.allclose(g.grad_input, w.T @ u)
-    assert np.allclose(g.grad_theta, np.concatenate([np.outer(u, x).ravel(), u]))
+    assert np.allclose(g.grad_input, u @ w)
+    assert np.allclose(g.grad_theta, np.concatenate([np.outer(u, x).ravel(), u[0]]))
 
 
 def test_grads_zero_upstream():
     net = net_init([3, 5, 2], seed=4)
-    g = net_grads(net, np.ones(3), np.zeros(2))
+    g = net_grads(net, np.ones((1, 3)), np.zeros((1, 2)))
     assert not np.any(g.grad_input)
     assert not np.any(g.grad_theta)
 
 
 def test_grads_match_finite_differences():
     net = net_init([3, 6, 2], activation="tanh", seed=9)
-    x = np.array([0.4, -0.2, 0.7])
-    u = np.array([1.0, -0.5])
+    x = np.array([[0.4, -0.2, 0.7]])
+    u = np.array([[1.0, -0.5]])
     theta = net.theta
     h = 1e-6 * (1.0 + np.linalg.norm(theta))
     fd = np.empty_like(theta)
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
-        fp = u @ net_forward(vector_to_net(net, theta + e), x)
-        fm = u @ net_forward(vector_to_net(net, theta - e), x)
+        fp = np.sum(u * net_forward(vector_to_net(net, theta + e), x))
+        fm = np.sum(u * net_forward(vector_to_net(net, theta - e), x))
         fd[i] = (fp - fm) / (2 * h)
     got = net_grads(net, x, u).grad_theta
     assert np.linalg.norm(got - fd) / np.linalg.norm(fd) < 1e-6
@@ -113,7 +113,7 @@ def test_hvp_quadratic():
 def test_hvp_linear_in_v():
     net = net_init([2, 3, 1], activation="tanh", seed=2)
     theta = net.theta
-    x = np.array([0.2, -0.8])
+    x = np.array([[0.2, -0.8]])
 
     def grad_fn(t):
         m = vector_to_net(net, t)

@@ -261,7 +261,7 @@ def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
     for i in range(len(policy)):
         net, rows = policy[i], obs[i]
         if stackelberg:
-            gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng, return_attack=True)
+            gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng)
         else:
             if mode == "gaussian":
                 delta = (np.zeros_like(rows) if acfg.epsilon == 0.0
@@ -317,7 +317,7 @@ def test_global_q_takes_action_count_from_individual_nets():
         onehot = np.zeros(n * a_count)
         onehot[[a_count * i + a for i, a in enumerate(joint)]] = 1.0
         want = float(net_forward(nets["glob"], np.concatenate([state, onehot]))[0])
-        assert q(state, joint) == want
+        assert q.rows(state[None, :], np.array([joint]))[0] == want
 
 
 def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
