@@ -10,8 +10,8 @@ import numpy as np
 from .net import Net, _from_vector, net_forward, net_vjp
 
 
-# Checkpoint names of each learner's policy stack (row i saved as
-# "<name>_i") and of its central net.
+# Checkpoint names of each learner's policy agent stack (saved as one (N, P)
+# block) and of its central net.
 NET_NAMES = {"qcombo": ("ind", "glob"), "ddpg": ("actor", "critic"),
              "mf_ddpg": ("actor", "critic")}
 
@@ -46,14 +46,14 @@ def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
 
 
 def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
-                           rng: np.random.Generator | None, n_actions: int) -> np.ndarray:
+                           rng: np.random.Generator, n_actions: int) -> np.ndarray:
     """Joint action (N,) from the agent stack's greedy actions on obs (N, d);
     agent by agent, each explores with probability explore_rate, drawing
-    first the coin and then the uniform action from rng."""
+    first the coin and then the uniform action from rng; rate 0 draws nothing."""
     if not 0.0 <= explore_rate <= 1.0:
         raise ValueError(f"explore rate must be in [0,1], got {explore_rate}")
     actions = np.argmax(net_forward(qnets, obs), axis=1)
-    if explore_rate > 0.0 and rng is not None:
+    if explore_rate > 0.0:
         for i in range(actions.size):
             if rng.uniform() < explore_rate:
                 actions[i] = rng.integers(n_actions)
@@ -61,14 +61,14 @@ def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
 
 
 def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
-                             rng: np.random.Generator | None) -> np.ndarray:
+                             rng: np.random.Generator) -> np.ndarray:
     """Joint action (N, action_dim) from the agent stack on obs (N, d), with
-    one (N, action_dim) Gaussian draw as exploration noise, clipped to
-    [-1, 1]."""
+    one (N, action_dim) Gaussian draw as exploration noise (none at scale 0),
+    clipped to [-1, 1]."""
     if noise_scale < 0:
         raise ValueError(f"noise scale must be >= 0, got {noise_scale}")
     a = net_forward(actors, obs)
-    if noise_scale > 0.0 and rng is not None:
+    if noise_scale > 0.0:
         a = a + noise_scale * rng.standard_normal(a.shape)
     return np.clip(a, -1.0, 1.0)
 

@@ -38,7 +38,7 @@ DEFAULTS = {
         "k_steps": 2,
         "eta": None,             # None -> 2.5 eps / K
         "lambda": 0.1,
-        "metric": None,          # None -> sq_l2 for q/actor heads
+        "metric": "sq_l2",       # sq_l2 | kl (softmax head)
         "norm": "l2",
         "reg_rows": 64,          # batch rows fed to the attack per update
         "start_frac": 0.0,       # apply the regularizer from this fraction of steps
@@ -142,6 +142,14 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
                           "the cloud attack regularizes")
 
+    for key, val in (("ernie.reg_rows", raw["ernie"]["reg_rows"]),
+                     ("ernie_a.rows", raw["ernie_a"]["rows"]),
+                     ("ernie_a.k", raw["ernie_a"]["k"]),
+                     ("eval.episodes", raw["eval"]["episodes"]),
+                     *((key, raw[key]) for key in ("log_interval", "batch", "hidden",
+                                                   "replay_capacity", "n_agents"))):
+        if val < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if raw["env"] == "gridq":
         side = int(round(raw["n_agents"] ** 0.5))
         if side * side != raw["n_agents"]:
@@ -163,28 +171,19 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("ernie.k_steps must be >= 0")
     if not 0.0 <= raw["ernie"]["start_frac"] <= 1.0:
         raise ConfigError("ernie.start_frac must be in [0, 1]")
-    if raw["ernie"]["metric"] not in (None, "kl", "sq_l2"):
-        raise ConfigError("ernie.metric must be null, 'kl' or 'sq_l2'")
+    if raw["ernie"]["metric"] not in ("kl", "sq_l2"):
+        raise ConfigError("ernie.metric must be 'kl' or 'sq_l2'")
     if raw["ernie"]["eta"] is not None and not raw["ernie"]["eta"] > 0:
         raise ConfigError("ernie.eta must be null or > 0")
-    for key, val in (("ernie.reg_rows", raw["ernie"]["reg_rows"]),
-                     ("ernie_a.rows", raw["ernie_a"]["rows"]),
-                     ("log_interval", raw["log_interval"])):
-        if val < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("tau", "explore_final"):
+    for key in ("tau", "explore_final", "gamma"):
         if not 0.0 <= raw[key] <= 1.0:
             raise ConfigError(f"{key} must be in [0, 1]")
     if raw["actor_noise"] < 0:
         raise ConfigError("actor_noise must be >= 0")
-    if raw["ernie_a"]["k"] < 0:
-        raise ConfigError("ernie_a.k must be >= 0")
     if raw["meanfield"]["mf_steps"] < 0:
         raise ConfigError("meanfield.mf_steps must be >= 0")
     if raw["meanfield"]["lambda_w"] < 0:
         raise ConfigError("meanfield.lambda_w must be >= 0")
-    if raw["eval"]["episodes"] < 1:
-        raise ConfigError("eval.episodes must be >= 1")
     if raw["eval"]["malicious_mode"] not in ("random", "adversarial"):
         raise ConfigError("eval.malicious_mode must be 'random' or 'adversarial'")
     if raw["env"] != "gridq" and any(float(r) > 0.0

@@ -10,6 +10,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import ExperimentConfig
+
 log = logging.getLogger(__name__)
 
 COOPNAV_DT = 0.1
@@ -45,8 +47,6 @@ class CoopNavState:
     pos: np.ndarray        # (N, 2), or (E, N, 2) for E episodes
     vel: np.ndarray        # (N, 2)
     landmarks: np.ndarray  # (N, 2)
-    t: int = 0
-    bound: float = COOPNAV_BOUND
 
 
 def _global_reward(rewards: np.ndarray):
@@ -103,8 +103,8 @@ def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale: 
         log.debug("coopnav action out of [-1,1], clamping")
         a = np.clip(a, -1.0, 1.0)
     vel = 0.5 * state.vel + 0.5 * a * COOPNAV_VMAX * dynamics_scale
-    pos = np.clip(state.pos + vel * COOPNAV_DT, -state.bound, state.bound)
-    new = CoopNavState(pos, vel, state.landmarks, state.t + 1, state.bound)
+    pos = np.clip(state.pos + vel * COOPNAV_DT, -COOPNAV_BOUND, COOPNAV_BOUND)
+    new = CoopNavState(pos, vel, state.landmarks)
 
     dists = np.linalg.norm(pos[..., :, None, :] - state.landmarks[..., None, :, :], axis=-1)
     coverage = -dists.min(axis=-2).sum(axis=-1)
@@ -122,8 +122,6 @@ def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale: 
 class CoopNavEnv:
     """Stateless wrapper bundling the functional API for rollouts."""
 
-    name = "coopnav"
-    discrete = False
     episode_len = 50
 
     def __init__(self, n_agents: int):
@@ -170,7 +168,6 @@ class GridQueueState:
     serve: float
     rows: int
     cols: int
-    t: int = 0
 
 
 def _neighbor(idx: int, direction: int, rows: int, cols: int) -> int:
@@ -246,14 +243,12 @@ def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale: 
     inflow = slots[..., _inflow_table(state.rows, state.cols)].reshape(served.shape)
     queues = (loaded - served) + GRIDQ_FORWARD_FRAC * inflow
     new = GridQueueState(queues, phases, state.arrivals, state.serve,
-                         state.rows, state.cols, state.t + 1)
+                         state.rows, state.cols)
     rewards = -queues.sum(axis=-1)
     return new, _gridq_obs(new), rewards, _global_reward(rewards)
 
 
 class GridQueueEnv:
-    name = "gridq"
-    discrete = True
     episode_len = 100
     n_phases = 2
     n_out = n_phases  # policy output width per agent: one Q-value per phase
@@ -274,6 +269,14 @@ class GridQueueEnv:
         lead = state.queues.shape[:-2] + (-1,)
         return np.concatenate([state.queues.reshape(lead), state.phases.astype(float)],
                               axis=-1)
+
+
+def make_env(cfg: ExperimentConfig):
+    """The environment of a resolved config; gridq's n_agents is a square."""
+    if cfg.env == "gridq":
+        side = int(round(cfg.n_agents ** 0.5))
+        return GridQueueEnv(side, side)
+    return CoopNavEnv(cfg.n_agents)
 
 
 # ---------------------------------------------------------------------------

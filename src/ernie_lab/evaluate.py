@@ -9,30 +9,39 @@ import numpy as np
 
 from .algos import NET_NAMES, GlobalQ
 from .config import ExperimentConfig
-from .envs import PerturbSpec, rollout
-from .net import load_net, net_forward, stack_nets
-from .train import make_env
+from .envs import PerturbSpec, make_env, rollout
+from .net import load_net, net_forward
 
 RESULTS_HEADER = "obs_noise_sigma,dynamics_scale,malicious_rate,malicious_mode,episode,episodic_return"
 
 
 def load_checkpoint(path) -> dict:
+    """The manifest and the two nets of a checkpoint: its algo's policy agent
+    stack, an (N, P) block, and its central net, a (P,) vector."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-    nets = {name: load_net(path / e["file"], e["layer_dims"], e["activation"])
-            for name, e in manifest["nets"].items()}
+    nets = {}
+    for name, stacked in zip(NET_NAMES[manifest["algo"]], (True, False)):
+        if name not in manifest["nets"]:
+            raise ValueError(f"{path}: no {name!r} net in the checkpoint, which has "
+                             f"{sorted(manifest['nets'])}")
+        e = manifest["nets"][name]
+        nets[name] = load_net(path / e["file"], e["layer_dims"], e["activation"])
+        if nets[name].stacked != stacked:
+            raise ValueError(f"{path}: {name!r} is not "
+                             f"{'an (N, P) agent stack' if stacked else 'a (P,) vector'}")
     return {"manifest": manifest, "nets": nets}
 
 
 def build_policy(ckpt: dict):
     """Greedy/deterministic execution policy from a checkpoint, mapping the
     observations (E, N, d) of E episodes to their joint actions, plus the
-    global Q used by the adversarial injector (qcombo only). All agents'
-    nets run as one agent stack on E row stacks: each episode's actions are
-    bit for bit those of its own (N, d) call."""
+    global Q used by the adversarial injector (qcombo only). The policy
+    agent stack runs on E row stacks: each episode's actions are bit for bit
+    those of its own (N, d) call."""
     manifest, nets = ckpt["manifest"], ckpt["nets"]
     policy_name, central_name = NET_NAMES[manifest["algo"]]
-    policy = stack_nets(nets[f"{policy_name}_{i}"] for i in range(manifest["n_agents"]))
+    policy = nets[policy_name]
 
     def out(obs):
         return net_forward(policy, obs[:, :, None, :])[:, :, 0, :]
@@ -78,8 +87,9 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
         raise ValueError(f"checkpoint env {ckpt['manifest']['env']!r} "
                          f"does not match config env {cfg.env!r}")
     env = make_env(cfg)
-    if ckpt["manifest"]["n_agents"] != env.n_agents:
-        raise ValueError(f"checkpoint has {ckpt['manifest']['n_agents']} agents, "
+    n_agents = ckpt["nets"][NET_NAMES[ckpt["manifest"]["algo"]][0]].theta.shape[0]
+    if n_agents != env.n_agents:
+        raise ValueError(f"checkpoint has {n_agents} agents, "
                          f"config env {cfg.env!r} has {env.n_agents}")
     act_fn, q_global = build_policy(ckpt)
     episodes = int(cfg["eval"]["episodes"])

@@ -5,7 +5,8 @@
 # parameters in one flat vector that gradients, SGD, target updates and
 # checkpoints share. N same-shaped nets (one per agent) can be held as one
 # agent stack: an (N, P) block whose rows are the nets' vectors, evaluated
-# and differentiated by the same code with batched np.matmul.
+# and differentiated by the same code with batched np.matmul, and updated and
+# saved as that one block.
 from __future__ import annotations
 
 import functools
@@ -82,11 +83,6 @@ class Net:
     @property
     def stacked(self) -> bool:
         return self.theta.ndim == 2
-
-    def __len__(self) -> int:
-        if not self.stacked:
-            raise TypeError("a single Net has no agents to count")
-        return self.theta.shape[0]
 
     def __getitem__(self, i: int) -> "Net":
         if not self.stacked:
@@ -320,32 +316,33 @@ def hvp(grad_fn, theta, v, h=None) -> np.ndarray:
 
 
 def save_net(net: Net, path) -> None:
-    """Write the parameter vector as one .npy file at exactly `path`. The
-    file holds no layer dims or activation; the caller records them (a
-    checkpoint keeps them in its manifest) and hands them to load_net. An
-    agent stack is saved one row (`stack[i]`) per file."""
-    if net.stacked:
-        raise ValueError("save_net writes one net; save each agent's row")
+    """Write the parameters as one .npy file at exactly `path`: a single net's
+    (P,) vector, or an agent stack's (N, P) block as it is. The file holds no
+    layer dims or activation; the caller records them (a checkpoint keeps
+    them in its manifest) and hands them to load_net."""
     with open(path, "wb") as fh:
         np.save(fh, net.theta, allow_pickle=False)
 
 
 def load_net(path, layer_dims, activation: str) -> Net:
-    """Read a save_net file as a Net with the given layer dims and activation.
+    """Read a save_net file as a Net with the given layer dims and activation:
+    a (P,) vector as a single net, an (N, P) block as an agent stack.
 
-    Rejects pickled data, anything but a 1-D float64 vector, a size that
-    layer_dims does not give, and non-finite parameters.
+    Rejects pickled data, anything but a float64 vector or non-empty block,
+    a last-axis size that layer_dims does not give, and non-finite parameters.
     """
     dims = _dims(layer_dims)
     if activation not in ACTIVATIONS:
         raise ValueError(f"checkpoint activation must be one of {ACTIVATIONS}, got {activation!r}")
     with open(path, "rb") as fh:
         theta = np.load(fh, allow_pickle=False)
-    if not isinstance(theta, np.ndarray) or theta.dtype != np.float64 or theta.ndim != 1:
-        raise ValueError(f"{path}: not a float64 parameter vector")
+    if not isinstance(theta, np.ndarray) or theta.dtype != np.float64 \
+            or theta.ndim not in (1, 2) or 0 in theta.shape:
+        raise ValueError(f"{path}: not a float64 parameter vector or (N, P) block")
     want = _layout(dims)[1]
-    if theta.size != want:
-        raise ValueError(f"{path}: {theta.size} parameters, layer_dims {dims} need {want}")
+    if theta.shape[-1] != want:
+        raise ValueError(f"{path}: {theta.shape[-1]} parameters per net, "
+                         f"layer_dims {dims} need {want}")
     if not np.isfinite(theta).all():
         raise ValueError(f"{path}: non-finite parameters")
     return _from_vector(dims, theta, activation)

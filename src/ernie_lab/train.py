@@ -24,7 +24,7 @@ from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     ddpg_updates, qcombo_losses, select_action_continuous,
                     select_action_discrete, soft_update)
 from .config import ExperimentConfig
-from .envs import CoopNavEnv, GridQueueEnv
+from .envs import make_env
 from .net import (_backward, _forward_cached, n_params, net_init, net_vjp, save_net,
                   stack_nets)
 from .replay import ReplayBuffer, stack_batch
@@ -48,13 +48,6 @@ def _lr_at(t: int, steps: int, lr: float, decay: float) -> float:
     return lr * (1.0 - decay * t / steps)
 
 
-def make_env(cfg: ExperimentConfig):
-    if cfg.env == "gridq":
-        side = int(round(cfg.n_agents ** 0.5))
-        return GridQueueEnv(side, side)
-    return CoopNavEnv(cfg.n_agents)
-
-
 def _net_seeds(seed: int, count: int) -> list[int]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4e45]))
     return [int(s) for s in rng.integers(2 ** 31, size=count)]
@@ -76,7 +69,7 @@ def build_agents(cfg: ExperimentConfig, env, seed: int) -> Agents:
 def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
     e = cfg["ernie"]
     return AttackConfig(epsilon=float(e["epsilon"]), k_steps=int(e["k_steps"]),
-                        eta=e["eta"], norm=e["norm"], metric=e["metric"] or "sq_l2")
+                        eta=e["eta"], norm=e["norm"], metric=e["metric"])
 
 
 def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
@@ -201,10 +194,11 @@ class _MetricsWriter:
 
 
 def _save_checkpoint(out: Path, step: int, nets: dict, meta: dict) -> Path:
-    """Write ckpt_<step>/: one save_net file per net and a manifest with
-    each net's file, layer dims and activation. Everything goes into a hidden
-    sibling directory that is renamed into place only after the manifest is
-    written, so a run killed part-way leaves no ckpt_* to be read as complete."""
+    """Write ckpt_<step>/: one save_net file per net, an agent stack as its
+    (N, P) block, and a manifest with each net's file, layer dims and
+    activation. Everything goes into a hidden sibling directory that is
+    renamed into place only after the manifest is written, so a run killed
+    part-way leaves no ckpt_* to be read as complete."""
     ck = out / f"ckpt_{step:06d}"
     tmp = out / f".{ck.name}.tmp"
     if tmp.exists():
@@ -225,8 +219,8 @@ def _save_checkpoint(out: Path, step: int, nets: dict, meta: dict) -> Path:
 
 def _check_finite(nets: dict, step: int, seed: int) -> None:
     # Run on the SGD-updated nets only: each target is a convex mix of its
-    # previous value and a checked net. Row i of an agent stack `name` is
-    # reported as name_i, its checkpoint name.
+    # previous value and a checked net. A non-finite row i of an agent stack
+    # `name` is reported as name_i, agent i's net.
     for name, net in nets.items():
         finite = np.isfinite(net.theta)
         if not finite.all():
@@ -280,7 +274,7 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
     if cfg.algo == "qcombo":
         ea = cfg["ernie_a"]
         reg = None
-        if ea["enabled"] and ea["lambda"] != 0.0 and ea["k"] > 0:
+        if ea["enabled"] and ea["lambda"] != 0.0:
             def reg(agents, batch, grad, attack_rng):
                 value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
                                                           int(ea["rows"]))
@@ -326,10 +320,8 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
     metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
     _write_run_manifest(out_dir, cfg)
-    meta = {"algo": cfg.algo, "env": cfg.env, "n_agents": env.n_agents,
-            "hidden": cfg["hidden"], "seed": seed}
-    nets = lambda: {**{f"{policy_name}_{i}": agents.policy[i] for i in range(env.n_agents)},
-                    central_name: agents.central}
+    meta = {"algo": cfg.algo, "env": cfg.env, "seed": seed}
+    nets = lambda: {policy_name: agents.policy, central_name: agents.central}
     _save_checkpoint(out_dir, 0, nets(), meta)
     interval = max(1, steps // 10)
 
@@ -376,8 +368,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             policy_lr_t = _lr_at(t, steps, learner.policy_lr, cfg["lr_decay"])
             agents.policy = apply_grad(agents.policy, grads["policy"], policy_lr_t)
             agents.central = apply_grad(agents.central, grads["central"], lr_t)
-            _check_finite({policy_name: agents.policy, central_name: agents.central},
-                          t, seed)
+            _check_finite(nets(), t, seed)
             agents.policy_target = soft_update(agents.policy_target, agents.policy,
                                                cfg["tau"])
             agents.central_target = soft_update(agents.central_target, agents.central,

@@ -83,8 +83,10 @@ def test_select_action_discrete_greedy_and_explore():
     # Q(a) = [x0, 2*x0]: greedy picks 1 for positive input, 0 for negative
     net = stack_nets([_linear_net(np.array([[1.0], [2.0]]), np.zeros(2))] * 2)
     obs = np.array([[1.0], [-1.0]])
-    assert select_action_discrete(net, obs, 0.0, None, 2).tolist() == [1, 0]
     rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert select_action_discrete(net, obs, 0.0, rng, 2).tolist() == [1, 0]
+    assert rng.bit_generator.state == before  # rate 0 draws nothing
     picks = {int(a) for _ in range(100)
              for a in select_action_discrete(net, obs, 1.0, rng, 4)}
     assert picks == {0, 1, 2, 3}
@@ -94,9 +96,11 @@ def test_select_action_discrete_greedy_and_explore():
 
 def test_select_action_continuous_clips_and_noise():
     net = stack_nets([_linear_net(np.array([[5.0]]), np.zeros(1))] * 2)
-    a = select_action_continuous(net, np.array([[1.0], [-0.1]]), 0.0, None)
-    assert a.tolist() == [[1.0], [-0.5]]
     rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    a = select_action_continuous(net, np.array([[1.0], [-0.1]]), 0.0, rng)
+    assert a.tolist() == [[1.0], [-0.5]]
+    assert rng.bit_generator.state == before  # noise 0 draws nothing
     b = select_action_continuous(net, np.array([[0.0], [0.0]]), 0.5, rng)
     assert np.all((-1.0 <= b) & (b <= 1.0))
     with pytest.raises(ValueError):

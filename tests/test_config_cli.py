@@ -186,6 +186,10 @@ def test_cli_train_bad_config_exits_2(tmp_path):
     {"ernie": {"reg_rows": 0}}, {"ernie_a": {"rows": 0}}, {"log_interval": 0},
     {"tau": 2.0}, {"tau": -0.1}, {"explore_final": 1.5},
     {"algo": "ddpg", "env": "coopnav", "actor_noise": -0.1},
+    {"batch": 0}, {"hidden": 0}, {"replay_capacity": 0}, {"n_agents": 0},
+    {"n_agents": -4}, {"algo": "ddpg", "env": "coopnav", "n_agents": 0},
+    {"gamma": 1.5}, {"gamma": -0.1}, {"ernie_a": {"enabled": True, "k": 0}},
+    {"ernie": {"metric": None}},
 ])
 def test_values_training_rejects_fail_before_training(tmp_path, doc):
     # Each value used to pass resolve_config and fail (or be ignored) only

@@ -1,7 +1,12 @@
 # Dead-code guard: every module-level function in the package must be loaded
 # by some code in the package. An import alone does not count, so a function
 # that only tests call fails here and gets deleted rather than kept "for later".
+# Layering guards beside it: importing the CLI leaves scipy unloaded, and
+# evaluate imports nothing from the trainer.
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ernie_lab"
@@ -53,3 +58,34 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{module}:{node.name}({p})" for p in params if p not in read]
     assert not unread, f"parameters that their function never reads: {unread}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # train._versions reads scipy's version without importing scipy, whose
+    # import would dwarf a short run's setup time and peak RSS; the CLI's
+    # import chain must not load it either.
+    code = "import sys, ernie_lab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _imported_modules(tree) -> list:
+    mods = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods += [node.module] if node.module else [a.name for a in node.names]
+    return mods
+
+
+def test_evaluate_does_not_import_the_trainer():
+    # Evaluation reads checkpoints and the envs; the trainer stays out of it.
+    mods = _imported_modules(_trees()["evaluate.py"])
+    assert not [m for m in mods if m in ("train", "ernie_lab.train")], mods
+    for src in ("from .train import make_env", "from . import train",
+                "import ernie_lab.train"):
+        assert set(_imported_modules(ast.parse(src))) & {"train", "ernie_lab.train"}

@@ -385,7 +385,7 @@ def _rollout_one(env, act_one, T, spec, seed, q_global):
         seen = obs if spec.obs_noise_sigma == 0.0 else \
             obs + spec.obs_noise_sigma * rng.standard_normal(obs.shape)
         actions = act_one(seen)
-        if env.discrete and spec.malicious_rate > 0.0:
+        if isinstance(env, GridQueueEnv) and spec.malicious_rate > 0.0:
             q_fn = None
             if spec.malicious_mode == "adversarial":
                 q_fn = lambda joint, s=state: q_global.rows(env.global_state(s)[None, :],
@@ -401,7 +401,7 @@ def _policy(env, seed):
     # evaluate.build_policy and the per-episode act (N, d) it replaced.
     policy = stack_nets([net_init([env.obs_dim, 8, env.n_out], seed=seed + i, scale=3.0)
                          for i in range(env.n_agents)])
-    if env.discrete:
+    if isinstance(env, GridQueueEnv):
         act = lambda obs: np.argmax(
             net_forward(policy, obs[:, :, None, :])[:, :, 0, :], axis=-1)
         act_one = lambda obs: np.argmax(net_forward(policy, obs), axis=1)
@@ -442,7 +442,7 @@ def test_lockstep_rollout_matches_per_episode_bit_for_bit(env_name, episodes, mo
     seeds = [int(s) for s in np.random.default_rng(episodes).integers(2 ** 31, size=episodes)]
     T = 30
     for spec in _SPECS:
-        if not env.discrete and spec.malicious_rate > 0.0:
+        if isinstance(env, CoopNavEnv) and spec.malicious_rate > 0.0:
             with pytest.raises(TypeError):
                 rollout(env, act, T, spec, seeds, q_global)
             continue

@@ -273,7 +273,7 @@ def test_row_stack_forward_matches_single_inputs(activation):
 
 def test_stack_rows_are_read_only_views():
     nets, stack = _agents("tanh")
-    assert stack.stacked and not nets[0].stacked and len(stack) == 3
+    assert stack.stacked and not nets[0].stacked and stack.theta.shape[0] == 3
     assert not stack.theta.flags.writeable
     for i, row in enumerate(stack):
         assert np.shares_memory(row.theta, stack.theta)
@@ -287,8 +287,6 @@ def test_stack_rows_are_read_only_views():
         stack_nets([nets[0], net_init([6, 8, 3], activation="relu")])
     with pytest.raises(TypeError):
         nets[0][0]
-    with pytest.raises(ValueError):
-        save_net(stack, "unused.npy")
 
 
 def test_params_are_one_read_only_vector():

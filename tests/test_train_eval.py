@@ -3,6 +3,7 @@
 import hashlib
 import json
 import platform
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,15 @@ import scipy
 
 import ernie_lab
 import ernie_lab.train as train_mod
+from ernie_lab.cli import EXIT_CONFIG, main as cli_main
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from ernie_lab.config import resolve_config
 import ernie_lab.evaluate as evaluate_mod
-from ernie_lab.envs import PerturbSpec, rollout
+from ernie_lab.envs import PerturbSpec, make_env, rollout
 from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_spec,
                                 load_checkpoint, sweep_specs)
 from ernie_lab.net import net_forward, net_init, stack_nets
-from ernie_lab.train import (DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, make_env,
-                             train_run)
+from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
 
 
 def _ddpg_doc(**over):
@@ -164,6 +165,73 @@ def test_checkpoint_round_trip(tmp_path):
     assert len(ckpt["nets"]) >= 2
 
 
+@pytest.mark.parametrize("doc_fn,names", [(_ddpg_doc, ("actor", "critic")),
+                                           (_qcombo_doc, ("ind", "glob"))],
+                         ids=["ddpg", "qcombo"])
+def test_checkpoint_holds_the_trained_stacks(doc_fn, names, tmp_path, monkeypatch):
+    # Each checkpoint writes the policy agent stack as one (N, P) block and
+    # the central net as one vector, bit for bit the nets training holds.
+    real, updated = train_mod.apply_grad, {}
+
+    def recorded(net, grad, lr):
+        updated[net.stacked] = real(net, grad, lr)
+        return updated[net.stacked]
+
+    monkeypatch.setattr(train_mod, "apply_grad", recorded)
+    cfg = resolve_config(doc_fn(train_steps=4, warmup=2, batch=2))
+    run_dir = Path(train_run(cfg, tmp_path)[0]["out_dir"])
+    ckpts = sorted(run_dir.glob("ckpt_*"))
+    assert [p.name for p in ckpts] == [f"ckpt_{t:06d}" for t in range(5)]
+    for ck in ckpts:
+        assert sorted(p.name for p in ck.iterdir()) == sorted(
+            ["manifest.json", f"{names[0]}.npy", f"{names[1]}.npy"])
+    manifest = json.loads((ckpts[-1] / "manifest.json").read_text())
+    assert sorted(manifest) == ["algo", "env", "nets", "seed", "step"]
+    env = make_env(cfg)
+    for name, net in zip(names, (updated[True], updated[False])):
+        saved = np.load(ckpts[-1] / f"{name}.npy", allow_pickle=False)
+        assert saved.shape == net.theta.shape and saved.tobytes() == net.theta.tobytes()
+    assert updated[True].theta.shape[0] == env.n_agents
+    loaded = load_checkpoint(ckpts[-1])["nets"]
+    assert loaded[names[0]].stacked and not loaded[names[1]].stacked
+    assert loaded[names[0]].theta.tobytes() == updated[True].theta.tobytes()
+
+
+def test_checkpoint_row_count_and_old_layout_rejected(tmp_path, capsys):
+    cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_doc))
+    ck = Path(train_run(resolve_config(cfg_doc), tmp_path / "run")[0]["final_checkpoint"])
+    # a policy block whose row count is not the env's agent count
+    short = tmp_path / "short"
+    shutil.copytree(ck, short)
+    np.save(short / "actor.npy", np.load(ck / "actor.npy")[:2])
+    with pytest.raises(ValueError, match="checkpoint has 2 agents, config env 'coopnav' has 3"):
+        evaluate_checkpoint(resolve_config(cfg_doc), short, tmp_path / "e")
+    # the per-agent layout: one actor_<i>.npy per row, n_agents in the manifest
+    old = tmp_path / "old"
+    old.mkdir()
+    manifest = json.loads((ck / "manifest.json").read_text())
+    entry = manifest["nets"].pop("actor")
+    for i, row in enumerate(np.load(ck / "actor.npy")):
+        np.save(old / f"actor_{i}.npy", row)
+        manifest["nets"][f"actor_{i}"] = dict(entry, file=f"actor_{i}.npy")
+    shutil.copy(ck / "critic.npy", old / "critic.npy")
+    (old / "manifest.json").write_text(json.dumps(dict(manifest, n_agents=3, hidden=8)))
+    with pytest.raises(ValueError, match="no 'actor' net"):
+        load_checkpoint(old)
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(old),
+                     "--out", str(tmp_path / "e")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no 'actor' net" in err and "Traceback" not in err
+    # a central net saved as a block is not a checkpoint either
+    np.save(short / "actor.npy", np.load(ck / "actor.npy"))
+    np.save(short / "critic.npy", np.load(ck / "critic.npy")[None, :])
+    with pytest.raises(ValueError, match="'critic' is not a"):
+        load_checkpoint(short)
+
+
 def test_evaluate_env_mismatch_raises(tmp_path):
     cfg = resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2))
     res = train_run(cfg, tmp_path)
@@ -258,7 +326,7 @@ def test_stackelberg_logs_the_attack_it_differentiates():
 def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
     # The per-agent loop that _obs_regularizer's one stacked call replaces.
     values, norms, grads = [], [], []
-    for i in range(len(policy)):
+    for i in range(policy.theta.shape[0]):
         net, rows = policy[i], obs[i]
         if stackelberg:
             gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng)
@@ -309,9 +377,9 @@ def test_obs_regularizer_stack_matches_per_agent_loop(case, activation, n_agents
 def test_global_q_takes_action_count_from_individual_nets():
     # 2 agents with 3 actions each: the joint one-hot is 6 wide
     state_dim, n, a_count = 4, 2, 3
-    nets = {f"ind_{i}": net_init([3, 5, a_count], seed=i) for i in range(n)}
-    nets["glob"] = net_init([state_dim + n * a_count, 5, 1], seed=9)
-    _, q = build_policy({"manifest": {"algo": "qcombo", "n_agents": n}, "nets": nets})
+    nets = {"ind": stack_nets([net_init([3, 5, a_count], seed=i) for i in range(n)]),
+            "glob": net_init([state_dim + n * a_count, 5, 1], seed=9)}
+    _, q = build_policy({"manifest": {"algo": "qcombo"}, "nets": nets})
     state = np.random.default_rng(0).uniform(-1, 1, size=state_dim)
     for joint in [(0, 0), (2, 1), (1, 2)]:
         onehot = np.zeros(n * a_count)
