@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,6 +74,19 @@ _CONTINUOUS_ALGOS = {"ddpg", "mf_ddpg"}
 # Top-level leaves that only one kind of learner reads.
 _LEARNER_ONLY = {"actor_lr": _CONTINUOUS_ALGOS, "actor_noise": _CONTINUOUS_ALGOS,
                  "lambda_q": _DISCRETE_ALGOS, "explore_final": _DISCRETE_ALGOS}
+# Leaves that hold a count (an int), and leaves that hold a real number (an
+# int or a float; null too for the two whose null means a derived value).
+_COUNT_KEYS = ("batch", "hidden", "replay_capacity", "n_agents", "train_steps", "warmup",
+               "log_interval", "ernie.k_steps", "ernie.reg_rows", "ernie_a.k", "ernie_a.rows",
+               "meanfield.mf_steps", "eval.episodes")
+_REAL_KEYS = ("gamma", "tau", "lambda_q", "lr", "actor_lr", "lr_decay", "explore_final",
+              "actor_noise", "ernie.epsilon", "ernie.eta", "ernie.lambda", "ernie.start_frac",
+              "ernie_a.lambda", "meanfield.lambda_w", "meanfield.mf_eta")
+_NULLABLE = {"actor_lr", "ernie.eta"}
+# Each sweep list of the eval section and the range of its values.
+_EVAL_LISTS = {"obs_noise_sigmas": (">= 0", lambda v: v >= 0),
+               "dynamics_scales": ("> 0", lambda v: v > 0),
+               "malicious_rates": ("in [0, 1]", lambda v: 0 <= v <= 1)}
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -117,6 +131,36 @@ class ExperimentConfig:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
 
 
+def _leaf(raw: dict, dotted: str):
+    return functools.reduce(dict.__getitem__, dotted.split("."), raw)
+
+
+def _is_count(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_types(raw: dict) -> None:
+    for key in _COUNT_KEYS:
+        val = _leaf(raw, key)
+        if not _is_count(val):
+            raise ConfigError(f"{key} must be an integer, got {val!r}")
+    if not isinstance(raw["seeds"], list) or not all(map(_is_count, raw["seeds"])):
+        raise ConfigError(f"seeds must be a list of integers, got {raw['seeds']!r}")
+    for key in _REAL_KEYS:
+        val = _leaf(raw, key)
+        if not (_is_real(val) or (val is None and key in _NULLABLE)):
+            raise ConfigError(f"{key} must be a number, got {val!r}")
+    for key, (rule, ok) in _EVAL_LISTS.items():
+        vals = raw["eval"][key]
+        if not isinstance(vals, list) or not all(_is_real(v) and ok(v) for v in vals):
+            raise ConfigError(f"eval.{key} must be a list of numbers, each {rule}; "
+                              f"got {vals!r}")
+
+
 def resolve_config(user: dict) -> ExperimentConfig:
     raw = _merge(DEFAULTS, user)
     if raw["algo"] not in _DISCRETE_ALGOS | _CONTINUOUS_ALGOS:
@@ -125,6 +169,7 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown env: {raw['env']}")
     if raw["n_agents"] is None:
         raw["n_agents"] = _ENV_DEFAULT_AGENTS[raw["env"]]
+    _check_types(raw)
 
     # compatibility: qcombo and ernie_a are discrete-only, ddpg continuous-only
     if raw["algo"] in _DISCRETE_ALGOS and raw["env"] != "gridq":
@@ -142,13 +187,9 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
                           "the cloud attack regularizes")
 
-    for key, val in (("ernie.reg_rows", raw["ernie"]["reg_rows"]),
-                     ("ernie_a.rows", raw["ernie_a"]["rows"]),
-                     ("ernie_a.k", raw["ernie_a"]["k"]),
-                     ("eval.episodes", raw["eval"]["episodes"]),
-                     *((key, raw[key]) for key in ("log_interval", "batch", "hidden",
-                                                   "replay_capacity", "n_agents"))):
-        if val < 1:
+    for key in ("ernie.reg_rows", "ernie_a.rows", "ernie_a.k", "eval.episodes",
+                "log_interval", "batch", "hidden", "replay_capacity", "n_agents"):
+        if _leaf(raw, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     if raw["env"] == "gridq":
         side = int(round(raw["n_agents"] ** 0.5))
@@ -186,8 +227,7 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("meanfield.lambda_w must be >= 0")
     if raw["eval"]["malicious_mode"] not in ("random", "adversarial"):
         raise ConfigError("eval.malicious_mode must be 'random' or 'adversarial'")
-    if raw["env"] != "gridq" and any(float(r) > 0.0
-                                     for r in raw["eval"]["malicious_rates"]):
+    if raw["env"] != "gridq" and any(r > 0 for r in raw["eval"]["malicious_rates"]):
         raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
                           "replaces discrete actions only, so continuous actions "
                           "would never be replaced")

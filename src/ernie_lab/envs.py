@@ -93,11 +93,12 @@ def coopnav_reset(n_agents: int, seed: int):
     return state, _coopnav_obs(state)
 
 
-def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale: float = 1.0):
+def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale=1.0):
     """vel <- 0.5 vel + 0.5 a vmax scale; pos clamped; shared coverage reward.
 
     Returns (state, obs, per-agent rewards (N,), global reward); E episodes
-    of (E, N, 2) states give (E, N) rewards and (E,) global rewards."""
+    of (E, N, 2) states give (E, N) rewards and (E,) global rewards, and
+    take a float scale or an (E, 1, 1) array of per-episode scales."""
     a = np.asarray(joint_action, dtype=float).reshape(state.pos.shape)
     if np.any(np.abs(a) > 1.0):
         log.debug("coopnav action out of [-1,1], clamping")
@@ -133,7 +134,7 @@ class CoopNavEnv:
     def reset(self, seed: int):
         return coopnav_reset(self.n_agents, seed)
 
-    def step(self, state, joint_action, dynamics_scale: float = 1.0):
+    def step(self, state, joint_action, dynamics_scale=1.0):
         return coopnav_step(state, joint_action, dynamics_scale)
 
     def global_state(self, state: CoopNavState) -> np.ndarray:
@@ -226,10 +227,11 @@ def gridq_reset(rows: int, cols: int, seed: int):
     return state, _gridq_obs(state)
 
 
-def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale: float = 1.0):
+def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale=1.0):
     """Serve, forward and arrive one step. Returns (state, obs, per-agent
     rewards (N,), global reward); E episodes of (E, N, 4) queues take
-    (E, N) phases and give (E, N) rewards and (E,) global rewards."""
+    (E, N) phases and a float scale or an (E, 1, 1) array of per-episode
+    scales, and give (E, N) rewards and (E,) global rewards."""
     phases = np.asarray(joint_phases, dtype=int)
     if phases.shape != state.queues.shape[:-1] or phases.min() < 0 or phases.max() > 1:
         raise ValueError(f"joint phases must be {state.queues.shape[:-1]} values in {{0, 1}}, "
@@ -262,7 +264,7 @@ class GridQueueEnv:
     def reset(self, seed: int):
         return gridq_reset(self.rows, self.cols, seed)
 
-    def step(self, state, joint_action, dynamics_scale: float = 1.0):
+    def step(self, state, joint_action, dynamics_scale=1.0):
         return gridq_step(state, joint_action, dynamics_scale)
 
     def global_state(self, state: GridQueueState) -> np.ndarray:
@@ -280,7 +282,7 @@ def make_env(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# Perturbation harness: E episodes of one PerturbSpec in lock step
+# Perturbation harness: E episodes in lock step, each under its own PerturbSpec
 # ---------------------------------------------------------------------------
 
 def _stack_states(states):
@@ -303,46 +305,52 @@ def episode_rng(seed: int) -> np.random.Generator:
 
 
 def _perturb_obs(obs, sigma, rngs):
-    """obs (E, ...) + sigma * standard normal, row e drawn from rngs[e];
-    bitwise identity at sigma = 0."""
-    if sigma == 0.0:
+    """obs (E, ...) with sigma[e] * standard normal added to each row e whose
+    sigma[e] > 0, drawn from rngs[e]. The other rows keep their bits and draw
+    nothing; obs itself comes back when no episode is noisy."""
+    noisy = np.flatnonzero(sigma)
+    if not noisy.size:
         return obs
-    noise = np.empty(obs.shape)
-    for row, rng in zip(noise, rngs):
-        rng.standard_normal(out=row)
-    return obs + sigma * noise
+    noise = np.empty((noisy.size,) + obs.shape[1:])
+    for row, e in zip(noise, noisy):
+        rngs[e].standard_normal(out=row)
+    out = obs.copy()
+    out[noisy] = obs[noisy] + sigma[noisy].reshape((-1,) + (1,) * (obs.ndim - 1)) * noise
+    return out
 
 
-def malicious_injector(env, state, joint_actions, spec: PerturbSpec, rngs, q_global=None):
-    """In each episode e of joint_actions (E, N), with probability rate
+def malicious_injector(env, state, joint_actions, rate, adversarial, rngs, q_global=None):
+    """In each episode e of joint_actions (E, N), with probability rate[e]
     (a coin from rngs[e]), replace the discrete action of one uniformly
-    chosen agent.
+    chosen agent; episodes at rate 0 draw nothing.
 
-    random mode: uniform replacement; adversarial mode: the single-agent
-    flip minimizing q_global (an algos.GlobalQ) at the episode's global
-    state, the first minimum in action order. The alternatives of every
+    adversarial[e] False: uniform replacement; True: the single-agent flip
+    minimizing q_global (an algos.GlobalQ) at the episode's global state, the
+    first minimum in action order. The alternatives of every adversarial
     episode that fired are scored in one q_global.rows call, and the global
     state is built for those episodes only. At a positive rate, continuous
     actions are a TypeError in either mode.
     """
-    if spec.malicious_rate == 0.0:
+    live = np.flatnonzero(rate)
+    if not live.size:
         return joint_actions
     actions = np.asarray(joint_actions)
     if not np.issubdtype(actions.dtype, np.integer):
         raise TypeError("malicious injection requires discrete actions")
-    adversarial = spec.malicious_mode == "adversarial"
-    if adversarial and q_global is None:
+    if q_global is None and adversarial[live].any():
         raise ValueError("adversarial injection needs a global Q function")
     # rng.random() is the draw rng.uniform() returns, from the same stream
-    fired = np.array([e for e, rng in enumerate(rngs) if rng.random() < spec.malicious_rate],
-                     dtype=int)
+    fired = np.array([e for e in live if rngs[e].random() < rate[e]], dtype=int)
     if not fired.size:
         return joint_actions
     n_agents, n_actions = actions.shape[-1], env.n_phases
     victims = np.array([rngs[e].integers(n_agents) for e in fired])
     out = actions.copy()
-    if not adversarial:
-        out[fired, victims] = [rngs[e].integers(n_actions) for e in fired]
+    uniform = ~adversarial[fired]
+    out[fired[uniform], victims[uniform]] = [rngs[e].integers(n_actions)
+                                             for e in fired[uniform]]
+    fired, victims = fired[~uniform], victims[~uniform]
+    if not fired.size:
         return out
     # Row f: the victim's alternatives in ascending order, skipping its action.
     alts = np.arange(n_actions - 1)[None, :]
@@ -355,26 +363,37 @@ def malicious_injector(env, state, joint_actions, spec: PerturbSpec, rngs, q_glo
     return out
 
 
-def rollout(env, act_fn, T: int, spec: PerturbSpec, seeds, q_global=None) -> np.ndarray:
-    """len(seeds) episodes of T steps in lock step: perturb observations
-    before acting, inject malicious actions after. act_fn maps observations
-    (E, N, d) to joint actions (E, N, ...). Episode e starts from
-    env.reset(seeds[e]) and draws from its own stream, episode_rng(seeds[e]),
-    in the order a lone episode would: observation noise, then the malicious
-    coin, victim and replacement. Returns the (E,) global returns."""
+def rollout(env, act_fn, T: int, specs, seeds, q_global=None) -> np.ndarray:
+    """len(seeds) episodes of T steps in lock step, episode e under specs[e]:
+    perturb observations before acting, inject malicious actions after.
+    act_fn maps observations (E, N, d) to joint actions (E, N, ...). Episode
+    e starts from env.reset(seeds[e]) and draws from its own stream,
+    episode_rng(seeds[e]), in the order a lone episode would: observation
+    noise, then the malicious coin, victim and replacement. Each step is one
+    act_fn call, one injector call and one env.step for all episodes.
+    Returns the (E,) global returns."""
     if T < 1:
         raise ValueError("T must be >= 1")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("rollout needs at least one episode seed")
+    if len(specs) != len(seeds):
+        raise ValueError(f"rollout needs one spec per episode seed, got {len(specs)} "
+                         f"specs for {len(seeds)} seeds")
+    sigma = np.array([s.obs_noise_sigma for s in specs], dtype=float)
+    rate = np.array([s.malicious_rate for s in specs], dtype=float)
+    adversarial = np.array([s.malicious_mode == "adversarial" for s in specs])
+    scale = np.array([s.dynamics_scale for s in specs], dtype=float)
+    # (E, 1, 1) broadcasts each episode's scale over its (N, ·) state
+    scale = scale[:, None, None] if (scale != 1.0).any() else 1.0
     rngs = [episode_rng(s) for s in seeds]
     starts = [env.reset(s) for s in seeds]
     state = _stack_states([st for st, _ in starts])
     obs = np.stack([ob for _, ob in starts])
     global_return = np.zeros(len(seeds))
     for _ in range(T):
-        actions = act_fn(_perturb_obs(obs, spec.obs_noise_sigma, rngs))
-        actions = malicious_injector(env, state, actions, spec, rngs, q_global)
-        state, obs, _, global_reward = env.step(state, actions, spec.dynamics_scale)
+        actions = act_fn(_perturb_obs(obs, sigma, rngs))
+        actions = malicious_injector(env, state, actions, rate, adversarial, rngs, q_global)
+        state, obs, _, global_reward = env.step(state, actions, scale)
         global_return += global_reward
     return global_return

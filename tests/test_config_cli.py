@@ -190,6 +190,19 @@ def test_cli_train_bad_config_exits_2(tmp_path):
     {"n_agents": -4}, {"algo": "ddpg", "env": "coopnav", "n_agents": 0},
     {"gamma": 1.5}, {"gamma": -0.1}, {"ernie_a": {"enabled": True, "k": 0}},
     {"ernie": {"metric": None}},
+    {"batch": "8"}, {"batch": 8.0}, {"hidden": True}, {"replay_capacity": 1e5},
+    {"algo": "ddpg", "env": "coopnav", "n_agents": 2.5}, {"train_steps": 10.5},
+    {"warmup": "10"}, {"log_interval": 10.0}, {"seeds": ["a"]}, {"seeds": [True]},
+    {"seeds": 0}, {"ernie": {"k_steps": 1.5}}, {"ernie": {"reg_rows": "4"}},
+    {"ernie_a": {"k": 1.0}}, {"ernie_a": {"rows": False}},
+    {"algo": "mf_ddpg", "env": "coopnav", "meanfield": {"mf_steps": 2.5}},
+    {"eval": {"episodes": 2.5}}, {"gamma": "0.9"}, {"lr": True}, {"tau": None},
+    {"ernie": {"epsilon": "0.5"}}, {"ernie": {"eta": False}},
+    {"algo": "ddpg", "env": "coopnav", "actor_lr": "1e-3"},
+    {"eval": {"obs_noise_sigmas": [-0.1]}}, {"eval": {"obs_noise_sigmas": ["0.5"]}},
+    {"eval": {"obs_noise_sigmas": 0.5}}, {"eval": {"dynamics_scales": [0]}},
+    {"eval": {"dynamics_scales": [-1.0]}}, {"eval": {"malicious_rates": [1.5]}},
+    {"eval": {"malicious_rates": [-0.1]}}, {"eval": {"malicious_rates": [True]}},
 ])
 def test_values_training_rejects_fail_before_training(tmp_path, doc):
     # Each value used to pass resolve_config and fail (or be ignored) only

@@ -1,8 +1,9 @@
 # Dead-code guard: every module-level function in the package must be loaded
 # by some code in the package. An import alone does not count, so a function
 # that only tests call fails here and gets deleted rather than kept "for later".
-# Layering guards beside it: importing the CLI leaves scipy unloaded, and
-# evaluate imports nothing from the trainer.
+# Layering guards beside it: importing the CLI leaves scipy unloaded,
+# training and evaluating leave numpy.ma unloaded, and evaluate imports
+# nothing from the trainer.
 import ast
 import os
 import subprocess
@@ -64,12 +65,36 @@ def test_cli_import_leaves_scipy_unloaded():
     # train._versions reads scipy's version without importing scipy, whose
     # import would dwarf a short run's setup time and peak RSS; the CLI's
     # import chain must not load it either.
-    code = "import sys, ernie_lab.cli; print('scipy' in sys.modules)"
+    assert _run_python("import sys, ernie_lab.cli; print('scipy' in sys.modules)") == "False"
+
+
+def _run_python(code: str, *args: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports the package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_evaluation_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile imports numpy.ma (through np.unique), which costs a fresh
+    # process more than a small sweep's rollout; evaluate._percentile
+    # computes the summary without it. A tiny qcombo run evaluated under
+    # every kind of perturbation must leave numpy.ma unloaded.
+    code = """
+import sys
+from ernie_lab.config import resolve_config
+from ernie_lab.evaluate import evaluate_checkpoint
+from ernie_lab.train import train_run
+cfg = resolve_config({"train_steps": 4, "warmup": 2, "batch": 2, "hidden": 4,
+                      "eval": {"obs_noise_sigmas": [0.0, 0.5], "dynamics_scales": [1.25],
+                               "malicious_rates": [0.5], "episodes": 2}})
+ckpt = train_run(cfg, sys.argv[1])[0]["final_checkpoint"]
+evaluate_checkpoint(cfg, ckpt, sys.argv[1] + "/eval")
+print("numpy.ma" in sys.modules)
+"""
+    assert _run_python(code, str(tmp_path)) == "False"
 
 
 def _imported_modules(tree) -> list:

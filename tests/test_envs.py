@@ -216,7 +216,7 @@ def test_perturb_obs_sigma_zero_is_bitwise_identity():
     obs = np.random.default_rng(0).uniform(size=(2, 3, 5))
     rngs = [np.random.default_rng(7), np.random.default_rng(8)]
     before = [rng.bit_generator.state for rng in rngs]
-    out = _perturb_obs(obs, PerturbSpec().obs_noise_sigma, rngs)
+    out = _perturb_obs(obs, np.full(2, PerturbSpec().obs_noise_sigma), rngs)
     assert out is obs
     assert [rng.bit_generator.state for rng in rngs] == before  # no draw at sigma = 0
 
@@ -224,12 +224,19 @@ def test_perturb_obs_sigma_zero_is_bitwise_identity():
 def test_perturb_obs_noise_statistics():
     obs = np.zeros((2, 100, 50))
     rngs = [np.random.default_rng(3), np.random.default_rng(4)]
-    out = _perturb_obs(obs, 0.5, rngs)
+    out = _perturb_obs(obs, np.full(2, 0.5), rngs)
     assert abs(out.std() - 0.5) / 0.5 < 0.05
     assert abs(out.mean()) < 0.01
     # each episode's noise is its own stream's draw
     want = 0.5 * np.random.default_rng(4).standard_normal((100, 50))
     assert out[1].tobytes() == want.tobytes()
+
+
+def _per_episode(spec, episodes):
+    # The injector's per-episode rate and mode arrays of one spec, as
+    # rollout builds them
+    return (np.full(episodes, float(spec.malicious_rate)),
+            np.full(episodes, spec.malicious_mode == "adversarial"))
 
 
 def _gridq_batch(episodes, seed=0):
@@ -255,7 +262,7 @@ def test_malicious_injector_random_mode():
     base = np.zeros((3, 4), dtype=int)
     flips = 0
     for _ in range(100):
-        out = malicious_injector(env, state, base, spec, rngs)
+        out = malicious_injector(env, state, base, *_per_episode(spec, 3), rngs)
         diff = out != base
         assert (diff.sum(axis=1) <= 1).all()  # at most one victim per episode-step
         flips += diff.sum()
@@ -273,12 +280,14 @@ def test_malicious_injector_adversarial_min_q():
     env, state = _ThreePhaseGrid(2, 2), _gridq_batch(3)
     q = _FakeQ(lambda joint: -float(sum(1 for a in joint if a == 2)))
     rngs = [np.random.default_rng(e) for e in range(3)]
-    out = malicious_injector(env, state, np.zeros((3, 4), dtype=int), spec, rngs, q)
+    out = malicious_injector(env, state, np.zeros((3, 4), dtype=int),
+                             *_per_episode(spec, 3), rngs, q)
     assert ((out == 2).sum(axis=1) == 1).all() and ((out == 1).sum(axis=1) == 0).all()
     assert len(q.states) == 1 and q.states[0].shape == (3 * 2, env.state_dim)
     # ties go to the first alternative in action order: 0 for a victim at 1
     q = _FakeQ(lambda joint: 0.5)
-    out = malicious_injector(env, state, np.ones((3, 4), dtype=int), spec, rngs, q)
+    out = malicious_injector(env, state, np.ones((3, 4), dtype=int),
+                             *_per_episode(spec, 3), rngs, q)
     assert ((out == 0).sum(axis=1) == 1).all() and ((out == 2).sum(axis=1) == 0).all()
 
 
@@ -287,15 +296,15 @@ def test_malicious_injector_rate_zero_and_continuous():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     a = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
-    assert malicious_injector(env, state, a, PerturbSpec(), [rng, rng]) is a
+    assert malicious_injector(env, state, a, *_per_episode(PerturbSpec(), 2), [rng, rng]) is a
     assert rng.bit_generator.state == before  # rate 0 draws nothing
     cont = np.full((2, 4), 0.5)
     spec_adv = PerturbSpec(malicious_rate=1.0, malicious_mode="adversarial")
     with pytest.raises(TypeError):
-        malicious_injector(env, state, cont, spec_adv, [rng, rng])
+        malicious_injector(env, state, cont, *_per_episode(spec_adv, 2), [rng, rng])
     spec_rand = PerturbSpec(malicious_rate=1.0, malicious_mode="random")
     with pytest.raises(TypeError):
-        malicious_injector(env, state, cont, spec_rand, [rng, rng])
+        malicious_injector(env, state, cont, *_per_episode(spec_rand, 2), [rng, rng])
     assert rng.bit_generator.state == before
 
 
@@ -303,15 +312,15 @@ def test_rollout_deterministic_and_returns():
     env = CoopNavEnv(3)
     act = lambda obs: np.zeros(obs.shape[:-1] + (2,))
     spec = PerturbSpec(obs_noise_sigma=0.3)
-    rets = rollout(env, act, 10, spec, seeds=[4, 5])
+    rets = rollout(env, act, 10, [spec] * 2, seeds=[4, 5])
     assert rets.shape == (2,)
-    assert rets.tobytes() == rollout(env, act, 10, spec, seeds=[4, 5]).tobytes()
+    assert rets.tobytes() == rollout(env, act, 10, [spec] * 2, seeds=[4, 5]).tobytes()
     # an episode's return does not depend on the episodes beside it
-    assert rollout(env, act, 10, spec, seeds=[5])[0] == rets[1]
+    assert rollout(env, act, 10, [spec], seeds=[5])[0] == rets[1]
     with pytest.raises(ValueError):
-        rollout(env, act, 0, spec, seeds=[0])
+        rollout(env, act, 0, [spec], seeds=[0])
     with pytest.raises(ValueError):
-        rollout(env, act, 5, spec, seeds=[])
+        rollout(env, act, 5, [], seeds=[])
 
 
 def test_rollout_adversarial_requires_q():
@@ -319,8 +328,8 @@ def test_rollout_adversarial_requires_q():
     act = lambda obs: np.zeros(obs.shape[:-1], dtype=int)
     spec = PerturbSpec(malicious_rate=0.5, malicious_mode="adversarial")
     with pytest.raises(ValueError):
-        rollout(env, act, 5, spec, seeds=[0, 1])
-    rets = rollout(env, act, 5, spec, seeds=[0, 1], q_global=_FakeQ(lambda joint: 0.0))
+        rollout(env, act, 5, [spec] * 2, seeds=[0, 1])
+    rets = rollout(env, act, 5, [spec] * 2, seeds=[0, 1], q_global=_FakeQ(lambda joint: 0.0))
     assert rets.shape == (2,)
 
 
@@ -336,7 +345,7 @@ def test_rollout_builds_global_state_only_when_the_injector_fires():
     act = lambda obs: np.zeros(obs.shape[:-1], dtype=int)
     spec = PerturbSpec(malicious_rate=0.2, malicious_mode="adversarial")
     q = _FakeQ(lambda joint: float(sum(joint)))
-    rollout(env, act, 50, spec, seeds=[3, 4, 5], q_global=q)
+    rollout(env, act, 50, [spec] * 3, seeds=[3, 4, 5], q_global=q)
     # one global state per episode that fired, on that step's states, and
     # one rows call per step with a firing (two phases: one alternative)
     assert len(CountingEnv.episodes) == len(q.states) < 50
@@ -444,14 +453,40 @@ def test_lockstep_rollout_matches_per_episode_bit_for_bit(env_name, episodes, mo
     for spec in _SPECS:
         if isinstance(env, CoopNavEnv) and spec.malicious_rate > 0.0:
             with pytest.raises(TypeError):
-                rollout(env, act, T, spec, seeds, q_global)
+                rollout(env, act, T, [spec] * episodes, seeds, q_global)
             continue
         streams.clear()
-        got = rollout(env, act, T, spec, seeds, q_global)
+        got = rollout(env, act, T, [spec] * episodes, seeds, q_global)
         want = [_rollout_one(env, act_one, T, spec, s, q_global) for s in seeds]
         assert got.tobytes() == np.array([w[0] for w in want]).tobytes(), spec
         assert [r.bit_generator.state for r in streams] == \
             [w[1].bit_generator.state for w in want], spec
+
+
+@pytest.mark.parametrize("env_name", sorted(_ENVS))
+def test_mixed_spec_rollout_matches_per_episode_bit_for_bit(env_name, monkeypatch):
+    # One rollout over every spec at once, three episodes each and the
+    # specs interleaved, returns each episode's lone return and leaves each
+    # stream where the lone episode leaves it.
+    env = _ENVS[env_name]()
+    act, act_one = _policy(env, seed=len(env_name))
+    q_global = GlobalQ(net_init([env.state_dim + env.n_agents * env.n_out, 8, 1], seed=5),
+                       env.n_out)
+    streams = []
+
+    def recorded(seed):
+        streams.append(episode_rng(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(envs_mod, "episode_rng", recorded)
+    specs = [s for s in _SPECS
+             if isinstance(env, GridQueueEnv) or s.malicious_rate == 0.0] * 3
+    seeds = [int(s) for s in np.random.default_rng(7).integers(2 ** 31, size=len(specs))]
+    got = rollout(env, act, 30, specs, seeds, q_global)
+    want = [_rollout_one(env, act_one, 30, spec, s, q_global) for spec, s in zip(specs, seeds)]
+    assert got.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert [r.bit_generator.state for r in streams] == \
+        [w[1].bit_generator.state for w in want]
 
 
 def _coopnav_rewards_loop(state):

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import platform
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ernie_lab
 import ernie_lab.train as train_mod
@@ -17,7 +20,7 @@ from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stac
 from ernie_lab.config import resolve_config
 import ernie_lab.evaluate as evaluate_mod
 from ernie_lab.envs import PerturbSpec, make_env, rollout
-from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_spec,
+from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_specs,
                                 load_checkpoint, sweep_specs)
 from ernie_lab.net import net_forward, net_init, stack_nets
 from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
@@ -232,6 +235,28 @@ def test_checkpoint_row_count_and_old_layout_rejected(tmp_path, capsys):
         load_checkpoint(short)
 
 
+@pytest.mark.parametrize("algo", ["foo", None], ids=["unknown", "missing"])
+def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
+    cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_doc))
+    ck = Path(train_run(resolve_config(cfg_doc), tmp_path / "run")[0]["final_checkpoint"])
+    manifest = json.loads((ck / "manifest.json").read_text())
+    if algo is None:
+        del manifest["algo"]
+    else:
+        manifest["algo"] = algo
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    msg = f"checkpoint algo {algo!r} is not one of ['ddpg', 'mf_ddpg', 'qcombo']"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_checkpoint(ck)
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ck),
+                     "--out", str(tmp_path / "e")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert msg in err and "Traceback" not in err
+
+
 def test_evaluate_env_mismatch_raises(tmp_path):
     cfg = resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2))
     res = train_run(cfg, tmp_path)
@@ -260,7 +285,7 @@ def test_evaluate_nonfinite_return_names_spec_episode_and_seed(tmp_path, monkeyp
 
         def act_nan(obs):
             a = act(obs)
-            a[1] = np.nan  # episode 1 of every spec
+            a[1] = np.nan  # episode 1 of the first spec
             return a
         return act_nan, q
 
@@ -286,13 +311,92 @@ def test_lockstep_evaluation_matches_lone_episodes(doc_fn, spec, tmp_path):
     ckpt = load_checkpoint(train_run(cfg, tmp_path)[0]["final_checkpoint"])
     env = make_env(cfg)
     act, q_global = build_policy(ckpt)
-    rets = evaluate_spec(env, act, spec, 6, base_seed=11, q_global=q_global)
+    rets = evaluate_specs(env, act, [spec], 6, [11], q_global=q_global)[0]
     seeds = [int(np.random.default_rng(np.random.SeedSequence([11, ep])).integers(2 ** 31))
              for ep in range(6)]
-    alone = [rollout(env, act, env.episode_len, spec, [s], q_global)[0] for s in seeds]
+    alone = [rollout(env, act, env.episode_len, [spec], [s], q_global)[0] for s in seeds]
     assert rets.tobytes() == np.array(alone).tobytes()
     obs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, env.n_agents, env.obs_dim))
     assert act(obs).tobytes() == np.stack([act(o[None])[0] for o in obs]).tobytes()
+
+
+_SWEEP = [PerturbSpec(), PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(dynamics_scale=0.8),
+          PerturbSpec(dynamics_scale=1.25)]
+
+
+@pytest.mark.parametrize("doc_fn,specs",
+                         [(_qcombo_doc, _SWEEP + [
+                             PerturbSpec(malicious_rate=0.5, malicious_mode="adversarial"),
+                             PerturbSpec(malicious_rate=0.5, malicious_mode="random")]),
+                          (_ddpg_doc, _SWEEP)],
+                         ids=["qcombo", "ddpg"])
+def test_sweep_rollout_matches_each_spec_and_lone_episodes(doc_fn, specs, tmp_path):
+    # One lock-step rollout over the whole sweep returns, bit for bit, each
+    # spec's own rollout and each episode run alone; specs given the same
+    # base seed run the same episode seeds, and the adversarial injector
+    # scores the fired episodes of every spec in at most one rows call per
+    # lock-step.
+    cfg = resolve_config(doc_fn(train_steps=20, warmup=10, batch=4))
+    ckpt = load_checkpoint(train_run(cfg, tmp_path)[0]["final_checkpoint"])
+    env = make_env(cfg)
+    act, q_global = build_policy(ckpt)
+    events, resets = [], []
+    reset = env.reset
+
+    def act_logged(obs):
+        events.append("step")
+        return act(obs)
+
+    def reset_logged(seed):
+        resets.append(seed)
+        return reset(seed)
+
+    env.reset = reset_logged
+    if q_global is not None:
+        rows = q_global.rows
+
+        def rows_logged(states, joints):
+            events.append("rows")
+            return rows(states, joints)
+
+        q_global.rows = rows_logged
+    episodes = 4
+    rets = evaluate_specs(env, act_logged, specs, episodes, [11] * len(specs), q_global)
+    assert rets.shape == (len(specs), episodes)
+    assert events.count("step") == env.episode_len
+    assert all(a != b or a == "step" for a, b in zip(events, events[1:]))
+    assert (q_global is None) == ("rows" not in events)
+    seeds = [int(np.random.default_rng(np.random.SeedSequence([11, ep])).integers(2 ** 31))
+             for ep in range(episodes)]
+    assert resets == seeds * len(specs)
+    for spec, got in zip(specs, rets):
+        own = rollout(env, act, env.episode_len, [spec] * episodes, seeds, q_global)
+        alone = [rollout(env, act, env.episode_len, [spec], [s], q_global)[0] for s in seeds]
+        assert got.tobytes() == own.tobytes() == np.array(alone).tobytes(), spec
+    # every spec perturbs something, so no spec's returns stand in for another's
+    assert len({r.tobytes() for r in rets}) == len(specs)
+    with pytest.raises(ValueError, match="one spec per episode seed"):
+        rollout(env, act, env.episode_len, specs, seeds[:len(specs) - 1], q_global)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, -113.5, 2.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(1, 200).flatmap(lambda n: st.lists(
+           st.one_of(_TIES, st.floats(allow_nan=False, allow_infinity=False)),
+           min_size=n, max_size=n)),
+       q=st.sampled_from([10, 50, 90]))
+def test_percentile_matches_numpy_bit_for_bit(x, q):
+    # Signed zeros and ties make the partition order matter: the value at a
+    # kth index is numpy's only if the partition is numpy's own.
+    x = np.array(x)
+    before = x.copy()
+    want = np.percentile(x, q)
+    got = evaluate_mod._percentile(x, q)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    assert x.tobytes() == before.tobytes()  # the partition works on a copy
 
 
 def test_mf_ddpg_runs_and_differs_from_ddpg(tmp_path):
