@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .mdp import (TabularMdp, gen_smooth_mdp, lipschitz_bounds, mdp_to_json,
-                  optimal_values, perturbed_value_gap, policy_eval, random_policy,
-                  softmax_policy, state_distances)
+from .mdp import (TabularMdp, empirical_lipschitz, gen_smooth_mdp, lipschitz_bounds,
+                  mdp_to_json, optimal_values, perturbed_value_gap, policy_eval,
+                  random_policy, softmax_policy, state_distances)
 
 SLACK_TOL = 1e-8
 GAP_SLACK = 2e-6
@@ -26,7 +26,7 @@ def _draw_instance(rng: np.random.Generator):
 
 def q_lipschitz_slack(mdp: TabularMdp, q: np.ndarray) -> float:
     """max over (s, s', a) of |Q(s,a) - Q(s',a)| - L_Q * dist(s, s')."""
-    l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, 0.0, mdp.gamma).l_q
+    l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, mdp.gamma).l_q
     dist = state_distances(mdp.embed)
     gaps = np.abs(q[:, None, :] - q[None, :, :]) - l_q * dist[:, :, None]
     return float(gaps.max())
@@ -57,8 +57,6 @@ def certify_theorem1(n_instances: int = 200, seed: int = 0) -> dict:
 def certify_theorem2(n_instances: int = 200, seed: int = 0,
                      epsilon_targets=(0.05, 0.1, 0.2)) -> dict:
     """Softmax of eta Q* with eta = ln|A|/eps is near-optimal and Lipschitz."""
-    from .mdp import empirical_lipschitz
-
     rng = np.random.default_rng(seed)
     worst_gap, worst_lip = -np.inf, -np.inf
     worst_seed, offender = None, None
@@ -66,7 +64,7 @@ def certify_theorem2(n_instances: int = 200, seed: int = 0,
         mdp, inst_seed = _draw_instance(rng)
         n_actions = mdp.reward.shape[1]
         star = optimal_values(mdp)
-        l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, 0.0, mdp.gamma).l_q
+        l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, mdp.gamma).l_q
         for eps in epsilon_targets:
             pol = softmax_policy(star.q, eps, n_actions)
             v_pol = policy_eval(mdp, pol).v

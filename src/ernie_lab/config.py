@@ -191,6 +191,9 @@ def resolve_config(user: dict) -> ExperimentConfig:
                 "log_interval", "batch", "hidden", "replay_capacity", "n_agents"):
         if _leaf(raw, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if raw["ernie_a"]["k"] > raw["n_agents"]:
+        raise ConfigError(f"ernie_a.k {raw['ernie_a']['k']} exceeds n_agents "
+                          f"{raw['n_agents']}: the attack flips each agent at most once")
     if raw["env"] == "gridq":
         side = int(round(raw["n_agents"] ** 0.5))
         if side * side != raw["n_agents"]:

@@ -17,20 +17,33 @@ from .net import load_net, net_forward
 RESULTS_HEADER = "obs_noise_sigma,dynamics_scale,malicious_rate,malicious_mode,episode,episodic_return"
 
 
+def _json_object(path, doc, what: str, keys=()) -> dict:
+    """doc, checked to be a JSON object that holds every one of keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: {what} has no {key!r} key")
+    return doc
+
+
 def load_checkpoint(path) -> dict:
     """The manifest and the two nets of a checkpoint: its algo's policy agent
     stack, an (N, P) block, and its central net, a (P,) vector."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    manifest = _json_object(path, json.loads((path / "manifest.json").read_text()),
+                            "manifest.json", ("env", "nets"))
     algo = manifest.get("algo")
     if algo not in NET_NAMES:
         raise ValueError(f"{path}: checkpoint algo {algo!r} is not one of {sorted(NET_NAMES)}")
+    entries = _json_object(path, manifest["nets"], "manifest 'nets'")
     nets = {}
     for name, stacked in zip(NET_NAMES[algo], (True, False)):
-        if name not in manifest["nets"]:
+        if name not in entries:
             raise ValueError(f"{path}: no {name!r} net in the checkpoint, which has "
-                             f"{sorted(manifest['nets'])}")
-        e = manifest["nets"][name]
+                             f"{sorted(entries)}")
+        e = _json_object(path, entries[name], f"manifest net {name!r}",
+                         ("file", "layer_dims", "activation"))
         nets[name] = load_net(path / e["file"], e["layer_dims"], e["activation"])
         if nets[name].stacked != stacked:
             raise ValueError(f"{path}: {name!r} is not "
@@ -112,8 +125,6 @@ def _percentile(x, q: float) -> float:
 
 def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
                         base_seed: int = 0) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(checkpoint_path)
     if ckpt["manifest"]["env"] != cfg.env:
         raise ValueError(f"checkpoint env {ckpt['manifest']['env']!r} "
@@ -147,6 +158,8 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
             "p50": _percentile(rets, 50),
             "p90": _percentile(rets, 90),
         })
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text("\n".join(lines) + "\n")
     doc = {"checkpoint": str(checkpoint_path), "episodes_per_spec": episodes,
            "specs": summary}

@@ -42,7 +42,6 @@ class ValuePair:
 @dataclass(frozen=True)
 class LipschitzBounds:
     l_q: float
-    l_v: float
 
 
 def state_distances(embed: np.ndarray) -> np.ndarray:
@@ -213,15 +212,13 @@ def empirical_lipschitz(values: np.ndarray, embed: np.ndarray) -> float:
     return float(np.max(out[mask] / d[mask]))
 
 
-def lipschitz_bounds(l_r: float, l_p: float, l_pi: float, gamma: float) -> LipschitzBounds:
-    """L_Q = L_r + gamma*L_P/(1-gamma); L_V = L_pi/(1-gamma) + L_Q."""
+def lipschitz_bounds(l_r: float, l_p: float, gamma: float) -> LipschitzBounds:
+    """L_Q = L_r + gamma*L_P/(1-gamma)."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    if min(l_r, l_p, l_pi) < 0:
+    if min(l_r, l_p) < 0:
         raise ValueError("Lipschitz constants must be >= 0")
-    l_q = l_r + gamma * l_p / (1.0 - gamma)
-    l_v = l_pi / (1.0 - gamma) + l_q
-    return LipschitzBounds(l_q, l_v)
+    return LipschitzBounds(l_r + gamma * l_p / (1.0 - gamma))
 
 
 def interpolate_policy(mdp: TabularMdp, policy: TabularPolicy):
@@ -263,7 +260,6 @@ class GapResult:
     gap: float        # worst observed |V - V_perturbed| over states
     l_pi: float       # measured Lipschitz constant restricted to the searched grid
     bound: float      # 2 * l_pi * eps / (1-gamma)^2
-    horizon: int
 
 
 def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
@@ -310,7 +306,7 @@ def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
 
     gap = float(max(np.max(np.abs(v_clean - w_min)), np.max(np.abs(v_clean - w_max))))
     bound = 2.0 * l_pi * epsilon / (1.0 - mdp.gamma) ** 2
-    return GapResult(gap, l_pi, bound, horizon)
+    return GapResult(gap, l_pi, bound)
 
 
 def mdp_to_json(mdp: TabularMdp) -> dict:

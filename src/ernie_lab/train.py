@@ -108,7 +108,7 @@ def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     rows = min(rows, batch["state"].shape[0])
     glob, n_actions = agents.central, agents.policy.out_dim
     states, actions = batch["state"][:rows], batch["actions"][:rows]
-    res = greedy_action_attack(GlobalQ(glob, n_actions), states, actions, n_actions, k)
+    res = greedy_action_attack(GlobalQ(glob, n_actions), states, actions, k)
     keep = np.flatnonzero((res.perturbed != actions).any(axis=1))
     if not keep.size:
         return 0.0, np.zeros(n_params(glob)), 0

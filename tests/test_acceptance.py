@@ -9,6 +9,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_criterion_4_stackelberg_gradient():
     assert ok
 
 
+class _TableQ:
+    """A global Q read from a table keyed by joint action, behind the rows
+    interface of algos.GlobalQ that training attacks through."""
+
+    def __init__(self, table, n_actions):
+        self.table, self.n_actions = table, n_actions
+
+    def rows(self, states, joints):
+        return np.array([self.table[tuple(j)] for j in joints.tolist()])
+
+
+def _attack_one(attack, q, base, k):
+    """attack on the single row base (one placeholder state), with the
+    result read back as that row's value and evaluation count."""
+    res = attack(q, np.zeros((1, 1)), np.array([base]), k)
+    return SimpleNamespace(value=float(res.value[0]), evals=res.evals)
+
+
 def test_criterion_5_action_attack_oracle():
     rng = np.random.default_rng(0)
     ok = True
@@ -72,10 +91,10 @@ def test_criterion_5_action_attack_oracle():
         a_count = int(rng.integers(2, 6))
         table = {j: float(rng.standard_normal())
                  for j in itertools.product(range(a_count), repeat=n)}
-        q = lambda state, joint: table[tuple(joint)]
+        q = _TableQ(table, a_count)
         base = tuple(int(x) for x in rng.integers(0, a_count, size=n))
-        g1 = greedy_action_attack(q, None, base, a_count, k=1)
-        b1 = brute_force_action_attack(q, None, base, a_count, k=1)
+        g1 = _attack_one(greedy_action_attack, q, base, k=1)
+        b1 = _attack_one(brute_force_action_attack, q, base, k=1)
         if g1.value != b1.value:
             ok, worst = False, f"K=1 mismatch on trial {trial}"
             break
@@ -83,8 +102,8 @@ def test_criterion_5_action_attack_oracle():
             ok, worst = False, f"K=1 eval budget exceeded on trial {trial}"
             break
         for k in (2, 3):
-            g = greedy_action_attack(q, None, base, a_count, k=k)
-            b = brute_force_action_attack(q, None, base, a_count, k=k)
+            g = _attack_one(greedy_action_attack, q, base, k=k)
+            b = _attack_one(brute_force_action_attack, q, base, k=k)
             if g.value > b.value or g.evals > a_count * n * k:
                 ok, worst = False, f"K={k} violation on trial {trial}"
                 break

@@ -14,54 +14,69 @@ from ernie_lab.train import _action_regularizer_grad
 TABLE = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.5, (1, 1): 0.2}
 
 
-def q_table(state, joint):
-    return TABLE[tuple(joint)]
+class TableQ:
+    """A global Q read from tables keyed by joint action, behind GlobalQ's
+    rows interface: the state row [i] reads tables[i]."""
+
+    def __init__(self, tables, n_actions):
+        self.tables, self.n_actions = tables, n_actions
+
+    def rows(self, states, joints):
+        return np.array([self.tables[int(s[0])][tuple(j)]
+                         for s, j in zip(states.tolist(), joints.tolist())])
 
 
-def q_const(state, joint):
-    return 3.5
+def _random_table(rng, n_agents, n_actions, coarse=False):
+    # coarse: values rounded to integers, so many joint actions tie
+    return {j: float(np.round(rng.standard_normal())) if coarse else rng.standard_normal()
+            for j in itertools.product(range(n_actions), repeat=n_agents)}
 
 
 def _random_q(rng, n_agents, n_actions):
-    table = {j: rng.standard_normal()
-             for j in itertools.product(range(n_actions), repeat=n_agents)}
-    return lambda state, joint: table[tuple(joint)]
+    return TableQ([_random_table(rng, n_agents, n_actions)], n_actions)
+
+
+def _one(attack, q, start, k):
+    """attack on the one row (state 0, start): its perturbed joint action as a
+    tuple, its value and its evaluation count."""
+    res = attack(q, np.zeros((1, 1)), np.array([start]), k)
+    return tuple(res.perturbed[0].tolist()), float(res.value[0]), res.evals
 
 
 def test_greedy_hamming1_oracle():
-    res = greedy_action_attack(q_table, None, (0, 0), 2, k=1)
-    assert res.perturbed == (1, 0)
-    assert res.value == (1.0 - 2.0) ** 2
-    assert res.changed_agents == (0,)
+    perturbed, value, _ = _one(greedy_action_attack, TableQ([TABLE], 2), (0, 0), 1)
+    assert perturbed == (1, 0)
+    assert value == (1.0 - 2.0) ** 2
 
 
 def test_greedy_constant_q_tiebreak():
-    res = greedy_action_attack(q_const, None, (0, 0), 2, k=1)
-    assert res.value == 0.0
+    q = TableQ([dict.fromkeys(TABLE, 3.5)], 2)
+    perturbed, value, _ = _one(greedy_action_attack, q, (0, 0), 1)
+    assert value == 0.0
     # lowest (agent, action) pair: agent 0 flips to its lowest alternative
-    assert res.perturbed == (1, 0)
+    assert perturbed == (1, 0)
 
 
 def test_greedy_prefix_max_reporting():
     # K=2: second flip from (1,0) can only reach (1,1) with value 0.64 < 1.0;
     # the reported value keeps the better committed prefix
-    res = greedy_action_attack(q_table, None, (0, 0), 2, k=2)
-    assert res.value == 1.0
-    assert res.perturbed == (1, 0)
+    perturbed, value, _ = _one(greedy_action_attack, TableQ([TABLE], 2), (0, 0), 2)
+    assert value == 1.0
+    assert perturbed == (1, 0)
 
 
 def test_greedy_value_is_the_scalar_scans_square():
     # The reported value is Python's (q - q') ** 2, which goes through libm's
     # pow and, for this q, differs in the last bit from q * q.
     q0 = 1.2772299458181684
-    res = greedy_action_attack(lambda s, j: q0 if j == (0, 0) else 0.0, None, (0, 0), 2, k=1)
-    assert res.value == q0 ** 2
+    q = TableQ([{j: q0 if j == (0, 0) else 0.0 for j in TABLE}], 2)
+    assert _one(greedy_action_attack, q, (0, 0), 1)[1] == q0 ** 2
 
 
-def test_greedy_k_clamped_with_warning():
-    res = greedy_action_attack(q_table, None, (0, 0), 2, k=5)
-    assert res.warnings
-    assert len(res.changed_agents) <= 2
+def test_greedy_k_clamped_to_agent_count():
+    q = _random_q(np.random.default_rng(5), 3, 3)
+    assert _one(greedy_action_attack, q, (0, 1, 2), 7) == \
+        _one(greedy_action_attack, q, (0, 1, 2), 3)
 
 
 def test_greedy_eval_budget():
@@ -70,8 +85,7 @@ def test_greedy_eval_budget():
         n, a = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         k = int(rng.integers(1, n + 1))
         q = _random_q(rng, n, a)
-        res = greedy_action_attack(q, None, tuple([0] * n), a, k)
-        assert res.evals <= a * n * k
+        assert _one(greedy_action_attack, q, tuple([0] * n), k)[2] <= a * n * k
 
 
 def test_brute_equals_greedy_at_k1():
@@ -80,10 +94,9 @@ def test_brute_equals_greedy_at_k1():
         n, a = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         q = _random_q(rng, n, a)
         start = tuple(int(x) for x in rng.integers(a, size=n))
-        g = greedy_action_attack(q, None, start, a, 1)
-        b = brute_force_action_attack(q, None, start, a, 1)
-        assert g.value == b.value
-        assert g.perturbed == b.perturbed
+        g = _one(greedy_action_attack, q, start, 1)
+        b = _one(brute_force_action_attack, q, start, 1)
+        assert g[:2] == b[:2]
 
 
 def test_greedy_bounded_by_brute():
@@ -92,67 +105,69 @@ def test_greedy_bounded_by_brute():
         q = _random_q(rng, 4, 3)
         start = tuple(int(x) for x in rng.integers(3, size=4))
         for k in (2, 3):
-            g = greedy_action_attack(q, None, start, 3, k)
-            b = brute_force_action_attack(q, None, start, 3, k)
-            assert g.value <= b.value + 1e-15
+            g = _one(greedy_action_attack, q, start, k)
+            b = _one(brute_force_action_attack, q, start, k)
+            assert g[1] <= b[1] + 1e-15
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 4), a=st.integers(2, 4),
-       k=st.integers(1, 4), ties=st.booleans())
-def test_greedy_never_beats_brute_force(seed, n, a, k, ties):
+       k=st.integers(1, 4), ties=st.booleans(), rows=st.integers(1, 3))
+def test_greedy_never_beats_brute_force(seed, n, a, k, ties, rows):
     # greedy commits one flip per round, so it searches a subset of brute
-    # force's joint actions within Hamming distance k
+    # force's joint actions within Hamming distance k; both attack each of
+    # the rows, a state with its own table, on their own
     rng = np.random.default_rng(seed)
-    q = _random_q(rng, n, a)
-    if ties:  # a coarse table, full of equal values
-        table = {j: float(np.round(rng.standard_normal()))
-                 for j in itertools.product(range(a), repeat=n)}
-        q = lambda state, joint: table[tuple(joint)]
-    start = tuple(int(x) for x in rng.integers(a, size=n))
+    q = TableQ([_random_table(rng, n, a, coarse=ties) for _ in range(rows)], a)
+    states = np.arange(rows)[:, None]
+    start = rng.integers(a, size=(rows, n))
     k = min(k, n)
-    g = greedy_action_attack(q, None, start, a, k)
-    b = brute_force_action_attack(q, None, start, a, k)
-    assert g.value <= b.value
-    assert sum(x != y for x, y in zip(g.perturbed, start)) <= k
+    g = greedy_action_attack(q, states, start, k)
+    b = brute_force_action_attack(q, states, start, k)
+    assert (g.value <= b.value).all()
+    assert ((g.perturbed != start).sum(axis=1) <= k).all()
+    assert ((b.perturbed != start).sum(axis=1) <= k).all()
+    for r in range(rows):
+        alone = _one(brute_force_action_attack, TableQ([q.tables[r]], a), tuple(start[r]), k)
+        assert alone[:2] == (tuple(b.perturbed[r].tolist()), b.value[r])
 
 
 def test_brute_monotone_in_k():
     rng = np.random.default_rng(3)
     for _ in range(30):
         q = _random_q(rng, 3, 3)
-        start = (0, 0, 0)
-        vals = [brute_force_action_attack(q, None, start, 3, k).value
-                for k in (1, 2, 3)]
+        vals = [_one(brute_force_action_attack, q, (0, 0, 0), k)[1] for k in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
 
 
 def test_brute_size_limits():
     q = _random_q(np.random.default_rng(0), 3, 3)
     with pytest.raises(ValueError):
-        brute_force_action_attack(q, None, tuple([0] * 7), 3, 1)
+        _one(brute_force_action_attack, q, tuple([0] * 7), 1)
 
 
-
-def _greedy_loop(q_global, state, actions, n_actions, k):
+def _greedy_loop(q_global, state, actions, k):
     # Reference scan: one Q call per candidate, flips accumulating round by
     # round, the first strict maximum winning each round.
+    def q(joint):
+        return float(q_global.rows(state[None, :], np.array([joint]))[0])
+
     actions = tuple(actions)
     k = min(k, len(actions))
-    q_orig = float(q_global(state, actions))
+    q_orig = q(actions)
     current, changed, evals = list(actions), [], 1
-    best = (-1.0, actions, ())
+    best = (-1.0, actions)
     for _ in range(k):
         round_best = None
         for agent in range(len(actions)):
             if agent in changed:
                 continue
-            for alt in range(n_actions):
+            for alt in range(q_global.n_actions):
                 if alt == current[agent]:
                     continue
                 cand = list(current)
                 cand[agent] = alt
-                val = (q_orig - float(q_global(state, tuple(cand)))) ** 2
+                val = (q_orig - q(tuple(cand))) ** 2
                 evals += 1
                 if round_best is None or val > round_best[0]:
                     round_best = (val, agent, alt)
@@ -162,22 +177,20 @@ def _greedy_loop(q_global, state, actions, n_actions, k):
         current[agent] = alt
         changed.append(agent)
         if val > best[0]:
-            best = (val, tuple(current), tuple(changed))
-    return best[1], max(best[0], 0.0), best[2], evals
+            best = (val, tuple(current))
+    return best[1], max(best[0], 0.0), evals
 
 
 def test_greedy_matches_loop_reference():
     rng = np.random.default_rng(4)
     for _ in range(300):
         n, a = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        table = {j: rng.standard_normal() if rng.uniform() < 0.7 else 0.5
-                 for j in itertools.product(range(a), repeat=n)}
-        q = lambda state, joint: table[tuple(joint)]
+        q = TableQ([{j: rng.standard_normal() if rng.uniform() < 0.7 else 0.5
+                     for j in itertools.product(range(a), repeat=n)}], a)
         start = tuple(int(x) for x in rng.integers(a, size=n))
         k = int(rng.integers(1, n + 2))
-        res = greedy_action_attack(q, None, start, a, k)
-        assert (res.perturbed, res.value, res.changed_agents, res.evals) == \
-            _greedy_loop(q, None, start, a, k)
+        assert _one(greedy_action_attack, q, start, k) == \
+            _greedy_loop(q, np.zeros(1), start, k)
 
 
 def _global_q(rng, n, a_count, state_dim, constant):
@@ -188,40 +201,50 @@ def _global_q(rng, n, a_count, state_dim, constant):
     return GlobalQ(glob, a_count)
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 4),
+       scorer=st.sampled_from(["net", "table", "coarse"]))
 @pytest.mark.parametrize("rows", [1, 4, 8])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("a_count", [2, 3])
 @pytest.mark.parametrize("constant", [False, True], ids=["random", "constant"])
-def test_row_stacked_greedy_equals_scalar_calls(rows, k, a_count, constant):
-    # All rows' flips of a round go through one GlobalQ.rows pass; each row
-    # must get exactly what its own scalar call (one Q call per candidate)
-    # reports, constant-Q ties included.
-    rng = np.random.default_rng(rows * 100 + k * 10 + a_count)
-    n, state_dim = 4, 6
-    q = _global_q(rng, n, a_count, state_dim, constant)
-    states = rng.uniform(-1, 1, size=(rows, state_dim))
+def test_row_stacked_greedy_equals_scalar_calls(rows, k, a_count, constant, seed, n, scorer):
+    # All rows' flips of a round go through one rows pass; each row must get
+    # exactly what the one-call-per-candidate reference scan reports on it
+    # alone, and the evaluation count must be the sum of the rows' counts.
+    # The random scorer is a GlobalQ net, a table per row, or a coarse table
+    # per row full of ties; the constant one a GlobalQ on which every joint
+    # action ties.
+    rng = np.random.default_rng(seed)
+    if constant or scorer == "net":
+        state_dim = 6
+        q = _global_q(rng, n, a_count, state_dim, constant)
+        states = rng.uniform(-1, 1, size=(rows, state_dim))
+    else:
+        q = TableQ([_random_table(rng, n, a_count, coarse=scorer == "coarse")
+                    for _ in range(rows)], a_count)
+        states = np.arange(rows)[:, None]
     actions = rng.integers(0, a_count, size=(rows, n))
-    got = greedy_action_attack(q, states, actions, a_count, k)
+    got = greedy_action_attack(q, states, actions, k)
     assert got.perturbed.shape == (rows, n) and got.value.shape == (rows,)
     evals = 0
-    one_q = lambda state, joint: q.rows(state[None, :], np.array([joint]))[0]
     for r in range(rows):
-        one = greedy_action_attack(one_q, states[r], tuple(actions[r]), a_count, k)
-        assert tuple(got.perturbed[r].tolist()) == one.perturbed
-        assert got.value[r] == one.value
-        assert got.changed_agents[r] == one.changed_agents
-        evals += one.evals
+        perturbed, value, row_evals = _greedy_loop(q, states[r], actions[r], k)
+        assert tuple(got.perturbed[r].tolist()) == perturbed
+        assert got.value[r] == value
+        evals += row_evals
     assert got.evals == evals
     if constant:
         # first-index tie order: agent 0 flips to its lowest other action
-        assert (got.value == 0.0).all() and all(c == (0,) for c in got.changed_agents)
+        assert (got.value == 0.0).all()
+        assert (got.perturbed[:, 1:] == actions[:, 1:]).all()
         assert (got.perturbed[:, 0] == (actions[:, 0] == 0)).all()
 
 
 def test_row_stacked_greedy_validates_every_row():
     q = _global_q(np.random.default_rng(0), 2, 2, 3, False)
     with pytest.raises(ValueError, match="agent 1 action 2"):
-        greedy_action_attack(q, np.zeros((2, 3)), np.array([[0, 1], [1, 2]]), 2, 1)
+        greedy_action_attack(q, np.zeros((2, 3)), np.array([[0, 1], [1, 2]]), 1)
 
 
 @pytest.mark.parametrize("k", [1, 2])

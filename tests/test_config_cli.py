@@ -50,6 +50,16 @@ def test_ernie_a_requires_gridq():
     assert cfg["ernie_a"]["enabled"] is True
 
 
+def test_ernie_a_k_above_agent_count_rejected():
+    # the greedy attack flips each agent at most once, so k > n_agents
+    # would be cut to n_agents without a word
+    with pytest.raises(ConfigError, match="ernie_a.k 5 exceeds n_agents 4"):
+        resolve_config({"ernie_a": {"enabled": True, "k": 5}})
+    with pytest.raises(ConfigError, match="ernie_a.k 2 exceeds n_agents 1"):
+        resolve_config({"n_agents": 1, "ernie_a": {"enabled": True, "k": 2}})
+    assert resolve_config({"ernie_a": {"enabled": True, "k": 4}})["ernie_a"]["k"] == 4
+
+
 @pytest.mark.parametrize("algo", ["ddpg", "mf_ddpg"])
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
 def test_malicious_rates_require_gridq(algo, mode):
@@ -203,6 +213,7 @@ def test_cli_train_bad_config_exits_2(tmp_path):
     {"eval": {"obs_noise_sigmas": 0.5}}, {"eval": {"dynamics_scales": [0]}},
     {"eval": {"dynamics_scales": [-1.0]}}, {"eval": {"malicious_rates": [1.5]}},
     {"eval": {"malicious_rates": [-0.1]}}, {"eval": {"malicious_rates": [True]}},
+    {"ernie_a": {"enabled": True, "k": 5}},
 ])
 def test_values_training_rejects_fail_before_training(tmp_path, doc):
     # Each value used to pass resolve_config and fail (or be ignored) only

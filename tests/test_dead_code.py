@@ -1,6 +1,7 @@
 # Dead-code guard: every module-level function in the package must be loaded
-# by some code in the package. An import alone does not count, so a function
-# that only tests call fails here and gets deleted rather than kept "for later".
+# by some code in the package, and every dataclass field read. An import alone
+# does not count, so a function that only tests call fails here and gets
+# deleted rather than kept "for later".
 # Layering guards beside it: importing the CLI leaves scipy unloaded,
 # training and evaluating leave numpy.ma unloaded, and evaluate imports
 # nothing from the trainer.
@@ -42,6 +43,34 @@ def test_every_function_is_loaded_in_the_package():
                     if isinstance(node, ast.FunctionDef)
                     and node.name not in loaded and node.name not in ORACLES)
     assert not unused, f"functions that no code in the package loads: {unused}"
+
+
+# Dataclass fields that only readers outside the package read: criterion 5
+# compares greedy's values with brute force's, and the benchmark's q_evals
+# counter sums the attack's evaluation counts.
+READ_OUTSIDE = {"ActionAttackResult.value", "ActionAttackResult.evals"}
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    # A field that no code reads as an attribute is a value computed and
+    # stored in vain.
+    trees = _trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = sorted(f"{module}:{node.name}.{stmt.target.id}"
+                    for module, tree in trees.items() for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and any(_is_dataclass(d) for d in node.decorator_list)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read
+                    and f"{node.name}.{stmt.target.id}" not in READ_OUTSIDE)
+    assert not unread, f"dataclass fields that no code in the package reads: {unread}"
 
 
 def test_every_parameter_is_read():

@@ -129,15 +129,14 @@ def test_empirical_lipschitz_matches_brute_force():
 
 
 def test_lipschitz_bounds_oracles():
-    b = lipschitz_bounds(0.0, 0.0, 0.0, 0.9)
-    assert b.l_q == 0.0 and b.l_v == 0.0
-    b = lipschitz_bounds(0.5, 0.2, 1.0, 0.9)
+    b = lipschitz_bounds(0.0, 0.0, 0.9)
+    assert b.l_q == 0.0
+    b = lipschitz_bounds(0.5, 0.2, 0.9)
     assert abs(b.l_q - 2.3) < 1e-12
-    assert abs(b.l_v - 12.3) < 1e-12
-    b = lipschitz_bounds(1.0, 1.0, 0.0, 0.5)
-    assert b.l_q == 2.0 and b.l_v == 2.0
+    b = lipschitz_bounds(1.0, 1.0, 0.5)
+    assert b.l_q == 2.0
     with pytest.raises(ValueError):
-        lipschitz_bounds(1.0, 1.0, 1.0, 1.0)
+        lipschitz_bounds(1.0, 1.0, 1.0)
 
 
 def test_interpolate_policy_exact_at_grid():

@@ -257,6 +257,58 @@ def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
     assert msg in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("drop", ["env", "nets", "file", "layer_dims", "activation", None,
+                                  "nets_list"],
+                         ids=["env", "nets", "file", "layer_dims", "activation", "not_object",
+                              "nets_not_object"])
+def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
+    # A manifest that is not a JSON object, or that lacks a key the loader
+    # reads, is a bad checkpoint (exit 2), not a crash (exit 1).
+    cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_doc))
+    ck = Path(train_run(resolve_config(cfg_doc), tmp_path / "run")[0]["final_checkpoint"])
+    manifest = json.loads((ck / "manifest.json").read_text())
+    if drop is None:
+        manifest, msg = [manifest], "manifest.json is not a JSON object"
+    elif drop == "nets_list":
+        manifest["nets"] = list(manifest["nets"].values())
+        msg = "manifest 'nets' is not a JSON object"
+    elif drop in manifest:
+        del manifest[drop]
+        msg = f"manifest.json has no {drop!r} key"
+    else:
+        del manifest["nets"]["actor"][drop]
+        msg = f"manifest net 'actor' has no {drop!r} key"
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{ck}: {msg}")):
+        load_checkpoint(ck)
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ck),
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert msg in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_evaluation_leaves_no_output_directory(tmp_path, capsys):
+    # The checkpoint's env and agent count are checked before evaluate
+    # writes anything.
+    ck = train_run(resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2)),
+                   tmp_path / "run")[0]["final_checkpoint"]
+    out = tmp_path / "e"
+    for doc, msg in ((_qcombo_doc(), "checkpoint env 'coopnav' does not match config env 'gridq'"),
+                     (_ddpg_doc(n_agents=2), "checkpoint has 3 agents, config env 'coopnav' has 2")):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ck),
+                         "--out", str(out)]) == EXIT_CONFIG
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_evaluate_env_mismatch_raises(tmp_path):
     cfg = resolve_config(_ddpg_doc(train_steps=2, warmup=1, batch=2))
     res = train_run(cfg, tmp_path)
@@ -295,6 +347,7 @@ def test_evaluate_nonfinite_return_names_spec_episode_and_seed(tmp_path, monkeyp
                        match=rf"non-finite return nan in episode 1 \(seed {seed}\) under "
                              r"PerturbSpec\(obs_noise_sigma=0.0,"):
         evaluate_checkpoint(cfg, res[0]["final_checkpoint"], tmp_path / "e")
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("doc_fn,spec",
