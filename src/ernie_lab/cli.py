@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from .certify import run_certification
-from .config import ConfigError, ExperimentConfig, echo_config, load_config, resolve_config
+from .config import (ConfigError, ExperimentConfig, count_rule, echo_config, load_config,
+                     resolve_config)
 from .evaluate import evaluate_checkpoint
 from .gradcheck import run_gradcheck
 from .train import train_run
@@ -80,34 +81,45 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    out = _out_dir(args.out, None)
-    report = run_certification(n_instances=args.instances, seed=args.seed)
+def _write_report(cli_out: str | None, name: str, report: dict, suites) -> int:
+    """Write a suite report as sorted JSON under the output directory, print
+    each suite's verdict and map the overall verdict to an exit code."""
+    out = _out_dir(cli_out, None)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "theory_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (out / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    for key in ("theorem1", "theorem2", "theorem3", "negative_control"):
+    for key in suites:
         print(f"{key}: {'pass' if report[key]['passed'] else 'FAIL'}")
     return EXIT_OK if report["passed"] else EXIT_CHECK
+
+
+def cmd_certify(args) -> int:
+    return _write_report(args.out, "theory_report.json",
+                         run_certification(n_instances=args.instances, seed=args.seed),
+                         ("theorem1", "theorem2", "theorem3", "negative_control"))
 
 
 def cmd_gradcheck(args) -> int:
-    out = _out_dir(args.out, None)
-    report = run_gradcheck(seed=args.seed)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for key in ("net_grads", "hvp", "stackelberg"):
-        print(f"{key}: {'pass' if report[key]['passed'] else 'FAIL'}")
-    return EXIT_OK if report["passed"] else EXIT_CHECK
+    return _write_report(args.out, "gradcheck_report.json", run_gradcheck(seed=args.seed),
+                         ("net_grads", "hvp", "stackelberg"))
+
+
+def _count_arg(lo: int):
+    """An argparse type: an integer that passes the config's count rule."""
+    what, ok = count_rule(lo)
+
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            val = None
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return val
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train per-seed runs from a config")
     t.add_argument("--config", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_count_arg(0), default=None)
     t.add_argument("--out", default=None)
     t.set_defaults(fn=cmd_train)
 
@@ -128,13 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_evaluate)
 
     c = sub.add_parser("certify", help="run the theorem certification suites")
-    c.add_argument("--instances", type=int, default=200)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--instances", type=_count_arg(1), default=200)
+    c.add_argument("--seed", type=_count_arg(0), default=0)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_certify)
 
     g = sub.add_parser("gradcheck", help="run the finite-difference suites")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_count_arg(0), default=0)
     g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gradcheck)
     return p

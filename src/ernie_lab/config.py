@@ -1,11 +1,14 @@
-# Experiment configuration: JSON in, defaults filled, cross-field validation.
+# Experiment configuration: JSON in, each value checked against its leaf's
+# rule, defaults filled, cross-field validation.
 from __future__ import annotations
 
 import copy
-import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .advreg import METRICS, NORMS
 
 
 class ConfigError(ValueError):
@@ -13,9 +16,9 @@ class ConfigError(ValueError):
 
 
 DEFAULTS = {
-    "algo": "qcombo",            # qcombo | ddpg | mf_ddpg
-    "env": "gridq",              # gridq | coopnav
-    "n_agents": None,            # default depends on env
+    "algo": "qcombo",
+    "env": "gridq",
+    "n_agents": None,
     "seeds": [0],
     "train_steps": 2000,
     "gamma": 0.95,
@@ -34,12 +37,12 @@ DEFAULTS = {
     "ernie": {
         "enabled": False,
         "stackelberg": False,
-        "mode": "pgd",           # pgd | gaussian (smoothing baseline)
+        "mode": "pgd",
         "epsilon": 0.5,
         "k_steps": 2,
         "eta": None,             # None -> 2.5 eps / K
         "lambda": 0.1,
-        "metric": "sq_l2",       # sq_l2 | kl (softmax head)
+        "metric": "sq_l2",
         "norm": "l2",
         "reg_rows": 64,          # batch rows fed to the attack per update
         "start_frac": 0.0,       # apply the regularizer from this fraction of steps
@@ -74,19 +77,72 @@ _CONTINUOUS_ALGOS = {"ddpg", "mf_ddpg"}
 # Top-level leaves that only one kind of learner reads.
 _LEARNER_ONLY = {"actor_lr": _CONTINUOUS_ALGOS, "actor_noise": _CONTINUOUS_ALGOS,
                  "lambda_q": _DISCRETE_ALGOS, "explore_final": _DISCRETE_ALGOS}
-# Leaves that hold a count (an int), and leaves that hold a real number (an
-# int or a float; null too for the two whose null means a derived value).
-_COUNT_KEYS = ("batch", "hidden", "replay_capacity", "n_agents", "train_steps", "warmup",
-               "log_interval", "ernie.k_steps", "ernie.reg_rows", "ernie_a.k", "ernie_a.rows",
-               "meanfield.mf_steps", "eval.episodes")
-_REAL_KEYS = ("gamma", "tau", "lambda_q", "lr", "actor_lr", "lr_decay", "explore_final",
-              "actor_noise", "ernie.epsilon", "ernie.eta", "ernie.lambda", "ernie.start_frac",
-              "ernie_a.lambda", "meanfield.lambda_w", "meanfield.mf_eta")
-_NULLABLE = {"actor_lr", "ernie.eta"}
-# Each sweep list of the eval section and the range of its values.
-_EVAL_LISTS = {"obs_noise_sigmas": (">= 0", lambda v: v >= 0),
-               "dynamics_scales": ("> 0", lambda v: v > 0),
-               "malicious_rates": ("in [0, 1]", lambda v: 0 <= v <= 1)}
+
+
+# A rule is a pair: what a leaf must be, in words, and the test of a value.
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def count_rule(lo: int):
+    return f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo
+
+
+def _real(what: str, ok):
+    return (f"a finite number {what}",
+            lambda v: (_is_int(v) or (isinstance(v, float) and math.isfinite(v))) and ok(v))
+
+
+def _or_null(rule):
+    what, ok = rule
+    return f"{what}, or null", lambda v: v is None or ok(v)
+
+
+def _one_of(choices):
+    return (f"one of {', '.join(map(repr, choices))}",
+            lambda v: isinstance(v, str) and v in choices)
+
+
+def _distinct(rule, nonempty: bool = False):
+    what, ok = rule
+    return (f"a {'non-empty ' * nonempty}list of distinct values, each {what}",
+            lambda v: (isinstance(v, list) and len(v) >= nonempty and all(map(ok, v))
+                       and len(set(v)) == len(v)))
+
+
+_NONNEG = _real(">= 0", lambda v: v >= 0)
+_POSITIVE = _real("> 0", lambda v: v > 0)
+_UNIT = _real("in [0, 1]", lambda v: 0 <= v <= 1)
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+
+# What each leaf of DEFAULTS accepts, checked for every value a config sets.
+RULES = {
+    "algo": _one_of(sorted(_DISCRETE_ALGOS | _CONTINUOUS_ALGOS)),
+    "env": _one_of(tuple(_ENV_DEFAULT_AGENTS)),
+    "n_agents": _or_null(count_rule(1)),       # null: the env's default
+    "seeds": _distinct(count_rule(0), nonempty=True),
+    "train_steps": count_rule(0), "warmup": count_rule(0), "log_interval": count_rule(1),
+    "batch": count_rule(1), "replay_capacity": count_rule(1), "hidden": count_rule(1),
+    "gamma": _UNIT, "tau": _UNIT, "lambda_q": _NONNEG, "explore_final": _UNIT,
+    "lr": _POSITIVE, "actor_lr": _or_null(_POSITIVE), "lr_decay": _UNIT,
+    "actor_noise": _NONNEG,
+    "ernie.enabled": _FLAG, "ernie.stackelberg": _FLAG,
+    "ernie.mode": _one_of(("pgd", "gaussian")),   # gaussian: the smoothing baseline
+    "ernie.epsilon": _NONNEG, "ernie.k_steps": count_rule(0),
+    "ernie.eta": _or_null(_POSITIVE), "ernie.lambda": _NONNEG,
+    "ernie.metric": _one_of(METRICS), "ernie.norm": _one_of(NORMS),
+    "ernie.reg_rows": count_rule(1), "ernie.start_frac": _UNIT,
+    "ernie_a.enabled": _FLAG, "ernie_a.k": count_rule(1), "ernie_a.lambda": _NONNEG,
+    "ernie_a.rows": count_rule(1),
+    "meanfield.enabled": _FLAG, "meanfield.lambda_w": _NONNEG,
+    "meanfield.mf_steps": count_rule(0), "meanfield.mf_eta": _POSITIVE,
+    "eval.obs_noise_sigmas": _distinct(_NONNEG),
+    "eval.dynamics_scales": _distinct(_POSITIVE),
+    "eval.malicious_rates": _distinct(_UNIT),
+    "eval.malicious_mode": _one_of(("random", "adversarial")),
+    "eval.episodes": count_rule(1),
+    "paths.out_dir": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -99,8 +155,11 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
             if not isinstance(val, dict):
                 raise ConfigError(f"{dotted} must be an object")
             out[key] = _merge(defaults[key], val, prefix=dotted + ".")
-        else:
-            out[key] = val
+            continue
+        what, ok = RULES[dotted]
+        if not ok(val):
+            raise ConfigError(f"{dotted} must be {what}, got {val!r}")
+        out[key] = val
     return out
 
 
@@ -131,45 +190,13 @@ class ExperimentConfig:
         return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
 
 
-def _leaf(raw: dict, dotted: str):
-    return functools.reduce(dict.__getitem__, dotted.split("."), raw)
-
-
-def _is_count(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_real(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _check_types(raw: dict) -> None:
-    for key in _COUNT_KEYS:
-        val = _leaf(raw, key)
-        if not _is_count(val):
-            raise ConfigError(f"{key} must be an integer, got {val!r}")
-    if not isinstance(raw["seeds"], list) or not all(map(_is_count, raw["seeds"])):
-        raise ConfigError(f"seeds must be a list of integers, got {raw['seeds']!r}")
-    for key in _REAL_KEYS:
-        val = _leaf(raw, key)
-        if not (_is_real(val) or (val is None and key in _NULLABLE)):
-            raise ConfigError(f"{key} must be a number, got {val!r}")
-    for key, (rule, ok) in _EVAL_LISTS.items():
-        vals = raw["eval"][key]
-        if not isinstance(vals, list) or not all(_is_real(v) and ok(v) for v in vals):
-            raise ConfigError(f"eval.{key} must be a list of numbers, each {rule}; "
-                              f"got {vals!r}")
-
-
 def resolve_config(user: dict) -> ExperimentConfig:
+    """DEFAULTS overlaid with user, each value it sets checked against its
+    leaf's rule in RULES (DEFAULTS' own values pass theirs), then the rules
+    that tie leaves together."""
     raw = _merge(DEFAULTS, user)
-    if raw["algo"] not in _DISCRETE_ALGOS | _CONTINUOUS_ALGOS:
-        raise ConfigError(f"unknown algo: {raw['algo']}")
-    if raw["env"] not in _ENV_DEFAULT_AGENTS:
-        raise ConfigError(f"unknown env: {raw['env']}")
     if raw["n_agents"] is None:
         raw["n_agents"] = _ENV_DEFAULT_AGENTS[raw["env"]]
-    _check_types(raw)
 
     # compatibility: qcombo and ernie_a are discrete-only, ddpg continuous-only
     if raw["algo"] in _DISCRETE_ALGOS and raw["env"] != "gridq":
@@ -186,11 +213,6 @@ def resolve_config(user: dict) -> ExperimentConfig:
     if raw["meanfield"]["enabled"] and raw["algo"] != "mf_ddpg":
         raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
                           "the cloud attack regularizes")
-
-    for key in ("ernie.reg_rows", "ernie_a.rows", "ernie_a.k", "eval.episodes",
-                "log_interval", "batch", "hidden", "replay_capacity", "n_agents"):
-        if _leaf(raw, key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
     if raw["ernie_a"]["k"] > raw["n_agents"]:
         raise ConfigError(f"ernie_a.k {raw['ernie_a']['k']} exceeds n_agents "
                           f"{raw['n_agents']}: the attack flips each agent at most once")
@@ -198,38 +220,9 @@ def resolve_config(user: dict) -> ExperimentConfig:
         side = int(round(raw["n_agents"] ** 0.5))
         if side * side != raw["n_agents"]:
             raise ConfigError("gridq n_agents must be a perfect square")
-    if raw["train_steps"] < 0:
-        raise ConfigError("train_steps must be >= 0")
-    if not raw["seeds"]:
-        raise ConfigError("seeds must be non-empty")
-    if raw["ernie"]["mode"] not in ("pgd", "gaussian"):
-        raise ConfigError("ernie.mode must be 'pgd' or 'gaussian'")
     if raw["ernie"]["stackelberg"] and raw["ernie"]["mode"] != "pgd":
         raise ConfigError("ernie.stackelberg needs ernie.mode 'pgd': the gaussian "
                           "baseline has no attack to differentiate through")
-    if raw["ernie"]["norm"] not in ("l2", "linf"):
-        raise ConfigError("ernie.norm must be 'l2' or 'linf'")
-    if raw["ernie"]["epsilon"] < 0:
-        raise ConfigError("ernie.epsilon must be >= 0")
-    if raw["ernie"]["k_steps"] < 0:
-        raise ConfigError("ernie.k_steps must be >= 0")
-    if not 0.0 <= raw["ernie"]["start_frac"] <= 1.0:
-        raise ConfigError("ernie.start_frac must be in [0, 1]")
-    if raw["ernie"]["metric"] not in ("kl", "sq_l2"):
-        raise ConfigError("ernie.metric must be 'kl' or 'sq_l2'")
-    if raw["ernie"]["eta"] is not None and not raw["ernie"]["eta"] > 0:
-        raise ConfigError("ernie.eta must be null or > 0")
-    for key in ("tau", "explore_final", "gamma"):
-        if not 0.0 <= raw[key] <= 1.0:
-            raise ConfigError(f"{key} must be in [0, 1]")
-    if raw["actor_noise"] < 0:
-        raise ConfigError("actor_noise must be >= 0")
-    if raw["meanfield"]["mf_steps"] < 0:
-        raise ConfigError("meanfield.mf_steps must be >= 0")
-    if raw["meanfield"]["lambda_w"] < 0:
-        raise ConfigError("meanfield.lambda_w must be >= 0")
-    if raw["eval"]["malicious_mode"] not in ("random", "adversarial"):
-        raise ConfigError("eval.malicious_mode must be 'random' or 'adversarial'")
     if raw["env"] != "gridq" and any(r > 0 for r in raw["eval"]["malicious_rates"]):
         raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
                           "replaces discrete actions only, so continuous actions "

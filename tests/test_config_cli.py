@@ -8,6 +8,7 @@ import pytest
 from ernie_lab.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, _out_dir, main
 from ernie_lab.config import (
     DEFAULTS,
+    RULES,
     ConfigError,
     ExperimentConfig,
     echo_config,
@@ -214,6 +215,23 @@ def test_cli_train_bad_config_exits_2(tmp_path):
     {"eval": {"dynamics_scales": [-1.0]}}, {"eval": {"malicious_rates": [1.5]}},
     {"eval": {"malicious_rates": [-0.1]}}, {"eval": {"malicious_rates": [True]}},
     {"ernie_a": {"enabled": True, "k": 5}},
+    {"ernie": {"enabled": "false"}}, {"ernie": {"stackelberg": "false"}},
+    {"ernie_a": {"enabled": 0}},
+    {"algo": "mf_ddpg", "env": "coopnav", "meanfield": {"enabled": "false"}},
+    {"lr": float("nan")}, {"lambda_q": float("nan")}, {"ernie": {"epsilon": float("inf")}},
+    {"ernie": {"eta": float("inf")}}, {"ernie_a": {"lambda": float("-inf")}},
+    {"algo": "ddpg", "env": "coopnav", "actor_noise": float("inf")},
+    {"eval": {"obs_noise_sigmas": [float("inf")]}},
+    {"eval": {"dynamics_scales": [float("inf")]}},
+    {"lr": 0}, {"lr": -1e-3}, {"algo": "ddpg", "env": "coopnav", "actor_lr": 0.0},
+    {"algo": "mf_ddpg", "env": "coopnav", "meanfield": {"mf_eta": 0}},
+    {"lr_decay": 2.0}, {"lr_decay": -0.5}, {"lambda_q": -1.0},
+    {"ernie": {"lambda": -0.1}}, {"ernie_a": {"lambda": -0.1}},
+    {"algo": "mf_ddpg", "env": "coopnav", "meanfield": {"lambda_w": float("inf")}},
+    {"warmup": -5}, {"seeds": [-1]}, {"seeds": [0, 0]}, {"env": ["gridq"]},
+    {"algo": ["qcombo"]}, {"paths": {"out_dir": 5}},
+    {"eval": {"obs_noise_sigmas": [0.5, 0.5]}}, {"eval": {"dynamics_scales": [1.25, 1.25]}},
+    {"eval": {"malicious_rates": [0.05, 0.05]}},
 ])
 def test_values_training_rejects_fail_before_training(tmp_path, doc):
     # Each value used to pass resolve_config and fail (or be ignored) only
@@ -223,6 +241,44 @@ def test_values_training_rejects_fail_before_training(tmp_path, doc):
     out = tmp_path / "o"
     assert main(["train", "--config", _write_cfg(tmp_path, doc),
                  "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_every_leaf_has_one_rule():
+    # resolve_config checks each value a config sets against its leaf's rule
+    # and takes DEFAULTS unchecked, so the table must name every leaf and
+    # every default must pass its own rule.
+    assert sorted(RULES) == sorted(_leaves(DEFAULTS))
+    for key in RULES:
+        section, _, leaf = key.rpartition(".")
+        val = (DEFAULTS[section] if section else DEFAULTS)[leaf]
+        assert RULES[key][1](val), key
+
+
+def test_rejected_value_is_named():
+    with pytest.raises(ConfigError, match=r"^ernie.enabled must be true or false, "
+                                          r"got 'false'$"):
+        resolve_config({"ernie": {"enabled": "false"}})
+    with pytest.raises(ConfigError, match=r"^seeds must be a non-empty list of distinct "
+                                          r"values, each an integer >= 0, got \[0, 0\]$"):
+        resolve_config({"seeds": [0, 0]})
+    with pytest.raises(ConfigError, match=r"^lr must be a finite number > 0, got nan$"):
+        resolve_config({"lr": float("nan")})
+
+
+@pytest.mark.parametrize("command,flag,value,rule", [
+    ("certify", "--instances", "0", ">= 1"), ("certify", "--instances", "-3", ">= 1"),
+    ("certify", "--instances", "2.5", ">= 1"), ("certify", "--seed", "-1", ">= 0"),
+    ("gradcheck", "--seed", "-1", ">= 0"), ("gradcheck", "--seed", "x", ">= 0"),
+])
+def test_cli_counts_rejected_at_parse_time(tmp_path, capsys, command, flag, value, rule):
+    # Zero instances would certify nothing and write "max_slack": -Infinity;
+    # a negative seed fails inside numpy after the suites start.
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"{flag}: must be an integer {rule}, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
 
 
