@@ -6,7 +6,6 @@
 # sq_l2 deterministic policies' raw outputs.
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +76,19 @@ def _divergence_grads(a: np.ndarray, b: np.ndarray, metric: str):
     return vals, da, db
 
 
-def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = True):
+def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = True,
+                        clean=None):
     """Per-row regularizer value D(pi(o+delta), pi(o)) of (B, d) rows, its
     gradient w.r.t. delta, and (optionally) the flat parameter gradient
     summed over rows; an agent stack takes (N, B, d) rows, giving (N, B)
-    values and an (N, P) gradient."""
+    values and an (N, P) gradient. clean is net_vjp(net, obs), the clean
+    pass, which callers that evaluate several deltas on the same rows
+    compute once; it is computed here when None."""
     softmax_head = metric == "kl"
     if np.shape(obs) != np.shape(delta):
         raise ValueError(f"obs shape {np.shape(obs)} != delta shape {np.shape(delta)}")
     ya, vjp_a = net_vjp(net, obs + delta)
-    yb, vjp_b = net_vjp(net, obs)
+    yb, vjp_b = net_vjp(net, obs) if clean is None else clean
     if softmax_head:
         ya, yb = softmax(ya), softmax(yb)
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
@@ -128,49 +130,47 @@ def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> n
 
 def sample_ball(shape, radius: float, norm: str, rng: np.random.Generator) -> np.ndarray:
     """One point drawn uniformly from the radius-ball of the norm for every
-    row of an array of `shape`, (..., d); an int d is a single point."""
+    row of an array of `shape`, (..., d); an int d is a single point. A
+    block draws what one call per row draws in C order, bit for bit.
+
+    The l2 point is the first d coordinates of d + 2 standard normals over
+    their norm (Voelker, Gosmann & Stewart 2017): one normal draw for the
+    whole block, with no radius draw. A zero draw gives a zero row."""
     if norm == "linf":
         return rng.uniform(-radius, radius, size=shape)
-    out = np.empty(shape)
-    rows = out.reshape(-1, out.shape[-1])
-    norms, scales = np.ones((len(rows), 1)), np.ones((len(rows), 1))
-    # Per row in C order: a normal direction, then the radius draw, which a
-    # zero direction skips. The norm and the radius are scalar math, as the
-    # per-point formula is: sqrt(x.dot(x)) is np.linalg.norm's 1-D formula,
-    # and an array pow differs from the scalar one in the last bit.
-    for row, norm_j, scale_j in zip(rows, norms, scales):
-        rng.standard_normal(out=row)
-        d_norm = math.sqrt(row.dot(row))
-        if d_norm == 0.0:
-            row[...] = 0.0
-            continue
-        norm_j[0] = d_norm
-        scale_j[0] = radius * rng.random() ** (1.0 / rows.shape[1])
-    rows /= norms
-    rows *= scales
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    d = shape[-1]
+    g = rng.standard_normal(shape[:-1] + (d + 2,))
+    norms = np.sqrt(np.vecdot(g, g))[..., None]
+    out = np.divide(g[..., :d], norms, out=np.zeros(shape), where=norms > 0.0)
+    out *= radius
     return out
 
 
 def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
     """The ascent's starting point for rows of `shape`: a uniform draw from
-    the 0.1*eps ball, projected onto the eps ball; zero at eps = 0, with no
-    draw. At delta = 0 both metrics have a vanishing gradient, so a zero start
-    would make gradient ascent a no-op."""
+    the 0.1*eps ball, which lies inside the eps ball; zero at eps = 0, with
+    no draw. At delta = 0 both metrics have a vanishing gradient, so a zero
+    start would make gradient ascent a no-op."""
     if cfg.epsilon == 0.0:
         return np.zeros(shape)
-    return project(sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng), cfg.epsilon, cfg.norm)
+    return sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng)
 
 
-def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig):
+def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig, clean=None):
     """The K projected ascent steps delta <- project(delta + eta * dR/ddelta)
-    from delta, on obs's rows. Returns the iterates delta^0..delta^K and the
-    K points before projection; at eps = 0 there is no step."""
+    from delta, on obs's rows, all against one clean pass net_vjp(net, obs),
+    computed here when None. Returns the iterates delta^0..delta^K and the K
+    points before projection; at eps = 0 there is no step."""
     deltas, pres = [delta], []
-    if cfg.epsilon == 0.0:
+    if cfg.epsilon == 0.0 or cfg.k_steps == 0:
         return deltas, pres
+    if clean is None:
+        clean = net_vjp(net, obs)
     eta = cfg.step_size
     for _ in range(cfg.k_steps):
-        _, gd, _ = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, need_theta=False)
+        _, gd, _ = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, need_theta=False,
+                                       clean=clean)
         if not np.all(np.isfinite(gd)):
             raise FloatingPointError("non-finite attack gradient")
         pres.append(deltas[-1] + eta * gd)
@@ -178,16 +178,19 @@ def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig):
     return deltas, pres
 
 
-def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarray:
+def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
+               clean=None) -> np.ndarray:
     """K steps of gradient ascent on the divergence, projected after every
     step, from a starting point drawn from rng.
 
     obs is a batch (B, d), or for an agent stack one batch per agent
     (N, B, d); the attack is row-independent, and a stack's result is
     bitwise that of one call per agent in agent order with a shared rng.
-    Returns delta with the shape of obs.
+    clean is the clean pass net_vjp(net, obs) that every step shares, as
+    reg_value_and_grads takes it; it is computed here when None. Returns
+    delta with the shape of obs.
     """
-    return _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg)[0][-1]
+    return _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)[0][-1]
 
 
 def _act_second(a: np.ndarray, kind: str) -> np.ndarray:
@@ -199,7 +202,7 @@ def _act_second(a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
-                    metric: str):
+                    metric: str, clean=None):
     """Exact derivative of reg_value_and_grads' (grad_delta, grad_theta) along
     (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows, or
     for an agent stack (N, B, d) rows and an (N, P) H_td u.
@@ -209,7 +212,8 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     through the net, the metric's head and the divergence gradient; the
     reverse pass carries the tangent of the backpropagated signal. The clean
     branch o has no input tangent, so its parameter-gradient tangent is one
-    reverse pass with the tangent of its upstream.
+    reverse pass with the tangent of its upstream, over the clean pass
+    net_vjp(net, obs) (computed here when None).
     """
     n_layers = len(net.weights)
     acts, pa = _forward_cached(net, obs + delta)
@@ -223,7 +227,7 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
             act_dots.append(a_dot)
 
     softmax_head = metric == "kl"
-    pb, vjp_b = net_vjp(net, obs)
+    pb, vjp_b = net_vjp(net, obs) if clean is None else clean
     pa_dot = a_dot
     if softmax_head:
         pa, pb = softmax(pa), softmax(pb)
@@ -267,7 +271,7 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
 
     The forward pass is pgd_attack's: the same start drawn from rng and the
     same ascent, so from equal rng states delta^K is pgd_attack's output bit
-    for bit. Three passes:
+    for bit. Three passes, all against one clean pass net_vjp(net, obs):
 
     - forward: the K projected ascent steps on all rows, keeping delta^k
       and the pre-projection points;
@@ -284,10 +288,11 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
     reduces to the plain gradient at the initialization. Returns (gradient,
     delta^K, per-row regularizer values at delta^K).
     """
-    deltas, pres = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg)
+    clean = net_vjp(net, obs)
+    deltas, pres = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)
     final, eta = deltas[-1], cfg.step_size
 
-    vals, u, theta_acc = reg_value_and_grads(net, obs, final, cfg.metric)
+    vals, u, theta_acc = reg_value_and_grads(net, obs, final, cfg.metric, clean=clean)
     live = np.ones(np.shape(obs)[:-2], dtype=bool)  # per agent; one flag for a net
     for k in range(len(pres) - 1, -1, -1):
         u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
@@ -296,7 +301,7 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
             break
         if not live.all():
             u = np.where(live[..., None, None], u, 0.0)
-        h_delta, h_theta = _joint_grad_dir(net, obs, deltas[k], u, cfg.metric)
+        h_delta, h_theta = _joint_grad_dir(net, obs, deltas[k], u, cfg.metric, clean)
         step = theta_acc + eta * h_theta
         theta_acc = step if live.all() else np.where(live[..., None], step, theta_acc)
         u = u + eta * h_delta

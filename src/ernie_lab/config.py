@@ -223,7 +223,13 @@ def resolve_config(user: dict) -> ExperimentConfig:
     if raw["ernie"]["stackelberg"] and raw["ernie"]["mode"] != "pgd":
         raise ConfigError("ernie.stackelberg needs ernie.mode 'pgd': the gaussian "
                           "baseline has no attack to differentiate through")
-    if raw["env"] != "gridq" and any(r > 0 for r in raw["eval"]["malicious_rates"]):
+    ev = raw["eval"]
+    if not (ev["obs_noise_sigmas"] or any(d != 1.0 for d in ev["dynamics_scales"])
+            or any(r > 0 for r in ev["malicious_rates"])):
+        raise ConfigError("the evaluation sweep is empty: give eval.obs_noise_sigmas a "
+                          "sigma, eval.dynamics_scales a scale other than 1.0 or "
+                          "eval.malicious_rates a rate above 0")
+    if raw["env"] != "gridq" and any(r > 0 for r in ev["malicious_rates"]):
         raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
                           "replaces discrete actions only, so continuous actions "
                           "would never be replaced")

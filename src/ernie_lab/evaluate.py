@@ -88,8 +88,6 @@ def evaluate_specs(env, act_fn, specs, episodes: int, base_seeds,
     derive from base_seeds[s] alone, so specs given the same base seed run
     the same episodes. A non-finite return raises FloatingPointError naming
     its spec, episode and seed."""
-    if not specs:
-        return np.empty((0, episodes))
     seeds = [[int(np.random.default_rng(np.random.SeedSequence([base_seed, ep]))
                   .integers(2 ** 31)) for ep in range(episodes)] for base_seed in base_seeds]
     rets = rollout(env, act_fn, env.episode_len,

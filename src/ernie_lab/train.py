@@ -80,13 +80,14 @@ def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
     if stackelberg:
         gt, delta, vals = stackelberg_grad(policy, obs, acfg, rng=attack_rng)
     else:
+        clean = net_vjp(policy, obs)
         if mode == "gaussian":
             sigma = acfg.epsilon
             delta = (np.zeros_like(obs) if sigma == 0.0
                      else sigma * attack_rng.standard_normal(obs.shape))
         else:
-            delta = pgd_attack(policy, obs, acfg, rng=attack_rng)
-        vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric)
+            delta = pgd_attack(policy, obs, acfg, rng=attack_rng, clean=clean)
+        vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric, clean=clean)
     return (np.mean(vals, axis=-1), np.mean(np.linalg.norm(delta, axis=-1), axis=-1),
             gt / obs.shape[-2])
 

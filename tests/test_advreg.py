@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ernie_lab.advreg import (KL_FLOOR, AttackConfig, _divergence_grads, _joint_grad_dir,
-                              _project_vjp, pgd_attack, project, reg_value_and_grads,
-                              sample_ball, stackelberg_grad)
-from ernie_lab.net import Net, hvp, net_init, stack_nets, vector_to_net
+from ernie_lab import advreg as advreg_module
+from ernie_lab import net as net_module
+from ernie_lab.advreg import (KL_FLOOR, AttackConfig, _divergence_grads, _init_delta,
+                              _joint_grad_dir, _project_vjp, pgd_attack, project,
+                              reg_value_and_grads, sample_ball, stackelberg_grad)
+from ernie_lab.net import Net, hvp, net_init, net_vjp, stack_nets, vector_to_net
 from ernie_lab.train import _obs_regularizer
 
 
@@ -194,8 +196,7 @@ def test_stackelberg_k0_equals_plain_gradient():
     cfg = AttackConfig(epsilon=0.3, k_steps=0, metric="sq_l2")
     got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))[0]
     rng = np.random.default_rng(11)
-    from ernie_lab.advreg import _init_delta
-    delta0 = project(_init_delta((1, 3), cfg, rng), cfg.epsilon, "l2")
+    delta0 = _init_delta((1, 3), cfg, rng)
     _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2")
     assert np.array_equal(got, plain)
 
@@ -307,16 +308,15 @@ def test_stackelberg_attack_is_pgd_attack():
 
 
 def _sample_ball_row(dim, radius, norm, rng):
-    # The per-point sampler the block sampler replaces, called once per row.
+    # The per-point formula, called once per row: the first dim of dim + 2
+    # standard normals over their norm.
     if norm == "linf":
         return rng.uniform(-radius, radius, size=dim)
-    direction = rng.standard_normal(dim)
-    d_norm = math.sqrt(direction.dot(direction))
-    if d_norm == 0.0:
+    g = rng.standard_normal(dim + 2)
+    g_norm = math.sqrt(g.dot(g))
+    if g_norm == 0.0:
         return np.zeros(dim)
-    direction /= d_norm
-    direction *= radius * rng.random() ** (1.0 / dim)
-    return direction
+    return g[:dim] / g_norm * radius
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
@@ -331,31 +331,89 @@ def test_sample_ball_block_matches_rows(norm):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-class _ZeroSecondDirection:
-    """A generator whose second normal draw comes out all zero."""
+class _ZeroSecondRow:
+    """A generator whose normal draws come out all zero in their second row,
+    recording the shape of each draw."""
 
     def __init__(self, seed):
-        self.rng, self.normals = np.random.default_rng(seed), 0
+        self.rng, self.sizes = np.random.default_rng(seed), []
 
-    def standard_normal(self, size=None, out=None):
-        x = self.rng.standard_normal(size, out=out)
-        self.normals += 1
-        if self.normals == 2:
-            x[...] = 0.0
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        x = self.rng.standard_normal(size)
+        x[1] = 0.0
         return x
-
-    def random(self):
-        return self.rng.random()
 
 
 def test_sample_ball_zero_norm_row():
-    # A zero direction gives a zero row and skips that row's radius draw.
-    got_rng, want_rng = _ZeroSecondDirection(4), _ZeroSecondDirection(4)
-    got = sample_ball((3, 5), 0.2, "l2", got_rng)
-    want = np.stack([_sample_ball_row(5, 0.2, "l2", want_rng) for _ in range(3)])
-    assert got.tobytes() == want.tobytes()
+    # A zero (d + 2) draw gives a zero row; each row draws exactly d + 2
+    # normals, in one draw for the block.
+    rng = _ZeroSecondRow(4)
+    got = sample_ball((3, 5), 0.2, "l2", rng)
+    assert rng.sizes == [(3, 7)]
     assert not got[1].any() and got[0].any() and got[2].any()
-    assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
+    want_rng = np.random.default_rng(4)
+    want = [_sample_ball_row(5, 0.2, "l2", want_rng) for _ in range(3)]
+    for i in (0, 2):
+        assert got[i].tobytes() == want[i].tobytes()
+    assert rng.rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 3, 14])
+def test_sample_ball_radius_is_uniform_in_volume(dim):
+    # Uniform in the ball: (|x| / r)^d, the fraction of the volume within
+    # |x|, is uniform on [0, 1], with mean 1/2 and standard deviation
+    # 1/sqrt(12); over 200k rows 0.004 is six standard errors.
+    x = sample_ball((200_000, dim), 0.3, "l2", np.random.default_rng(dim))
+    frac = (np.linalg.norm(x, axis=-1) / 0.3) ** dim
+    assert frac.max() <= 1.0 + 1e-12
+    assert abs(frac.mean() - 0.5) < 0.004
+
+
+def _policy_stack_and_rows():
+    policy = stack_nets([net_init([4, 6, 3], activation="tanh", seed=i, scale=2.0)
+                         for i in range(3)])
+    return policy, np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 5, 4))
+
+
+@pytest.mark.parametrize("metric", ["sq_l2", "kl"])
+def test_shared_clean_pass_is_bitwise_neutral(metric):
+    # Handing in the clean pass gives bitwise what computing it in place gives.
+    policy, obs = _policy_stack_and_rows()
+    cfg = AttackConfig(epsilon=0.5, k_steps=3, metric=metric)
+    clean = net_vjp(policy, obs)
+    got = pgd_attack(policy, obs, cfg, np.random.default_rng(2), clean=clean)
+    want = pgd_attack(policy, obs, cfg, np.random.default_rng(2))
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(reg_value_and_grads(policy, obs, got, metric, clean=clean),
+                    reg_value_and_grads(policy, obs, got, metric)):
+        assert a.tobytes() == b.tobytes()
+    u = np.random.default_rng(3).standard_normal(obs.shape)
+    for a, b in zip(_joint_grad_dir(policy, obs, got, u, metric, clean),
+                    _joint_grad_dir(policy, obs, got, u, metric)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k_steps", [1, 2, 3])
+@pytest.mark.parametrize("stackelberg", [False, True])
+def test_attack_runs_one_clean_pass(monkeypatch, k_steps, stackelberg):
+    # One regularizer update runs the clean pass pi(o) once: K + 2 policy
+    # forward passes for PGD (K ascent steps, the clean pass, the final
+    # perturbed pass) and 2K + 2 for Stackelberg (plus one per reverse step).
+    calls = []
+    real = net_module._forward_cached
+
+    def counting(net, x):
+        calls.append(np.shape(x))
+        return real(net, x)
+
+    monkeypatch.setattr(net_module, "_forward_cached", counting)
+    monkeypatch.setattr(advreg_module, "_forward_cached", counting)
+    policy, obs = _policy_stack_and_rows()
+    cfg = AttackConfig(epsilon=0.5, k_steps=k_steps, metric="sq_l2")
+    _obs_regularizer(policy, obs, cfg, "pgd", np.random.default_rng(0), stackelberg)
+    assert len(calls) == (2 * k_steps + 2 if stackelberg else k_steps + 2)
+    assert all(shape == obs.shape for shape in calls)
 
 
 def test_stackelberg_zero_direction_agent():

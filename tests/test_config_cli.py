@@ -15,7 +15,7 @@ from ernie_lab.config import (
     load_config,
     resolve_config,
 )
-from ernie_lab.evaluate import evaluate_checkpoint
+from ernie_lab.evaluate import evaluate_checkpoint, sweep_specs
 from ernie_lab.train import train_run
 
 
@@ -293,6 +293,30 @@ def test_cli_evaluate_env_mismatch_exits_2(tmp_path):
     ckpt = out / "seed_0" / "ckpt_000002"
     assert main(["evaluate", "--config", other_cfg, "--checkpoint", str(ckpt),
                  "--out", str(out)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("ev", [
+    {"obs_noise_sigmas": []},
+    {"obs_noise_sigmas": [], "dynamics_scales": [1.0], "malicious_rates": [0.0]},
+])
+def test_empty_eval_sweep_rejected(tmp_path, ev):
+    # The dropped defaults (dynamics 1.0, rate 0.0) leave no spec: evaluate
+    # would run nothing and write a header-only results.csv.
+    with pytest.raises(ConfigError, match="eval.obs_noise_sigmas.*eval.dynamics_scales"
+                                          ".*eval.malicious_rates"):
+        resolve_config({"eval": ev})
+    train_cfg = _write_cfg(tmp_path, {"train_steps": 2, "warmup": 1, "batch": 2},
+                           name="train.json")
+    out = tmp_path / "out"
+    assert main(["train", "--config", train_cfg, "--out", str(out)]) == EXIT_OK
+    empty_cfg = _write_cfg(tmp_path, {"eval": ev}, name="empty.json")
+    assert main(["evaluate", "--config", empty_cfg,
+                 "--checkpoint", str(out / "seed_0" / "ckpt_000002"),
+                 "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+    assert not (tmp_path / "eval").exists()
+    for one in ({"obs_noise_sigmas": [], "dynamics_scales": [0.8]},
+                {"obs_noise_sigmas": [], "malicious_rates": [0.05]}):
+        assert len(sweep_specs(resolve_config({"eval": one}))) == 1
 
 
 def test_cli_certify_writes_report(tmp_path):
