@@ -45,29 +45,38 @@ def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
     return _from_vector(net.layer_dims, net.theta - lr * flat_grad, net.activation)
 
 
+def _stack_out(stack: Net, obs: np.ndarray) -> np.ndarray:
+    """The agent stack's outputs (..., N, out) on observations (..., N, d),
+    run as (..., N, 1, d) row stacks, so that every leading index gets bit
+    for bit its own (N, d) call's outputs."""
+    return net_forward(stack, obs[..., None, :])[..., 0, :]
+
+
 def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
-                           rng: np.random.Generator, n_actions: int) -> np.ndarray:
-    """Joint action (N,) from the agent stack's greedy actions on obs (N, d);
-    agent by agent, each explores with probability explore_rate, drawing
-    first the coin and then the uniform action from rng; rate 0 draws nothing."""
+                           rng: np.random.Generator | None, n_actions: int) -> np.ndarray:
+    """Joint actions (..., N) from the agent stack's greedy actions on obs
+    (..., N, d); agent by agent, each explores with probability explore_rate,
+    drawing first the coin and then the uniform action from rng; rate 0
+    draws nothing, and rng may then be None."""
     if not 0.0 <= explore_rate <= 1.0:
         raise ValueError(f"explore rate must be in [0,1], got {explore_rate}")
-    actions = np.argmax(net_forward(qnets, obs), axis=1)
+    actions = np.argmax(_stack_out(qnets, obs), axis=-1)
     if explore_rate > 0.0:
-        for i in range(actions.size):
+        flat = actions.reshape(-1)
+        for i in range(flat.size):
             if rng.uniform() < explore_rate:
-                actions[i] = rng.integers(n_actions)
+                flat[i] = rng.integers(n_actions)
     return actions
 
 
 def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Joint action (N, action_dim) from the agent stack on obs (N, d), with
-    one (N, action_dim) Gaussian draw as exploration noise (none at scale 0),
-    clipped to [-1, 1]."""
+                             rng: np.random.Generator | None) -> np.ndarray:
+    """Joint actions (..., N, action_dim) from the agent stack on obs
+    (..., N, d), with one Gaussian draw of that shape as exploration noise
+    (none at scale 0, where rng may be None), clipped to [-1, 1]."""
     if noise_scale < 0:
         raise ValueError(f"noise scale must be >= 0, got {noise_scale}")
-    a = net_forward(actors, obs)
+    a = _stack_out(actors, obs)
     if noise_scale > 0.0:
         a = a + noise_scale * rng.standard_normal(a.shape)
     return np.clip(a, -1.0, 1.0)

@@ -69,7 +69,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args.out, cfg) / "eval"
     try:
         doc = evaluate_checkpoint(cfg, args.checkpoint, out)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -252,8 +252,7 @@ def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale=1
 
 class GridQueueEnv:
     episode_len = 100
-    n_phases = 2
-    n_out = n_phases  # policy output width per agent: one Q-value per phase
+    n_out = 2  # policy output width per agent: one Q-value per phase
 
     def __init__(self, rows: int = 2, cols: int = 2):
         self.rows, self.cols = rows, cols
@@ -293,12 +292,6 @@ def _stack_states(states):
                              if isinstance(getattr(first, f.name), np.ndarray)})
 
 
-def _take_episodes(state, idx):
-    """The episodes idx of a state with a leading episode axis."""
-    return replace(state, **{f.name: getattr(state, f.name)[idx] for f in fields(state)
-                             if isinstance(getattr(state, f.name), np.ndarray)})
-
-
 def episode_rng(seed: int) -> np.random.Generator:
     """The perturbation stream of the evaluation episode seeded by seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
@@ -319,17 +312,16 @@ def _perturb_obs(obs, sigma, rngs):
     return out
 
 
-def malicious_injector(env, state, joint_actions, rate, adversarial, rngs, q_global=None):
+def malicious_injector(env, joint_actions, rate, adversarial, rngs):
     """In each episode e of joint_actions (E, N), with probability rate[e]
     (a coin from rngs[e]), replace the discrete action of one uniformly
     chosen agent; episodes at rate 0 draw nothing.
 
-    adversarial[e] False: uniform replacement; True: the single-agent flip
-    minimizing q_global (an algos.GlobalQ) at the episode's global state, the
-    first minimum in action order. The alternatives of every adversarial
-    episode that fired are scored in one q_global.rows call, and the global
-    state is built for those episodes only. At a positive rate, continuous
-    actions are a TypeError in either mode.
+    adversarial[e] False: a uniform replacement from env.n_out actions;
+    True: the victim's phase a becomes 1 - a. A gridq phase is 0 or 1, so
+    that is its only alternative and the argmin of any scorer over it; the
+    fired episode draws the coin and the victim and nothing else. At a
+    positive rate, continuous actions are a TypeError in either mode.
     """
     live = np.flatnonzero(rate)
     if not live.size:
@@ -337,41 +329,29 @@ def malicious_injector(env, state, joint_actions, rate, adversarial, rngs, q_glo
     actions = np.asarray(joint_actions)
     if not np.issubdtype(actions.dtype, np.integer):
         raise TypeError("malicious injection requires discrete actions")
-    if q_global is None and adversarial[live].any():
-        raise ValueError("adversarial injection needs a global Q function")
     # rng.random() is the draw rng.uniform() returns, from the same stream
     fired = np.array([e for e in live if rngs[e].random() < rate[e]], dtype=int)
     if not fired.size:
         return joint_actions
-    n_agents, n_actions = actions.shape[-1], env.n_phases
-    victims = np.array([rngs[e].integers(n_agents) for e in fired])
+    victims = np.array([rngs[e].integers(actions.shape[-1]) for e in fired])
     out = actions.copy()
     uniform = ~adversarial[fired]
-    out[fired[uniform], victims[uniform]] = [rngs[e].integers(n_actions)
+    out[fired[uniform], victims[uniform]] = [rngs[e].integers(env.n_out)
                                              for e in fired[uniform]]
-    fired, victims = fired[~uniform], victims[~uniform]
-    if not fired.size:
-        return out
-    # Row f: the victim's alternatives in ascending order, skipping its action.
-    alts = np.arange(n_actions - 1)[None, :]
-    alts = alts + (alts >= out[fired, victims][:, None])
-    cands = np.repeat(out[fired][:, None, :], n_actions - 1, axis=1)
-    cands[np.arange(fired.size)[:, None], np.arange(n_actions - 1), victims[:, None]] = alts
-    states = np.repeat(env.global_state(_take_episodes(state, fired)), n_actions - 1, axis=0)
-    q = q_global.rows(states, cands.reshape(-1, n_agents)).reshape(alts.shape)
-    out[fired, victims] = alts[np.arange(fired.size), q.argmin(axis=1)]
+    flip = fired[~uniform], victims[~uniform]
+    out[flip] = 1 - out[flip]
     return out
 
 
-def rollout(env, act_fn, T: int, specs, seeds, q_global=None) -> np.ndarray:
+def rollout(env, act_fn, T: int, specs, seeds) -> np.ndarray:
     """len(seeds) episodes of T steps in lock step, episode e under specs[e]:
     perturb observations before acting, inject malicious actions after.
     act_fn maps observations (E, N, d) to joint actions (E, N, ...). Episode
     e starts from env.reset(seeds[e]) and draws from its own stream,
     episode_rng(seeds[e]), in the order a lone episode would: observation
-    noise, then the malicious coin, victim and replacement. Each step is one
-    act_fn call, one injector call and one env.step for all episodes.
-    Returns the (E,) global returns."""
+    noise, then the malicious coin, victim and (random mode) replacement.
+    Each step is one act_fn call, one injector call and one env.step for all
+    episodes. Returns the (E,) global returns."""
     if T < 1:
         raise ValueError("T must be >= 1")
     seeds = [int(s) for s in seeds]
@@ -393,7 +373,7 @@ def rollout(env, act_fn, T: int, specs, seeds, q_global=None) -> np.ndarray:
     global_return = np.zeros(len(seeds))
     for _ in range(T):
         actions = act_fn(_perturb_obs(obs, sigma, rngs))
-        actions = malicious_injector(env, state, actions, rate, adversarial, rngs, q_global)
+        actions = malicious_injector(env, actions, rate, adversarial, rngs)
         state, obs, _, global_reward = env.step(state, actions, scale)
         global_return += global_reward
     return global_return

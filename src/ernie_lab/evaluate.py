@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .algos import NET_NAMES, GlobalQ
+from .algos import NET_NAMES, select_action_continuous, select_action_discrete
 from .config import ExperimentConfig
 from .envs import PerturbSpec, make_env, rollout
-from .net import load_net, net_forward
+from .net import load_net
 
-RESULTS_HEADER = "obs_noise_sigma,dynamics_scale,malicious_rate,malicious_mode,episode,episodic_return"
+# results.csv's spec columns, like each summary.json "spec", are PerturbSpec's fields
+RESULTS_HEADER = ",".join([f.name for f in fields(PerturbSpec)] + ["episode", "episodic_return"])
 
 
 def _json_object(path, doc, what: str, keys=()) -> dict:
@@ -31,8 +33,11 @@ def load_checkpoint(path) -> dict:
     """The manifest and the two nets of a checkpoint: its algo's policy agent
     stack, an (N, P) block, and its central net, a (P,) vector."""
     path = Path(path)
-    manifest = _json_object(path, json.loads((path / "manifest.json").read_text()),
-                            "manifest.json", ("env", "nets"))
+    try:
+        doc = json.loads((path / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path / 'manifest.json'}: not valid JSON: {exc}") from None
+    manifest = _json_object(path, doc, "manifest.json", ("env", "nets"))
     algo = manifest.get("algo")
     if algo not in NET_NAMES:
         raise ValueError(f"{path}: checkpoint algo {algo!r} is not one of {sorted(NET_NAMES)}")
@@ -53,21 +58,14 @@ def load_checkpoint(path) -> dict:
 
 def build_policy(ckpt: dict):
     """Greedy/deterministic execution policy from a checkpoint, mapping the
-    observations (E, N, d) of E episodes to their joint actions, plus the
-    global Q used by the adversarial injector (qcombo only). The policy
-    agent stack runs on E row stacks: each episode's actions are bit for bit
-    those of its own (N, d) call."""
+    observations (E, N, d) of E episodes to their joint actions: training's
+    action head at zero exploration, so each episode's actions are bit for
+    bit those of its own (N, d) call."""
     manifest, nets = ckpt["manifest"], ckpt["nets"]
-    policy_name, central_name = NET_NAMES[manifest["algo"]]
-    policy = nets[policy_name]
-
-    def out(obs):
-        return net_forward(policy, obs[:, :, None, :])[:, :, 0, :]
-
+    policy = nets[NET_NAMES[manifest["algo"]][0]]
     if manifest["algo"] == "qcombo":
-        q_global = GlobalQ(nets[central_name], policy.out_dim)
-        return lambda obs: np.argmax(out(obs), axis=-1), q_global
-    return lambda obs: np.clip(out(obs), -1.0, 1.0), None
+        return lambda obs: select_action_discrete(policy, obs, 0.0, None, policy.out_dim)
+    return lambda obs: select_action_continuous(policy, obs, 0.0, None)
 
 
 def sweep_specs(cfg: ExperimentConfig) -> list[PerturbSpec]:
@@ -81,8 +79,7 @@ def sweep_specs(cfg: ExperimentConfig) -> list[PerturbSpec]:
     return specs
 
 
-def evaluate_specs(env, act_fn, specs, episodes: int, base_seeds,
-                   q_global=None) -> np.ndarray:
+def evaluate_specs(env, act_fn, specs, episodes: int, base_seeds) -> np.ndarray:
     """The (S, episodes) global returns of episodes episodes under each of
     the S specs, all run in one lock-step rollout. Spec s's episode seeds
     derive from base_seeds[s] alone, so specs given the same base seed run
@@ -92,7 +89,7 @@ def evaluate_specs(env, act_fn, specs, episodes: int, base_seeds,
                   .integers(2 ** 31)) for ep in range(episodes)] for base_seed in base_seeds]
     rets = rollout(env, act_fn, env.episode_len,
                    [spec for spec in specs for _ in range(episodes)],
-                   [seed for row in seeds for seed in row], q_global)
+                   [seed for row in seeds for seed in row])
     rets = rets.reshape(len(specs), episodes)
     bad = np.argwhere(~np.isfinite(rets))
     if bad.size:
@@ -132,25 +129,22 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
     if n_agents != env.n_agents:
         raise ValueError(f"checkpoint has {n_agents} agents, "
                          f"config env {cfg.env!r} has {env.n_agents}")
-    act_fn, q_global = build_policy(ckpt)
+    act_fn = build_policy(ckpt)
     episodes = int(cfg["eval"]["episodes"])
 
     specs = sweep_specs(cfg)
     returns = evaluate_specs(env, act_fn, specs, episodes,
-                             [base_seed * 100003 + idx for idx in range(len(specs))], q_global)
+                             [base_seed * 100003 + idx for idx in range(len(specs))])
     lines = [RESULTS_HEADER]
     summary = []
     for spec, rets in zip(specs, returns):
+        values = asdict(spec)
+        # a float column is its repr, the mode its unquoted string
+        cells = [v if isinstance(v, str) else repr(v) for v in values.values()]
         for ep, r in enumerate(rets):
-            lines.append(",".join([repr(spec.obs_noise_sigma),
-                                   repr(spec.dynamics_scale),
-                                   repr(spec.malicious_rate), spec.malicious_mode,
-                                   str(ep), repr(float(r))]))
+            lines.append(",".join(cells + [str(ep), repr(float(r))]))
         summary.append({
-            "spec": {"obs_noise_sigma": spec.obs_noise_sigma,
-                     "dynamics_scale": spec.dynamics_scale,
-                     "malicious_rate": spec.malicious_rate,
-                     "malicious_mode": spec.malicious_mode},
+            "spec": values,
             "mean": float(rets.mean()), "std": float(rets.std()),
             "p10": _percentile(rets, 10),
             "p50": _percentile(rets, 50),

@@ -379,7 +379,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             m, s = _episode_stats(recent)
             metrics.row([str(t), str(seed)]
                         + [_fmt(x) for x in (m, s, *columns, reg_val, atk_norm)])
-        if t % interval == 0:
+        if t % interval == 0 or t == steps:
             _save_checkpoint(out_dir, t, nets(), meta)
 
     (out_dir / "timings.json").write_text(json.dumps(

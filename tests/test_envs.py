@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ernie_lab.envs as envs_mod
-from ernie_lab.algos import GlobalQ
+from ernie_lab.algos import GlobalQ, select_action_continuous, select_action_discrete
 from ernie_lab.envs import (
     COLLISION_DIST,
     GRIDQ_FORWARD_FRAC,
@@ -239,72 +239,56 @@ def _per_episode(spec, episodes):
             np.full(episodes, spec.malicious_mode == "adversarial"))
 
 
-def _gridq_batch(episodes, seed=0):
-    # E stacked 2x2 grid states, as rollout builds them
-    return envs_mod._stack_states([gridq_reset(2, 2, seed + e)[0] for e in range(episodes)])
-
-
-class _FakeQ:
-    """GlobalQ.rows stand-in: q(joint) per row, and a record of the states."""
-
-    def __init__(self, q):
-        self.q, self.states = q, []
-
-    def rows(self, states, joints):
-        self.states.append(states)
-        return np.array([self.q(j) for j in joints.tolist()], dtype=float)
-
-
 def test_malicious_injector_random_mode():
     spec = PerturbSpec(malicious_rate=1.0, malicious_mode="random")
-    env, state = GridQueueEnv(2, 2), _gridq_batch(3)
+    env = GridQueueEnv(2, 2)
     rngs = [np.random.default_rng(e) for e in range(3)]
     base = np.zeros((3, 4), dtype=int)
     flips = 0
     for _ in range(100):
-        out = malicious_injector(env, state, base, *_per_episode(spec, 3), rngs)
+        out = malicious_injector(env, base, *_per_episode(spec, 3), rngs)
         diff = out != base
         assert (diff.sum(axis=1) <= 1).all()  # at most one victim per episode-step
         flips += diff.sum()
     assert flips > 60  # uniform replacement flips roughly half the time
 
 
-class _ThreePhaseGrid(GridQueueEnv):
-    n_phases = 3  # two alternatives per victim, so the minimum is a choice
-
-
-def test_malicious_injector_adversarial_min_q():
-    # Q prefers phase 2; the adversary must flip one agent to it in every
-    # episode, and scores every episode's alternatives in one rows call
-    spec = PerturbSpec(malicious_rate=1.0, malicious_mode="adversarial")
-    env, state = _ThreePhaseGrid(2, 2), _gridq_batch(3)
-    q = _FakeQ(lambda joint: -float(sum(1 for a in joint if a == 2)))
-    rngs = [np.random.default_rng(e) for e in range(3)]
-    out = malicious_injector(env, state, np.zeros((3, 4), dtype=int),
-                             *_per_episode(spec, 3), rngs, q)
-    assert ((out == 2).sum(axis=1) == 1).all() and ((out == 1).sum(axis=1) == 0).all()
-    assert len(q.states) == 1 and q.states[0].shape == (3 * 2, env.state_dim)
-    # ties go to the first alternative in action order: 0 for a victim at 1
-    q = _FakeQ(lambda joint: 0.5)
-    out = malicious_injector(env, state, np.ones((3, 4), dtype=int),
-                             *_per_episode(spec, 3), rngs, q)
-    assert ((out == 0).sum(axis=1) == 1).all() and ((out == 2).sum(axis=1) == 0).all()
+def test_malicious_injector_adversarial_flips_the_victims_phase():
+    # A fired episode flips its victim's phase a to 1 - a, the only other
+    # gridq phase, and draws the coin and the victim from its stream and
+    # nothing more; an episode whose coin does not fire draws the coin alone.
+    spec = PerturbSpec(malicious_rate=0.5, malicious_mode="adversarial")
+    env, episodes = GridQueueEnv(2, 2), 40
+    actions = np.random.default_rng(0).integers(0, 2, size=(episodes, 4))
+    rngs = [np.random.default_rng(e) for e in range(episodes)]
+    mirrors = [np.random.default_rng(e) for e in range(episodes)]
+    out = malicious_injector(env, actions, *_per_episode(spec, episodes), rngs)
+    fired = 0
+    for e, mirror in enumerate(mirrors):
+        want = actions[e].copy()
+        if mirror.random() < spec.malicious_rate:
+            victim = mirror.integers(env.n_agents)
+            want[victim] = 1 - want[victim]
+            fired += 1
+        assert out[e].tolist() == want.tolist()
+        assert rngs[e].bit_generator.state == mirror.bit_generator.state
+    assert 0 < fired < episodes
 
 
 def test_malicious_injector_rate_zero_and_continuous():
-    env, state = GridQueueEnv(2, 2), _gridq_batch(2)
+    env = GridQueueEnv(2, 2)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     a = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
-    assert malicious_injector(env, state, a, *_per_episode(PerturbSpec(), 2), [rng, rng]) is a
+    assert malicious_injector(env, a, *_per_episode(PerturbSpec(), 2), [rng, rng]) is a
     assert rng.bit_generator.state == before  # rate 0 draws nothing
     cont = np.full((2, 4), 0.5)
     spec_adv = PerturbSpec(malicious_rate=1.0, malicious_mode="adversarial")
     with pytest.raises(TypeError):
-        malicious_injector(env, state, cont, *_per_episode(spec_adv, 2), [rng, rng])
+        malicious_injector(env, cont, *_per_episode(spec_adv, 2), [rng, rng])
     spec_rand = PerturbSpec(malicious_rate=1.0, malicious_mode="random")
     with pytest.raises(TypeError):
-        malicious_injector(env, state, cont, *_per_episode(spec_rand, 2), [rng, rng])
+        malicious_injector(env, cont, *_per_episode(spec_rand, 2), [rng, rng])
     assert rng.bit_generator.state == before
 
 
@@ -323,35 +307,19 @@ def test_rollout_deterministic_and_returns():
         rollout(env, act, 5, [], seeds=[])
 
 
-def test_rollout_adversarial_requires_q():
-    env = GridQueueEnv(2, 2)
-    act = lambda obs: np.zeros(obs.shape[:-1], dtype=int)
-    spec = PerturbSpec(malicious_rate=0.5, malicious_mode="adversarial")
-    with pytest.raises(ValueError):
-        rollout(env, act, 5, [spec] * 2, seeds=[0, 1])
-    rets = rollout(env, act, 5, [spec] * 2, seeds=[0, 1], q_global=_FakeQ(lambda joint: 0.0))
-    assert rets.shape == (2,)
-
-
-def test_rollout_builds_global_state_only_when_the_injector_fires():
-    class CountingEnv(GridQueueEnv):
-        episodes = []
-
+def test_rollout_never_builds_a_global_state():
+    # Neither injector mode reads the state, so no step builds a global one.
+    class NoGlobalStateEnv(GridQueueEnv):
         def global_state(self, state):
-            CountingEnv.episodes.append(state.queues.shape[0])
-            return super().global_state(state)
+            raise AssertionError("rollout built a global state")
 
-    env = CountingEnv(2, 2)
+    env = NoGlobalStateEnv(2, 2)
     act = lambda obs: np.zeros(obs.shape[:-1], dtype=int)
-    spec = PerturbSpec(malicious_rate=0.2, malicious_mode="adversarial")
-    q = _FakeQ(lambda joint: float(sum(joint)))
-    rollout(env, act, 50, [spec] * 3, seeds=[3, 4, 5], q_global=q)
-    # one global state per episode that fired, on that step's states, and
-    # one rows call per step with a firing (two phases: one alternative)
-    assert len(CountingEnv.episodes) == len(q.states) < 50
-    assert [s.shape[0] for s in q.states] == CountingEnv.episodes
-    assert 0 < sum(CountingEnv.episodes) < 3 * 50
-    assert max(CountingEnv.episodes) <= 3
+    specs = [PerturbSpec(malicious_rate=r, malicious_mode=m)
+             for m in ("random", "adversarial") for r in (0.2, 1.0)]
+    seeds = [3, 4, 5, 6]
+    rets = rollout(env, act, 50, specs, seeds)
+    assert (rets != rollout(env, act, 50, [PerturbSpec()] * 4, seeds)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +327,9 @@ def test_rollout_builds_global_state_only_when_the_injector_fires():
 # ---------------------------------------------------------------------------
 
 def _inject_one(joint_action, q_global, spec, rng, n_actions):
-    # Reference: the per-episode injector that the lock-step one replaced;
-    # q_global(joint) scores one joint action.
+    # Reference: the per-episode injector that the lock-step one replaced,
+    # whose adversarial mode takes the argmin of q_global(joint) over the
+    # victim's alternatives; with any scorer, the lock-step flip must match.
     if spec.malicious_rate == 0.0:
         return joint_action
     actions = np.asarray(joint_action)
@@ -399,7 +368,7 @@ def _rollout_one(env, act_one, T, spec, seed, q_global):
             if spec.malicious_mode == "adversarial":
                 q_fn = lambda joint, s=state: q_global.rows(env.global_state(s)[None, :],
                                                             np.array([joint]))[0]
-            actions = _inject_one(actions, q_fn, spec, rng, env.n_phases)
+            actions = _inject_one(actions, q_fn, spec, rng, env.n_out)
         state, obs, _, global_reward = env.step(state, actions, spec.dynamics_scale)
         global_return += float(global_reward)
     return global_return, rng
@@ -407,18 +376,24 @@ def _rollout_one(env, act_one, T, spec, seed, q_global):
 
 def _policy(env, seed):
     # A random agent stack with the lock-step act (E, N, d) of
-    # evaluate.build_policy and the per-episode act (N, d) it replaced.
+    # evaluate.build_policy, training's action head at zero exploration, and
+    # the per-episode act (N, d) it replaced.
     policy = stack_nets([net_init([env.obs_dim, 8, env.n_out], seed=seed + i, scale=3.0)
                          for i in range(env.n_agents)])
     if isinstance(env, GridQueueEnv):
-        act = lambda obs: np.argmax(
-            net_forward(policy, obs[:, :, None, :])[:, :, 0, :], axis=-1)
+        act = lambda obs: select_action_discrete(policy, obs, 0.0, None, env.n_out)
         act_one = lambda obs: np.argmax(net_forward(policy, obs), axis=1)
     else:
-        act = lambda obs: np.clip(net_forward(policy, obs[:, :, None, :])[:, :, 0, :],
-                                  -1.0, 1.0)
+        act = lambda obs: select_action_continuous(policy, obs, 0.0, None)
         act_one = lambda obs: np.clip(net_forward(policy, obs), -1.0, 1.0)
     return act, act_one
+
+
+def _oracle_q(env):
+    # A random global Q for the reference's adversarial argmin: the lock-step
+    # injector, which consults no scorer, must pick the same flip.
+    return GlobalQ(net_init([env.state_dim + env.n_agents * env.n_out, 8, 1], seed=5),
+                   env.n_out)
 
 
 _ENVS = {"coopnav1": lambda: CoopNavEnv(1), "coopnav2": lambda: CoopNavEnv(2),
@@ -439,8 +414,7 @@ _SPECS = ([PerturbSpec(obs_noise_sigma=s, dynamics_scale=d)
 def test_lockstep_rollout_matches_per_episode_bit_for_bit(env_name, episodes, monkeypatch):
     env = _ENVS[env_name]()
     act, act_one = _policy(env, seed=len(env_name) + episodes)
-    q_global = GlobalQ(net_init([env.state_dim + env.n_agents * env.n_out, 8, 1], seed=5),
-                       env.n_out)
+    q_global = _oracle_q(env)
     streams = []
 
     def recorded(seed):
@@ -453,10 +427,10 @@ def test_lockstep_rollout_matches_per_episode_bit_for_bit(env_name, episodes, mo
     for spec in _SPECS:
         if isinstance(env, CoopNavEnv) and spec.malicious_rate > 0.0:
             with pytest.raises(TypeError):
-                rollout(env, act, T, [spec] * episodes, seeds, q_global)
+                rollout(env, act, T, [spec] * episodes, seeds)
             continue
         streams.clear()
-        got = rollout(env, act, T, [spec] * episodes, seeds, q_global)
+        got = rollout(env, act, T, [spec] * episodes, seeds)
         want = [_rollout_one(env, act_one, T, spec, s, q_global) for s in seeds]
         assert got.tobytes() == np.array([w[0] for w in want]).tobytes(), spec
         assert [r.bit_generator.state for r in streams] == \
@@ -470,8 +444,7 @@ def test_mixed_spec_rollout_matches_per_episode_bit_for_bit(env_name, monkeypatc
     # stream where the lone episode leaves it.
     env = _ENVS[env_name]()
     act, act_one = _policy(env, seed=len(env_name))
-    q_global = GlobalQ(net_init([env.state_dim + env.n_agents * env.n_out, 8, 1], seed=5),
-                       env.n_out)
+    q_global = _oracle_q(env)
     streams = []
 
     def recorded(seed):
@@ -482,7 +455,7 @@ def test_mixed_spec_rollout_matches_per_episode_bit_for_bit(env_name, monkeypatc
     specs = [s for s in _SPECS
              if isinstance(env, GridQueueEnv) or s.malicious_rate == 0.0] * 3
     seeds = [int(s) for s in np.random.default_rng(7).integers(2 ** 31, size=len(specs))]
-    got = rollout(env, act, 30, specs, seeds, q_global)
+    got = rollout(env, act, 30, specs, seeds)
     want = [_rollout_one(env, act_one, 30, spec, s, q_global) for spec, s in zip(specs, seeds)]
     assert got.tobytes() == np.array([w[0] for w in want]).tobytes()
     assert [r.bit_generator.state for r in streams] == \
@@ -557,15 +530,14 @@ def test_batched_coopnav_step_equals_single_calls(n, episodes, data, scale):
 def test_batched_gridq_step_equals_single_calls(rows, cols, episodes, data, scale):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     env = GridQueueEnv(rows, cols)
-    batch = envs_mod._stack_states([gridq_reset(rows, cols, int(s))[0]
-                                    for s in rng.integers(2 ** 31, size=episodes)])
+    ones = [gridq_reset(rows, cols, int(s))[0] for s in rng.integers(2 ** 31, size=episodes)]
+    batch = envs_mod._stack_states(ones)
     phases = rng.integers(0, 2, size=(episodes, env.n_agents))
     new, obs, rewards, g = gridq_step(batch, phases, scale)
     assert rewards.shape == (episodes, env.n_agents) and g.shape == (episodes,)
     singles = []
     for e in range(episodes):
-        one = envs_mod._take_episodes(batch, e)
-        n1, o1, r1, g1 = gridq_step(one, phases[e], scale)
+        n1, o1, r1, g1 = gridq_step(ones[e], phases[e], scale)
         assert new.queues[e].tobytes() == n1.queues.tobytes()
         assert obs[e].tobytes() == o1.tobytes()
         assert rewards[e].tobytes() == r1.tobytes()

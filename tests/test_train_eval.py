@@ -1,5 +1,6 @@
 # Trainer and evaluation harness behavior: artifacts, byte determinism, the
 # disabled-regularizer identity, atomic checkpoints and fail-loud updates.
+import dataclasses
 import hashlib
 import json
 import platform
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import ernie_lab
 import ernie_lab.train as train_mod
-from ernie_lab.cli import EXIT_CONFIG, main as cli_main
+from ernie_lab.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
+from ernie_lab.algos import NET_NAMES, Agents, select_action_continuous, select_action_discrete
 from ernie_lab.config import resolve_config
 import ernie_lab.evaluate as evaluate_mod
 from ernie_lab.envs import PerturbSpec, make_env, rollout
@@ -159,6 +161,27 @@ def test_evaluate_outputs_rows_per_spec(tmp_path):
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
+def test_every_spec_field_is_in_both_outputs(tmp_path):
+    # results.csv's spec columns and each summary.json "spec" hold every
+    # PerturbSpec field in field order: floats as their repr, the mode as
+    # an unquoted string.
+    cfg = resolve_config(_qcombo_doc(train_steps=3, warmup=1, batch=2, eval={
+        "obs_noise_sigmas": [0.2], "dynamics_scales": [0.8], "malicious_rates": [0.5],
+        "malicious_mode": "adversarial", "episodes": 1}))
+    out = tmp_path / "e"
+    evaluate_checkpoint(cfg, train_run(cfg, tmp_path)[0]["final_checkpoint"], out)
+    names = [f.name for f in dataclasses.fields(PerturbSpec)]
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+    assert rows[0] == names + ["episode", "episodic_return"]
+    assert [row[:len(names)] for row in rows[1:]] == [
+        ["0.2", "1.0", "0.0", "random"], ["0.0", "0.8", "0.0", "random"],
+        ["0.0", "1.0", "0.5", "adversarial"]]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [entry["spec"] for entry in summary["specs"]] == \
+        [dataclasses.asdict(spec) for spec in sweep_specs(cfg)]
+    assert all(list(entry["spec"]) == names for entry in summary["specs"])
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = resolve_config(_qcombo_doc(train_steps=3, warmup=1, batch=4))
     res = train_run(cfg, tmp_path)
@@ -166,6 +189,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert ckpt["manifest"]["env"] == "gridq"
     assert ckpt["manifest"]["step"] == 3
     assert len(ckpt["nets"]) >= 2
+
+
+def test_final_checkpoint_written_off_the_cadence(tmp_path):
+    # Checkpoints come every steps // 10 steps and at the last step, so a
+    # run whose step count is no multiple of the interval still writes the
+    # final checkpoint it names, and evaluate reads it.
+    doc = _ddpg_doc(train_steps=25, warmup=5, batch=4,
+                    eval={"obs_noise_sigmas": [0.0], "episodes": 1})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = train_run(resolve_config(doc), tmp_path / "run")[0]
+    assert res["final_checkpoint"].endswith("ckpt_000025")
+    assert sorted(p.name for p in Path(res["out_dir"]).glob("ckpt_*")) == \
+        [f"ckpt_{t:06d}" for t in (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 25)]
+    assert load_checkpoint(res["final_checkpoint"])["manifest"]["step"] == 25
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint",
+                     res["final_checkpoint"], "--out", str(tmp_path / "e")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("doc_fn,names", [(_ddpg_doc, ("actor", "critic")),
@@ -258,18 +298,22 @@ def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("drop", ["env", "nets", "file", "layer_dims", "activation", None,
-                                  "nets_list"],
+                                  "nets_list", "truncated"],
                          ids=["env", "nets", "file", "layer_dims", "activation", "not_object",
-                              "nets_not_object"])
+                              "nets_not_object", "truncated"])
 def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
-    # A manifest that is not a JSON object, or that lacks a key the loader
-    # reads, is a bad checkpoint (exit 2), not a crash (exit 1).
+    # A manifest that is not JSON, not a JSON object, or that lacks a key
+    # the loader reads, is a bad checkpoint (exit 2), not a crash (exit 1)
+    # or an I/O error (exit 4), and the message names the checkpoint.
     cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     ck = Path(train_run(resolve_config(cfg_doc), tmp_path / "run")[0]["final_checkpoint"])
-    manifest = json.loads((ck / "manifest.json").read_text())
-    if drop is None:
+    text = (ck / "manifest.json").read_text()
+    manifest, where = json.loads(text), f"{ck}: "
+    if drop == "truncated":
+        where, msg = f"{ck / 'manifest.json'}: ", "not valid JSON: Expecting"
+    elif drop is None:
         manifest, msg = [manifest], "manifest.json is not a JSON object"
     elif drop == "nets_list":
         manifest["nets"] = list(manifest["nets"].values())
@@ -280,8 +324,9 @@ def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     else:
         del manifest["nets"]["actor"][drop]
         msg = f"manifest net 'actor' has no {drop!r} key"
-    (ck / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{ck}: {msg}")):
+    (ck / "manifest.json").write_text(text[:len(text) // 2] if drop == "truncated"
+                                      else json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(where + msg)):
         load_checkpoint(ck)
     capsys.readouterr()
     out = tmp_path / "e"
@@ -333,13 +378,13 @@ def test_evaluate_nonfinite_return_names_spec_episode_and_seed(tmp_path, monkeyp
     real = evaluate_mod.build_policy
 
     def poisoned(ckpt):
-        act, q = real(ckpt)
+        act = real(ckpt)
 
         def act_nan(obs):
             a = act(obs)
             a[1] = np.nan  # episode 1 of the first spec
             return a
-        return act_nan, q
+        return act_nan
 
     monkeypatch.setattr(evaluate_mod, "build_policy", poisoned)
     seed = int(np.random.default_rng(np.random.SeedSequence([0, 1])).integers(2 ** 31))
@@ -359,18 +404,24 @@ def test_evaluate_nonfinite_return_names_spec_episode_and_seed(tmp_path, monkeyp
                          ids=["ddpg", "qcombo_adversarial", "qcombo_random"])
 def test_lockstep_evaluation_matches_lone_episodes(doc_fn, spec, tmp_path):
     # A trained checkpoint's lock-step returns and actions are bit for bit
-    # those of each episode run alone and each episode's own (N, d) call.
+    # those of each episode run alone and of each episode's own (N, d) call
+    # of training's action head at zero exploration.
     cfg = resolve_config(doc_fn(train_steps=20, warmup=10, batch=4))
     ckpt = load_checkpoint(train_run(cfg, tmp_path)[0]["final_checkpoint"])
     env = make_env(cfg)
-    act, q_global = build_policy(ckpt)
-    rets = evaluate_specs(env, act, [spec], 6, [11], q_global=q_global)[0]
+    act = build_policy(ckpt)
+    rets = evaluate_specs(env, act, [spec], 6, [11])[0]
     seeds = [int(np.random.default_rng(np.random.SeedSequence([11, ep])).integers(2 ** 31))
              for ep in range(6)]
-    alone = [rollout(env, act, env.episode_len, [spec], [s], q_global)[0] for s in seeds]
+    alone = [rollout(env, act, env.episode_len, [spec], [s])[0] for s in seeds]
     assert rets.tobytes() == np.array(alone).tobytes()
     obs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, env.n_agents, env.obs_dim))
-    assert act(obs).tobytes() == np.stack([act(o[None])[0] for o in obs]).tobytes()
+    policy = ckpt["nets"][NET_NAMES[cfg.algo][0]]
+    if cfg.algo == "qcombo":
+        one = [select_action_discrete(policy, o, 0.0, None, env.n_out) for o in obs]
+    else:
+        one = [select_action_continuous(policy, o, 0.0, None) for o in obs]
+    assert act(obs).tobytes() == np.stack(one).tobytes()
 
 
 _SWEEP = [PerturbSpec(), PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(dynamics_scale=0.8),
@@ -385,19 +436,18 @@ _SWEEP = [PerturbSpec(), PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(dynamics_
                          ids=["qcombo", "ddpg"])
 def test_sweep_rollout_matches_each_spec_and_lone_episodes(doc_fn, specs, tmp_path):
     # One lock-step rollout over the whole sweep returns, bit for bit, each
-    # spec's own rollout and each episode run alone; specs given the same
-    # base seed run the same episode seeds, and the adversarial injector
-    # scores the fired episodes of every spec in at most one rows call per
-    # lock-step.
+    # spec's own rollout and each episode run alone, with one policy call
+    # per lock-step; specs given the same base seed run the same episode
+    # seeds.
     cfg = resolve_config(doc_fn(train_steps=20, warmup=10, batch=4))
     ckpt = load_checkpoint(train_run(cfg, tmp_path)[0]["final_checkpoint"])
     env = make_env(cfg)
-    act, q_global = build_policy(ckpt)
-    events, resets = [], []
+    act = build_policy(ckpt)
+    steps, resets = [], []
     reset = env.reset
 
     def act_logged(obs):
-        events.append("step")
+        steps.append(obs.shape)
         return act(obs)
 
     def reset_logged(seed):
@@ -405,31 +455,21 @@ def test_sweep_rollout_matches_each_spec_and_lone_episodes(doc_fn, specs, tmp_pa
         return reset(seed)
 
     env.reset = reset_logged
-    if q_global is not None:
-        rows = q_global.rows
-
-        def rows_logged(states, joints):
-            events.append("rows")
-            return rows(states, joints)
-
-        q_global.rows = rows_logged
     episodes = 4
-    rets = evaluate_specs(env, act_logged, specs, episodes, [11] * len(specs), q_global)
+    rets = evaluate_specs(env, act_logged, specs, episodes, [11] * len(specs))
     assert rets.shape == (len(specs), episodes)
-    assert events.count("step") == env.episode_len
-    assert all(a != b or a == "step" for a, b in zip(events, events[1:]))
-    assert (q_global is None) == ("rows" not in events)
+    assert steps == [(len(specs) * episodes, env.n_agents, env.obs_dim)] * env.episode_len
     seeds = [int(np.random.default_rng(np.random.SeedSequence([11, ep])).integers(2 ** 31))
              for ep in range(episodes)]
     assert resets == seeds * len(specs)
     for spec, got in zip(specs, rets):
-        own = rollout(env, act, env.episode_len, [spec] * episodes, seeds, q_global)
-        alone = [rollout(env, act, env.episode_len, [spec], [s], q_global)[0] for s in seeds]
+        own = rollout(env, act, env.episode_len, [spec] * episodes, seeds)
+        alone = [rollout(env, act, env.episode_len, [spec], [s])[0] for s in seeds]
         assert got.tobytes() == own.tobytes() == np.array(alone).tobytes(), spec
     # every spec perturbs something, so no spec's returns stand in for another's
     assert len({r.tobytes() for r in rets}) == len(specs)
     with pytest.raises(ValueError, match="one spec per episode seed"):
-        rollout(env, act, env.episode_len, specs, seeds[:len(specs) - 1], q_global)
+        rollout(env, act, env.episode_len, specs, seeds[:len(specs) - 1])
 
 
 _TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, -113.5, 2.5])
@@ -531,18 +571,31 @@ def test_obs_regularizer_stack_matches_per_agent_loop(case, activation, n_agents
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_global_q_takes_action_count_from_individual_nets():
-    # 2 agents with 3 actions each: the joint one-hot is 6 wide
+def test_action_regularizer_takes_action_count_from_individual_nets():
+    # 2 agents with 3 actions each: the joint one-hot is 6 wide, and the
+    # attack on each row picks the worst of its 2 * 2 single-agent flips
     state_dim, n, a_count = 4, 2, 3
-    nets = {"ind": stack_nets([net_init([3, 5, a_count], seed=i) for i in range(n)]),
-            "glob": net_init([state_dim + n * a_count, 5, 1], seed=9)}
-    _, q = build_policy({"manifest": {"algo": "qcombo"}, "nets": nets})
-    state = np.random.default_rng(0).uniform(-1, 1, size=state_dim)
-    for joint in [(0, 0), (2, 1), (1, 2)]:
+    ind = stack_nets([net_init([3, 5, a_count], seed=i) for i in range(n)])
+    glob = net_init([state_dim + n * a_count, 5, 1], seed=9)
+    rng = np.random.default_rng(0)
+    batch = {"state": rng.uniform(-1, 1, size=(3, state_dim)),
+             "actions": np.array([[0, 0], [2, 1], [1, 2]])}
+
+    def q(state, joint):
         onehot = np.zeros(n * a_count)
         onehot[[a_count * i + a for i, a in enumerate(joint)]] = 1.0
-        want = float(net_forward(nets["glob"], np.concatenate([state, onehot]))[0])
-        assert q.rows(state[None, :], np.array([joint]))[0] == want
+        return float(net_forward(glob, np.concatenate([state, onehot]))[0])
+
+    want = []
+    for state, joint in zip(batch["state"], batch["actions"].tolist()):
+        flips = [joint[:i] + [a] + joint[i + 1:]
+                 for i in range(n) for a in range(a_count) if a != joint[i]]
+        assert len(flips) == n * (a_count - 1)
+        want.append(max((q(state, joint) - q(state, f)) ** 2 for f in flips))
+    value, grad, hits = train_mod._action_regularizer_grad(Agents(ind, glob, ind, glob),
+                                                           batch, 1, 3)
+    assert hits == 3 and grad.shape == glob.theta.shape
+    assert value == pytest.approx(np.mean(want), rel=1e-12)
 
 
 def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
