@@ -5,14 +5,11 @@
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .config import ExperimentConfig
-
-log = logging.getLogger(__name__)
 
 COOPNAV_DT = 0.1
 COOPNAV_VMAX = 1.0
@@ -62,23 +59,29 @@ def coopnav_obs_dim(n_agents: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _agent_pairs(n: int):
     """(i, j) index arrays of the agent pairs i < j in row-major order and
-    the (N, N) off-diagonal mask; shared, so read-only."""
+    the (N, N - 1) table of each agent's others in index order; shared, so
+    read-only."""
     i, j = np.triu_indices(n, 1)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    for a in (i, j, off_diagonal):
+    others = np.array([[k for k in range(n) if k != a] for a in range(n)], dtype=int)
+    for a in (i, j, others):
         a.flags.writeable = False
-    return i, j, off_diagonal
+    return i, j, others
 
 
-def _coopnav_obs(state: CoopNavState) -> np.ndarray:
-    # Row i: own position and velocity, landmarks relative to agent i, then
-    # the other agents (in index order) relative to agent i.
+def _coopnav_obs(state: CoopNavState, landmarks: np.ndarray) -> np.ndarray:
+    # Row i: own position and velocity, landmarks relative to agent i (row i
+    # of _relative_landmarks(state)), then the other agents (in index order)
+    # relative to agent i.
     pos = state.pos
     rows = pos.shape[:-1]
-    landmarks = state.landmarks[..., None, :, :] - pos[..., :, None, :]
-    others = (pos[..., None, :, :] - pos[..., :, None, :])[..., _agent_pairs(rows[-1])[2], :]
+    others = pos.take(_agent_pairs(rows[-1])[2], axis=-2) - pos[..., :, None, :]
     return np.concatenate([pos, state.vel, landmarks.reshape(rows + (-1,)),
                            others.reshape(rows + (-1,))], axis=-1)
+
+
+def _relative_landmarks(state: CoopNavState) -> np.ndarray:
+    """(..., N, N, 2): landmark j relative to agent i at [..., i, j, :]."""
+    return state.landmarks[..., None, :, :] - state.pos[..., :, None, :]
 
 
 def coopnav_reset(n_agents: int, seed: int):
@@ -90,7 +93,7 @@ def coopnav_reset(n_agents: int, seed: int):
         vel=np.zeros((n_agents, 2)),
         landmarks=rng.uniform(-1.0, 1.0, size=(n_agents, 2)),
     )
-    return state, _coopnav_obs(state)
+    return state, _coopnav_obs(state, _relative_landmarks(state))
 
 
 def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale=1.0):
@@ -99,15 +102,17 @@ def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale=1
     Returns (state, obs, per-agent rewards (N,), global reward); E episodes
     of (E, N, 2) states give (E, N) rewards and (E,) global rewards, and
     take a float scale or an (E, 1, 1) array of per-episode scales."""
-    a = np.asarray(joint_action, dtype=float).reshape(state.pos.shape)
-    if np.any(np.abs(a) > 1.0):
-        log.debug("coopnav action out of [-1,1], clamping")
-        a = np.clip(a, -1.0, 1.0)
+    # Clipping leaves values in [-1, 1], -0.0 and NaN as they are.
+    a = np.clip(np.asarray(joint_action, dtype=float).reshape(state.pos.shape), -1.0, 1.0)
     vel = 0.5 * state.vel + 0.5 * a * COOPNAV_VMAX * dynamics_scale
     pos = np.clip(state.pos + vel * COOPNAV_DT, -COOPNAV_BOUND, COOPNAV_BOUND)
     new = CoopNavState(pos, vel, state.landmarks)
 
-    dists = np.linalg.norm(pos[..., :, None, :] - state.landmarks[..., None, :, :], axis=-1)
+    # The observation's relative landmarks are minus the agent-landmark
+    # differences, whose squares they share bit for bit; the distances are
+    # np.linalg.norm(diff, axis=-1)'s own formula.
+    landmarks = _relative_landmarks(new)
+    dists = np.sqrt(np.add.reduce(landmarks * landmarks, axis=-1))
     coverage = -dists.min(axis=-2).sum(axis=-1)
     i, j, _ = _agent_pairs(pos.shape[-2])
     d = pos.take(i, axis=-2) - pos.take(j, axis=-2)
@@ -117,7 +122,7 @@ def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale=1
     collisions = (np.sqrt(np.vecdot(d, d)) < COLLISION_DIST).sum(axis=-1)
     r = coverage - 1.0 * collisions
     rewards = np.full(pos.shape[:-1], r[..., None])
-    return new, _coopnav_obs(new), rewards, _global_reward(rewards)
+    return new, _coopnav_obs(new, landmarks), rewards, _global_reward(rewards)
 
 
 class CoopNavEnv:
@@ -294,7 +299,8 @@ def _stack_states(states):
 
 def episode_rng(seed: int) -> np.random.Generator:
     """The perturbation stream of the evaluation episode seeded by seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
+    # SeedSequence(seed).spawn(1)[0], built without the parent
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def _perturb_obs(obs, sigma, rngs):
@@ -351,7 +357,10 @@ def rollout(env, act_fn, T: int, specs, seeds) -> np.ndarray:
     episode_rng(seeds[e]), in the order a lone episode would: observation
     noise, then the malicious coin, victim and (random mode) replacement.
     Each step is one act_fn call, one injector call and one env.step for all
-    episodes. Returns the (E,) global returns."""
+    episodes. A noise-only episode (sigma > 0, rate 0) draws nothing but
+    noise, so it draws its T steps' noise in one (T, N, d) call before the
+    first step: the normals of T per-step draws in their order, leaving its
+    stream where they leave it. Returns the (E,) global returns."""
     if T < 1:
         raise ValueError("T must be >= 1")
     seeds = [int(s) for s in seeds]
@@ -370,9 +379,19 @@ def rollout(env, act_fn, T: int, specs, seeds) -> np.ndarray:
     starts = [env.reset(s) for s in seeds]
     state = _stack_states([st for st, _ in starts])
     obs = np.stack([ob for _, ob in starts])
+    block = np.flatnonzero((sigma > 0.0) & (rate == 0.0))
+    noise = np.empty((block.size, T) + obs.shape[1:])
+    for row, e in zip(noise, block):
+        rngs[e].standard_normal(out=row)
+    noise *= sigma[block].reshape((-1,) + (1,) * (noise.ndim - 1))
+    # the episodes that also draw malicious coins draw their noise step by step
+    step_sigma = np.where(rate > 0.0, sigma, 0.0)
     global_return = np.zeros(len(seeds))
-    for _ in range(T):
-        actions = act_fn(_perturb_obs(obs, sigma, rngs))
+    for t in range(T):
+        if block.size:
+            # obs is this step's own array, so the noise goes in in place
+            obs[block] += noise[:, t]
+        actions = act_fn(_perturb_obs(obs, step_sigma, rngs))
         actions = malicious_injector(env, actions, rate, adversarial, rngs)
         state, obs, _, global_reward = env.step(state, actions, scale)
         global_return += global_reward

@@ -3,8 +3,9 @@
 # does not count, so a function that only tests call fails here and gets
 # deleted rather than kept "for later".
 # Layering guards beside it: importing the CLI leaves scipy unloaded,
-# training and evaluating leave numpy.ma unloaded, and evaluate imports
-# nothing from the trainer.
+# training and evaluating leave numpy.ma unloaded, the trainer, the evaluator
+# and a coopnav rollout leave logging and the tabular lab unloaded, and
+# evaluate imports nothing from the trainer.
 import ast
 import os
 import subprocess
@@ -124,6 +125,24 @@ evaluate_checkpoint(cfg, ckpt, sys.argv[1] + "/eval")
 print("numpy.ma" in sys.modules)
 """
     assert _run_python(code, str(tmp_path)) == "False"
+
+
+def test_train_and_evaluate_leave_logging_and_mdp_unloaded():
+    # No training or evaluation path logs, and the tabular lab (mdp.py)
+    # serves certification alone; the package's __init__ re-exports nothing,
+    # so importing the trainer and the evaluator, as the benchmark's set-up
+    # does, loads neither. The rollout's actions lie outside [-1, 1], so the
+    # step's clip runs.
+    code = """
+import sys
+import numpy as np
+import ernie_lab.evaluate, ernie_lab.train
+from ernie_lab.envs import CoopNavEnv, PerturbSpec, rollout
+specs = [PerturbSpec(), PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(dynamics_scale=1.25)]
+rollout(CoopNavEnv(3), lambda obs: np.full(obs.shape[:-1] + (2,), 2.0), 5, specs, [0, 1, 2])
+print(sorted(m for m in ("logging", "ernie_lab.mdp") if m in sys.modules))
+"""
+    assert _run_python(code) == "[]"
 
 
 def _imported_modules(tree) -> list:

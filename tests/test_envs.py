@@ -10,6 +10,9 @@ import ernie_lab.envs as envs_mod
 from ernie_lab.algos import GlobalQ, select_action_continuous, select_action_discrete
 from ernie_lab.envs import (
     COLLISION_DIST,
+    COOPNAV_BOUND,
+    COOPNAV_DT,
+    COOPNAV_VMAX,
     GRIDQ_FORWARD_FRAC,
     PHASE_SERVES,
     _OPPOSITE,
@@ -230,6 +233,12 @@ def test_perturb_obs_noise_statistics():
     # each episode's noise is its own stream's draw
     want = 0.5 * np.random.default_rng(4).standard_normal((100, 50))
     assert out[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1, 2 ** 40 + 7])
+def test_episode_rng_is_the_seeds_first_child_stream(seed):
+    want = np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
+    assert episode_rng(seed).bit_generator.state == want.bit_generator.state
 
 
 def _per_episode(spec, episodes):
@@ -462,6 +471,57 @@ def test_mixed_spec_rollout_matches_per_episode_bit_for_bit(env_name, monkeypatc
         [w[1].bit_generator.state for w in want]
 
 
+class _SpyStream:
+    """An episode stream that records the shape of each standard_normal call."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_shapes = rng, []
+
+    def standard_normal(self, size=None, out=None):
+        self.normal_shapes.append(np.shape(out) if out is not None else size)
+        return self.rng.standard_normal(size, out=out)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("env_name", ["coopnav3", "gridq2x2"])
+def test_noise_only_episodes_draw_their_noise_in_one_call(env_name, monkeypatch):
+    # A noise-only episode (sigma > 0, rate 0) draws its T steps' noise in
+    # one (T, N, d) call; the mixed spec, whose malicious coins fall between
+    # its noise draws, draws (N, d) per step; a clean episode draws nothing.
+    # Returns and streams stay those of the per-episode reference.
+    env = _ENVS[env_name]()
+    act, act_one = _policy(env, seed=11)
+    specs = [PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(),
+             PerturbSpec(obs_noise_sigma=1.0, dynamics_scale=1.25)]
+    if isinstance(env, GridQueueEnv):
+        specs += [_SPECS[-1], PerturbSpec(malicious_rate=0.5)]
+    specs *= 2
+    streams = []
+
+    def spied(seed):
+        streams.append(_SpyStream(episode_rng(seed)))
+        return streams[-1]
+
+    monkeypatch.setattr(envs_mod, "episode_rng", spied)
+    seeds = [int(s) for s in np.random.default_rng(3).integers(2 ** 31, size=len(specs))]
+    T, row = 25, (env.n_agents, env.obs_dim)
+    got = rollout(env, act, T, specs, seeds)
+    for spec, stream in zip(specs, streams):
+        if spec.obs_noise_sigma == 0.0:
+            assert stream.normal_shapes == [], spec
+        elif spec.malicious_rate == 0.0:
+            assert stream.normal_shapes == [(T,) + row], spec
+        else:
+            assert stream.normal_shapes == [row] * T, spec
+    q_global = _oracle_q(env)
+    want = [_rollout_one(env, act_one, T, spec, s, q_global) for spec, s in zip(specs, seeds)]
+    assert got.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert [r.bit_generator.state for r in streams] == \
+        [w[1].bit_generator.state for w in want]
+
+
 def _coopnav_rewards_loop(state):
     # Reference: the per-pair loop of the step's reward from its new state.
     pos, n = state.pos, state.pos.shape[0]
@@ -546,3 +606,85 @@ def test_batched_gridq_step_equals_single_calls(rows, cols, episodes, data, scal
     assert env.global_state(new).tobytes() == np.stack(singles).tobytes()
     with pytest.raises(ValueError):
         gridq_step(batch, phases[:, :-1], scale)
+
+
+def _coopnav_obs_reference(pos, vel, landmarks):
+    # Reference: the observation with its former masked other-agent block
+    n, rows = pos.shape[-2], pos.shape[:-1]
+    rel = landmarks[..., None, :, :] - pos[..., :, None, :]
+    others = (pos[..., None, :, :] - pos[..., :, None, :])[..., ~np.eye(n, dtype=bool), :]
+    return np.concatenate([pos, vel, rel.reshape(rows + (-1,)), others.reshape(rows + (-1,))],
+                          axis=-1)
+
+
+def _coopnav_step_reference(state, joint_action, dynamics_scale):
+    # Reference: the step with its former conditional clip, np.linalg.norm
+    # distances and masked observation of the other agents. Returns (pos,
+    # vel, obs, rewards, global reward).
+    a = np.asarray(joint_action, dtype=float).reshape(state.pos.shape)
+    if np.any(np.abs(a) > 1.0):
+        a = np.clip(a, -1.0, 1.0)
+    vel = 0.5 * state.vel + 0.5 * a * COOPNAV_VMAX * dynamics_scale
+    pos = np.clip(state.pos + vel * COOPNAV_DT, -COOPNAV_BOUND, COOPNAV_BOUND)
+    dists = np.linalg.norm(pos[..., :, None, :] - state.landmarks[..., None, :, :], axis=-1)
+    coverage = -dists.min(axis=-2).sum(axis=-1)
+    i, j = np.triu_indices(pos.shape[-2], 1)
+    d = pos[..., i, :] - pos[..., j, :]
+    collisions = (np.sqrt(np.vecdot(d, d)) < COLLISION_DIST).sum(axis=-1)
+    rewards = np.full(pos.shape[:-1], (coverage - 1.0 * collisions)[..., None])
+    obs = _coopnav_obs_reference(pos, vel, state.landmarks)
+    return pos, vel, obs, rewards, rewards.mean(axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), episodes=st.integers(0, 6), data=st.data(),
+       scale=st.sampled_from([0.5, 1.0, 1.25]))
+def test_coopnav_step_matches_its_former_arithmetic_bit_for_bit(n, episodes, data, scale):
+    # episodes 0 steps one (N, 2) state; otherwise an (E, N, 2) batch
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    lead = (episodes,) if episodes else ()
+    pos = rng.uniform(-1.6, 1.6, size=lead + (n, 2))
+    vel = rng.uniform(-1.0, 1.0, size=lead + (n, 2))
+    act = rng.uniform(-2.0, 2.0, size=lead + (n, 2))
+    # every other draw keeps its actions in [-1, 1], where the former step
+    # did not clip; -0.0 in both
+    if data.draw(st.booleans()):
+        act = np.clip(act, -1.0, 1.0)
+    act[rng.uniform(size=act.shape) < 0.2] = -0.0
+    flat_pos, flat_vel, flat_act = (x.reshape(-1, n, 2) for x in (pos, vel, act))
+    if n > 1:
+        # park some episodes' first two agents at a threshold pair, where a
+        # rounding difference in the collision test would show
+        for e in range(flat_pos.shape[0]):
+            k = data.draw(st.integers(-1, len(_THRESHOLD_PAIRS) - 1))
+            if k >= 0:
+                flat_pos[e, :2] = _THRESHOLD_PAIRS[k]
+                flat_vel[e, :2] = flat_act[e, :2] = 0.0
+    lm = rng.uniform(-1.0, 1.0, size=lead + (n, 2))
+    state = CoopNavState(pos, vel, lm)
+    new, obs, rewards, g = coopnav_step(state, act, scale)
+    for got, want in zip((new.pos, new.vel, obs, rewards, g),
+                         _coopnav_step_reference(state, act, scale)):
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_coopnav_step_clip_keeps_signed_zero_and_nan():
+    # The unconditional clip leaves -0.0 and NaN actions as they are, so a
+    # -0.0 action gives the velocity it gave before the clip was unconditional
+    state = CoopNavState(pos=np.zeros((2, 2)), vel=np.array([[-0.0, 0.2], [0.0, 0.0]]),
+                         landmarks=np.ones((2, 2)))
+    act = np.array([[-0.0, np.nan], [-0.0, 0.5]])
+    new, obs, _, _ = coopnav_step(state, act)
+    want_pos, want_vel, want_obs, _, _ = _coopnav_step_reference(state, act, 1.0)
+    assert np.signbit(new.vel[0, 0]) and np.isnan(new.vel[0, 1])
+    assert new.vel.tobytes() == want_vel.tobytes()
+    assert new.pos.tobytes() == want_pos.tobytes()
+    assert obs.tobytes() == want_obs.tobytes()
+
+
+def test_coopnav_reset_obs_matches_its_former_layout():
+    for n in (1, 2, 3, 5):
+        state, obs = coopnav_reset(n, seed=n)
+        want = _coopnav_obs_reference(state.pos, state.vel, state.landmarks)
+        assert obs.tobytes() == want.tobytes()
