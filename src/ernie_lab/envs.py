@@ -212,10 +212,18 @@ def _inflow_table(rows: int, cols: int) -> np.ndarray:
     return table
 
 
-def _gridq_obs(state: GridQueueState) -> np.ndarray:
-    # Row i: own queues, each neighbor's total queue (N, S, E, W), own phase.
-    neighbor_sums = state.queues[..., _neighbor_table(state.rows, state.cols), :].sum(axis=-1)
-    return np.concatenate([state.queues, neighbor_sums, state.phases[..., None]], axis=-1)
+def _gridq_obs(state: GridQueueState, totals=None) -> np.ndarray:
+    """Row i: own queues, each neighbor's total queue (N, S, E, W), own phase.
+    totals holds each intersection's total queue, (..., N); when None it is
+    computed here."""
+    queues = state.queues
+    if totals is None:
+        totals = np.add.reduce(queues, axis=-1)
+    obs = np.empty(queues.shape[:-1] + (9,))
+    obs[..., :4] = queues
+    obs[..., 4:8] = totals[..., _neighbor_table(state.rows, state.cols)]
+    obs[..., 8] = state.phases
+    return obs
 
 
 def gridq_reset(rows: int, cols: int, seed: int):
@@ -238,7 +246,9 @@ def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale=1
     (E, N) phases and a float scale or an (E, 1, 1) array of per-episode
     scales, and give (E, N) rewards and (E,) global rewards."""
     phases = np.asarray(joint_phases, dtype=int)
-    if phases.shape != state.queues.shape[:-1] or phases.min() < 0 or phases.max() > 1:
+    # a phase p is 0 or 1 exactly when p >> 1 is 0; the shift keeps a
+    # negative p negative
+    if phases.shape != state.queues.shape[:-1] or np.count_nonzero(phases >> 1):
         raise ValueError(f"joint phases must be {state.queues.shape[:-1]} values in {{0, 1}}, "
                          f"got {joint_phases!r}")
     serve = state.serve * dynamics_scale
@@ -251,8 +261,10 @@ def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale=1
     queues = (loaded - served) + GRIDQ_FORWARD_FRAC * inflow
     new = GridQueueState(queues, phases, state.arrivals, state.serve,
                          state.rows, state.cols)
-    rewards = -queues.sum(axis=-1)
-    return new, _gridq_obs(new), rewards, _global_reward(rewards)
+    # one sum per intersection serves the reward and the neighbors' totals
+    totals = np.add.reduce(queues, axis=-1)
+    rewards = -totals
+    return new, _gridq_obs(new, totals), rewards, _global_reward(rewards)
 
 
 class GridQueueEnv:
@@ -335,17 +347,17 @@ def malicious_injector(env, joint_actions, rate, adversarial, rngs):
     actions = np.asarray(joint_actions)
     if not np.issubdtype(actions.dtype, np.integer):
         raise TypeError("malicious injection requires discrete actions")
-    # rng.random() is the draw rng.uniform() returns, from the same stream
-    fired = np.array([e for e in live if rngs[e].random() < rate[e]], dtype=int)
-    if not fired.size:
+    # rng.random() is the draw rng.uniform() returns, from the same stream.
+    # The coin loop runs over Python scalars, which index and compare
+    # faster than numpy ones; each fired episode then draws its victim and,
+    # in random mode, the replacement.
+    fired = [e for e, r in zip(live.tolist(), rate[live].tolist()) if rngs[e].random() < r]
+    if not fired:
         return joint_actions
-    victims = np.array([rngs[e].integers(actions.shape[-1]) for e in fired])
     out = actions.copy()
-    uniform = ~adversarial[fired]
-    out[fired[uniform], victims[uniform]] = [rngs[e].integers(env.n_out)
-                                             for e in fired[uniform]]
-    flip = fired[~uniform], victims[~uniform]
-    out[flip] = 1 - out[flip]
+    for e in fired:
+        victim = rngs[e].integers(actions.shape[-1])
+        out[e, victim] = 1 - out[e, victim] if adversarial[e] else rngs[e].integers(env.n_out)
     return out
 
 

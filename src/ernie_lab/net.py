@@ -277,8 +277,15 @@ def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both") -> GradBu
             dz *= _act_grad_from_output(acts[i + 1], net.activation)  # dz is ours
         if grad is not None:
             np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
-            np.sum(dz, axis=-2, out=gbs[i])
-        if i > 0 or wrt != "theta":
+            # the reduction np.sum(dz, axis=-2) makes, without its wrapper
+            np.add.reduce(dz, axis=-2, out=gbs[i])
+        if i > 0 and dz.shape[-1] == 1:
+            # A width-1 upstream's product has one term, which the broadcast
+            # rounds as np.matmul does. Only the sign of a zero product can
+            # differ (matmul's sum starts at +0.0), and below the first layer
+            # dz reaches the outputs through sums alone, which start at +0.0.
+            dz = dz * net.weights[i]
+        elif i > 0 or wrt != "theta":
             dz = np.matmul(dz, net.weights[i])
     return GradBundle(grad, dz if wrt != "theta" else None)
 

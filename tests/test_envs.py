@@ -196,6 +196,48 @@ def test_gridq_step_rejects_bad_phases():
             gridq_step(state, np.array(bad))
 
 
+def _gridq_obs_reference(state):
+    # Reference: the observation with its former gathered (..., N, 4, 4)
+    # neighbor block, summed again, and concatenate
+    table = envs_mod._neighbor_table(state.rows, state.cols)
+    neighbor_sums = state.queues[..., table, :].sum(axis=-1)
+    return np.concatenate([state.queues, neighbor_sums, state.phases[..., None]], axis=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.sampled_from([(2, 2), (3, 3), (2, 3)]), episodes=st.sampled_from([0, 1, 30]),
+       data=st.data(), log_q=st.floats(-8.0, 8.0))
+def test_gridq_step_and_obs_match_their_former_formulas_bit_for_bit(grid, episodes, data,
+                                                                    log_q):
+    # episodes 0 steps one (N, 4) state; otherwise an (E, N, 4) batch, with
+    # a float scale or an (E, 1, 1) array of per-episode scales
+    rows, cols = grid
+    n = rows * cols
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    lead = (episodes,) if episodes else ()
+    queues = 10.0 ** log_q * rng.uniform(0.0, 1.0, size=lead + (n, 4))
+    queues[rng.uniform(size=queues.shape) < 0.2] = 0.0
+    state = GridQueueState(queues=queues, phases=rng.integers(0, 2, size=lead + (n,)),
+                           arrivals=rng.uniform(0.0, 0.35, size=lead + (n, 4)),
+                           serve=1.0, rows=rows, cols=cols)
+    assert envs_mod._gridq_obs(state).tobytes() == _gridq_obs_reference(state).tobytes()
+    if episodes and data.draw(st.booleans()):
+        scale = rng.choice([0.5, 1.0, 1.25], size=(episodes, 1, 1))
+    else:
+        scale = data.draw(st.sampled_from([0.5, 1.0, 1.25]))
+    phases = rng.integers(0, 2, size=lead + (n,))
+    new, obs, rewards, g = gridq_step(state, phases, scale)
+    want_rewards = -new.queues.sum(-1)
+    assert obs.tobytes() == _gridq_obs_reference(new).tobytes()
+    assert rewards.tobytes() == want_rewards.tobytes()
+    assert np.asarray(g).tobytes() == want_rewards.mean(axis=-1).tobytes()
+    for bad in (-1, 2):
+        wrong = phases.copy()
+        wrong.flat[rng.integers(wrong.size)] = bad
+        with pytest.raises(ValueError, match="joint phases must be"):
+            gridq_step(state, wrong, scale)
+
+
 def test_gridq_reward_is_negative_queue_mass():
     env = GridQueueEnv(2, 2)
     state, _ = env.reset(seed=1)
@@ -282,6 +324,34 @@ def test_malicious_injector_adversarial_flips_the_victims_phase():
         assert out[e].tolist() == want.tolist()
         assert rngs[e].bit_generator.state == mirror.bit_generator.state
     assert 0 < fired < episodes
+
+
+def test_malicious_injector_draws_as_an_episode_by_episode_mirror():
+    # Mixed rates and modes over many steps: each episode draws from its own
+    # stream the coin, then the victim, then (random mode) the replacement,
+    # exactly as a mirror drawing one episode after another does
+    env, episodes = GridQueueEnv(2, 2), 24
+    rng = np.random.default_rng(5)
+    rate = rng.choice([0.0, 0.03, 1.0], size=episodes)
+    adversarial = rng.uniform(size=episodes) < 0.5
+    rate[:6], adversarial[:6] = [0.0, 0.0, 0.03, 0.03, 1.0, 1.0], [False, True] * 3
+    rngs = [np.random.default_rng(100 + e) for e in range(episodes)]
+    mirrors = [np.random.default_rng(100 + e) for e in range(episodes)]
+    fired = np.zeros(episodes, dtype=int)
+    for _ in range(60):
+        actions = rng.integers(0, env.n_out, size=(episodes, env.n_agents))
+        out = malicious_injector(env, actions, rate, adversarial, rngs)
+        for e, mirror in enumerate(mirrors):
+            want = actions[e].copy()
+            if rate[e] > 0 and mirror.random() < rate[e]:
+                victim = mirror.integers(env.n_agents)
+                want[victim] = 1 - want[victim] if adversarial[e] \
+                    else mirror.integers(env.n_out)
+                fired[e] += 1
+            assert out[e].tolist() == want.tolist()
+    for stream, mirror in zip(rngs, mirrors):
+        assert stream.bit_generator.state == mirror.bit_generator.state
+    assert not fired[rate == 0.0].any() and fired[rate == 0.03].sum() > 0
 
 
 def test_malicious_injector_rate_zero_and_continuous():

@@ -2,10 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ernie_lab.net import (Net, hvp, load_net, n_params, net_forward, net_grads,
-                           net_init, net_vjp, save_net,
-                           stack_nets, vector_to_net)
+from ernie_lab.net import (WRT, Net, _act_grad_from_output, _backward, _forward_cached,
+                           hvp, layer_views, load_net, n_params, net_forward, net_grads,
+                           net_init, net_vjp, save_net, stack_nets, vector_to_net)
 
 
 def test_init_deterministic():
@@ -214,6 +216,57 @@ def test_selective_reverse_pass_matches_both(activation, dims, stacked):
     assert u.tobytes() == u_before.tobytes()
     with pytest.raises(ValueError, match="wrt must be one of"):
         vjp(u, wrt="params")
+
+
+def _backward_reference(net, acts, upstream, wrt):
+    # Reference: the reverse pass with its former np.sum bias gradients and
+    # np.matmul input-side products; returns (grad_theta, grad_input)
+    grad = gws = gbs = None
+    if wrt != "input":
+        grad = np.empty(net.theta.shape)
+        gws, gbs = layer_views(grad, net.layer_dims)
+    n_layers = len(net.weights)
+    dz = upstream
+    for i in range(n_layers - 1, -1, -1):
+        if i < n_layers - 1:
+            dz *= _act_grad_from_output(acts[i + 1], net.activation)
+        if grad is not None:
+            np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
+            np.sum(dz, axis=-2, out=gbs[i])
+        if i > 0 or wrt != "theta":
+            dz = np.matmul(dz, net.weights[i])
+    return grad, dz if wrt != "theta" else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(activation=st.sampled_from(["relu", "tanh"]), agents=st.integers(0, 4),
+       hidden=st.lists(st.integers(1, 9), max_size=2), d_in=st.integers(1, 7),
+       d_out=st.sampled_from([1, 2]), batch=st.integers(1, 40),
+       wrt=st.sampled_from(WRT), zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_backward_matches_its_former_arithmetic_bit_for_bit(
+        activation, agents, hidden, d_in, d_out, batch, wrt, zero_frac, seed):
+    # agents 0 is a single net; otherwise a stack of that many. Exact zero
+    # upstream rows (of either sign) make zero products, whose sign a
+    # broadcast product would keep where np.matmul's accumulator makes it +0.0.
+    rng = np.random.default_rng(seed)
+    dims = (d_in, *hidden, d_out)
+    nets = []
+    for i in range(max(agents, 1)):
+        net = net_init(dims, activation=activation, seed=seed % 1000 + i)
+        nets.append(vector_to_net(net, net.theta + 0.1 * rng.standard_normal(net.theta.size)))
+    net = stack_nets(nets) if agents else nets[0]
+    lead = (agents, batch) if agents else (batch,)
+    acts, _ = _forward_cached(net, rng.standard_normal(lead + (d_in,)))
+    upstream = rng.standard_normal(lead + (d_out,))
+    zero = rng.uniform(size=lead) < zero_frac
+    upstream[zero] = np.where(rng.uniform(size=(zero.sum(), 1)) < 0.5, 0.0, -0.0)
+    got = _backward(net, acts, upstream.copy(), wrt)
+    want_theta, want_input = _backward_reference(net, acts, upstream.copy(), wrt)
+    for g, w in ((got.grad_theta, want_theta), (got.grad_input, want_input)):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
