@@ -39,7 +39,7 @@ def load_checkpoint(path) -> dict:
         raise ValueError(f"{path / 'manifest.json'}: not valid JSON: {exc}") from None
     manifest = _json_object(path, doc, "manifest.json", ("env", "nets"))
     algo = manifest.get("algo")
-    if algo not in NET_NAMES:
+    if not isinstance(algo, str) or algo not in NET_NAMES:
         raise ValueError(f"{path}: checkpoint algo {algo!r} is not one of {sorted(NET_NAMES)}")
     entries = _json_object(path, manifest["nets"], "manifest 'nets'")
     nets = {}
@@ -49,6 +49,13 @@ def load_checkpoint(path) -> dict:
                              f"{sorted(entries)}")
         e = _json_object(path, entries[name], f"manifest net {name!r}",
                          ("file", "layer_dims", "activation"))
+        if not isinstance(e["file"], str):
+            raise ValueError(f"{path}: manifest net {name!r} 'file' is not a string: "
+                             f"{e['file']!r}")
+        if not (isinstance(e["layer_dims"], list)
+                and all(type(d) is int for d in e["layer_dims"])):
+            raise ValueError(f"{path}: manifest net {name!r} 'layer_dims' is not a list "
+                             f"of integers: {e['layer_dims']!r}")
         nets[name] = load_net(path / e["file"], e["layer_dims"], e["activation"])
         if nets[name].stacked != stacked:
             raise ValueError(f"{path}: {name!r} is not "

@@ -263,24 +263,15 @@ class _Learner:
     header: str
     act: Callable           # (policy stack, obs, step, env_rng) -> joint action
     update: Callable        # (batch, agents) -> losses, {"policy", "central"} grads
-    central_reg: Callable | None  # (agents, batch, central grad, attack_rng)
-                                  # -> (value, regularized central grad)
     policy_lr: float
     columns: Callable       # (losses, regularizer value) -> the four loss columns
 
 
 def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
-    # The closures look the learner functions up by name when called, so
-    # that wrapping them in this module (tracing, tests) takes effect.
+    # The closures, like train_seed's regularizer calls, look the functions
+    # up by name when called, so that wrapping them in this module (tracing,
+    # tests) takes effect.
     if cfg.algo == "qcombo":
-        ea = cfg["ernie_a"]
-        reg = None
-        if ea["enabled"] and ea["lambda"] != 0.0:
-            def reg(agents, batch, grad, attack_rng):
-                value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
-                                                          int(ea["rows"]))
-                # adding a zero gradient could turn a -0.0 into 0.0
-                return value, grad + ea["lambda"] * g if hits else grad
         return _Learner(
             QCOMBO_HEADER,
             lambda policy, obs, t, rng: select_action_discrete(
@@ -288,24 +279,15 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
                 env.n_out),
             lambda batch, agents: qcombo_losses(batch, agents, cfg["gamma"],
                                                 cfg["lambda_q"]),
-            reg, cfg["lr"],
+            cfg["lr"],
             lambda losses, reg_val: (losses["ind"], losses["glob"], losses["reg"],
                                      losses["total"]))
-    ecfg, mf = cfg["ernie"], cfg["meanfield"]
-    reg = None
-    if mf["enabled"] and ecfg["lambda"] != 0.0:
-        def reg(agents, batch, grad, attack_rng):
-            value, g, _ = _cloud_regularizer_grad(
-                agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
-                int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]),
-                CLOUD_JITTER, attack_rng)
-            return value, grad + ecfg["lambda"] * g
     return _Learner(
         DDPG_HEADER,
         lambda policy, obs, t, rng: select_action_continuous(policy, obs,
                                                              cfg["actor_noise"], rng),
         lambda batch, agents: ddpg_updates(batch, agents, cfg["gamma"]),
-        reg, cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"],
+        cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"],
         lambda losses, reg_val: (losses["critic"], losses["actor_obj"], reg_val,
                                  losses["critic"] + reg_val))
 
@@ -326,9 +308,14 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     _save_checkpoint(out_dir, 0, nets(), meta)
     interval = max(1, steps // 10)
 
-    ecfg = cfg["ernie"]
+    # The regularizers run, draw from attack_rng and add to reg_val in this
+    # order: the observation attack on the policy stack, then ERNIE-A (qcombo
+    # only, no draws) or the mean-field cloud (mf_ddpg only) on the central net.
+    ecfg, ea, mf = cfg["ernie"], cfg["ernie_a"], cfg["meanfield"]
     acfg = _attack_config(cfg)
     ernie_on = bool(ecfg["enabled"]) and ecfg["lambda"] != 0.0
+    ernie_a_on = bool(ea["enabled"]) and ea["lambda"] != 0.0
+    cloud_on = bool(mf["enabled"]) and ecfg["lambda"] != 0.0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))
     gs = env.global_state(state)
@@ -359,9 +346,18 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                 grads["policy"] += ecfg["lambda"] * gt
                 reg_val = float(np.mean(vals))
                 atk_norm = float(np.mean(norms))
-            if learner.central_reg is not None:
-                value, grads["central"] = learner.central_reg(agents, batch,
-                                                              grads["central"], attack_rng)
+            if ernie_a_on:
+                value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
+                                                          int(ea["rows"]))
+                if hits:  # adding a zero gradient could turn a -0.0 into 0.0
+                    grads["central"] += ea["lambda"] * g
+                reg_val += value
+            if cloud_on:
+                value, g, _ = _cloud_regularizer_grad(
+                    agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
+                    int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]),
+                    CLOUD_JITTER, attack_rng)
+                grads["central"] += ecfg["lambda"] * g
                 reg_val += value
             columns = learner.columns(losses, reg_val)
             _check_finite_losses(learner.header, (*columns, reg_val), t, seed)

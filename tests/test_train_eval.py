@@ -44,6 +44,18 @@ def _qcombo_doc(**over):
     return doc
 
 
+# The two combined-regularizer configs: an observation attack on the policy
+# stack plus a regularizer on the central net.
+def _qcombo_ernie_a_doc(**over):
+    return _qcombo_doc(ernie={"enabled": True, "metric": "kl", "reg_rows": 4},
+                       ernie_a={"enabled": True, "rows": 4}, **over)
+
+
+def _mf_ddpg_cloud_doc(**over):
+    return _ddpg_doc(algo="mf_ddpg", ernie={"enabled": True, "reg_rows": 4},
+                     meanfield={"enabled": True}, **over)
+
+
 def test_zero_steps_writes_initial_artifacts(tmp_path):
     cfg = resolve_config(_ddpg_doc(train_steps=0))
     res = train_run(cfg, tmp_path)
@@ -77,7 +89,8 @@ def test_metrics_headers():
     assert QCOMBO_HEADER.endswith("attack_norm_mean")
 
 
-@pytest.mark.parametrize("doc_fn", [_ddpg_doc, _qcombo_doc])
+@pytest.mark.parametrize("doc_fn", [_ddpg_doc, _qcombo_doc, _qcombo_ernie_a_doc,
+                                    _mf_ddpg_cloud_doc])
 def test_rerun_is_byte_identical(doc_fn, tmp_path):
     cfg = resolve_config(doc_fn())
     a = Path(train_run(cfg, tmp_path / "a")[0]["out_dir"])
@@ -275,7 +288,7 @@ def test_checkpoint_row_count_and_old_layout_rejected(tmp_path, capsys):
         load_checkpoint(short)
 
 
-@pytest.mark.parametrize("algo", ["foo", None], ids=["unknown", "missing"])
+@pytest.mark.parametrize("algo", ["foo", None, ["ddpg"]], ids=["unknown", "missing", "list"])
 def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
     cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
     cfg_path = tmp_path / "cfg.json"
@@ -298,13 +311,15 @@ def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("drop", ["env", "nets", "file", "layer_dims", "activation", None,
-                                  "nets_list", "truncated"],
+                                  "nets_list", "truncated", "file_int", "layer_dims_int"],
                          ids=["env", "nets", "file", "layer_dims", "activation", "not_object",
-                              "nets_not_object", "truncated"])
+                              "nets_not_object", "truncated", "file_not_string",
+                              "layer_dims_not_list"])
 def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
-    # A manifest that is not JSON, not a JSON object, or that lacks a key
-    # the loader reads, is a bad checkpoint (exit 2), not a crash (exit 1)
-    # or an I/O error (exit 4), and the message names the checkpoint.
+    # A manifest that is not JSON, not a JSON object, that lacks a key the
+    # loader reads or gives one a value of the wrong type, is a bad
+    # checkpoint (exit 2), not a crash (exit 1) or an I/O error (exit 4),
+    # and the message names the checkpoint.
     cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_doc))
@@ -318,6 +333,12 @@ def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     elif drop == "nets_list":
         manifest["nets"] = list(manifest["nets"].values())
         msg = "manifest 'nets' is not a JSON object"
+    elif drop == "file_int":
+        manifest["nets"]["actor"]["file"] = 5
+        msg = "manifest net 'actor' 'file' is not a string: 5"
+    elif drop == "layer_dims_int":
+        manifest["nets"]["actor"]["layer_dims"] = 5
+        msg = "manifest net 'actor' 'layer_dims' is not a list of integers: 5"
     elif drop in manifest:
         del manifest[drop]
         msg = f"manifest.json has no {drop!r} key"
@@ -596,6 +617,66 @@ def test_action_regularizer_takes_action_count_from_individual_nets():
                                                            batch, 1, 3)
     assert hits == 3 and grad.shape == glob.theta.shape
     assert value == pytest.approx(np.mean(want), rel=1e-12)
+
+
+_REGULARIZERS = ("_obs_regularizer", "_action_regularizer_grad", "_cloud_regularizer_grad")
+
+
+@pytest.mark.parametrize("doc_fn,update,central",
+                         [(_qcombo_ernie_a_doc, "qcombo_losses", "_action_regularizer_grad"),
+                          (_mf_ddpg_cloud_doc, "ddpg_updates", "_cloud_regularizer_grad")],
+                         ids=["qcombo_ernie_a", "mf_ddpg_cloud"])
+def test_regularizers_run_in_order_and_share_reg_value(doc_fn, update, central, tmp_path,
+                                                       monkeypatch):
+    # Each update runs the observation regularizer, then the central one, and
+    # logs the sum of their values as reg_value_mean.
+    calls = []
+
+    def record(name):
+        real = getattr(train_mod, name)
+
+        def wrapped(*args):
+            out = real(*args)
+            calls[-1].append((name, out[0]))
+            return out
+        return wrapped
+
+    real_update = getattr(train_mod, update)
+
+    def marked(*args):
+        calls.append([])
+        return real_update(*args)
+
+    for name in _REGULARIZERS:
+        monkeypatch.setattr(train_mod, name, record(name))
+    monkeypatch.setattr(train_mod, update, marked)
+    run_dir = Path(train_run(resolve_config(doc_fn(train_steps=210, log_interval=1)),
+                             tmp_path)[0]["out_dir"])
+    lines = (run_dir / "metrics.csv").read_text().splitlines()
+    col = lines[0].split(",").index("reg_value_mean")
+    logged = [float(line.split(",")[col]) for line in lines[200:]]
+    assert len(calls) == len(logged) == 11
+    for step_calls, value in zip(calls, logged):
+        assert [name for name, _ in step_calls] == ["_obs_regularizer", central]
+        (_, obs_vals), (_, central_value) = step_calls
+        assert value == float(np.mean(obs_vals)) + central_value
+    assert any(central_value > 0 for _, (_, central_value) in calls)
+
+
+def test_zero_hit_action_regularizer_adds_no_gradient(tmp_path, monkeypatch):
+    # With no flipped row, the NaN gradient must never reach the global Q:
+    # the run stays finite and logs what a run without ERNIE-A logs.
+    def no_hits(agents, batch, k, rows):
+        return 0.0, np.full(agents.central.theta.shape, np.nan), 0
+
+    base = resolve_config(_qcombo_doc(ernie={"enabled": True, "metric": "kl",
+                                             "reg_rows": 4}))
+    a = Path(train_run(base, tmp_path / "base")[0]["out_dir"])
+    monkeypatch.setattr(train_mod, "_action_regularizer_grad", no_hits)
+    b = Path(train_run(resolve_config(_qcombo_ernie_a_doc()), tmp_path / "none")[0]["out_dir"])
+    assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+    assert all(np.isfinite(net.theta).all()
+               for net in load_checkpoint(b / "ckpt_000250")["nets"].values())
 
 
 def test_interrupted_checkpoint_is_not_complete(tmp_path, monkeypatch):
