@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .mdp import (TabularMdp, empirical_lipschitz, gen_smooth_mdp, lipschitz_bounds,
-                  mdp_to_json, optimal_values, perturbed_value_gap, policy_eval,
+from .mdp import (TabularMdp, empirical_lipschitz, gen_smooth_mdp, mdp_to_json,
+                  optimal_values, perturbed_value_gap, policy_eval, q_lipschitz_bound,
                   random_policy, softmax_policy, state_distances)
 
 SLACK_TOL = 1e-8
@@ -26,7 +26,7 @@ def _draw_instance(rng: np.random.Generator):
 
 def q_lipschitz_slack(mdp: TabularMdp, q: np.ndarray) -> float:
     """max over (s, s', a) of |Q(s,a) - Q(s',a)| - L_Q * dist(s, s')."""
-    l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, mdp.gamma).l_q
+    l_q = q_lipschitz_bound(mdp.l_r, mdp.l_p, mdp.gamma)
     dist = state_distances(mdp.embed)
     gaps = np.abs(q[:, None, :] - q[None, :, :]) - l_q * dist[:, :, None]
     return float(gaps.max())
@@ -64,13 +64,13 @@ def certify_theorem2(n_instances: int = 200, seed: int = 0,
         mdp, inst_seed = _draw_instance(rng)
         n_actions = mdp.reward.shape[1]
         star = optimal_values(mdp)
-        l_q = lipschitz_bounds(mdp.l_r, mdp.l_p, mdp.gamma).l_q
+        l_q = q_lipschitz_bound(mdp.l_r, mdp.l_p, mdp.gamma)
         for eps in epsilon_targets:
             pol = softmax_policy(star.q, eps, n_actions)
             v_pol = policy_eval(mdp, pol).v
             gap_slack = float((star.v - v_pol).max()) - 2.0 * eps / (1.0 - mdp.gamma)
             lip_bound = n_actions * math.log(n_actions) * l_q / eps
-            lip_slack = empirical_lipschitz(pol.probs, mdp.embed) - lip_bound
+            lip_slack = empirical_lipschitz(pol, mdp.embed) - lip_bound
             if max(gap_slack, lip_slack) > max(worst_gap, worst_lip):
                 worst_seed = inst_seed
                 if max(gap_slack, lip_slack) > SLACK_TOL:

@@ -315,21 +315,6 @@ def episode_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def _perturb_obs(obs, sigma, rngs):
-    """obs (E, ...) with sigma[e] * standard normal added to each row e whose
-    sigma[e] > 0, drawn from rngs[e]. The other rows keep their bits and draw
-    nothing; obs itself comes back when no episode is noisy."""
-    noisy = np.flatnonzero(sigma)
-    if not noisy.size:
-        return obs
-    noise = np.empty((noisy.size,) + obs.shape[1:])
-    for row, e in zip(noise, noisy):
-        rngs[e].standard_normal(out=row)
-    out = obs.copy()
-    out[noisy] = obs[noisy] + sigma[noisy].reshape((-1,) + (1,) * (obs.ndim - 1)) * noise
-    return out
-
-
 def malicious_injector(env, joint_actions, rate, adversarial, rngs):
     """In each episode e of joint_actions (E, N), with probability rate[e]
     (a coin from rngs[e]), replace the discrete action of one uniformly
@@ -366,13 +351,11 @@ def rollout(env, act_fn, T: int, specs, seeds) -> np.ndarray:
     perturb observations before acting, inject malicious actions after.
     act_fn maps observations (E, N, d) to joint actions (E, N, ...). Episode
     e starts from env.reset(seeds[e]) and draws from its own stream,
-    episode_rng(seeds[e]), in the order a lone episode would: observation
-    noise, then the malicious coin, victim and (random mode) replacement.
-    Each step is one act_fn call, one injector call and one env.step for all
-    episodes. A noise-only episode (sigma > 0, rate 0) draws nothing but
-    noise, so it draws its T steps' noise in one (T, N, d) call before the
-    first step: the normals of T per-step draws in their order, leaving its
-    stream where they leave it. Returns the (E,) global returns."""
+    episode_rng(seeds[e]), in the order a lone episode would: at sigma > 0,
+    all T steps' observation noise in one (T, N, d) call before the first
+    step, then at each step the malicious coin, victim and (random mode)
+    replacement. Each step is one act_fn call, one injector call and one
+    env.step for all episodes. Returns the (E,) global returns."""
     if T < 1:
         raise ValueError("T must be >= 1")
     seeds = [int(s) for s in seeds]
@@ -391,20 +374,17 @@ def rollout(env, act_fn, T: int, specs, seeds) -> np.ndarray:
     starts = [env.reset(s) for s in seeds]
     state = _stack_states([st for st, _ in starts])
     obs = np.stack([ob for _, ob in starts])
-    block = np.flatnonzero((sigma > 0.0) & (rate == 0.0))
+    block = np.flatnonzero(sigma > 0.0)
     noise = np.empty((block.size, T) + obs.shape[1:])
     for row, e in zip(noise, block):
         rngs[e].standard_normal(out=row)
     noise *= sigma[block].reshape((-1,) + (1,) * (noise.ndim - 1))
-    # the episodes that also draw malicious coins draw their noise step by step
-    step_sigma = np.where(rate > 0.0, sigma, 0.0)
     global_return = np.zeros(len(seeds))
     for t in range(T):
         if block.size:
             # obs is this step's own array, so the noise goes in in place
             obs[block] += noise[:, t]
-        actions = act_fn(_perturb_obs(obs, step_sigma, rngs))
-        actions = malicious_injector(env, actions, rate, adversarial, rngs)
+        actions = malicious_injector(env, act_fn(obs), rate, adversarial, rngs)
         state, obs, _, global_reward = env.step(state, actions, scale)
         global_return += global_reward
     return global_return

@@ -56,7 +56,10 @@ def load_checkpoint(path) -> dict:
                 and all(type(d) is int for d in e["layer_dims"])):
             raise ValueError(f"{path}: manifest net {name!r} 'layer_dims' is not a list "
                              f"of integers: {e['layer_dims']!r}")
-        nets[name] = load_net(path / e["file"], e["layer_dims"], e["activation"])
+        try:
+            nets[name] = load_net(path / e["file"], e["layer_dims"], e["activation"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: manifest net {name!r}: {exc}") from None
         if nets[name].stacked != stacked:
             raise ValueError(f"{path}: {name!r} is not "
                              f"{'an (N, P) agent stack' if stacked else 'a (P,) vector'}")

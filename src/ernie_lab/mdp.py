@@ -1,6 +1,7 @@
 # Tabular MDPs with metric-embedded states: smooth instance generation, exact
-# policy evaluation / value iteration, softmax policies, empirical Lipschitz
-# measurement, and the perturbed-value dynamic program.
+# policy evaluation / policy iteration, softmax policies, empirical Lipschitz
+# measurement, and the perturbed-value dynamic program. A policy is its (S, A)
+# array of action probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,19 +30,9 @@ class TabularMdp:
 
 
 @dataclass(frozen=True)
-class TabularPolicy:
-    probs: np.ndarray  # (S, A)
-
-
-@dataclass(frozen=True)
 class ValuePair:
     v: np.ndarray  # (S,)
     q: np.ndarray  # (S, A)
-
-
-@dataclass(frozen=True)
-class LipschitzBounds:
-    l_q: float
 
 
 def state_distances(embed: np.ndarray) -> np.ndarray:
@@ -72,18 +63,24 @@ def validate_mdp(mdp: TabularMdp, tol: float = 1e-9) -> None:
         raise ValueError(f"measured transition slope {slopes['trans_slope']} exceeds l_p={mdp.l_p}")
 
 
+def _state_pairs(embed: np.ndarray):
+    """The state pairs i < j that lie more than 1e-12 apart, as index arrays
+    (i, j), and their distances."""
+    i, j = np.triu_indices(embed.shape[0], k=1)
+    d = state_distances(embed)[i, j]
+    apart = d > 1e-12
+    return i[apart], j[apart], d[apart]
+
+
 def audit_smoothness(mdp: TabularMdp) -> dict:
     """Exhaustive pairwise slope measurement over all (s, s', a) triples."""
-    dist = state_distances(mdp.embed)
-    iu = np.triu_indices(mdp.n_states, k=1)
-    d = dist[iu]
-    mask = d > 1e-12
+    i, j, d = _state_pairs(mdp.embed)
     reward_slope, trans_slope = 0.0, 0.0
-    if np.any(mask):
-        r_diff = np.abs(mdp.reward[iu[0]] - mdp.reward[iu[1]]).max(axis=1)
-        p_diff = np.abs(mdp.trans[iu[0]] - mdp.trans[iu[1]]).sum(axis=-1).max(axis=1)
-        reward_slope = float(np.max(r_diff[mask] / d[mask]))
-        trans_slope = float(np.max(p_diff[mask] / d[mask]))
+    if d.size:
+        r_diff = np.abs(mdp.reward[i] - mdp.reward[j]).max(axis=1)
+        p_diff = np.abs(mdp.trans[i] - mdp.trans[j]).sum(axis=-1).max(axis=1)
+        reward_slope = float(np.max(r_diff / d))
+        trans_slope = float(np.max(p_diff / d))
     return {"reward_slope": reward_slope, "trans_slope": trans_slope}
 
 
@@ -128,24 +125,23 @@ def gen_smooth_mdp(n_states, n_actions, l_r, l_p, gamma, seed, d=2) -> TabularMd
     return mdp
 
 
-def random_policy(n_states, n_actions, seed) -> TabularPolicy:
+def random_policy(n_states, n_actions, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return TabularPolicy(rng.dirichlet(np.ones(n_actions), size=n_states))
+    return rng.dirichlet(np.ones(n_actions), size=n_states)
 
 
-def _check_policy(mdp: TabularMdp, policy: TabularPolicy) -> None:
-    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"policy shape {policy.probs.shape} does not match MDP "
+def _check_policy(mdp: TabularMdp, probs: np.ndarray) -> None:
+    if probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"policy shape {probs.shape} does not match MDP "
                          f"({mdp.n_states}, {mdp.n_actions})")
 
 
-def policy_eval(mdp: TabularMdp, policy: TabularPolicy, tol: float = 1e-10) -> ValuePair:
+def policy_eval(mdp: TabularMdp, probs: np.ndarray, tol: float = 1e-10) -> ValuePair:
     """Exact policy evaluation by a direct linear solve, checked to leave a
     Bellman residual within tol."""
-    _check_policy(mdp, policy)
+    _check_policy(mdp, probs)
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    probs = policy.probs
     p_pi = np.einsum("sa,sat->st", probs, mdp.trans)
     r_pi = np.sum(probs * mdp.reward, axis=1)
     v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
@@ -156,26 +152,14 @@ def policy_eval(mdp: TabularMdp, policy: TabularPolicy, tol: float = 1e-10) -> V
     return ValuePair(v, q)
 
 
-def value_iteration(mdp: TabularMdp, tol: float = 1e-10) -> np.ndarray:
-    """Optimal q-table with sup-norm Bellman residual <= tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    while True:
-        tq = mdp.reward + mdp.gamma * mdp.trans @ q.max(axis=1)
-        if np.max(np.abs(tq - q)) <= tol:
-            return tq
-        q = tq
-
-
 def optimal_values(mdp: TabularMdp) -> ValuePair:
-    """Exact V*, Q* by policy iteration (finite convergence, machine precision)."""
-    q = value_iteration(mdp, tol=1e-8)
-    greedy = q.argmax(axis=1)
+    """Exact V*, Q* by policy iteration from the reward-greedy policy (finite
+    convergence, machine precision)."""
+    greedy = mdp.reward.argmax(axis=1)
     for _ in range(mdp.n_states * mdp.n_actions + 1):
         probs = np.zeros((mdp.n_states, mdp.n_actions))
         probs[np.arange(mdp.n_states), greedy] = 1.0
-        vp = policy_eval(mdp, TabularPolicy(probs), tol=1e-9)
+        vp = policy_eval(mdp, probs, tol=1e-9)
         new_greedy = vp.q.argmax(axis=1)
         if np.array_equal(new_greedy, greedy):
             return vp
@@ -183,7 +167,7 @@ def optimal_values(mdp: TabularMdp) -> ValuePair:
     raise ArithmeticError("policy iteration failed to converge")
 
 
-def softmax_policy(q_table: np.ndarray, epsilon_target: float, n_actions: int) -> TabularPolicy:
+def softmax_policy(q_table: np.ndarray, epsilon_target: float, n_actions: int) -> np.ndarray:
     """Rows are softmax(eta * q) with eta = ln(n_actions) / epsilon_target."""
     if epsilon_target <= 0:
         raise ValueError(f"epsilon_target must be > 0, got {epsilon_target}")
@@ -192,7 +176,7 @@ def softmax_policy(q_table: np.ndarray, epsilon_target: float, n_actions: int) -
     z = eta * q
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return TabularPolicy(e / e.sum(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def empirical_lipschitz(values: np.ndarray, embed: np.ndarray) -> float:
@@ -202,33 +186,29 @@ def empirical_lipschitz(values: np.ndarray, embed: np.ndarray) -> float:
     embed = np.asarray(embed, dtype=float)
     if embed.shape[0] < 2:
         raise ValueError("need at least 2 states")
-    dist = state_distances(embed)
-    iu = np.triu_indices(embed.shape[0], k=1)
-    d = dist[iu]
-    mask = d > 1e-12
-    if not np.any(mask):
+    i, j, d = _state_pairs(embed)
+    if not d.size:
         raise ValueError("all states are co-located; the metric is degenerate")
-    out = np.abs(values[iu[0]] - values[iu[1]]).sum(axis=-1)
-    return float(np.max(out[mask] / d[mask]))
+    return float(np.max(np.abs(values[i] - values[j]).sum(axis=-1) / d))
 
 
-def lipschitz_bounds(l_r: float, l_p: float, gamma: float) -> LipschitzBounds:
+def q_lipschitz_bound(l_r: float, l_p: float, gamma: float) -> float:
     """L_Q = L_r + gamma*L_P/(1-gamma)."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if min(l_r, l_p) < 0:
         raise ValueError("Lipschitz constants must be >= 0")
-    return LipschitzBounds(l_r + gamma * l_p / (1.0 - gamma))
+    return l_r + gamma * l_p / (1.0 - gamma)
 
 
-def interpolate_policy(mdp: TabularMdp, policy: TabularPolicy):
+def interpolate_policy(mdp: TabularMdp, probs: np.ndarray):
     """Continuous extension of a tabular policy over the embedding.
 
     Blends the two nearest embedded states with inverse-distance weights
     (re-normalized); exact at the embedded states themselves.
     """
-    _check_policy(mdp, policy)
-    embed, probs = mdp.embed, policy.probs
+    _check_policy(mdp, probs)
+    embed = mdp.embed
 
     def pi(x: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(embed - np.asarray(x, dtype=float), axis=1)
@@ -262,7 +242,7 @@ class GapResult:
     bound: float      # 2 * l_pi * eps / (1-gamma)^2
 
 
-def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
+def perturbed_value_gap(mdp: TabularMdp, probs: np.ndarray, epsilon: float,
                         horizon: int) -> GapResult:
     """Worst-case value deviation under per-step grid-searched observation shifts.
 
@@ -270,13 +250,13 @@ def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
     the epsilon-ball; backward DP over the horizon yields the best perturbing
     sequence within the grid (both reward-minimizing and -maximizing runs).
     """
-    _check_policy(mdp, policy)
+    _check_policy(mdp, probs)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if mdp.gamma ** horizon / (1.0 - mdp.gamma) >= 1e-6:
         raise ValueError(f"horizon {horizon} too small: gamma^T/(1-gamma) >= 1e-6")
     s, a = mdp.n_states, mdp.n_actions
-    pi = interpolate_policy(mdp, policy)
+    pi = interpolate_policy(mdp, probs)
     grid = delta_grid(epsilon, mdp.embed.shape[1])
     g = grid.shape[0]
 
@@ -290,7 +270,7 @@ def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
         norms = np.linalg.norm(grid, axis=1)
         nz = norms > 1e-12
         if np.any(nz):
-            tv = np.abs(tilde - policy.probs[:, None, :]).sum(axis=-1)  # (s, g)
+            tv = np.abs(tilde - probs[:, None, :]).sum(axis=-1)  # (s, g)
             l_pi = float(np.max(tv[:, nz] / norms[nz]))
 
     w_min = np.zeros(s)
@@ -302,7 +282,7 @@ def perturbed_value_gap(mdp: TabularMdp, policy: TabularPolicy, epsilon: float,
         q_clean = mdp.reward + mdp.gamma * mdp.trans @ v_clean
         w_min = np.einsum("sga,sa->sg", tilde, q_min).min(axis=1)
         w_max = np.einsum("sga,sa->sg", tilde, q_max).max(axis=1)
-        v_clean = np.sum(policy.probs * q_clean, axis=1)
+        v_clean = np.sum(probs * q_clean, axis=1)
 
     gap = float(max(np.max(np.abs(v_clean - w_min)), np.max(np.abs(v_clean - w_max))))
     bound = 2.0 * l_pi * epsilon / (1.0 - mdp.gamma) ** 2

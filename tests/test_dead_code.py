@@ -1,7 +1,7 @@
-# Dead-code guard: every module-level function in the package must be loaded
-# by some code in the package, and every dataclass field read. An import alone
-# does not count, so a function that only tests call fails here and gets
-# deleted rather than kept "for later".
+# Dead-code guard: every module-level function and class, and every method
+# but the dunder ones, must be loaded by some code in the package, and every
+# dataclass field read. An import alone does not count, so a function that
+# only tests call fails here and gets deleted rather than kept "for later".
 # Layering guards beside it: importing the CLI leaves scipy unloaded,
 # training and evaluating leave numpy.ma unloaded, the trainer, the evaluator
 # and a coopnav rollout leave logging and the tabular lab unloaded, and
@@ -36,14 +36,25 @@ def _loaded_names(trees) -> set:
     return names
 
 
+def _definitions(tree):
+    """(qualified name, name) of each module-level function and class of tree
+    and of each method of its classes but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_every_function_is_loaded_in_the_package():
     trees = _trees()
     loaded = _loaded_names(trees)
-    unused = sorted(f"{module}:{node.name}"
-                    for module, tree in trees.items() for node in tree.body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name not in loaded and node.name not in ORACLES)
-    assert not unused, f"functions that no code in the package loads: {unused}"
+    unused = sorted(f"{module}:{qualname}"
+                    for module, tree in trees.items() for qualname, name in _definitions(tree)
+                    if name not in loaded and name not in ORACLES)
+    assert not unused, f"definitions that no code in the package loads: {unused}"
 
 
 # Dataclass fields that only readers outside the package read: criterion 5

@@ -17,7 +17,6 @@ from ernie_lab.envs import (
     PHASE_SERVES,
     _OPPOSITE,
     _neighbor,
-    _perturb_obs,
     CoopNavEnv,
     CoopNavState,
     GridQueueEnv,
@@ -257,26 +256,6 @@ def test_perturb_spec_validation():
         PerturbSpec(malicious_mode="sneaky")
 
 
-def test_perturb_obs_sigma_zero_is_bitwise_identity():
-    obs = np.random.default_rng(0).uniform(size=(2, 3, 5))
-    rngs = [np.random.default_rng(7), np.random.default_rng(8)]
-    before = [rng.bit_generator.state for rng in rngs]
-    out = _perturb_obs(obs, np.full(2, PerturbSpec().obs_noise_sigma), rngs)
-    assert out is obs
-    assert [rng.bit_generator.state for rng in rngs] == before  # no draw at sigma = 0
-
-
-def test_perturb_obs_noise_statistics():
-    obs = np.zeros((2, 100, 50))
-    rngs = [np.random.default_rng(3), np.random.default_rng(4)]
-    out = _perturb_obs(obs, np.full(2, 0.5), rngs)
-    assert abs(out.std() - 0.5) / 0.5 < 0.05
-    assert abs(out.mean()) < 0.01
-    # each episode's noise is its own stream's draw
-    want = 0.5 * np.random.default_rng(4).standard_normal((100, 50))
-    assert out[1].tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 31 - 1, 2 ** 40 + 7])
 def test_episode_rng_is_the_seeds_first_child_stream(seed):
     want = np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
@@ -434,13 +413,15 @@ def _inject_one(joint_action, q_global, spec, rng, n_actions):
 
 def _rollout_one(env, act_one, T, spec, seed, q_global):
     # Reference: one episode at a time, the rollout the lock-step one
-    # replaced. Returns the global return and the episode's stream.
+    # replaced, drawing a noisy episode's T steps of noise before its first
+    # step. Returns the global return and the episode's stream.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
     state, obs = env.reset(seed)
+    if spec.obs_noise_sigma > 0.0:
+        noise = spec.obs_noise_sigma * rng.standard_normal((T,) + obs.shape)
     global_return = 0.0
-    for _ in range(T):
-        seen = obs if spec.obs_noise_sigma == 0.0 else \
-            obs + spec.obs_noise_sigma * rng.standard_normal(obs.shape)
+    for t in range(T):
+        seen = obs if spec.obs_noise_sigma == 0.0 else obs + noise[t]
         actions = act_one(seen)
         if isinstance(env, GridQueueEnv) and spec.malicious_rate > 0.0:
             q_fn = None
@@ -557,10 +538,10 @@ class _SpyStream:
 
 @pytest.mark.parametrize("env_name", ["coopnav3", "gridq2x2"])
 def test_noise_only_episodes_draw_their_noise_in_one_call(env_name, monkeypatch):
-    # A noise-only episode (sigma > 0, rate 0) draws its T steps' noise in
-    # one (T, N, d) call; the mixed spec, whose malicious coins fall between
-    # its noise draws, draws (N, d) per step; a clean episode draws nothing.
-    # Returns and streams stay those of the per-episode reference.
+    # Every noisy episode draws its T steps' noise in one (T, N, d) call,
+    # the mixed spec's too, whose malicious coins follow it step by step; a
+    # clean episode draws no normals. Returns and streams stay those of the
+    # per-episode reference.
     env = _ENVS[env_name]()
     act, act_one = _policy(env, seed=11)
     specs = [PerturbSpec(obs_noise_sigma=0.5), PerturbSpec(),
@@ -579,12 +560,8 @@ def test_noise_only_episodes_draw_their_noise_in_one_call(env_name, monkeypatch)
     T, row = 25, (env.n_agents, env.obs_dim)
     got = rollout(env, act, T, specs, seeds)
     for spec, stream in zip(specs, streams):
-        if spec.obs_noise_sigma == 0.0:
-            assert stream.normal_shapes == [], spec
-        elif spec.malicious_rate == 0.0:
-            assert stream.normal_shapes == [(T,) + row], spec
-        else:
-            assert stream.normal_shapes == [row] * T, spec
+        want_shapes = [(T,) + row] if spec.obs_noise_sigma > 0.0 else []
+        assert stream.normal_shapes == want_shapes, spec
     q_global = _oracle_q(env)
     want = [_rollout_one(env, act_one, T, spec, s, q_global) for spec, s in zip(specs, seeds)]
     assert got.tobytes() == np.array([w[0] for w in want]).tobytes()

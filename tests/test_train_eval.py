@@ -311,15 +311,17 @@ def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("drop", ["env", "nets", "file", "layer_dims", "activation", None,
-                                  "nets_list", "truncated", "file_int", "layer_dims_int"],
+                                  "nets_list", "truncated", "file_int", "layer_dims_int",
+                                  "activation_list", "layer_dims_short"],
                          ids=["env", "nets", "file", "layer_dims", "activation", "not_object",
                               "nets_not_object", "truncated", "file_not_string",
-                              "layer_dims_not_list"])
+                              "layer_dims_not_list", "activation_not_a_name",
+                              "layer_dims_one_width"])
 def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     # A manifest that is not JSON, not a JSON object, that lacks a key the
     # loader reads or gives one a value of the wrong type, is a bad
     # checkpoint (exit 2), not a crash (exit 1) or an I/O error (exit 4),
-    # and the message names the checkpoint.
+    # and the message names the checkpoint, and the net when one is bad.
     cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_doc))
@@ -339,6 +341,12 @@ def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     elif drop == "layer_dims_int":
         manifest["nets"]["actor"]["layer_dims"] = 5
         msg = "manifest net 'actor' 'layer_dims' is not a list of integers: 5"
+    elif drop == "activation_list":
+        manifest["nets"]["actor"]["activation"] = ["relu"]
+        msg = "manifest net 'actor': checkpoint activation must be one of"
+    elif drop == "layer_dims_short":
+        manifest["nets"]["actor"]["layer_dims"] = [14]
+        msg = "manifest net 'actor': layer_dims needs at least an input and an output width"
     elif drop in manifest:
         del manifest[drop]
         msg = f"manifest.json has no {drop!r} key"
@@ -354,7 +362,7 @@ def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     assert cli_main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ck),
                      "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert msg in err and "Traceback" not in err
+    assert where + msg in err and "Traceback" not in err
     assert not out.exists()
 
 
