@@ -2,6 +2,7 @@
 # Hamming-distance budget: greedy solver plus an exhaustive oracle.
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,6 +17,15 @@ class ActionAttackResult:
     perturbed: np.ndarray  # (R, N) joint actions at the reported values
     value: np.ndarray      # (R,) (Q(s,a) - Q(s,a'))^2 at perturbed
     evals: int             # Q evaluations over all rows
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_pairs(n: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    # Every (agent, action) pair in scan order, as read-only (agents, actions).
+    pairs = (np.repeat(np.arange(n), n_actions), np.tile(np.arange(n_actions), n))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def greedy_action_attack(q_global, states, actions, k: int) -> ActionAttackResult:
@@ -34,16 +44,15 @@ def greedy_action_attack(q_global, states, actions, k: int) -> ActionAttackResul
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    for i in range(n):
-        bad = (joint[:, i] < 0) | (joint[:, i] >= n_actions)
-        if bad.any():
-            raise ValueError(f"agent {i} action {joint[bad, i][0]} out of range "
-                             f"[0, {n_actions})")
+    bad = (joint < 0) | (joint >= n_actions)
+    if bad.any():  # name the lowest bad agent, then its first bad row
+        i = int(bad.any(axis=0).argmax())
+        raise ValueError(f"agent {i} action {joint[bad[:, i].argmax(), i]} out of range "
+                         f"[0, {n_actions})")
 
-    # Every (agent, action) pair in scan order; a round's candidates are the
-    # pairs of agents not yet flipped, minus each agent's current action.
-    pair_agent = np.repeat(np.arange(n), n_actions)
-    pair_alt = np.tile(np.arange(n_actions), n)
+    # A round's candidates are the (agent, action) pairs of agents not yet
+    # flipped, minus each agent's current action.
+    pair_agent, pair_alt = _scan_pairs(n, n_actions)
     q_orig = q_global.rows(states, joint).tolist()
     evals = n_rows
     current = joint.copy()

@@ -3,6 +3,7 @@
 # here; adversarial-regularizer hooks live in the trainer.
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +26,40 @@ class Agents:
     central_target: Net
 
 
-def soft_update(target: Net, online: Net, tau: float) -> Net:
-    """target <- (1 - tau) * target + tau * online, on the parameter vectors
-    (on the whole block for an agent stack)."""
+def trainable(net: Net) -> tuple[Net, np.ndarray]:
+    """A copy of net over a writable parameter buffer of its own, and that
+    buffer. The Net reads a read-only view of the buffer, so it stays
+    read-only to every reader; apply_grad and soft_update, handed the
+    buffer, update it in place and the Net sees the new values."""
+    buf = np.array(net.theta)
+    return _from_vector(net.layer_dims, buf.view(), net.activation), buf
+
+
+def _check_buffer(net: Net, buf: np.ndarray) -> None:
+    if net.theta.base is not buf:
+        raise ValueError("buf is not the parameter buffer under net.theta (see trainable)")
+
+
+def soft_update(target: Net, buf: np.ndarray, online: Net, tau: float) -> None:
+    """target <- (1 - tau) * target + tau * online, in place on buf, the
+    buffer under target.theta (the whole block for an agent stack)."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if target.layer_dims != online.layer_dims or target.theta.shape != online.theta.shape:
         raise ValueError("target/online layer shapes differ")
-    return _from_vector(target.layer_dims, (1.0 - tau) * target.theta + tau * online.theta,
-                        target.activation)
+    _check_buffer(target, buf)
+    buf *= 1.0 - tau
+    buf += tau * online.theta
 
 
-def apply_grad(net: Net, flat_grad: np.ndarray, lr: float) -> Net:
-    """Plain SGD step on the parameter vector (the whole (N, P) block for an
-    agent stack)."""
+def apply_grad(net: Net, buf: np.ndarray, flat_grad: np.ndarray, lr: float) -> None:
+    """Plain SGD step, in place on buf, the buffer under net.theta (the whole
+    (N, P) block for an agent stack)."""
     if np.shape(flat_grad) != net.theta.shape:
         raise ValueError(f"gradient shape {np.shape(flat_grad)} != parameter shape "
                          f"{net.theta.shape}")
-    return _from_vector(net.layer_dims, net.theta - lr * flat_grad, net.activation)
+    _check_buffer(net, buf)
+    buf -= lr * flat_grad
 
 
 def _stack_out(stack: Net, obs: np.ndarray) -> np.ndarray:
@@ -64,7 +81,7 @@ def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
     if explore_rate > 0.0:
         flat = actions.reshape(-1)
         for i in range(flat.size):
-            if rng.uniform() < explore_rate:
+            if rng.random() < explore_rate:  # the draw rng.uniform() returns
                 flat[i] = rng.integers(n_actions)
     return actions
 
@@ -82,12 +99,18 @@ def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
     return np.clip(a, -1.0, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _joint_onehot(actions: np.ndarray, n_actions: int) -> np.ndarray:
-    """(B, N) int actions -> (B, N * n_actions) concatenated one-hots."""
+    """(B, N) int actions -> (B, N * n_actions) concatenated one-hots, as
+    rows of the identity."""
     b, n = actions.shape
-    out = np.zeros(b * n * n_actions)
-    out[np.arange(b * n) * n_actions + actions.ravel()] = 1.0
-    return out.reshape(b, n * n_actions)
+    return _identity(n_actions).take(actions, axis=0).reshape(b, n * n_actions)
 
 
 class GlobalQ:

@@ -1,12 +1,14 @@
 # Minimal dense-network engine: deterministic init, reverse-mode gradients
 # w.r.t. parameters and inputs, binary parameter files, and a finite-difference
 # Hessian-vector product that serves only as the oracle for the exact one in
-# advreg. Everything is float64; nets are immutable values, each holding its
-# parameters in one flat vector that gradients, SGD, target updates and
-# checkpoints share. N same-shaped nets (one per agent) can be held as one
-# agent stack: an (N, P) block whose rows are the nets' vectors, evaluated
-# and differentiated by the same code with batched np.matmul, and updated and
-# saved as that one block.
+# advreg. Everything is float64; each net holds its parameters in one flat
+# vector that gradients, SGD, target updates and checkpoints share, and is
+# read-only to every reader. Only the trainer writes parameters: its nets are
+# read-only views of buffers it owns (algos.trainable), which its SGD step and
+# soft update (algos.apply_grad, algos.soft_update) update in place. N
+# same-shaped nets (one per agent) can be held as one agent stack: an (N, P)
+# block whose rows are the nets' vectors, evaluated and differentiated by the
+# same code with batched np.matmul, and updated and saved as that one block.
 from __future__ import annotations
 
 import functools
@@ -53,7 +55,11 @@ class Net:
     """Dense net: affine layers with `activation` between them; the final
     layer is affine. All parameters live in one read-only float64 vector
     `theta`, laid out W_0 (row-major, (out, in)), b_0, W_1, b_1, ...;
-    `weights` and `biases` are views into it. Nets are immutable values.
+    `weights` and `biases` are views into it. No reader can write a Net or
+    its parameters. A net that training updates is a read-only view of a
+    buffer the trainer owns (algos.trainable): only the trainer's SGD step
+    and soft update write that buffer, in place, and the net then reads the
+    new values.
 
     An agent stack (see stack_nets) is a Net whose `theta` is an (N, P)
     block, one row per agent; its weights are (N, out, in) and its biases
@@ -100,7 +106,8 @@ class Net:
 
 def _bind(net: Net, dims: tuple[int, ...], theta: np.ndarray, activation: str) -> Net:
     # theta must be a float64 vector (or (N, P) block) of the right size that
-    # nothing else writes.
+    # nothing else writes, or a view of a buffer that only the trainer's
+    # in-place updates write. Only theta is marked read-only, not its base.
     theta.setflags(write=False)
     set_ = object.__setattr__
     set_(net, "layer_dims", dims)

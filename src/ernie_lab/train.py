@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import platform
 import shutil
 import time
@@ -22,7 +23,7 @@ from .actionreg import greedy_action_attack
 from .advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     ddpg_updates, qcombo_losses, select_action_continuous,
-                    select_action_discrete, soft_update)
+                    select_action_discrete, soft_update, trainable)
 from .config import ExperimentConfig
 from .envs import make_env
 from .net import (_backward, _forward_cached, n_params, net_init, net_vjp, save_net,
@@ -53,17 +54,22 @@ def _net_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(2 ** 31, size=count)]
 
 
-def build_agents(cfg: ExperimentConfig, env, seed: int) -> Agents:
+def build_agents(cfg: ExperimentConfig, env, seed: int) -> tuple[Agents, dict]:
     """The policy agent stack and the central net, each target starting as a
-    copy of its net."""
+    copy of its net, and the four nets' parameter buffers by Agents field
+    name: each net is a read-only view of its own buffer (algos.trainable),
+    which the trainer's SGD step and soft update write in place."""
     hid = cfg["hidden"]
     n = env.n_agents
     seeds = _net_seeds(seed, n + 1)
     policy = stack_nets([net_init([env.obs_dim, hid, env.n_out], seed=seeds[i])
                          for i in range(n)])
     central = net_init([env.state_dim + n * env.n_out, hid, 1], seed=seeds[n])
-    return Agents(policy=policy, central=central, policy_target=policy,
-                  central_target=central)
+    nets, bufs = {}, {}
+    for field, net in (("policy", policy), ("central", central),
+                       ("policy_target", policy), ("central_target", central)):
+        nets[field], bufs[field] = trainable(net)
+    return Agents(**nets), bufs
 
 
 def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
@@ -234,7 +240,7 @@ def _check_finite(nets: dict, step: int, seed: int) -> None:
 def _check_finite_losses(header: str, values, step: int, seed: int) -> None:
     # values: the header's four loss columns and reg_value_mean, in order
     for name, value in zip(header.split(",")[4:9], values):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FloatingPointError(f"non-finite {name} in the update at step {step}, seed {seed}")
 
 
@@ -294,7 +300,7 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
 
 def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     env = make_env(cfg)
-    agents = build_agents(cfg, env, seed)
+    agents, bufs = build_agents(cfg, env, seed)
     steps = int(cfg["train_steps"])
     learner = _learner(cfg, env, steps)
     policy_name, central_name = NET_NAMES[cfg.algo]
@@ -304,8 +310,9 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
     _write_run_manifest(out_dir, cfg)
     meta = {"algo": cfg.algo, "env": cfg.env, "seed": seed}
-    nets = lambda: {policy_name: agents.policy, central_name: agents.central}
-    _save_checkpoint(out_dir, 0, nets(), meta)
+    # The nets are never rebound: the updates write their buffers in place.
+    nets = {policy_name: agents.policy, central_name: agents.central}
+    _save_checkpoint(out_dir, 0, nets, meta)
     interval = max(1, steps // 10)
 
     # The regularizers run, draw from attack_rng and add to reg_val in this
@@ -363,20 +370,20 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             _check_finite_losses(learner.header, (*columns, reg_val), t, seed)
             lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
             policy_lr_t = _lr_at(t, steps, learner.policy_lr, cfg["lr_decay"])
-            agents.policy = apply_grad(agents.policy, grads["policy"], policy_lr_t)
-            agents.central = apply_grad(agents.central, grads["central"], lr_t)
-            _check_finite(nets(), t, seed)
-            agents.policy_target = soft_update(agents.policy_target, agents.policy,
-                                               cfg["tau"])
-            agents.central_target = soft_update(agents.central_target, agents.central,
-                                                cfg["tau"])
+            apply_grad(agents.policy, bufs["policy"], grads["policy"], policy_lr_t)
+            apply_grad(agents.central, bufs["central"], grads["central"], lr_t)
+            _check_finite(nets, t, seed)
+            soft_update(agents.policy_target, bufs["policy_target"], agents.policy,
+                        cfg["tau"])
+            soft_update(agents.central_target, bufs["central_target"], agents.central,
+                        cfg["tau"])
 
         if t % cfg["log_interval"] == 0:
             m, s = _episode_stats(recent)
             metrics.row([str(t), str(seed)]
                         + [_fmt(x) for x in (m, s, *columns, reg_val, atk_norm)])
         if t % interval == 0 or t == steps:
-            _save_checkpoint(out_dir, t, nets(), meta)
+            _save_checkpoint(out_dir, t, nets, meta)
 
     (out_dir / "timings.json").write_text(json.dumps(
         {"seed": seed, "steps": steps,

@@ -247,6 +247,18 @@ def test_row_stacked_greedy_validates_every_row():
         greedy_action_attack(q, np.zeros((2, 3)), np.array([[0, 1], [1, 2]]), 1)
 
 
+@pytest.mark.parametrize("actions,message", [
+    ([[0, 5], [7, 0]], "agent 0 action 7 "),   # a row-major scan would name agent 1
+    ([[0, 5], [-1, 9]], "agent 0 action -1 "),
+    ([[0, 5], [1, 9]], "agent 1 action 5 "),    # agent 1's first bad row
+    ([[-3, 0], [4, 0]], "agent 0 action -3 "),
+])
+def test_greedy_range_check_names_the_lowest_agent_then_its_first_row(actions, message):
+    q = _global_q(np.random.default_rng(0), 2, 2, 3, False)
+    with pytest.raises(ValueError, match=message + r"out of range \[0, 2\)"):
+        greedy_action_attack(q, np.zeros((2, 3)), np.array(actions), 1)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_action_regularizer_grad_matches_fd(k):
     # The greedy flip is locally constant in the global Q's parameters, so the

@@ -12,6 +12,7 @@ from ernie_lab.algos import (
     select_action_continuous,
     select_action_discrete,
     soft_update,
+    trainable,
 )
 from ernie_lab.net import (
     Net,
@@ -27,30 +28,63 @@ def _linear_net(w: np.ndarray, b: np.ndarray) -> Net:
                activation="tanh")
 
 
+def _updated(update, net: Net, *args) -> Net:
+    # A trainable copy of net, after one in-place update of its buffer.
+    copy, buf = trainable(net)
+    update(copy, buf, *args)
+    return copy
+
+
+def test_trainable_is_a_read_only_view_of_its_own_buffer():
+    net = stack_nets([net_init([3, 4, 2], seed=s) for s in range(2)])
+    copy, buf = trainable(net)
+    assert copy.theta.tobytes() == net.theta.tobytes() and copy.stacked
+    assert not np.shares_memory(buf, net.theta) and np.shares_memory(buf, copy.theta)
+    assert buf.flags.writeable and not copy.theta.flags.writeable
+    with pytest.raises(ValueError):
+        copy.weights[0][0, 0, 0] = 1.0
+    buf[0, 0] = 5.0  # the net reads its buffer's new values
+    assert copy.theta[0, 0] == 5.0 and copy.weights[0][0, 0, 0] == 5.0
+    assert copy[1].theta.tobytes() == net[1].theta.tobytes()
+
+
 def test_soft_update_endpoints_and_midpoint():
     target = net_init([3, 4, 2], seed=0)
     online = net_init([3, 4, 2], seed=1)
-    same = soft_update(target, online, tau=0.0)
+    same = _updated(soft_update, target, online, 0.0)
     assert np.array_equal(same.theta, target.theta)
-    full = soft_update(target, online, tau=1.0)
+    full = _updated(soft_update, target, online, 1.0)
     assert np.array_equal(full.theta, online.theta)
-    mid = soft_update(target, online, tau=0.25)
+    mid = _updated(soft_update, target, online, 0.25)
     want = 0.75 * target.theta + 0.25 * online.theta
     assert np.allclose(mid.theta, want, atol=0, rtol=1e-15)
 
 
 def test_soft_update_validation():
-    a = net_init([2, 3], seed=0)
+    a, buf = trainable(net_init([2, 3], seed=0))
     with pytest.raises(ValueError):
-        soft_update(a, a, tau=1.5)
+        soft_update(a, buf, a, tau=1.5)
     with pytest.raises(ValueError):
-        soft_update(a, net_init([2, 4], seed=0), tau=0.1)
+        soft_update(a, buf, net_init([2, 4], seed=0), tau=0.1)
+
+
+def test_updates_write_only_the_nets_own_buffer():
+    # A buffer that is not the one under net.theta (a copy, or a net that
+    # owns its parameters) is refused, so an update cannot miss its net.
+    net, buf = trainable(net_init([2, 3], seed=0))
+    before = buf.copy()
+    for target, other in ((net, buf.copy()), (net_init([2, 3], seed=0), buf)):
+        with pytest.raises(ValueError, match="parameter buffer"):
+            soft_update(target, other, net, tau=0.5)
+        with pytest.raises(ValueError, match="parameter buffer"):
+            apply_grad(target, other, np.ones(net.theta.shape), 0.1)
+    assert buf.tobytes() == before.tobytes()
 
 
 def test_apply_grad_is_sgd():
     net = net_init([2, 2], seed=3)
     g = np.ones(net.theta.size)
-    stepped = apply_grad(net, g, lr=0.1)
+    stepped = _updated(apply_grad, net, g, 0.1)
     assert np.allclose(stepped.theta, net.theta - 0.1, atol=1e-15)
 
 
@@ -67,8 +101,8 @@ def test_flat_updates_match_per_layer_formulas():
         g_layers.append((grad[k:k + w.size].reshape(w.shape),
                          grad[k + w.size:k + w.size + b.size]))
         k += w.size + b.size
-    stepped = apply_grad(net, grad, lr)
-    mixed = soft_update(net, other, tau)
+    stepped = _updated(apply_grad, net, grad, lr)
+    mixed = _updated(soft_update, net, other, tau)
     for i, (gw, gb) in enumerate(g_layers):
         assert stepped.weights[i].tobytes() == (net.weights[i] - lr * gw).tobytes()
         assert stepped.biases[i].tobytes() == (net.biases[i] - lr * gb).tobytes()
@@ -76,7 +110,7 @@ def test_flat_updates_match_per_layer_formulas():
                           (mixed.biases[i], net.biases[i], other.biases[i])):
             assert got.tobytes() == ((1.0 - tau) * t + tau * o).tobytes()
     with pytest.raises(ValueError):
-        apply_grad(net, grad[:-1], lr)
+        apply_grad(*trainable(net), grad[:-1], lr)
 
 
 def test_select_action_discrete_greedy_and_explore():

@@ -52,6 +52,45 @@ def test_push_rejects_mismatched_arity():
     assert len(buf) == 1
 
 
+@pytest.mark.parametrize("first,second", [
+    (np.array([0, 1]), np.array([0.7, 1.9])),
+    (np.array([0.7, 1.9]), np.array([0, 1])),
+], ids=["int_then_float", "float_then_int"])
+def test_push_rejects_actions_of_the_other_kind(first, second):
+    # The record stores every field as floats; the first push fixes whether
+    # actions are integers, so float actions cannot be truncated into an
+    # integer buffer, nor integer ones pass as floats.
+    buf = ReplayBuffer(capacity=2)
+    buf.push(**dict(_trans(0), actions=first))
+    with pytest.raises(ValueError, match="transition arity"):
+        buf.push(**dict(_trans(1), actions=second))
+    assert len(buf) == 1
+    got = _all_rows(buf)["actions"]
+    assert got.dtype == first.dtype and got.tobytes() == first[None].tobytes()
+
+
+def test_failed_push_leaves_a_full_ring_untouched():
+    # A push is checked in full before it writes, so a rejected transition
+    # overwrites no part of the oldest slot.
+    buf = _filled(range(2), capacity=2)
+    before = {k: v.tobytes() for k, v in _all_rows(buf).items()}
+    with pytest.raises(ValueError):
+        buf.push(**dict(_trans(5), next_state=np.zeros(3)))
+    assert {k: v.tobytes() for k, v in _all_rows(buf).items()} == before
+
+
+def test_batch_fields_are_views_of_one_gathered_block():
+    # float tags: every field but the integer actions is a float field
+    buf = _filled([0.0, 1.0, 2.0, 3.0], capacity=4)
+    batch = stack_batch(buf.sample(6, np.random.default_rng(1)))
+    block = batch["obs"].base
+    assert block.shape == (6, 2 * 3 + 4 + 2 + 2 + 1 + 2 * 3 + 4 + 1)
+    for k in batch:
+        if k != "actions":
+            assert batch[k].base is block and batch[k].dtype == np.float64
+    assert batch["actions"].base is not block and batch["actions"].dtype == np.int64
+
+
 def test_capacity_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(capacity=0)

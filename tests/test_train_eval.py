@@ -18,7 +18,8 @@ import ernie_lab
 import ernie_lab.train as train_mod
 from ernie_lab.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
-from ernie_lab.algos import NET_NAMES, Agents, select_action_continuous, select_action_discrete
+from ernie_lab.algos import (NET_NAMES, Agents, select_action_continuous, select_action_discrete,
+                             trainable)
 from ernie_lab.config import resolve_config
 import ernie_lab.evaluate as evaluate_mod
 from ernie_lab.envs import PerturbSpec, make_env, rollout
@@ -229,9 +230,9 @@ def test_checkpoint_holds_the_trained_stacks(doc_fn, names, tmp_path, monkeypatc
     # the central net as one vector, bit for bit the nets training holds.
     real, updated = train_mod.apply_grad, {}
 
-    def recorded(net, grad, lr):
-        updated[net.stacked] = real(net, grad, lr)
-        return updated[net.stacked]
+    def recorded(net, buf, grad, lr):
+        real(net, buf, grad, lr)
+        updated[net.stacked] = trainable(net)[0]  # a copy of the updated net
 
     monkeypatch.setattr(train_mod, "apply_grad", recorded)
     cfg = resolve_config(doc_fn(train_steps=4, warmup=2, batch=2))
@@ -251,6 +252,50 @@ def test_checkpoint_holds_the_trained_stacks(doc_fn, names, tmp_path, monkeypatc
     loaded = load_checkpoint(ckpts[-1])["nets"]
     assert loaded[names[0]].stacked and not loaded[names[1]].stacked
     assert loaded[names[0]].theta.tobytes() == updated[True].theta.tobytes()
+
+
+@pytest.mark.parametrize("doc_fn", [_ddpg_doc, _qcombo_doc], ids=["ddpg", "qcombo"])
+def test_each_net_owns_its_parameter_buffer(doc_fn):
+    # Each of the four nets is a read-only view of its own writable buffer;
+    # no two share memory, so an in-place update of one moves no other.
+    cfg = resolve_config(doc_fn())
+    agents, bufs = train_mod.build_agents(cfg, make_env(cfg), 3)
+    fields = [f.name for f in dataclasses.fields(Agents)]
+    assert sorted(bufs) == sorted(fields)
+    nets = [getattr(agents, f) for f in fields]
+    for i, net in enumerate(nets):
+        assert not net.theta.flags.writeable and bufs[fields[i]].flags.writeable
+        assert net.theta.base is bufs[fields[i]]
+        for other in nets[i + 1:]:
+            assert not np.shares_memory(net.theta, other.theta)
+    assert agents.policy_target.theta.tobytes() == agents.policy.theta.tobytes()
+    assert agents.central_target.theta.tobytes() == agents.central.theta.tobytes()
+
+
+@pytest.mark.parametrize("doc_fn", [_ddpg_doc, _qcombo_doc], ids=["ddpg", "qcombo"])
+def test_one_trained_step_updates_the_buffers_in_place(doc_fn, tmp_path, monkeypatch):
+    # One update step: each net, copied before its SGD step or soft update,
+    # becomes theta - lr * g or (1 - tau) * t + tau * o byte for byte.
+    real_sgd, real_soft, calls = train_mod.apply_grad, train_mod.soft_update, []
+
+    def sgd(net, buf, grad, lr):
+        before = net.theta.copy()
+        real_sgd(net, buf, grad, lr)
+        calls.append(("sgd", net, before, grad.copy(), lr))
+
+    def soft(target, buf, online, tau):
+        before = target.theta.copy()
+        real_soft(target, buf, online, tau)
+        calls.append(("soft", target, before, online.theta.copy(), tau))
+
+    monkeypatch.setattr(train_mod, "apply_grad", sgd)
+    monkeypatch.setattr(train_mod, "soft_update", soft)
+    train_run(resolve_config(doc_fn(train_steps=2, warmup=2, batch=2)), tmp_path)
+    assert [c[0] for c in calls] == ["sgd", "sgd", "soft", "soft"]
+    for kind, net, before, other, x in calls:
+        want = before - x * other if kind == "sgd" else (1.0 - x) * before + x * other
+        assert net.theta.tobytes() == want.tobytes()
+        assert net.theta.tobytes() != before.tobytes()
 
 
 def test_checkpoint_row_count_and_old_layout_rejected(tmp_path, capsys):
