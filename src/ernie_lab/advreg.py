@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import Net, _act_grad_from_output, _forward_cached, layer_views, net_vjp
+from .net import (Net, _act_grad_from_output, _backward, _forward_cached, layer_views,
+                  net_vjp)
 
 KL_FLOOR = 1e-12
 
@@ -76,36 +77,34 @@ def _divergence_grads(a: np.ndarray, b: np.ndarray, metric: str):
     return vals, da, db
 
 
-def reg_value_and_grads(net: Net, obs, delta, metric: str, need_theta: bool = True,
-                        clean=None):
-    """Per-row regularizer value D(pi(o+delta), pi(o)) of (B, d) rows, its
-    gradient w.r.t. delta, and (optionally) the flat parameter gradient
-    summed over rows; an agent stack takes (N, B, d) rows, giving (N, B)
-    values and an (N, P) gradient. clean is net_vjp(net, obs), the clean
-    pass, which callers that evaluate several deltas on the same rows
-    compute once; it is computed here when None."""
-    softmax_head = metric == "kl"
+def reg_value_and_grads(net: Net, obs, delta, metric: str, clean, wrt: str = "both"):
+    """Per-row regularizer value D(pi(o+delta), pi(o)) of (B, d) rows and the
+    gradients wrt picks, as net_vjp's closure takes it (the other is None):
+    w.r.t. delta per row, and the flat parameter gradient summed over rows.
+    An agent stack takes (N, B, d) rows, giving (N, B) values and an (N, P)
+    gradient. clean is the clean pass net_vjp(net, obs)."""
     if np.shape(obs) != np.shape(delta):
         raise ValueError(f"obs shape {np.shape(obs)} != delta shape {np.shape(delta)}")
-    ya, vjp_a = net_vjp(net, obs + delta)
-    yb, vjp_b = net_vjp(net, obs) if clean is None else clean
+    return _reg_at(net, _forward_cached(net, obs + delta), clean, metric, wrt)
+
+
+def _reg_at(net: Net, perturbed, clean, metric: str, wrt: str):
+    # reg_value_and_grads from the perturbed pass _forward_cached(net, o + delta)
+    (acts, ya), (yb, vjp_b) = perturbed, clean
+    softmax_head = metric == "kl"
     if softmax_head:
         ya, yb = softmax(ya), softmax(yb)
     vals, d_ya, d_yb = _divergence_grads(ya, yb, metric)
-    up_a = _softmax_vjp(ya, d_ya) if softmax_head else d_ya
+    ga = _backward(net, acts, _softmax_vjp(ya, d_ya) if softmax_head else d_ya, wrt)
+    if wrt == "input":
+        return vals, ga.grad_input, None
     up_b = _softmax_vjp(yb, d_yb) if softmax_head else d_yb
-    ga = vjp_a(up_a, wrt="both" if need_theta else "input")
-    grad_delta = ga.grad_input
-    grad_theta = None
-    if need_theta:
-        grad_theta = ga.grad_theta + vjp_b(up_b, wrt="theta").grad_theta
-    return vals, grad_delta, grad_theta
+    return vals, ga.grad_input, ga.grad_theta + vjp_b(up_b, wrt="theta").grad_theta
 
 
 def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
-    """Row-wise (last axis) exact projection onto the epsilon-ball of the norm."""
-    if epsilon == 0.0:
-        return np.zeros_like(delta)
+    """Row-wise (last axis) exact projection onto the epsilon-ball of the norm,
+    epsilon > 0: the ascent takes no step at epsilon = 0."""
     if norm == "linf":
         return np.clip(delta, -epsilon, epsilon)
     norms = np.linalg.norm(delta, axis=-1, keepdims=True)
@@ -115,9 +114,7 @@ def project(delta: np.ndarray, epsilon: float, norm: str) -> np.ndarray:
 
 def _project_vjp(pre: np.ndarray, epsilon: float, norm: str, u: np.ndarray) -> np.ndarray:
     """Row-wise transposed Jacobian of project() at the pre-projection rows
-    `pre`, (..., d), applied to u of the same shape."""
-    if epsilon == 0.0:
-        return np.zeros_like(u)
+    `pre`, (..., d), applied to u of the same shape; epsilon > 0."""
     if norm == "linf":
         return np.where(np.abs(pre) <= epsilon, u, 0.0)
     n = np.linalg.norm(pre, axis=-1, keepdims=True)
@@ -157,29 +154,27 @@ def _init_delta(shape, cfg: AttackConfig, rng: np.random.Generator) -> np.ndarra
     return sample_ball(shape, 0.1 * cfg.epsilon, cfg.norm, rng)
 
 
-def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig, clean=None):
+def _ascent(net: Net, obs: np.ndarray, delta: np.ndarray, cfg: AttackConfig, clean):
     """The K projected ascent steps delta <- project(delta + eta * dR/ddelta)
-    from delta, on obs's rows, all against one clean pass net_vjp(net, obs),
-    computed here when None. Returns the iterates delta^0..delta^K and the K
-    points before projection; at eps = 0 there is no step."""
-    deltas, pres = [delta], []
+    from delta, on obs's rows, all against the clean pass net_vjp(net, obs).
+    Returns the last iterate delta^K, the K points before projection and the
+    K forward passes _forward_cached(net, obs + delta^k), k < K; at eps = 0
+    there is no step."""
+    pres, passes = [], []
     if cfg.epsilon == 0.0 or cfg.k_steps == 0:
-        return deltas, pres
-    if clean is None:
-        clean = net_vjp(net, obs)
+        return delta, pres, passes
     eta = cfg.step_size
     for _ in range(cfg.k_steps):
-        _, gd, _ = reg_value_and_grads(net, obs, deltas[-1], cfg.metric, need_theta=False,
-                                       clean=clean)
+        passes.append(_forward_cached(net, obs + delta))
+        gd = _reg_at(net, passes[-1], clean, cfg.metric, "input")[1]
         if not np.all(np.isfinite(gd)):
             raise FloatingPointError("non-finite attack gradient")
-        pres.append(deltas[-1] + eta * gd)
-        deltas.append(project(pres[-1], cfg.epsilon, cfg.norm))
-    return deltas, pres
+        pres.append(delta + eta * gd)
+        delta = project(pres[-1], cfg.epsilon, cfg.norm)
+    return delta, pres, passes
 
 
-def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
-               clean=None) -> np.ndarray:
+def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator, clean):
     """K steps of gradient ascent on the divergence, projected after every
     step, from a starting point drawn from rng.
 
@@ -187,10 +182,9 @@ def pgd_attack(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator,
     (N, B, d); the attack is row-independent, and a stack's result is
     bitwise that of one call per agent in agent order with a shared rng.
     clean is the clean pass net_vjp(net, obs) that every step shares, as
-    reg_value_and_grads takes it; it is computed here when None. Returns
-    delta with the shape of obs.
+    reg_value_and_grads takes it. Returns delta with the shape of obs.
     """
-    return _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)[0][-1]
+    return _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)[0]
 
 
 def _act_second(a: np.ndarray, kind: str) -> np.ndarray:
@@ -201,33 +195,32 @@ def _act_second(a: np.ndarray, kind: str) -> np.ndarray:
     return -2.0 * a * (1.0 - a * a)
 
 
-def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
-                    metric: str, clean=None):
+def _joint_grad_dir(net: Net, perturbed, u: np.ndarray, metric: str, clean):
     """Exact derivative of reg_value_and_grads' (grad_delta, grad_theta) along
     (u, 0): H_dd u per row and H_td u summed over rows, for (B, d) rows, or
     for an agent stack (N, B, d) rows and an (N, P) H_td u.
 
-    Forward-over-reverse (Pearlmutter's R-operator): the net's forward pass
-    of the perturbed branch o + delta, and beside it the tangent u carried
-    through the net, the metric's head and the divergence gradient; the
-    reverse pass carries the tangent of the backpropagated signal. The clean
-    branch o has no input tangent, so its parameter-gradient tangent is one
-    reverse pass with the tangent of its upstream, over the clean pass
-    net_vjp(net, obs) (computed here when None).
+    Forward-over-reverse (Pearlmutter's R-operator) over the ascent's forward
+    pass of o + delta, `perturbed` (_forward_cached's record): the tangent u
+    carried through the net, the metric's head and the divergence gradient,
+    and a reverse pass carrying the tangent of the backpropagated signal. The
+    clean branch o has no input tangent, so its parameter-gradient tangent is
+    one reverse pass with the tangent of its upstream, over the clean pass
+    net_vjp(net, obs).
     """
     n_layers = len(net.weights)
-    acts, pa = _forward_cached(net, obs + delta)
+    (acts, pa), (pb, vjp_b) = perturbed, clean
+    masks = [_act_grad_from_output(a, net.activation) for a in acts[1:]]
     a_dot = u
     z_dots, act_dots = [], [u]
     for i, w in enumerate(net.weights):
         a_dot = np.matmul(a_dot, np.swapaxes(w, -1, -2))
         if i < n_layers - 1:
             z_dots.append(a_dot)
-            a_dot = _act_grad_from_output(acts[i + 1], net.activation) * a_dot
+            a_dot = masks[i] * a_dot
             act_dots.append(a_dot)
 
     softmax_head = metric == "kl"
-    pb, vjp_b = net_vjp(net, obs) if clean is None else clean
     pa_dot = a_dot
     if softmax_head:
         pa, pb = softmax(pa), softmax(pb)
@@ -247,19 +240,22 @@ def _joint_grad_dir(net: Net, obs: np.ndarray, delta: np.ndarray, u: np.ndarray,
     else:
         up, up_dot, up_b_dot = da, da_dot, db_dot
 
-    h_theta = np.empty(net.theta.shape)
+    # The clean branch's tangent first, while little is held; the perturbed
+    # branch's layers are added to it (x + y is y + x bit for bit).
+    h_theta = vjp_b(up_b_dot, wrt="theta").grad_theta
     hws, hbs = layer_views(h_theta, net.layer_dims)
     dz, dz_dot = up, up_dot
     for i in range(n_layers - 1, -1, -1):
-        if i < n_layers - 1:
-            g1 = _act_grad_from_output(acts[i + 1], net.activation)
-            dz_dot = dz_dot * g1 + dz * _act_second(acts[i + 1], net.activation) * z_dots[i]
-            dz = dz * g1
-        hws[i][...] = (np.matmul(np.swapaxes(dz_dot, -1, -2), acts[i])
-                       + np.matmul(np.swapaxes(dz, -1, -2), act_dots[i]))
-        np.sum(dz_dot, axis=-2, out=hbs[i])
-        dz, dz_dot = np.matmul(dz, net.weights[i]), np.matmul(dz_dot, net.weights[i])
-    h_theta += vjp_b(up_b_dot, wrt="theta").grad_theta
+        if i < n_layers - 1:  # in place on this loop's own products, same roundings
+            dz_dot *= masks[i]
+            dz_dot += dz * _act_second(acts[i + 1], net.activation) * z_dots[i]
+            dz *= masks[i]
+        np.add(hws[i], np.matmul(np.swapaxes(dz_dot, -1, -2), acts[i])
+               + np.matmul(np.swapaxes(dz, -1, -2), act_dots[i]), out=hws[i])
+        np.add(hbs[i], np.sum(dz_dot, axis=-2), out=hbs[i])
+        dz_dot = np.matmul(dz_dot, net.weights[i])
+        if i > 0:  # below the first layer only dz_dot, H_dd u, is read
+            dz = np.matmul(dz, net.weights[i])
     return dz_dot, h_theta
 
 
@@ -273,8 +269,8 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
     same ascent, so from equal rng states delta^K is pgd_attack's output bit
     for bit. Three passes, all against one clean pass net_vjp(net, obs):
 
-    - forward: the K projected ascent steps on all rows, keeping delta^k
-      and the pre-projection points;
+    - forward: the K projected ascent steps on all rows, keeping the
+      pre-projection points and the net's forward pass at each delta^k;
     - start: reg_value_and_grads at delta^K gives u = dR/ddelta^K per row and
       the partial parameter gradient;
     - reverse (Maclaurin et al. 2015), step k = K-1..0: u <- the projection's
@@ -289,10 +285,10 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
     delta^K, per-row regularizer values at delta^K).
     """
     clean = net_vjp(net, obs)
-    deltas, pres = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)
-    final, eta = deltas[-1], cfg.step_size
+    final, pres, fwd = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)
+    eta = cfg.step_size
 
-    vals, u, theta_acc = reg_value_and_grads(net, obs, final, cfg.metric, clean=clean)
+    vals, u, theta_acc = reg_value_and_grads(net, obs, final, cfg.metric, clean)
     live = np.ones(np.shape(obs)[:-2], dtype=bool)  # per agent; one flag for a net
     for k in range(len(pres) - 1, -1, -1):
         u = _project_vjp(pres[k], cfg.epsilon, cfg.norm, u)
@@ -301,7 +297,7 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
             break
         if not live.all():
             u = np.where(live[..., None, None], u, 0.0)
-        h_delta, h_theta = _joint_grad_dir(net, obs, deltas[k], u, cfg.metric, clean)
+        h_delta, h_theta = _joint_grad_dir(net, fwd[k], u, cfg.metric, clean)
         step = theta_acc + eta * h_theta
         theta_acc = step if live.all() else np.where(live[..., None], step, theta_acc)
         u = u + eta * h_delta

@@ -6,7 +6,8 @@ import numpy as np
 
 from .advreg import (METRICS, AttackConfig, _ascent, _init_delta, _joint_grad_dir,
                      reg_value_and_grads, stackelberg_grad)
-from .net import Net, hvp, net_forward, net_grads, net_init, n_params, vector_to_net
+from .net import (Net, _forward_cached, hvp, net_forward, net_grads, net_init, n_params,
+                  net_vjp, vector_to_net)
 
 GRAD_TOL = 1e-4
 JOINT_HVP_TOL = 1e-6
@@ -101,12 +102,13 @@ def _joint_grad_dir_err(rng: np.random.Generator, trials: int = 3) -> float:
             def joint_grad(z):
                 m = vector_to_net(net, z[rows * dim:])
                 _, gd, gt = reg_value_and_grads(m, obs, z[:rows * dim].reshape(rows, dim),
-                                                metric)
+                                                metric, net_vjp(m, obs))
                 return np.concatenate([gd.ravel(), gt])
 
             fd = hvp(joint_grad, np.concatenate([delta.ravel(), net.theta]),
                      np.concatenate([u.ravel(), np.zeros(net.theta.size)]))
-            h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric)
+            h_delta, h_theta = _joint_grad_dir(net, _forward_cached(net, obs + delta), u,
+                                               metric, net_vjp(net, obs))
             worst = max(worst, _rel_err(np.concatenate([h_delta.ravel(), h_theta]), fd))
     return worst
 
@@ -155,8 +157,9 @@ def attack_inclusive_value(template: Net, theta: np.ndarray, obs: np.ndarray,
     """R(obs, delta^K(theta); theta) with the attack unrolled from a FIXED
     initial delta, so the map is a pure function of theta."""
     net = vector_to_net(template, theta)
-    delta = _ascent(net, obs, delta0, cfg)[0][-1]
-    val, _, _ = reg_value_and_grads(net, obs, delta, cfg.metric, need_theta=False)
+    clean = net_vjp(net, obs)
+    delta = _ascent(net, obs, delta0, cfg, clean)[0]
+    val, _, _ = reg_value_and_grads(net, obs, delta, cfg.metric, clean, wrt="input")
     return float(np.asarray(val).ravel()[0])
 
 
@@ -164,7 +167,7 @@ def _projection_margins_ok(net: Net, obs, delta0, cfg: AttackConfig,
                            margin: float = 1e-3) -> bool:
     """Skip samples whose ascent iterates graze the ball boundary; the
     projection is non-differentiable exactly there."""
-    for pre in _ascent(net, obs, delta0, cfg)[1]:
+    for pre in _ascent(net, obs, delta0, cfg, net_vjp(net, obs))[1]:
         if cfg.norm == "l2":
             if abs(float(np.linalg.norm(pre)) - cfg.epsilon) < margin:
                 return False
@@ -203,7 +206,7 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
         if exact_k0 is None:
             cfg0 = AttackConfig(epsilon=0.5, k_steps=0, metric=metric)
             g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed))[0]
-            _, _, gt = reg_value_and_grads(net, obs, delta0, metric)
+            _, _, gt = reg_value_and_grads(net, obs, delta0, metric, net_vjp(net, obs))
             exact_k0 = bool(np.array_equal(g0, gt))
         done += 1
     passed = worst < GRAD_TOL and bool(exact_k0)

@@ -92,8 +92,8 @@ def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
             delta = (np.zeros_like(obs) if sigma == 0.0
                      else sigma * attack_rng.standard_normal(obs.shape))
         else:
-            delta = pgd_attack(policy, obs, acfg, rng=attack_rng, clean=clean)
-        vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric, clean=clean)
+            delta = pgd_attack(policy, obs, acfg, attack_rng, clean)
+        vals, _, gt = reg_value_and_grads(policy, obs, delta, acfg.metric, clean, wrt="theta")
     return (np.mean(vals, axis=-1), np.mean(np.linalg.norm(delta, axis=-1), axis=-1),
             gt / obs.shape[-2])
 
@@ -347,9 +347,13 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
             losses, grads = learner.update(batch, agents)
             if ernie_on and t >= ecfg["start_frac"] * steps:
                 rows = min(int(ecfg["reg_rows"]), batch["obs"].shape[0])
-                vals, norms, gt = _obs_regularizer(
-                    agents.policy, batch["obs"][:rows].transpose(1, 0, 2), acfg,
-                    ecfg["mode"], attack_rng, bool(ecfg["stackelberg"]))
+                try:
+                    vals, norms, gt = _obs_regularizer(
+                        agents.policy, batch["obs"][:rows].transpose(1, 0, 2), acfg,
+                        ecfg["mode"], attack_rng, bool(ecfg["stackelberg"]))
+                except FloatingPointError as err:  # the attack's own non-finite check
+                    raise FloatingPointError(
+                        f"{err} in the update at step {t}, seed {seed}") from err
                 grads["policy"] += ecfg["lambda"] * gt
                 reg_val = float(np.mean(vals))
                 atk_norm = float(np.mean(norms))

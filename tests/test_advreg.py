@@ -10,7 +10,8 @@ from ernie_lab import net as net_module
 from ernie_lab.advreg import (KL_FLOOR, AttackConfig, _divergence_grads, _init_delta,
                               _joint_grad_dir, _project_vjp, pgd_attack, project,
                               reg_value_and_grads, sample_ball, stackelberg_grad)
-from ernie_lab.net import Net, hvp, net_init, net_vjp, stack_nets, vector_to_net
+from ernie_lab.net import (Net, _forward_cached, hvp, net_init, net_vjp, stack_nets,
+                           vector_to_net)
 from ernie_lab.train import _obs_regularizer
 
 
@@ -26,7 +27,7 @@ def _divergence(a, b, metric):
 
 def _value(net, obs, delta, metric):
     # the regularizer value D(pi(obs + delta), pi(obs)) of one (1, d) row
-    return reg_value_and_grads(net, obs, delta, metric, need_theta=False)[0][0]
+    return reg_value_and_grads(net, obs, delta, metric, net_vjp(net, obs), wrt="input")[0][0]
 
 
 def test_divergence_zero_at_equality():
@@ -107,7 +108,8 @@ def test_project_lands_in_ball_and_is_idempotent(seed, rows, dim, log_scale, eps
 def test_pgd_constant_policy_keeps_init():
     net = _linear_net(np.zeros((2, 3)))
     cfg = AttackConfig(epsilon=0.2, k_steps=5, metric="sq_l2")
-    delta = pgd_attack(net, np.zeros((1, 3)), cfg, np.random.default_rng(1))
+    obs = np.zeros((1, 3))
+    delta = pgd_attack(net, obs, cfg, np.random.default_rng(1), net_vjp(net, obs))
     rng = np.random.default_rng(1)
     init = sample_ball((1, 3), 0.1 * cfg.epsilon, "l2", rng)
     assert np.allclose(delta, init)
@@ -116,8 +118,9 @@ def test_pgd_constant_policy_keeps_init():
 def test_pgd_epsilon_zero():
     net = net_init([3, 2], seed=0)
     cfg = AttackConfig(epsilon=0.0, k_steps=4, metric="sq_l2")
-    assert np.array_equal(pgd_attack(net, np.ones((1, 3)), cfg, np.random.default_rng(0)),
-                          np.zeros((1, 3)))
+    obs = np.ones((1, 3))
+    delta = pgd_attack(net, obs, cfg, np.random.default_rng(0), net_vjp(net, obs))
+    assert np.array_equal(delta, np.zeros((1, 3)))
 
 
 def test_pgd_linear_top_singular_direction():
@@ -125,7 +128,7 @@ def test_pgd_linear_top_singular_direction():
     net = _linear_net(np.diag([2.0, 1.0]))
     cfg = AttackConfig(epsilon=0.1, k_steps=200, eta=0.01, metric="sq_l2")
     obs = np.array([[0.5, -0.5]])
-    delta = pgd_attack(net, obs, cfg, np.random.default_rng(3))
+    delta = pgd_attack(net, obs, cfg, np.random.default_rng(3), net_vjp(net, obs))
     assert abs(abs(delta[0, 0]) - 0.1) < 1e-6
     assert abs(delta[0, 1]) < 1e-4
     assert abs(_value(net, obs, delta, "sq_l2") - 0.04) < 1e-6
@@ -138,7 +141,8 @@ def test_pgd_projection_invariant():
             net = net_init([4, 6, 3], seed=int(rng.integers(2 ** 31)))
             cfg = AttackConfig(epsilon=0.3, k_steps=3, metric="sq_l2", norm=norm)
             attack_rng = np.random.default_rng(int(rng.integers(2 ** 31)))
-            delta = pgd_attack(net, rng.standard_normal((1, 4)), cfg, attack_rng)
+            obs = rng.standard_normal((1, 4))
+            delta = pgd_attack(net, obs, cfg, attack_rng, net_vjp(net, obs))
             nrm = np.linalg.norm(delta) if norm == "l2" else np.abs(delta).max()
             assert nrm <= cfg.epsilon + 1e-12
 
@@ -197,7 +201,7 @@ def test_stackelberg_k0_equals_plain_gradient():
     got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))[0]
     rng = np.random.default_rng(11)
     delta0 = _init_delta((1, 3), cfg, rng)
-    _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2")
+    _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2", net_vjp(net, obs))
     assert np.array_equal(got, plain)
 
 
@@ -218,7 +222,8 @@ def test_attack_soundness_pgd_beats_gaussian():
         net = net_init([4, 8, 3], seed=int(rng.integers(2 ** 31)), scale=2.0)
         obs = rng.uniform(-1, 1, size=(1, 4))
         cfg = AttackConfig(epsilon=0.5, k_steps=10, metric="sq_l2")
-        delta = pgd_attack(net, obs, cfg, np.random.default_rng(int(rng.integers(2 ** 31))))
+        delta = pgd_attack(net, obs, cfg, np.random.default_rng(int(rng.integers(2 ** 31))),
+                           net_vjp(net, obs))
         raw = np.random.default_rng(i).standard_normal((1, 4))
         rand = raw / np.linalg.norm(raw) * np.linalg.norm(delta)
         v_pgd = _value(net, obs, delta, "sq_l2")
@@ -270,12 +275,13 @@ def test_joint_grad_dir_matches_fd_hvp(metric):
         def joint_grad(z):
             m = vector_to_net(net, z[rows * dim:])
             _, gd, gt = reg_value_and_grads(m, obs, z[:rows * dim].reshape(rows, dim),
-                                            metric)
+                                            metric, net_vjp(m, obs))
             return np.concatenate([gd.ravel(), gt])
 
         fd = hvp(joint_grad, np.concatenate([delta.ravel(), theta]),
                  np.concatenate([u.ravel(), np.zeros_like(theta)]))
-        h_delta, h_theta = _joint_grad_dir(net, obs, delta, u, metric)
+        h_delta, h_theta = _joint_grad_dir(net, _forward_cached(net, obs + delta), u, metric,
+                                           net_vjp(net, obs))
         exact = np.concatenate([h_delta.ravel(), h_theta])
         assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -301,9 +307,10 @@ def test_stackelberg_attack_is_pgd_attack():
     cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2")
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
     _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1)
-    want = pgd_attack(net, obs, cfg, rng=r2)
+    clean = net_vjp(net, obs)
+    want = pgd_attack(net, obs, cfg, r2, clean)
     assert np.array_equal(delta, want)
-    assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2")[0])
+    assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2", clean)[0])
     assert r1.bit_generator.state == r2.bit_generator.state
 
 
@@ -377,43 +384,52 @@ def _policy_stack_and_rows():
 
 
 @pytest.mark.parametrize("metric", ["sq_l2", "kl"])
-def test_shared_clean_pass_is_bitwise_neutral(metric):
-    # Handing in the clean pass gives bitwise what computing it in place gives.
-    policy, obs = _policy_stack_and_rows()
-    cfg = AttackConfig(epsilon=0.5, k_steps=3, metric=metric)
-    clean = net_vjp(policy, obs)
-    got = pgd_attack(policy, obs, cfg, np.random.default_rng(2), clean=clean)
-    want = pgd_attack(policy, obs, cfg, np.random.default_rng(2))
-    assert got.tobytes() == want.tobytes()
-    for a, b in zip(reg_value_and_grads(policy, obs, got, metric, clean=clean),
-                    reg_value_and_grads(policy, obs, got, metric)):
-        assert a.tobytes() == b.tobytes()
-    u = np.random.default_rng(3).standard_normal(obs.shape)
-    for a, b in zip(_joint_grad_dir(policy, obs, got, u, metric, clean),
-                    _joint_grad_dir(policy, obs, got, u, metric)):
-        assert a.tobytes() == b.tobytes()
+def test_reg_value_and_grads_wrt_fields_are_those_of_both(metric):
+    # Each field computed under wrt="theta" or "input" is bitwise the one
+    # computed under "both", the contract of net_vjp's closure; the field
+    # not asked for is None.
+    stack, rows = _policy_stack_and_rows()
+    for policy, obs in ((stack, rows), (stack[1], rows[1])):
+        clean = net_vjp(policy, obs)
+        delta = np.random.default_rng(2).uniform(-0.3, 0.3, size=obs.shape)
+        vals, gd, gt = reg_value_and_grads(policy, obs, delta, metric, clean)
+        for wrt, want in (("theta", (vals, None, gt)), ("input", (vals, gd, None))):
+            got = reg_value_and_grads(policy, obs, delta, metric, clean, wrt=wrt)
+            for a, b in zip(got, want):
+                assert a is None if b is None else a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("k_steps", [1, 2, 3])
 @pytest.mark.parametrize("stackelberg", [False, True])
 def test_attack_runs_one_clean_pass(monkeypatch, k_steps, stackelberg):
-    # One regularizer update runs the clean pass pi(o) once: K + 2 policy
-    # forward passes for PGD (K ascent steps, the clean pass, the final
-    # perturbed pass) and 2K + 2 for Stackelberg (plus one per reverse step).
-    calls = []
-    real = net_module._forward_cached
+    # One regularizer update runs one forward pass per attack input: K + 2
+    # policy forward passes under both arms (K ascent steps, the clean pass,
+    # the final perturbed pass); the Stackelberg reverse pass reuses the
+    # ascent's. Reverse passes: K ascent steps asking for the input gradient,
+    # then the final pass and the clean pass; Stackelberg adds one clean
+    # reverse pass per reverse step. The PGD arm's final passes ask for the
+    # parameter gradient only.
+    forward, backward = [], []
+    real_forward, real_backward = net_module._forward_cached, net_module._backward
 
-    def counting(net, x):
-        calls.append(np.shape(x))
-        return real(net, x)
+    def counting_forward(net, x):
+        forward.append(np.shape(x))
+        return real_forward(net, x)
 
-    monkeypatch.setattr(net_module, "_forward_cached", counting)
-    monkeypatch.setattr(advreg_module, "_forward_cached", counting)
+    def counting_backward(net, acts, upstream, wrt="both"):
+        backward.append(wrt)
+        return real_backward(net, acts, upstream, wrt)
+
+    for module in (net_module, advreg_module):
+        monkeypatch.setattr(module, "_forward_cached", counting_forward)
+        monkeypatch.setattr(module, "_backward", counting_backward)
     policy, obs = _policy_stack_and_rows()
     cfg = AttackConfig(epsilon=0.5, k_steps=k_steps, metric="sq_l2")
     _obs_regularizer(policy, obs, cfg, "pgd", np.random.default_rng(0), stackelberg)
-    assert len(calls) == (2 * k_steps + 2 if stackelberg else k_steps + 2)
-    assert all(shape == obs.shape for shape in calls)
+    assert len(forward) == k_steps + 2
+    assert all(shape == obs.shape for shape in forward)
+    final = ["both", "theta"] + ["theta"] * k_steps if stackelberg else ["theta", "theta"]
+    assert backward == ["input"] * k_steps + final
 
 
 def test_stackelberg_zero_direction_agent():
@@ -435,6 +451,7 @@ def test_stackelberg_zero_direction_agent():
         # agent 0 gets only the partial gradient at delta^K, agent 1 more
         rng = np.random.default_rng(3)
         for i, reversed_ in ((0, False), (1, True)):
-            delta = pgd_attack(policy[i], obs[i], cfg, rng=rng)
-            plain = reg_value_and_grads(policy[i], obs[i], delta, metric)[2]
+            clean = net_vjp(policy[i], obs[i])
+            delta = pgd_attack(policy[i], obs[i], cfg, rng, clean)
+            plain = reg_value_and_grads(policy[i], obs[i], delta, metric, clean)[2]
             assert np.array_equal(got[i], plain) != reversed_

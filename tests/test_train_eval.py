@@ -25,7 +25,7 @@ import ernie_lab.evaluate as evaluate_mod
 from ernie_lab.envs import PerturbSpec, make_env, rollout
 from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_specs,
                                 load_checkpoint, sweep_specs)
-from ernie_lab.net import net_forward, net_init, stack_nets
+from ernie_lab.net import net_forward, net_init, net_vjp, stack_nets
 from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
 
 
@@ -602,12 +602,13 @@ def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
         if stackelberg:
             gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng)
         else:
+            clean = net_vjp(net, rows)
             if mode == "gaussian":
                 delta = (np.zeros_like(rows) if acfg.epsilon == 0.0
                          else acfg.epsilon * rng.standard_normal(rows.shape))
             else:
-                delta = pgd_attack(net, rows, acfg, rng=rng)
-            vals, _, gt = reg_value_and_grads(net, rows, delta, acfg.metric)
+                delta = pgd_attack(net, rows, acfg, rng, clean)
+            vals, _, gt = reg_value_and_grads(net, rows, delta, acfg.metric, clean)
         values.append(np.mean(vals))
         norms.append(np.mean(np.linalg.norm(delta, axis=-1)))
         grads.append(gt / rows.shape[0])
@@ -778,6 +779,22 @@ def test_nonfinite_parameters_fail_loudly(doc_fn, learner, net, index, name, tmp
     with pytest.raises(FloatingPointError,
                        match=f"non-finite parameters in {name} after the update "
                              "at step 3, seed 4"):
+        train_run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("target,message", [("pgd_attack", "non-finite attack gradient"),
+                                            ("stackelberg_grad", "non-finite leader gradient")])
+def test_failed_attack_names_step_and_seed(target, message, tmp_path, monkeypatch):
+    # The observation attack's own non-finite check fires before the loss
+    # check can; the trainer re-raises it with the step and seed.
+    def failing(*args, **kwargs):
+        raise FloatingPointError(message)
+
+    monkeypatch.setattr(train_mod, target, failing)
+    cfg = resolve_config(_ddpg_doc(train_steps=5, warmup=3, batch=2, seeds=[4],
+                                   ernie={"enabled": True, "reg_rows": 2,
+                                          "stackelberg": target == "stackelberg_grad"}))
+    with pytest.raises(FloatingPointError, match=f"{message} in the update at step 3, seed 4"):
         train_run(cfg, tmp_path)
 
 
