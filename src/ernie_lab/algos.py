@@ -43,8 +43,6 @@ def _check_buffer(net: Net, buf: np.ndarray) -> None:
 def soft_update(target: Net, buf: np.ndarray, online: Net, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, in place on buf, the
     buffer under target.theta (the whole block for an agent stack)."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0,1], got {tau}")
     if target.layer_dims != online.layer_dims or target.theta.shape != online.theta.shape:
         raise ValueError("target/online layer shapes differ")
     _check_buffer(target, buf)
@@ -75,8 +73,6 @@ def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
     (..., N, d); agent by agent, each explores with probability explore_rate,
     drawing first the coin and then the uniform action from rng; rate 0
     draws nothing, and rng may then be None."""
-    if not 0.0 <= explore_rate <= 1.0:
-        raise ValueError(f"explore rate must be in [0,1], got {explore_rate}")
     actions = np.argmax(_stack_out(qnets, obs), axis=-1)
     if explore_rate > 0.0:
         flat = actions.reshape(-1)
@@ -91,8 +87,6 @@ def select_action_continuous(actors: Net, obs: np.ndarray, noise_scale: float,
     """Joint actions (..., N, action_dim) from the agent stack on obs
     (..., N, d), with one Gaussian draw of that shape as exploration noise
     (none at scale 0, where rng may be None), clipped to [-1, 1]."""
-    if noise_scale < 0:
-        raise ValueError(f"noise scale must be >= 0, got {noise_scale}")
     a = _stack_out(actors, obs)
     if noise_scale > 0.0:
         a = a + noise_scale * rng.standard_normal(a.shape)
@@ -138,8 +132,6 @@ def qcombo_losses(batch: dict, agents: Agents, gamma: float, lambda_q: float):
     gradient constants.
     """
     actions = batch["actions"]
-    if not np.issubdtype(actions.dtype, np.integer):
-        raise TypeError("qcombo requires discrete actions")
     b, n = actions.shape
     a_count = agents.policy.out_dim
     rows = np.arange(b)[:, None]
@@ -186,8 +178,6 @@ def ddpg_updates(batch: dict, agents: Agents, gamma: float):
     """Critic TD gradient (central), and the deterministic policy gradients
     of the actors' stack (policy) as one (N, P) block."""
     actions = batch["actions"]
-    if np.issubdtype(actions.dtype, np.integer):
-        raise TypeError("ddpg requires continuous actions")
     b, n, da = actions.shape
     not_done = 1.0 - batch["done"]
 

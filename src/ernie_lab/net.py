@@ -148,8 +148,6 @@ class GradBundle:
 def net_init(layer_dims, activation="relu", seed=0, scale=1.0) -> Net:
     """Seeded uniform init: W ~ U(-scale/sqrt(fan_in), +scale/sqrt(fan_in)), b = 0."""
     dims = _dims(layer_dims)
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
     rng = np.random.default_rng(seed)
     ws, bs = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

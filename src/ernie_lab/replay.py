@@ -19,8 +19,6 @@ class ReplayBuffer:
     full, then each push overwrites the oldest slot."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._record = None   # (capacity, F), allocated on the first push
         self._row = None      # (F,), where a push is checked and assembled
@@ -65,8 +63,6 @@ class ReplayBuffer:
         """Uniform with replacement over filled slots, as ((record, layout),
         drawn slot indices); a single item can fill a batch. stack_batch
         gathers the rows."""
-        if self._size == 0:
-            raise RuntimeError("cannot sample from an empty buffer")
         return (self._record, self._layout), rng.integers(0, self._size, size=batch)
 
 

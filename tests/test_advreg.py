@@ -181,19 +181,6 @@ def test_gaussian_delta():
         assert 0.9 < value / (4 * sigma ** 2) < 1.1
 
 
-def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=0.1, k_steps=-1)
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=0.1, norm="l1")
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=0.1, metric="js")
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=0.1, k_steps=2, eta=0.0)
-
-
 def test_stackelberg_k0_equals_plain_gradient():
     net = net_init([3, 4, 2], activation="tanh", seed=5)
     obs = np.array([[0.2, -0.4, 0.9]])

@@ -63,8 +63,6 @@ def test_soft_update_endpoints_and_midpoint():
 def test_soft_update_validation():
     a, buf = trainable(net_init([2, 3], seed=0))
     with pytest.raises(ValueError):
-        soft_update(a, buf, a, tau=1.5)
-    with pytest.raises(ValueError):
         soft_update(a, buf, net_init([2, 4], seed=0), tau=0.1)
 
 
@@ -124,8 +122,6 @@ def test_select_action_discrete_greedy_and_explore():
     picks = {int(a) for _ in range(100)
              for a in select_action_discrete(net, obs, 1.0, rng, 4)}
     assert picks == {0, 1, 2, 3}
-    with pytest.raises(ValueError):
-        select_action_discrete(net, obs, 1.5, rng, 2)
 
 
 def test_select_action_continuous_clips_and_noise():
@@ -137,8 +133,6 @@ def test_select_action_continuous_clips_and_noise():
     assert rng.bit_generator.state == before  # noise 0 draws nothing
     b = select_action_continuous(net, np.array([[0.0], [0.0]]), 0.5, rng)
     assert np.all((-1.0 <= b) & (b <= 1.0))
-    with pytest.raises(ValueError):
-        select_action_continuous(net, np.array([[0.0], [0.0]]), -0.1, rng)
 
 
 def _select_loop_discrete(nets, obs, rate, rng, n_actions):
@@ -242,14 +236,6 @@ def test_qcombo_total_is_weighted_sum():
         assert losses["total"] == pytest.approx(want, rel=1e-15)
 
 
-def test_qcombo_rejects_continuous_actions():
-    agents = _qcombo_agents(seed=2)
-    batch = _qcombo_batch(np.random.default_rng(2))
-    batch["actions"] = batch["actions"].astype(float)
-    with pytest.raises(TypeError):
-        qcombo_losses(batch, agents, gamma=0.9, lambda_q=1.0)
-
-
 def test_qcombo_grads_match_finite_differences():
     agents = _qcombo_agents(seed=11)
     batch = _qcombo_batch(np.random.default_rng(5))
@@ -303,14 +289,6 @@ def _ddpg_batch(rng: np.random.Generator, b: int = 4, n: int = 2,
         "next_state": rng.uniform(-1, 1, size=(b, state_dim)),
         "done": (rng.uniform(size=b) < 0.2).astype(float),
     }
-
-
-def test_ddpg_rejects_discrete_actions():
-    agents = _ddpg_agents(seed=1)
-    batch = _ddpg_batch(np.random.default_rng(0))
-    batch["actions"] = np.zeros((4, 2, 2), dtype=int)
-    with pytest.raises(TypeError):
-        ddpg_updates(batch, agents, gamma=0.9)
 
 
 def test_ddpg_linear_critic_actor_grad_hand_check():

@@ -1,10 +1,12 @@
 # Config resolution rules and the command-line entry points.
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ernie_lab.advreg import AttackConfig
 from ernie_lab.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, _out_dir, main
 from ernie_lab.config import (
     DEFAULTS,
@@ -15,6 +17,7 @@ from ernie_lab.config import (
     load_config,
     resolve_config,
 )
+from ernie_lab.envs import PerturbSpec
 from ernie_lab.evaluate import evaluate_checkpoint, sweep_specs
 from ernie_lab.train import train_run
 
@@ -232,10 +235,13 @@ def test_cli_train_bad_config_exits_2(tmp_path):
     {"algo": ["qcombo"]}, {"paths": {"out_dir": 5}},
     {"eval": {"obs_noise_sigmas": [0.5, 0.5]}}, {"eval": {"dynamics_scales": [1.25, 1.25]}},
     {"eval": {"malicious_rates": [0.05, 0.05]}},
+    {"ernie": {"epsilon": -0.1}}, {"ernie": {"k_steps": -1}}, {"ernie": {"norm": "l1"}},
+    {"eval": {"malicious_mode": "sneaky"}},
 ])
 def test_values_training_rejects_fail_before_training(tmp_path, doc):
-    # Each value used to pass resolve_config and fail (or be ignored) only
-    # once training was under way, after the run directory was written.
+    # resolve_config is the one check on these values: most used to pass it
+    # and fail (or be ignored) only once training was under way, after the
+    # run directory was written; the rest were re-checked by the package.
     with pytest.raises(ConfigError):
         resolve_config(doc)
     out = tmp_path / "o"
@@ -253,6 +259,22 @@ def test_every_leaf_has_one_rule():
         section, _, leaf = key.rpartition(".")
         val = (DEFAULTS[section] if section else DEFAULTS)[leaf]
         assert RULES[key][1](val), key
+
+
+# The eval leaf each PerturbSpec field is built from, by evaluate.sweep_specs.
+_PERTURB_LEAF = {"obs_noise_sigma": "eval.obs_noise_sigmas",
+                 "dynamics_scale": "eval.dynamics_scales",
+                 "malicious_rate": "eval.malicious_rates",
+                 "malicious_mode": "eval.malicious_mode"}
+
+
+def test_attack_and_perturb_fields_have_their_rules():
+    # RULES is the only check on the values of AttackConfig and PerturbSpec,
+    # records built from a resolved config, so a field added to either
+    # without its config leaf would go unchecked.
+    leaves = ([f"ernie.{f.name}" for f in fields(AttackConfig)]
+              + [_PERTURB_LEAF.get(f.name, f.name) for f in fields(PerturbSpec)])
+    assert [leaf for leaf in leaves if leaf not in RULES] == []
 
 
 def test_rejected_value_is_named():

@@ -24,8 +24,6 @@ def test_init_rejects_bad_params():
         net_init([], seed=0)
     with pytest.raises(ValueError):
         net_init([4], seed=0)
-    with pytest.raises(ValueError):
-        net_init([4, 2], seed=0, scale=0.0)
 
 
 def test_init_weight_range():

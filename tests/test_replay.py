@@ -91,17 +91,6 @@ def test_batch_fields_are_views_of_one_gathered_block():
     assert batch["actions"].base is not block and batch["actions"].dtype == np.int64
 
 
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        ReplayBuffer(capacity=0)
-
-
-def test_sample_empty_raises():
-    buf = ReplayBuffer(capacity=2)
-    with pytest.raises(RuntimeError):
-        buf.sample(1, np.random.default_rng(0))
-
-
 def test_single_item_fills_batch():
     # uniform with replacement: size-1 buffer can serve any batch size
     buf = _filled([7], capacity=5)
