@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (Net, _act_grad_from_output, _backward, _forward_cached, layer_views,
-                  net_vjp)
+from .net import Net, _act_grad_from_output, _backward, _forward_cached, layer_views
 
 KL_FLOOR = 1e-12
 
@@ -246,7 +245,7 @@ def _joint_grad_dir(net: Net, perturbed, u: np.ndarray, metric: str, clean):
     return dz_dot, h_theta
 
 
-def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator):
+def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator, clean):
     """Total derivative of sum_rows R(o, delta^K(theta); theta) w.r.t. the
     parameters, for a block of rows (B, d), or for an agent stack one block
     per agent (N, B, d), giving an (N, P) gradient that is bitwise one call
@@ -254,7 +253,8 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
 
     The forward pass is pgd_attack's: the same start drawn from rng and the
     same ascent, so from equal rng states delta^K is pgd_attack's output bit
-    for bit. Three passes, all against one clean pass net_vjp(net, obs):
+    for bit. Three passes, all against the clean pass net_vjp(net, obs),
+    which the caller hands in as `clean`, as to pgd_attack:
 
     - forward: the K projected ascent steps on all rows, keeping the
       pre-projection points and the net's forward pass at each delta^k;
@@ -271,7 +271,6 @@ def stackelberg_grad(net: Net, obs, cfg: AttackConfig, rng: np.random.Generator)
     reduces to the plain gradient at the initialization. Returns (gradient,
     delta^K, per-row regularizer values at delta^K).
     """
-    clean = net_vjp(net, obs)
     final, pres, fwd = _ascent(net, obs, _init_delta(np.shape(obs), cfg, rng), cfg, clean)
     eta = cfg.step_size
 

@@ -68,17 +68,17 @@ def _stack_out(stack: Net, obs: np.ndarray) -> np.ndarray:
 
 
 def select_action_discrete(qnets: Net, obs: np.ndarray, explore_rate: float,
-                           rng: np.random.Generator | None, n_actions: int) -> np.ndarray:
+                           rng: np.random.Generator | None) -> np.ndarray:
     """Joint actions (..., N) from the agent stack's greedy actions on obs
     (..., N, d); agent by agent, each explores with probability explore_rate,
-    drawing first the coin and then the uniform action from rng; rate 0
-    draws nothing, and rng may then be None."""
+    drawing first the coin and then a uniform action, one of the stack's
+    qnets.out_dim, from rng; rate 0 draws nothing, and rng may then be None."""
     actions = np.argmax(_stack_out(qnets, obs), axis=-1)
     if explore_rate > 0.0:
         flat = actions.reshape(-1)
         for i in range(flat.size):
             if rng.random() < explore_rate:  # the draw rng.uniform() returns
-                flat[i] = rng.integers(n_actions)
+                flat[i] = rng.integers(qnets.out_dim)
     return actions
 
 

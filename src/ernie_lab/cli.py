@@ -104,7 +104,7 @@ def cmd_certify(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     return _write_report(args.out, "gradcheck_report.json", run_gradcheck(seed=args.seed),
-                         ("net_grads", "hvp", "stackelberg"))
+                         ("net_grads", "hvp", "stackelberg", "cloud_coupling"))
 
 
 def _count_arg(lo: int):

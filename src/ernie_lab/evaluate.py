@@ -74,7 +74,7 @@ def build_policy(ckpt: dict):
     manifest, nets = ckpt["manifest"], ckpt["nets"]
     policy = nets[NET_NAMES[manifest["algo"]][0]]
     if manifest["algo"] == "qcombo":
-        return lambda obs: select_action_discrete(policy, obs, 0.0, None, policy.out_dim)
+        return lambda obs: select_action_discrete(policy, obs, 0.0, None)
     return lambda obs: select_action_continuous(policy, obs, 0.0, None)
 
 

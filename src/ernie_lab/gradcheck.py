@@ -1,11 +1,13 @@
 # Finite-difference verification suites: network gradients, Hessian-vector
-# products, and the Stackelberg total derivative through the unrolled attack.
+# products, the Stackelberg total derivative through the unrolled attack, and
+# the mean-field cloud attack's transport penalty.
 from __future__ import annotations
 
 import numpy as np
 
 from .advreg import (METRICS, AttackConfig, _ascent, _init_delta, _joint_grad_dir,
                      reg_value_and_grads, stackelberg_grad)
+from .meanfield import cloud_attack, w_distance
 from .net import (Net, _forward_cached, hvp, net_forward, net_grads, net_init, n_params,
                   net_vjp, vector_to_net)
 
@@ -197,7 +199,9 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
         if not _projection_margins_ok(net, obs, delta0, cfg):
             continue
 
-        analytic = stackelberg_grad(net, obs, cfg, np.random.default_rng(attack_seed))[0]
+        clean = net_vjp(net, obs)
+        analytic = stackelberg_grad(net, obs, cfg, np.random.default_rng(attack_seed),
+                                    clean)[0]
         theta = net.theta
         h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
         fd = _fd_grad(lambda t: attack_inclusive_value(net, t, obs, delta0, cfg), theta, h)
@@ -205,8 +209,9 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
 
         if exact_k0 is None:
             cfg0 = AttackConfig(epsilon=0.5, k_steps=0, metric=metric)
-            g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed))[0]
-            _, _, gt = reg_value_and_grads(net, obs, delta0, metric, net_vjp(net, obs))
+            g0 = stackelberg_grad(net, obs, cfg0, np.random.default_rng(attack_seed),
+                                  clean)[0]
+            _, _, gt = reg_value_and_grads(net, obs, delta0, metric, clean)
             exact_k0 = bool(np.array_equal(g0, gt))
         done += 1
     passed = worst < GRAD_TOL and bool(exact_k0)
@@ -215,10 +220,39 @@ def check_stackelberg(n_trials: int = 100, seed: int = 0) -> dict:
             "tolerance": GRAD_TOL, "passed": passed}
 
 
+def check_cloud_coupling(n_trials: int = 20, seed: int = 0) -> dict:
+    """The cloud attack penalizes the coupling that w_distance measures: on a
+    constant critic, whose Q has no gradient, one ascent step from a jittered
+    cloud moves each row's agent positions by -eta * lam_w times the central
+    difference gradient of w_distance(clean positions, positions,
+    "identity_coupling")."""
+    rng = np.random.default_rng(seed)
+    worst, h = 0.0, 1e-6
+    for _ in range(n_trials):
+        n_agents, rows = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        pdim = 2 * n_agents
+        dim = pdim + int(rng.integers(0, 4))
+        critic = Net(layer_dims=(dim, 1), weights=(np.zeros((1, dim)),),
+                     biases=(rng.standard_normal(1),), activation="tanh")
+        x0 = rng.uniform(-1.0, 1.0, size=(rows, dim))
+        eta, lam_w = float(rng.uniform(0.01, 0.1)), float(rng.uniform(0.5, 2.0))
+        attack_seed = int(rng.integers(2 ** 31))
+        start, end = (cloud_attack(critic, x0, net_vjp(critic, x0), n_agents, steps, eta,
+                                   lam_w, 0.3, np.random.default_rng(attack_seed))[:, :pdim]
+                      for steps in (0, 1))
+        for clean, pos, moved in zip(x0[:, :pdim], start, end):
+            grad = _fd_grad(lambda p, c=clean.reshape(-1, 2): w_distance(
+                c, p.reshape(-1, 2), "identity_coupling"), pos, h)
+            worst = max(worst, _rel_err(moved - pos, -eta * lam_w * grad))
+    return {"suite": "cloud_coupling", "trials": n_trials, "seed": seed,
+            "max_rel_err": worst, "tolerance": GRAD_TOL, "passed": worst < GRAD_TOL}
+
+
 def run_gradcheck(seed: int = 0, net_trials: int = 100,
                   stackelberg_trials: int = 100) -> dict:
     g = check_net_grads(net_trials, seed)
     h = check_hvp(seed)
     s = check_stackelberg(stackelberg_trials, seed)
-    return {"net_grads": g, "hvp": h, "stackelberg": s,
-            "passed": g["passed"] and h["passed"] and s["passed"]}
+    c = check_cloud_coupling(seed=seed)
+    return {"net_grads": g, "hvp": h, "stackelberg": s, "cloud_coupling": c,
+            "passed": all(r["passed"] for r in (g, h, s, c))}

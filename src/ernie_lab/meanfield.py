@@ -1,17 +1,24 @@
-# Transport distances between equal-weight particle clouds, the metric of the
-# mean-field cloud attack (the attack itself is train._cloud_regularizer_grad).
+# The mean-field cloud attack on the centralized critic and the transport
+# distances between equal-weight particle clouds that judge it. The attack's
+# Wasserstein penalty is the identity coupling, and its gradient and
+# w_distance's identity branch share one per-particle distance.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .net import Net, _backward, _forward_cached
 
 W_MODES = ("identity_coupling", "exact_matching", "closed_form_1d")
 EXACT_MAX = 16
 
+# Radius of the Gaussian jitter that starts the cloud ascent off the clean
+# positions, where the squared critic change has a zero gradient.
+CLOUD_JITTER = 0.01
 
-def _pair_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.linalg.norm(diff, axis=-1)
+
+def _particle_dist(d: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(d, axis=-1), by its own formula
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def w_distance(cloud_a, cloud_b, mode: str) -> float:
@@ -34,10 +41,42 @@ def w_distance(cloud_a, cloud_b, mode: str) -> float:
     if a.shape != b.shape:
         raise ValueError(f"equal-size clouds required, got {a.shape} vs {b.shape}")
     if mode == "identity_coupling":
-        return float(np.mean(np.linalg.norm(a - b, axis=-1)))
+        return float(np.mean(_particle_dist(a - b)))
     n = a.shape[0]
     if n > EXACT_MAX:
         raise ValueError(f"exact_matching limited to n <= {EXACT_MAX}")
-    costs = _pair_costs(a, b)
+    # scipy is loaded here only: importing it would dwarf a training run's setup
+    from scipy.optimize import linear_sum_assignment
+    costs = _particle_dist(a[:, None, :] - b[None, :, :])
     rows, cols = linear_sum_assignment(costs)
     return float(costs[rows, cols].sum() / n)
+
+
+def cloud_attack(critic: Net, x0: np.ndarray, clean, n_agents: int, steps: int,
+                 eta: float, lam_w: float, jitter: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The critic's input rows x0 (M, d) with their agent-position block, the
+    first 2 * n_agents columns, moved by penalized gradient ascent on the
+    squared critic change (Q(x) - Q(x0))^2 minus lam_w times each row's
+    identity-coupling distance w_distance(clean cloud, attacked cloud).
+
+    clean is the clean pass net_vjp(critic, x0). The ascent starts from the
+    clean positions plus Gaussian jitter of radius `jitter`, drawn from rng
+    (no draw at 0), and takes `steps` input-only reverse passes."""
+    q0 = clean[0][:, 0]
+    pdim = 2 * n_agents
+    pos0 = x0[:, :pdim]
+    pos = pos0 + (jitter * rng.standard_normal(pos0.shape) if jitter > 0 else 0.0)
+    x = x0.copy()
+    for _ in range(steps):
+        x[:, :pdim] = pos
+        layer_in, q = _forward_cached(critic, x)
+        gin = _backward(critic, layer_in, (2.0 * (q[:, 0] - q0))[:, None],
+                        wrt="input").grad_input[:, :pdim]
+        # n_agents times the gradient of the row's identity coupling
+        d = (pos - pos0).reshape(len(x), n_agents, 2)
+        dist = _particle_dist(d)[..., None]
+        pen = np.where(dist > 1e-12, d / np.maximum(dist, 1e-12), 0.0)
+        pos = pos + eta * (gin - lam_w * pen.reshape(pos.shape) / n_agents)
+    x[:, :pdim] = pos
+    return x

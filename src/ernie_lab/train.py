@@ -1,5 +1,8 @@
 # One training loop for QCOMBO (gridq) and MADDPG-style DDPG (coopnav) with the
 # adversarial-regularization hooks; a per-learner record holds what differs.
+# Each attack lives in its own module (advreg, actionreg, meanfield); the
+# trainer runs the clean pass and turns the attacked inputs into the
+# regularizer's value and parameter gradient.
 # Single-threaded per seed; all randomness comes from two named streams so the
 # regularizer path never shifts the environment stream.
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     select_action_discrete, soft_update, trainable)
 from .config import ExperimentConfig
 from .envs import make_env
-from .net import (_backward, _forward_cached, n_params, net_init, net_vjp, save_net,
-                  stack_nets)
+from .meanfield import CLOUD_JITTER, cloud_attack
+from .net import n_params, net_init, net_vjp, save_net, stack_nets
 from .replay import ReplayBuffer, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
@@ -83,10 +86,10 @@ def _obs_regularizer(policy, obs, acfg: AttackConfig, mode: str,
     """Per-agent mean regularizer values (N,), mean attack norms (N,) and
     the (N, P) mean parameter gradient of the policy agent stack on its
     (N, R, d) observation rows, all from one attack drawn from attack_rng."""
+    clean = net_vjp(policy, obs)
     if stackelberg:
-        gt, delta, vals = stackelberg_grad(policy, obs, acfg, rng=attack_rng)
+        gt, delta, vals = stackelberg_grad(policy, obs, acfg, attack_rng, clean)
     else:
-        clean = net_vjp(policy, obs)
         if mode == "gaussian":
             sigma = acfg.epsilon
             delta = (np.zeros_like(obs) if sigma == 0.0
@@ -127,43 +130,18 @@ def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     return value, grad, len(keep)
 
 
-# Radius of the Gaussian jitter that starts the cloud ascent off the clean
-# positions, where the squared critic change has a zero gradient.
-CLOUD_JITTER = 0.01
-
-
-def _cloud_regularizer_grad(critic, batch: dict, n_agents: int, rows: int,
-                            steps: int, eta: float, lam_w: float, jitter: float,
-                            attack_rng: np.random.Generator):
-    """Mean-field cloud regularizer on the centralized critic: penalized
-    ascent on the agent-position block (the empirical state cloud), with the
-    differentiable identity-coupling transport penalty. The ascent steps run
-    input-only reverse passes; only the final pass computes the parameter
-    gradient."""
+def _cloud_regularizer_grad(critic, batch: dict, rows: int, steps: int, eta: float,
+                            lam_w: float, jitter: float, attack_rng: np.random.Generator):
+    """Mean-field cloud regularizer on the centralized critic: the squared
+    critic change under meanfield.cloud_attack on the first rows of the
+    batch, with its gradient w.r.t. the critic's parameters."""
     rows = min(rows, batch["state"].shape[0])
-    acts = batch["actions"][:rows].reshape(rows, -1)
-    x0 = np.concatenate([batch["state"][:rows], acts], axis=1)
-    q0, vjp0 = net_vjp(critic, x0)
-    q0 = q0[:, 0]
-    pdim = 2 * n_agents
-    pos0 = x0[:, :pdim]
-    pos = pos0 + (jitter * attack_rng.standard_normal(pos0.shape) if jitter > 0
-                  else 0.0)
-    x = x0.copy()
-    for _ in range(steps):
-        x[:, :pdim] = pos
-        layer_in, q = _forward_cached(critic, x)
-        gin = _backward(critic, layer_in, (2.0 * (q[:, 0] - q0))[:, None],
-                        wrt="input").grad_input[:, :pdim]
-        dpos = (pos - pos0).reshape(rows, n_agents, 2)
-        # np.linalg.norm(dpos, axis=2, keepdims=True), by its own formula
-        nrm = np.sqrt(np.add.reduce(dpos * dpos, axis=2, keepdims=True))
-        pen = np.where(nrm > 1e-12, dpos / np.maximum(nrm, 1e-12), 0.0)
-        pos = pos + eta * (gin - lam_w * pen.reshape(rows, pdim) / n_agents)
-    x[:, :pdim] = pos
-    value, grad = _squared_change(critic, x, q0, vjp0, rows)
-    move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
-    return value, grad, move
+    x0 = np.concatenate([batch["state"][:rows], batch["actions"][:rows].reshape(rows, -1)],
+                        axis=1)
+    clean = net_vjp(critic, x0)
+    x = cloud_attack(critic, x0, clean, batch["actions"].shape[1], steps, eta, lam_w,
+                     jitter, attack_rng)
+    return _squared_change(critic, x, clean[0][:, 0], clean[1], rows)
 
 
 def _versions() -> dict:
@@ -273,7 +251,7 @@ class _Learner:
     columns: Callable       # (losses, regularizer value) -> the four loss columns
 
 
-def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
+def _learner(cfg: ExperimentConfig, steps: int) -> _Learner:
     # The closures, like train_seed's regularizer calls, look the functions
     # up by name when called, so that wrapping them in this module (tracing,
     # tests) takes effect.
@@ -281,8 +259,7 @@ def _learner(cfg: ExperimentConfig, env, steps: int) -> _Learner:
         return _Learner(
             QCOMBO_HEADER,
             lambda policy, obs, t, rng: select_action_discrete(
-                policy, obs, _explore_rate(t, steps, cfg["explore_final"]), rng,
-                env.n_out),
+                policy, obs, _explore_rate(t, steps, cfg["explore_final"]), rng),
             lambda batch, agents: qcombo_losses(batch, agents, cfg["gamma"],
                                                 cfg["lambda_q"]),
             cfg["lr"],
@@ -302,7 +279,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     env = make_env(cfg)
     agents, bufs = build_agents(cfg, env, seed)
     steps = int(cfg["train_steps"])
-    learner = _learner(cfg, env, steps)
+    learner = _learner(cfg, steps)
     policy_name, central_name = NET_NAMES[cfg.algo]
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
@@ -364,10 +341,9 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
                     grads["central"] += ea["lambda"] * g
                 reg_val += value
             if cloud_on:
-                value, g, _ = _cloud_regularizer_grad(
-                    agents.central, batch, env.n_agents, int(ecfg["reg_rows"]),
-                    int(mf["mf_steps"]), float(mf["mf_eta"]), float(mf["lambda_w"]),
-                    CLOUD_JITTER, attack_rng)
+                value, g = _cloud_regularizer_grad(
+                    agents.central, batch, int(ecfg["reg_rows"]), int(mf["mf_steps"]),
+                    float(mf["mf_eta"]), float(mf["lambda_w"]), CLOUD_JITTER, attack_rng)
                 grads["central"] += ecfg["lambda"] * g
                 reg_val += value
             columns = learner.columns(losses, reg_val)

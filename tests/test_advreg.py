@@ -185,17 +185,19 @@ def test_stackelberg_k0_equals_plain_gradient():
     net = net_init([3, 4, 2], activation="tanh", seed=5)
     obs = np.array([[0.2, -0.4, 0.9]])
     cfg = AttackConfig(epsilon=0.3, k_steps=0, metric="sq_l2")
-    got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11))[0]
+    clean = net_vjp(net, obs)
+    got = stackelberg_grad(net, obs, cfg, np.random.default_rng(11), clean)[0]
     rng = np.random.default_rng(11)
     delta0 = _init_delta((1, 3), cfg, rng)
-    _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2", net_vjp(net, obs))
+    _, _, plain = reg_value_and_grads(net, obs, delta0, "sq_l2", clean)
     assert np.array_equal(got, plain)
 
 
 def test_stackelberg_constant_policy_zero():
     net = _linear_net(np.zeros((2, 3)))
     cfg = AttackConfig(epsilon=0.2, k_steps=2, metric="sq_l2")
-    g = stackelberg_grad(net, np.ones((1, 3)), cfg, np.random.default_rng(0))[0]
+    obs = np.ones((1, 3))
+    g = stackelberg_grad(net, obs, cfg, np.random.default_rng(0), net_vjp(net, obs))[0]
     # weight gradients vanish except through the (zero) divergence value
     assert np.allclose(g, 0.0)
 
@@ -281,9 +283,10 @@ def test_stackelberg_batched_equals_sum_of_rows(metric, norm):
     cfg = AttackConfig(epsilon=0.4, k_steps=3, metric=metric, norm=norm)
     # one rng shared by the row calls draws the same initial points as the
     # batched call
-    batched = stackelberg_grad(net, obs, cfg, rng=np.random.default_rng(8))[0]
+    batched = stackelberg_grad(net, obs, cfg, np.random.default_rng(8), net_vjp(net, obs))[0]
     row_rng = np.random.default_rng(8)
-    rows = sum(stackelberg_grad(net, o[None, :], cfg, rng=row_rng)[0] for o in obs)
+    rows = sum(stackelberg_grad(net, o[None, :], cfg, row_rng, net_vjp(net, o[None, :]))[0]
+               for o in obs)
     assert np.linalg.norm(batched - rows) <= 1e-10 * np.linalg.norm(rows)
 
 
@@ -293,8 +296,8 @@ def test_stackelberg_attack_is_pgd_attack():
     obs = rng.uniform(-1.0, 1.0, size=(5, 4))
     cfg = AttackConfig(epsilon=0.6, k_steps=2, metric="sq_l2")
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
-    _, delta, vals = stackelberg_grad(net, obs, cfg, rng=r1)
     clean = net_vjp(net, obs)
+    _, delta, vals = stackelberg_grad(net, obs, cfg, r1, clean)
     want = pgd_attack(net, obs, cfg, r2, clean)
     assert np.array_equal(delta, want)
     assert np.array_equal(vals, reg_value_and_grads(net, obs, want, "sq_l2", clean)[0])
@@ -430,9 +433,10 @@ def test_stackelberg_zero_direction_agent():
     for metric in ("sq_l2", "kl"):
         cfg = AttackConfig(epsilon=0.1, k_steps=2, eta=1e4, norm="linf", metric=metric)
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = stackelberg_grad(policy, obs, cfg, rng=got_rng)[0]
+        got = stackelberg_grad(policy, obs, cfg, got_rng, net_vjp(policy, obs))[0]
         for i in range(2):
-            want = stackelberg_grad(policy[i], obs[i], cfg, rng=want_rng)[0]
+            want = stackelberg_grad(policy[i], obs[i], cfg, want_rng,
+                                    net_vjp(policy[i], obs[i]))[0]
             assert got[i].tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         # agent 0 gets only the partial gradient at delta^K, agent 1 more

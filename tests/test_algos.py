@@ -112,15 +112,16 @@ def test_flat_updates_match_per_layer_formulas():
 
 
 def test_select_action_discrete_greedy_and_explore():
-    # Q(a) = [x0, 2*x0]: greedy picks 1 for positive input, 0 for negative
-    net = stack_nets([_linear_net(np.array([[1.0], [2.0]]), np.zeros(2))] * 2)
+    # Q(a) = [x0, 2*x0, 1.5*x0, 1.5*x0]: greedy picks 1 for positive input, 0
+    # for negative; exploring draws from all out_dim = 4 actions
+    net = stack_nets([_linear_net(np.array([[1.0], [2.0], [1.5], [1.5]]), np.zeros(4))] * 2)
     obs = np.array([[1.0], [-1.0]])
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert select_action_discrete(net, obs, 0.0, rng, 2).tolist() == [1, 0]
+    assert select_action_discrete(net, obs, 0.0, rng).tolist() == [1, 0]
     assert rng.bit_generator.state == before  # rate 0 draws nothing
     picks = {int(a) for _ in range(100)
-             for a in select_action_discrete(net, obs, 1.0, rng, 4)}
+             for a in select_action_discrete(net, obs, 1.0, rng)}
     assert picks == {0, 1, 2, 3}
 
 
@@ -164,7 +165,7 @@ def test_select_action_discrete_matches_per_agent_loop(rate):
     rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(30):
         obs = obs_rng.standard_normal((4, 9))
-        got = select_action_discrete(stack, obs, rate, rng_a, 3)
+        got = select_action_discrete(stack, obs, rate, rng_a)
         assert got.tolist() == _select_loop_discrete(nets, obs, rate, rng_b, 3).tolist()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 

@@ -3,11 +3,10 @@ import hashlib
 import json
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from ernie_lab.advreg import AttackConfig
-from ernie_lab.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, _out_dir, main
+from ernie_lab.cli import EXIT_CONFIG, EXIT_OK, _out_dir, main
 from ernie_lab.config import (
     DEFAULTS,
     RULES,
@@ -356,7 +355,7 @@ def test_cli_gradcheck_writes_report(tmp_path):
     assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "gradcheck_report.json").read_text())
     assert report["passed"] is True
-    for key in ("net_grads", "hvp", "stackelberg"):
+    for key in ("net_grads", "hvp", "stackelberg", "cloud_coupling"):
         assert report[key]["passed"] is True
     assert report["hvp"]["joint_grad_dir_rel_err"] < 1e-6
 

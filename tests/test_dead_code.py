@@ -15,9 +15,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ernie_lab"
 
 # Oracles the acceptance suite holds the package's fast paths to: the brute
-# force behind the greedy action attack (criterion 5) and the exact transport
-# distance behind the identity coupling (criterion 6).
-ORACLES = {"brute_force_action_attack", "w_distance"}
+# force behind the greedy action attack (criterion 5). The transport distance
+# that criterion 6 judges needs no entry: the gradcheck suite holds the cloud
+# attack's penalty to w_distance, and the two share one per-particle distance.
+ORACLES = {"brute_force_action_attack"}
 
 
 def _trees():

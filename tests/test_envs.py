@@ -43,7 +43,7 @@ def test_coopnav_obs_dims():
     assert obs1.shape == (1, 6)
 
 
-def test_coopnav_reset_ranges_and_validation():
+def test_coopnav_reset_ranges():
     state, _ = coopnav_reset(4, seed=5)
     assert np.all(np.abs(state.pos) <= 1.0)
     assert np.all(state.vel == 0.0)
@@ -320,7 +320,7 @@ def test_malicious_injector_draws_as_an_episode_by_episode_mirror():
     assert not fired[rate == 0.0].any() and fired[rate == 0.03].sum() > 0
 
 
-def test_malicious_injector_rate_zero_and_continuous():
+def test_malicious_injector_rate_zero_draws_nothing():
     env = GridQueueEnv(2, 2)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -420,7 +420,7 @@ def _policy(env, seed):
     policy = stack_nets([net_init([env.obs_dim, 8, env.n_out], seed=seed + i, scale=3.0)
                          for i in range(env.n_agents)])
     if isinstance(env, GridQueueEnv):
-        act = lambda obs: select_action_discrete(policy, obs, 0.0, None, env.n_out)
+        act = lambda obs: select_action_discrete(policy, obs, 0.0, None)
         act_one = lambda obs: np.argmax(net_forward(policy, obs), axis=1)
     else:
         act = lambda obs: select_action_continuous(policy, obs, 0.0, None)

@@ -1,5 +1,6 @@
-# The mean-field cloud attack on the critic (train._cloud_regularizer_grad)
-# and the transport distances between particle clouds.
+# The mean-field cloud attack on the critic (meanfield.cloud_attack, run by
+# train._cloud_regularizer_grad) and the transport distances between
+# particle clouds.
 import itertools
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ernie_lab import train as train_mod
 from ernie_lab.config import ConfigError, resolve_config
-from ernie_lab.meanfield import w_distance
+from ernie_lab.gradcheck import check_cloud_coupling
+from ernie_lab.meanfield import cloud_attack, w_distance
 from ernie_lab.net import Net, net_init, net_vjp, vector_to_net
-from ernie_lab.train import _cloud_regularizer_grad
 
 N_AGENTS, ROWS = 3, 6
 STATE_DIM = 6 * N_AGENTS           # coopnav: agent positions come first
@@ -28,9 +30,32 @@ def _linear_critic(w, bias=0.0):
                biases=(np.array([bias]),), activation="relu")
 
 
+def _cloud_run(critic, batch, steps, eta, lam_w, jitter, rng):
+    # The trainer's (value, grad) and the attacked input rows that
+    # meanfield.cloud_attack returned inside it.
+    seen = []
+
+    def spy(*args):
+        seen.append(cloud_attack(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_mod, "cloud_attack", spy)
+        value, grad = train_mod._cloud_regularizer_grad(critic, batch, ROWS, steps, eta,
+                                                        lam_w, jitter, rng)
+    return value, grad, seen[0]
+
+
 def _cloud(critic, batch, steps=0, eta=0.05, lam_w=1.0, jitter=0.01, seed=0):
-    return _cloud_regularizer_grad(critic, batch, N_AGENTS, ROWS, steps, eta, lam_w,
-                                   jitter, np.random.default_rng(seed))
+    return _cloud_run(critic, batch, steps, eta, lam_w, jitter, np.random.default_rng(seed))
+
+
+def _move(batch, x):
+    # The attack's displacement: the identity coupling between the batch's
+    # clean agent positions and the attacked ones, all rows as one cloud.
+    pdim = 2 * N_AGENTS
+    return w_distance(batch["state"][:ROWS, :pdim].reshape(-1, 2),
+                      x[:, :pdim].reshape(-1, 2), "identity_coupling")
 
 
 def test_w_distance_identical_clouds():
@@ -120,11 +145,11 @@ def test_exact_matching_matches_brute_force():
 def test_mf_regularizer_zero_cases():
     batch = _batch(5)
     critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=3)
-    value, grad, move = _cloud(critic, batch, jitter=0.0)
-    assert (value, move) == (0.0, 0.0) and not grad.any()
+    value, grad, x = _cloud(critic, batch, jitter=0.0)
+    assert (value, _move(batch, x)) == (0.0, 0.0) and not grad.any()
     const = _linear_critic(np.zeros(IN_DIM), bias=4.2)
-    value, grad, move = _cloud(const, batch, jitter=0.5)
-    assert value == 0.0 and not grad.any() and move > 0.0
+    value, grad, x = _cloud(const, batch, jitter=0.5)
+    assert value == 0.0 and not grad.any() and _move(batch, x) > 0.0
 
 
 def test_mf_regularizer_linear_closed_form():
@@ -133,10 +158,11 @@ def test_mf_regularizer_linear_closed_form():
     w = np.zeros(IN_DIM)
     w[:2 * N_AGENTS] = np.random.default_rng(6).standard_normal(2 * N_AGENTS)
     shift = 0.3 * np.random.default_rng(0).standard_normal((ROWS, 2 * N_AGENTS))
-    value, _, move = _cloud(_linear_critic(w), _batch(6), jitter=0.3)
+    batch = _batch(6)
+    value, _, x = _cloud(_linear_critic(w), batch, jitter=0.3)
     assert value == pytest.approx(np.mean((shift @ w[:2 * N_AGENTS]) ** 2), rel=1e-12)
     want = np.mean(np.linalg.norm(shift.reshape(ROWS, N_AGENTS, 2), axis=2))
-    assert move == pytest.approx(want, rel=1e-12)
+    assert _move(batch, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_mf_attack_constant_q_penalty_only():
@@ -144,16 +170,17 @@ def test_mf_attack_constant_q_penalty_only():
     # position, so it ends within one step of it
     const = _linear_critic(np.zeros(IN_DIM))
     batch = _batch(7)
-    _, _, start = _cloud(const, batch, steps=0)
-    value, _, move = _cloud(const, batch, steps=40, eta=0.005)
+    start = _move(batch, _cloud(const, batch, steps=0)[2])
+    value, _, x = _cloud(const, batch, steps=40, eta=0.005)
     assert value == 0.0
-    assert move <= 0.005 / N_AGENTS + 1e-12 < start
+    assert _move(batch, x) <= 0.005 / N_AGENTS + 1e-12 < start
 
 
 def test_mf_attack_large_penalty_pins_cloud():
     critic = net_init([IN_DIM, 8, 1], activation="tanh", seed=3)
-    _, _, move = _cloud(critic, _batch(8), steps=100, eta=1e-9, lam_w=1e6)
-    assert move < 1e-3
+    batch = _batch(8)
+    _, _, x = _cloud(critic, batch, steps=100, eta=1e-9, lam_w=1e6)
+    assert _move(batch, x) < 1e-3
 
 
 def test_mf_attack_deterministic():
@@ -161,11 +188,11 @@ def test_mf_attack_deterministic():
     batch = _batch(9)
     a = _cloud(critic, batch, steps=3, seed=5)
     b = _cloud(critic, batch, steps=3, seed=5)
-    assert a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+    assert a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
     assert a[0] >= 0.0
     # the jitter is the attack stream's only draw
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    _cloud_regularizer_grad(critic, batch, N_AGENTS, ROWS, 3, 0.05, 1.0, 0.01, rng)
+    train_mod._cloud_regularizer_grad(critic, batch, ROWS, 3, 0.05, 1.0, 0.01, rng)
     ref.standard_normal((ROWS, 2 * N_AGENTS))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -212,8 +239,7 @@ def _cloud_reference(critic, batch, n_agents, rows, steps, eta, lam_w, jitter,
     value = float(np.mean(diff ** 2))
     up = (2.0 * diff / rows)[:, None]
     grad = vjp(up).grad_theta - vjp0(up).grad_theta
-    move = float(np.mean(np.linalg.norm((pos - pos0).reshape(rows, n_agents, 2), axis=2)))
-    return value, grad, move
+    return value, grad, x
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -225,11 +251,12 @@ def test_cloud_regularizer_matches_per_step_vjp_reference(activation, steps, jit
         critic = vector_to_net(critic, critic.theta + 0.1 * np.random.default_rng(
             seed).standard_normal(critic.theta.size))
         batch = _batch(20 + seed)
-        args = (critic, batch, N_AGENTS, ROWS, steps, 0.05, 1.0, jitter)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        value, grad, move = _cloud_regularizer_grad(*args, rng)
-        want = _cloud_reference(*args, ref_rng)
-        assert (value, grad.tobytes(), move) == (want[0], want[1].tobytes(), want[2])
+        value, grad, x = _cloud_run(critic, batch, steps, 0.05, 1.0, jitter, rng)
+        want = _cloud_reference(critic, batch, N_AGENTS, ROWS, steps, 0.05, 1.0, jitter,
+                                ref_rng)
+        assert ((value, grad.tobytes(), x.tobytes())
+                == (want[0], want[1].tobytes(), want[2].tobytes()))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -249,3 +276,23 @@ def test_cloud_regularizer_grad_matches_fd():
                  - _cloud(vector_to_net(critic, theta - e), batch, jitter=0.4,
                           seed=2)[0]) / (2 * h)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
+
+
+def test_identity_coupling_keeps_linalg_norm_bits():
+    # w_distance's identity branch, which the cloud ascent's penalty shares,
+    # computes np.linalg.norm's per-particle distances by norm's own formula
+    rng = np.random.default_rng(14)
+    for _ in range(250):
+        n, dim = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+        a, b = rng.standard_normal((n, dim)), 3.0 * rng.standard_normal((n, dim))
+        assert (w_distance(a, b, "identity_coupling")
+                == float(np.mean(np.linalg.norm(a - b, axis=-1))))
+
+
+def test_cloud_step_descends_the_identity_coupling():
+    # The coupling criterion 6 judges is the one training penalizes: on a
+    # constant critic (zero gradient on Q) one ascent step moves each row's
+    # cloud by -eta * lam_w * d/dpos w_distance(clean row, pos row,
+    # "identity_coupling"), by central finite differences.
+    report = check_cloud_coupling(n_trials=50, seed=3)
+    assert report["passed"] and report["max_rel_err"] < 1e-6

@@ -492,7 +492,7 @@ def test_lockstep_evaluation_matches_lone_episodes(doc_fn, spec, tmp_path):
     obs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, env.n_agents, env.obs_dim))
     policy = ckpt["nets"][NET_NAMES[cfg.algo][0]]
     if cfg.algo == "qcombo":
-        one = [select_action_discrete(policy, o, 0.0, None, env.n_out) for o in obs]
+        one = [select_action_discrete(policy, o, 0.0, None) for o in obs]
     else:
         one = [select_action_continuous(policy, o, 0.0, None) for o in obs]
     assert act(obs).tobytes() == np.stack(one).tobytes()
@@ -599,10 +599,10 @@ def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
     values, norms, grads = [], [], []
     for i in range(policy.theta.shape[0]):
         net, rows = policy[i], obs[i]
+        clean = net_vjp(net, rows)
         if stackelberg:
-            gt, delta, vals = stackelberg_grad(net, rows, acfg, rng=rng)
+            gt, delta, vals = stackelberg_grad(net, rows, acfg, rng, clean)
         else:
-            clean = net_vjp(net, rows)
             if mode == "gaussian":
                 delta = (np.zeros_like(rows) if acfg.epsilon == 0.0
                          else acfg.epsilon * rng.standard_normal(rows.shape))
