@@ -1,5 +1,6 @@
-# Experiment configuration: JSON in, each value checked against its leaf's
-# rule, defaults filled, cross-field validation.
+# Experiment configuration: one table declares each leaf's default and rule;
+# JSON in, each value checked against its leaf's rule, defaults filled,
+# cross-field validation.
 from __future__ import annotations
 
 import copy
@@ -14,62 +15,6 @@ from .advreg import METRICS, NORMS
 class ConfigError(ValueError):
     pass
 
-
-DEFAULTS = {
-    "algo": "qcombo",
-    "env": "gridq",
-    "n_agents": None,
-    "seeds": [0],
-    "train_steps": 2000,
-    "gamma": 0.95,
-    "tau": 0.01,
-    "lambda_q": 1.0,
-    "lr": 1e-3,
-    "actor_lr": None,   # None: use lr
-    "lr_decay": 0.9,    # linear decay of both rates to (1 - lr_decay) * lr
-    "batch": 64,
-    "replay_capacity": 100000,
-    "hidden": 64,
-    "warmup": 200,
-    "log_interval": 100,
-    "explore_final": 0.05,       # linear 1.0 -> this over the first 30% of steps
-    "actor_noise": 0.1,
-    "ernie": {
-        "enabled": False,
-        "stackelberg": False,
-        "mode": "pgd",
-        "epsilon": 0.5,
-        "k_steps": 2,
-        "eta": None,             # None -> 2.5 eps / K
-        "lambda": 0.1,
-        "metric": "sq_l2",
-        "norm": "l2",
-        "reg_rows": 64,          # batch rows fed to the attack per update
-        "start_frac": 0.0,       # apply the regularizer from this fraction of steps
-    },
-    "ernie_a": {
-        "enabled": False,
-        "k": 1,
-        "lambda": 0.1,
-        "rows": 8,
-    },
-    "meanfield": {
-        "enabled": False,
-        "lambda_w": 1.0,
-        "mf_steps": 10,
-        "mf_eta": 0.05,
-    },
-    "eval": {
-        "obs_noise_sigmas": [0.0, 0.1, 0.25, 0.5, 1.0],
-        "dynamics_scales": [1.0],
-        "malicious_rates": [0.0],
-        "malicious_mode": "adversarial",
-        "episodes": 20,
-    },
-    "paths": {
-        "out_dir": "runs",
-    },
-}
 
 _ENV_DEFAULT_AGENTS = {"gridq": 4, "coopnav": 3}
 _DISCRETE_ALGOS = {"qcombo"}
@@ -115,34 +60,78 @@ _POSITIVE = _real("> 0", lambda v: v > 0)
 _UNIT = _real("in [0, 1]", lambda v: 0 <= v <= 1)
 _FLAG = ("true or false", lambda v: isinstance(v, bool))
 
-# What each leaf of DEFAULTS accepts, checked for every value a config sets.
-RULES = {
-    "algo": _one_of(sorted(_DISCRETE_ALGOS | _CONTINUOUS_ALGOS)),
-    "env": _one_of(tuple(_ENV_DEFAULT_AGENTS)),
-    "n_agents": _or_null(count_rule(1)),       # null: the env's default
-    "seeds": _distinct(count_rule(0), nonempty=True),
-    "train_steps": count_rule(0), "warmup": count_rule(0), "log_interval": count_rule(1),
-    "batch": count_rule(1), "replay_capacity": count_rule(1), "hidden": count_rule(1),
-    "gamma": _UNIT, "tau": _UNIT, "lambda_q": _NONNEG, "explore_final": _UNIT,
-    "lr": _POSITIVE, "actor_lr": _or_null(_POSITIVE), "lr_decay": _UNIT,
-    "actor_noise": _NONNEG,
-    "ernie.enabled": _FLAG, "ernie.stackelberg": _FLAG,
-    "ernie.mode": _one_of(("pgd", "gaussian")),   # gaussian: the smoothing baseline
-    "ernie.epsilon": _NONNEG, "ernie.k_steps": count_rule(0),
-    "ernie.eta": _or_null(_POSITIVE), "ernie.lambda": _NONNEG,
-    "ernie.metric": _one_of(METRICS), "ernie.norm": _one_of(NORMS),
-    "ernie.reg_rows": count_rule(1), "ernie.start_frac": _UNIT,
-    "ernie_a.enabled": _FLAG, "ernie_a.k": count_rule(1), "ernie_a.lambda": _NONNEG,
-    "ernie_a.rows": count_rule(1),
-    "meanfield.enabled": _FLAG, "meanfield.lambda_w": _NONNEG,
-    "meanfield.mf_steps": count_rule(0), "meanfield.mf_eta": _POSITIVE,
-    "eval.obs_noise_sigmas": _distinct(_NONNEG),
-    "eval.dynamics_scales": _distinct(_POSITIVE),
-    "eval.malicious_rates": _distinct(_UNIT),
-    "eval.malicious_mode": _one_of(("random", "adversarial")),
-    "eval.episodes": count_rule(1),
-    "paths.out_dir": ("a string", lambda v: isinstance(v, str)),
+# Every leaf of the config, once: (its default, the rule each value it is set
+# to must pass), nested by section.
+_TABLE = {
+    "algo": ("qcombo", _one_of(sorted(_DISCRETE_ALGOS | _CONTINUOUS_ALGOS))),
+    "env": ("gridq", _one_of(tuple(_ENV_DEFAULT_AGENTS))),
+    "n_agents": (None, _or_null(count_rule(1))),   # None: the env's default
+    "seeds": ([0], _distinct(count_rule(0), nonempty=True)),
+    "train_steps": (2000, count_rule(0)),
+    "gamma": (0.95, _UNIT),
+    "tau": (0.01, _UNIT),
+    "lambda_q": (1.0, _NONNEG),
+    "lr": (1e-3, _POSITIVE),
+    "actor_lr": (None, _or_null(_POSITIVE)),   # None: use lr
+    "lr_decay": (0.9, _UNIT),   # linear decay of both rates to (1 - lr_decay) * lr
+    "batch": (64, count_rule(1)),
+    "replay_capacity": (100000, count_rule(1)),
+    "hidden": (64, count_rule(1)),
+    "warmup": (200, count_rule(0)),
+    "log_interval": (100, count_rule(1)),
+    "explore_final": (0.05, _UNIT),   # linear 1.0 -> this over the first 30% of steps
+    "actor_noise": (0.1, _NONNEG),
+    "ernie": {
+        "enabled": (False, _FLAG),
+        "stackelberg": (False, _FLAG),
+        "mode": ("pgd", _one_of(("pgd", "gaussian"))),   # gaussian: the smoothing baseline
+        "epsilon": (0.5, _NONNEG),
+        "k_steps": (2, count_rule(0)),
+        "eta": (None, _or_null(_POSITIVE)),   # None -> 2.5 eps / K
+        "lambda": (0.1, _NONNEG),
+        "metric": ("sq_l2", _one_of(METRICS)),
+        "norm": ("l2", _one_of(NORMS)),
+        "reg_rows": (64, count_rule(1)),   # batch rows fed to the attack per update
+        "start_frac": (0.0, _UNIT),   # apply the regularizer from this fraction of steps
+    },
+    "ernie_a": {
+        "enabled": (False, _FLAG),
+        "k": (1, count_rule(1)),
+        "lambda": (0.1, _NONNEG),
+        "rows": (8, count_rule(1)),
+    },
+    "meanfield": {
+        "enabled": (False, _FLAG),
+        "lambda_w": (1.0, _NONNEG),
+        "mf_steps": (10, count_rule(0)),
+        "mf_eta": (0.05, _POSITIVE),
+    },
+    "eval": {
+        "obs_noise_sigmas": ([0.0, 0.1, 0.25, 0.5, 1.0], _distinct(_NONNEG)),
+        "dynamics_scales": ([1.0], _distinct(_POSITIVE)),
+        "malicious_rates": ([0.0], _distinct(_UNIT)),
+        "malicious_mode": ("adversarial", _one_of(("random", "adversarial"))),
+        "episodes": (20, count_rule(1)),
+    },
+    "paths": {
+        "out_dir": ("runs", ("a string", lambda v: isinstance(v, str))),
+    },
 }
+
+
+def _split(table: dict, prefix: str = "") -> tuple[dict, dict]:
+    """A table's nested defaults, and its rules keyed by dotted leaf name."""
+    defaults, rules = {}, {}
+    for key, row in table.items():
+        if isinstance(row, dict):
+            defaults[key], section_rules = _split(row, f"{prefix}{key}.")
+            rules.update(section_rules)
+        else:
+            defaults[key], rules[prefix + key] = row
+    return defaults, rules
+
+
+DEFAULTS, RULES = _split(_TABLE)
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
