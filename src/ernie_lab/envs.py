@@ -1,11 +1,13 @@
 # Native toy multi-agent environments (cooperative navigation, traffic-style
-# queue grid) plus the evaluation-time perturbation harness. Every state
-# array may carry a leading episode axis: a step on (E, N, ...) states steps
-# E episodes at once, each bit for bit as its own (N, ...) call would.
+# queue grid) plus the evaluation-time perturbation harness. Each env is one
+# class whose reset, step and global_state are its only implementation; it
+# builds its index tables once, and a state holds only per-episode arrays.
+# Every state array may carry a leading episode axis: a step on (E, N, ...)
+# states steps E episodes at once, each bit for bit as its own (N, ...) call
+# would.
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,93 +46,70 @@ def _global_reward(rewards: np.ndarray):
     return np.add.reduce(rewards, axis=-1) / rewards.shape[-1]
 
 
-def coopnav_obs_dim(n_agents: int) -> int:
-    return 4 + 2 * n_agents + 2 * (n_agents - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _agent_pairs(n: int):
-    """(i, j) index arrays of the agent pairs i < j in row-major order and
-    the (N, N - 1) table of each agent's others in index order; shared, so
-    read-only."""
-    i, j = np.triu_indices(n, 1)
-    others = np.array([[k for k in range(n) if k != a] for a in range(n)], dtype=int)
-    for a in (i, j, others):
-        a.flags.writeable = False
-    return i, j, others
-
-
-def _coopnav_obs(state: CoopNavState, landmarks: np.ndarray) -> np.ndarray:
-    # Row i: own position and velocity, landmarks relative to agent i (row i
-    # of _relative_landmarks(state)), then the other agents (in index order)
-    # relative to agent i.
-    pos = state.pos
-    rows = pos.shape[:-1]
-    others = pos.take(_agent_pairs(rows[-1])[2], axis=-2) - pos[..., :, None, :]
-    return np.concatenate([pos, state.vel, landmarks.reshape(rows + (-1,)),
-                           others.reshape(rows + (-1,))], axis=-1)
-
-
 def _relative_landmarks(state: CoopNavState) -> np.ndarray:
     """(..., N, N, 2): landmark j relative to agent i at [..., i, j, :]."""
     return state.landmarks[..., None, :, :] - state.pos[..., :, None, :]
 
 
-def coopnav_reset(n_agents: int, seed: int):
-    rng = np.random.default_rng(seed)
-    state = CoopNavState(
-        pos=rng.uniform(-1.0, 1.0, size=(n_agents, 2)),
-        vel=np.zeros((n_agents, 2)),
-        landmarks=rng.uniform(-1.0, 1.0, size=(n_agents, 2)),
-    )
-    return state, _coopnav_obs(state, _relative_landmarks(state))
-
-
-def coopnav_step(state: CoopNavState, joint_action: np.ndarray, dynamics_scale=1.0):
-    """vel <- 0.5 vel + 0.5 a vmax scale; pos clamped; shared coverage reward.
-
-    Returns (state, obs, per-agent rewards (N,), global reward); E episodes
-    of (E, N, 2) states give (E, N) rewards and (E,) global rewards, and
-    take a float scale or an (E, 1, 1) array of per-episode scales."""
-    # Clipping leaves values in [-1, 1], -0.0 and NaN as they are.
-    a = np.clip(np.asarray(joint_action, dtype=float).reshape(state.pos.shape), -1.0, 1.0)
-    vel = 0.5 * state.vel + 0.5 * a * COOPNAV_VMAX * dynamics_scale
-    pos = np.clip(state.pos + vel * COOPNAV_DT, -COOPNAV_BOUND, COOPNAV_BOUND)
-    new = CoopNavState(pos, vel, state.landmarks)
-
-    # The observation's relative landmarks are minus the agent-landmark
-    # differences, whose squares they share bit for bit; the distances are
-    # np.linalg.norm(diff, axis=-1)'s own formula.
-    landmarks = _relative_landmarks(new)
-    dists = np.sqrt(np.add.reduce(landmarks * landmarks, axis=-1))
-    coverage = -dists.min(axis=-2).sum(axis=-1)
-    i, j, _ = _agent_pairs(pos.shape[-2])
-    d = pos.take(i, axis=-2) - pos.take(j, axis=-2)
-    # vecdot is each pair's d.dot(d), the same BLAS ddot (which fuses
-    # multiply-adds), so the test at the threshold matches a lone pair's;
-    # (d * d).sum(-1) rounds differently.
-    collisions = (np.sqrt(np.vecdot(d, d)) < COLLISION_DIST).sum(axis=-1)
-    r = coverage - 1.0 * collisions
-    rewards = np.full(pos.shape[:-1], r[..., None])
-    return new, _coopnav_obs(new, landmarks), rewards, _global_reward(rewards)
-
-
 class CoopNavEnv:
-    """Stateless wrapper bundling the functional API for rollouts."""
-
     episode_len = 50
+    n_out = 2  # policy output width per agent: the action dimension
 
     def __init__(self, n_agents: int):
-        self.n_agents = n_agents
-        self.obs_dim = coopnav_obs_dim(n_agents)
-        self.state_dim = 4 * n_agents + 2 * n_agents
-        self.n_out = 2  # policy output width per agent: the action dimension
+        self.n_agents = n = n_agents
+        self.obs_dim = 4 + 2 * n + 2 * (n - 1)
+        self.state_dim = 4 * n + 2 * n
+        # (i, j) index arrays of the agent pairs i < j in row-major order, and
+        # the (N, N - 1) table of each agent's others in index order
+        self._pairs = np.triu_indices(n, 1)
+        self._others = np.array([[k for k in range(n) if k != a] for a in range(n)], dtype=int)
+
+    def _obs(self, state: CoopNavState, landmarks: np.ndarray) -> np.ndarray:
+        # Row i: own position and velocity, landmarks relative to agent i (row
+        # i of _relative_landmarks(state)), then the other agents (in index
+        # order) relative to agent i.
+        pos = state.pos
+        rows = pos.shape[:-1]
+        others = pos.take(self._others, axis=-2) - pos[..., :, None, :]
+        return np.concatenate([pos, state.vel, landmarks.reshape(rows + (-1,)),
+                               others.reshape(rows + (-1,))], axis=-1)
 
     def reset(self, seed: int):
-        return coopnav_reset(self.n_agents, seed)
+        rng = np.random.default_rng(seed)
+        state = CoopNavState(
+            pos=rng.uniform(-1.0, 1.0, size=(self.n_agents, 2)),
+            vel=np.zeros((self.n_agents, 2)),
+            landmarks=rng.uniform(-1.0, 1.0, size=(self.n_agents, 2)),
+        )
+        return state, self._obs(state, _relative_landmarks(state))
 
-    def step(self, state, joint_action, dynamics_scale=1.0):
-        return coopnav_step(state, joint_action, dynamics_scale)
+    def step(self, state: CoopNavState, joint_action, dynamics_scale=1.0):
+        """vel <- 0.5 vel + 0.5 a vmax scale; pos clamped; shared coverage reward.
+
+        Returns (state, obs, per-agent rewards (N,), global reward); E episodes
+        of (E, N, 2) states give (E, N) rewards and (E,) global rewards, and
+        take a float scale or an (E, 1, 1) array of per-episode scales."""
+        # Clipping leaves values in [-1, 1], -0.0 and NaN as they are.
+        a = np.clip(np.asarray(joint_action, dtype=float).reshape(state.pos.shape), -1.0, 1.0)
+        vel = 0.5 * state.vel + 0.5 * a * COOPNAV_VMAX * dynamics_scale
+        pos = np.clip(state.pos + vel * COOPNAV_DT, -COOPNAV_BOUND, COOPNAV_BOUND)
+        new = CoopNavState(pos, vel, state.landmarks)
+
+        # The observation's relative landmarks are minus the agent-landmark
+        # differences, whose squares they share bit for bit; the distances
+        # are np.linalg.norm(diff, axis=-1)'s own formula.
+        landmarks = _relative_landmarks(new)
+        dists = np.sqrt(np.add.reduce(landmarks * landmarks, axis=-1))
+        coverage = -dists.min(axis=-2).sum(axis=-1)
+        i, j = self._pairs
+        d = pos.take(i, axis=-2) - pos.take(j, axis=-2)
+        # vecdot is each pair's d.dot(d), the same BLAS ddot (which fuses
+        # multiply-adds), so the test at the threshold matches a lone pair's;
+        # (d * d).sum(-1) rounds differently.
+        collisions = (np.sqrt(np.vecdot(d, d)) < COLLISION_DIST).sum(axis=-1)
+        r = coverage - 1.0 * collisions
+        rewards = np.full(pos.shape[:-1], r[..., None])
+        return new, self._obs(new, landmarks), rewards, _global_reward(rewards)
 
     def global_state(self, state: CoopNavState) -> np.ndarray:
         lead = state.pos.shape[:-2] + (-1,)
@@ -147,6 +126,7 @@ class CoopNavEnv:
 # ---------------------------------------------------------------------------
 
 GRIDQ_FORWARD_FRAC = 0.5
+GRIDQ_SERVE = 1.0  # most cars a served queue releases per step, before dynamics_scale
 
 DIR_N, DIR_S, DIR_E, DIR_W = 0, 1, 2, 3
 _OPPOSITE = {DIR_N: DIR_S, DIR_S: DIR_N, DIR_E: DIR_W, DIR_W: DIR_E}
@@ -161,9 +141,6 @@ class GridQueueState:
     queues: np.ndarray    # (N, 4) nonnegative reals, or (E, N, 4) for E episodes
     phases: np.ndarray    # (N,) in {0, 1}
     arrivals: np.ndarray  # (N, 4) per-step deterministic arrival volumes
-    serve: float
-    rows: int
-    cols: int
 
 
 def _neighbor(idx: int, direction: int, rows: int, cols: int) -> int:
@@ -179,99 +156,73 @@ def _neighbor(idx: int, direction: int, rows: int, cols: int) -> int:
     return r * cols + c
 
 
-@functools.lru_cache(maxsize=None)
-def _neighbor_table(rows: int, cols: int) -> np.ndarray:
-    # (N, 4) neighbor indices in the order N, S, E, W; shared, so read-only
-    table = np.array([[_neighbor(i, d, rows, cols) for d in (DIR_N, DIR_S, DIR_E, DIR_W)]
-                      for i in range(rows * cols)])
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _inflow_table(rows: int, cols: int) -> np.ndarray:
-    # (N * 4,) flat source slot of each flat queue slot: the served cars of
-    # (i, d) forward to (neighbor(i, d), opposite(d)). That map is a bijection
-    # of the slots, so each slot receives from exactly one source; shared,
-    # so read-only.
-    table = np.empty(rows * cols * 4, dtype=int)
-    for i in range(rows * cols):
-        for d in range(4):
-            table[_neighbor(i, d, rows, cols) * 4 + _OPPOSITE[d]] = i * 4 + d
-    table.flags.writeable = False
-    return table
-
-
-def _gridq_obs(state: GridQueueState, totals=None) -> np.ndarray:
-    """Row i: own queues, each neighbor's total queue (N, S, E, W), own phase.
-    totals holds each intersection's total queue, (..., N); when None it is
-    computed here."""
-    queues = state.queues
-    if totals is None:
-        totals = np.add.reduce(queues, axis=-1)
-    obs = np.empty(queues.shape[:-1] + (9,))
-    obs[..., :4] = queues
-    obs[..., 4:8] = totals[..., _neighbor_table(state.rows, state.cols)]
-    obs[..., 8] = state.phases
-    return obs
-
-
-def gridq_reset(rows: int, cols: int, seed: int):
-    rng = np.random.default_rng(seed)
-    n = rows * cols
-    state = GridQueueState(
-        queues=rng.uniform(0.0, 3.0, size=(n, 4)),
-        phases=np.zeros(n, dtype=int),
-        arrivals=rng.uniform(0.05, 0.35, size=(n, 4)),
-        serve=1.0,
-        rows=rows,
-        cols=cols,
-    )
-    return state, _gridq_obs(state)
-
-
-def gridq_step(state: GridQueueState, joint_phases: np.ndarray, dynamics_scale=1.0):
-    """Serve, forward and arrive one step. Returns (state, obs, per-agent
-    rewards (N,), global reward); E episodes of (E, N, 4) queues take
-    (E, N) phases and a float scale or an (E, 1, 1) array of per-episode
-    scales, and give (E, N) rewards and (E,) global rewards."""
-    phases = np.asarray(joint_phases, dtype=int)
-    # a phase p is 0 or 1 exactly when p >> 1 is 0; the shift keeps a
-    # negative p negative
-    if phases.shape != state.queues.shape[:-1] or np.count_nonzero(phases >> 1):
-        raise ValueError(f"joint phases must be {state.queues.shape[:-1]} values in {{0, 1}}, "
-                         f"got {joint_phases!r}")
-    serve = state.serve * dynamics_scale
-    loaded = state.queues + state.arrivals
-    served = np.where(_PHASE_MASK[phases], np.minimum(loaded, serve), 0.0)
-    # Each slot gets one addition from its single source; adding a zero
-    # (an unserved source) leaves a nonnegative queue's bits as they are.
-    slots = served.reshape(served.shape[:-2] + (-1,))
-    inflow = slots[..., _inflow_table(state.rows, state.cols)].reshape(served.shape)
-    queues = (loaded - served) + GRIDQ_FORWARD_FRAC * inflow
-    new = GridQueueState(queues, phases, state.arrivals, state.serve,
-                         state.rows, state.cols)
-    # one sum per intersection serves the reward and the neighbors' totals
-    totals = np.add.reduce(queues, axis=-1)
-    rewards = -totals
-    return new, _gridq_obs(new, totals), rewards, _global_reward(rewards)
-
-
 class GridQueueEnv:
     episode_len = 100
     n_out = 2  # policy output width per agent: one Q-value per phase
 
     def __init__(self, rows: int = 2, cols: int = 2):
         self.rows, self.cols = rows, cols
-        self.n_agents = rows * cols
+        self.n_agents = n = rows * cols
         self.obs_dim = 9
-        self.state_dim = self.n_agents * 5
+        self.state_dim = n * 5
+        # (N, 4) neighbor indices in the order N, S, E, W
+        self._neighbors = np.array([[_neighbor(i, d, rows, cols)
+                                     for d in (DIR_N, DIR_S, DIR_E, DIR_W)] for i in range(n)])
+        # (N * 4,) flat source slot of each flat queue slot: the served cars
+        # of (i, d) forward to (neighbor(i, d), opposite(d)). That map is a
+        # bijection of the slots, so each slot receives from exactly one
+        # source.
+        self._inflow = np.empty(n * 4, dtype=int)
+        for i in range(n):
+            for d in range(4):
+                self._inflow[self._neighbors[i, d] * 4 + _OPPOSITE[d]] = i * 4 + d
+
+    def _obs(self, state: GridQueueState, totals=None) -> np.ndarray:
+        """Row i: own queues, each neighbor's total queue (N, S, E, W), own
+        phase. totals holds each intersection's total queue, (..., N); when
+        None it is computed here."""
+        queues = state.queues
+        if totals is None:
+            totals = np.add.reduce(queues, axis=-1)
+        obs = np.empty(queues.shape[:-1] + (9,))
+        obs[..., :4] = queues
+        obs[..., 4:8] = totals[..., self._neighbors]
+        obs[..., 8] = state.phases
+        return obs
 
     def reset(self, seed: int):
-        return gridq_reset(self.rows, self.cols, seed)
+        rng = np.random.default_rng(seed)
+        state = GridQueueState(
+            queues=rng.uniform(0.0, 3.0, size=(self.n_agents, 4)),
+            phases=np.zeros(self.n_agents, dtype=int),
+            arrivals=rng.uniform(0.05, 0.35, size=(self.n_agents, 4)),
+        )
+        return state, self._obs(state)
 
-    def step(self, state, joint_action, dynamics_scale=1.0):
-        return gridq_step(state, joint_action, dynamics_scale)
+    def step(self, state: GridQueueState, joint_action, dynamics_scale=1.0):
+        """Serve, forward and arrive one step. Returns (state, obs, per-agent
+        rewards (N,), global reward); E episodes of (E, N, 4) queues take
+        (E, N) phases and a float scale or an (E, 1, 1) array of per-episode
+        scales, and give (E, N) rewards and (E,) global rewards."""
+        phases = np.asarray(joint_action, dtype=int)
+        # a phase p is 0 or 1 exactly when p >> 1 is 0; the shift keeps a
+        # negative p negative
+        if phases.shape != state.queues.shape[:-1] or np.count_nonzero(phases >> 1):
+            raise ValueError(f"joint phases must be {state.queues.shape[:-1]} values in {{0, 1}}, "
+                             f"got {joint_action!r}")
+        serve = GRIDQ_SERVE * dynamics_scale
+        loaded = state.queues + state.arrivals
+        served = np.where(_PHASE_MASK[phases], np.minimum(loaded, serve), 0.0)
+        # Each slot gets one addition from its single source; adding a zero
+        # (an unserved source) leaves a nonnegative queue's bits as they are.
+        slots = served.reshape(served.shape[:-2] + (-1,))
+        inflow = slots[..., self._inflow].reshape(served.shape)
+        queues = (loaded - served) + GRIDQ_FORWARD_FRAC * inflow
+        new = GridQueueState(queues, phases, state.arrivals)
+        # one sum per intersection serves the reward and the neighbors' totals
+        totals = np.add.reduce(queues, axis=-1)
+        rewards = -totals
+        return new, self._obs(new, totals), rewards, _global_reward(rewards)
 
     def global_state(self, state: GridQueueState) -> np.ndarray:
         lead = state.queues.shape[:-2] + (-1,)
@@ -293,10 +244,8 @@ def make_env(cfg: ExperimentConfig):
 
 def _stack_states(states):
     """One state with a leading episode axis from per-episode states."""
-    first = states[0]
-    return replace(first, **{f.name: np.stack([getattr(s, f.name) for s in states])
-                             for f in fields(first)
-                             if isinstance(getattr(first, f.name), np.ndarray)})
+    return type(states[0])(*(np.stack([getattr(s, f.name) for s in states])
+                             for f in fields(states[0])))
 
 
 def episode_rng(seed: int) -> np.random.Generator:

@@ -52,6 +52,11 @@ def load_checkpoint(path) -> dict:
         if not isinstance(e["file"], str):
             raise ValueError(f"{path}: manifest net {name!r} 'file' is not a string: "
                              f"{e['file']!r}")
+        # a bare name in the checkpoint directory: an absolute path or one
+        # with a directory part would load a file from elsewhere
+        if e["file"] in ("", ".", "..") or Path(e["file"]).name != e["file"]:
+            raise ValueError(f"{path}: manifest net {name!r} 'file' is not a file name in "
+                             f"the checkpoint: {e['file']!r}")
         if not (isinstance(e["layer_dims"], list)
                 and all(type(d) is int for d in e["layer_dims"])):
             raise ValueError(f"{path}: manifest net {name!r} 'layer_dims' is not a list "

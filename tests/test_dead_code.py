@@ -1,7 +1,8 @@
 # Dead-code guard: every module-level function and class, and every method
 # but the dunder ones, must be loaded by some code in the package, and every
-# dataclass field read. An import alone does not count, so a function that
-# only tests call fails here and gets deleted rather than kept "for later".
+# dataclass field and function or method parameter read. An import alone
+# does not count, so a function that only tests call fails here and gets
+# deleted rather than kept "for later".
 # Layering guards beside it: importing the CLI leaves scipy unloaded,
 # training and evaluating leave numpy.ma unloaded, the trainer, the evaluator
 # and a coopnav rollout leave logging and the tabular lab unloaded, and
@@ -38,13 +39,13 @@ def _loaded_names(trees) -> set:
 
 
 def _definitions(tree):
-    """(qualified name, name) of each module-level function and class of tree
+    """(qualified name, node) of each module-level function and class of tree
     and of each method of its classes but the dunder ones."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{m.name}", m.name) for m in node.body
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
                         if isinstance(m, ast.FunctionDef)
                         and not (m.name.startswith("__") and m.name.endswith("__")))
 
@@ -53,8 +54,8 @@ def test_every_function_is_loaded_in_the_package():
     trees = _trees()
     loaded = _loaded_names(trees)
     unused = sorted(f"{module}:{qualname}"
-                    for module, tree in trees.items() for qualname, name in _definitions(tree)
-                    if name not in loaded and name not in ORACLES)
+                    for module, tree in trees.items() for qualname, node in _definitions(tree)
+                    if node.name not in loaded and node.name not in ORACLES)
     assert not unused, f"definitions that no code in the package loads: {unused}"
 
 
@@ -88,18 +89,20 @@ def test_every_dataclass_field_is_read():
 
 def test_every_parameter_is_read():
     # A parameter that its function's body never reads is an option that
-    # changes nothing: callers set it in vain.
+    # changes nothing: callers set it in vain. A method's first parameter
+    # (self or cls) is not checked.
     unread = []
     for module, tree in _trees().items():
-        for node in tree.body:
+        for qualname, node in _definitions(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             args = node.args
             params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                       args.vararg, args.kwarg) if a is not None]
+            params = params[1:] if "." in qualname else params
             read = {n.id for stmt in node.body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            unread += [f"{module}:{node.name}({p})" for p in params if p not in read]
+            unread += [f"{module}:{qualname}({p})" for p in params if p not in read]
     assert not unread, f"parameters that their function never reads: {unread}"
 
 

@@ -14,6 +14,7 @@ from ernie_lab.envs import (
     COOPNAV_DT,
     COOPNAV_VMAX,
     GRIDQ_FORWARD_FRAC,
+    GRIDQ_SERVE,
     PHASE_SERVES,
     _OPPOSITE,
     _neighbor,
@@ -22,12 +23,7 @@ from ernie_lab.envs import (
     GridQueueEnv,
     GridQueueState,
     PerturbSpec,
-    coopnav_obs_dim,
-    coopnav_reset,
-    coopnav_step,
     episode_rng,
-    gridq_reset,
-    gridq_step,
     malicious_injector,
     rollout,
 )
@@ -35,16 +31,16 @@ from ernie_lab.net import net_forward, net_init, stack_nets
 
 
 def test_coopnav_obs_dims():
-    assert coopnav_obs_dim(3) == 14
-    assert coopnav_obs_dim(1) == 6
-    _, obs = coopnav_reset(3, seed=0)
+    assert CoopNavEnv(3).obs_dim == 14
+    assert CoopNavEnv(1).obs_dim == 6
+    _, obs = CoopNavEnv(3).reset(seed=0)
     assert obs.shape == (3, 14)
-    _, obs1 = coopnav_reset(1, seed=0)
+    _, obs1 = CoopNavEnv(1).reset(seed=0)
     assert obs1.shape == (1, 6)
 
 
 def test_coopnav_reset_ranges():
-    state, _ = coopnav_reset(4, seed=5)
+    state, _ = CoopNavEnv(4).reset(seed=5)
     assert np.all(np.abs(state.pos) <= 1.0)
     assert np.all(state.vel == 0.0)
     assert np.all(np.abs(state.landmarks) <= 1.0)
@@ -54,7 +50,7 @@ def test_coopnav_step_kinematics_hand_check():
     # single agent at origin, zero vel, full-right action
     state = CoopNavState(pos=np.zeros((1, 2)), vel=np.zeros((1, 2)),
                          landmarks=np.array([[0.5, 0.0]]))
-    new, _, rewards, g = coopnav_step(state, np.array([[1.0, 0.0]]))
+    new, _, rewards, g = CoopNavEnv(1).step(state, np.array([[1.0, 0.0]]))
     assert np.allclose(new.vel, [[0.5, 0.0]])
     assert np.allclose(new.pos, [[0.05, 0.0]])
     # reward is minus the distance from the landmark to the nearest agent
@@ -66,7 +62,7 @@ def test_coopnav_collision_penalty():
     # two agents on top of each other, both on a shared landmark
     state = CoopNavState(pos=np.zeros((2, 2)), vel=np.zeros((2, 2)),
                          landmarks=np.zeros((2, 2)))
-    _, _, rewards, _ = coopnav_step(state, np.zeros((2, 2)))
+    _, _, rewards, _ = CoopNavEnv(2).step(state, np.zeros((2, 2)))
     assert rewards[0] == pytest.approx(-1.0)  # zero coverage cost, one collision
 
 
@@ -95,15 +91,16 @@ def test_gridq_serve_and_forward_oracle():
     # The served car must appear in the north neighbor's south queue.
     queues = np.zeros((4, 4))
     queues[0, 0] = 1.0  # DIR_N
+    env = GridQueueEnv(2, 2)
     state = GridQueueState(queues=queues, phases=np.zeros(4, dtype=int),
-                           arrivals=np.zeros((4, 4)), serve=1.0, rows=2, cols=2)
-    new, _, rewards, _ = gridq_step(state, np.zeros(4, dtype=int))
+                           arrivals=np.zeros((4, 4)))
+    new, _, rewards, _ = env.step(state, np.zeros(4, dtype=int))
     assert new.queues[0, 0] == 0.0
     # cell (1,0) south queue on the 2x2 torus gets the forwarded fraction
     assert new.queues[2, 1] == 0.5
     assert rewards.sum() == pytest.approx(-0.5)
     # serving E/W instead leaves the car in place
-    new2, _, _, _ = gridq_step(state, np.ones(4, dtype=int))
+    new2, _, _, _ = env.step(state, np.ones(4, dtype=int))
     assert new2.queues[0, 0] == 1.0
 
 
@@ -111,19 +108,20 @@ def test_gridq_serve_capacity_scales_with_dynamics():
     queues = np.zeros((4, 4))
     queues[0, 0] = 2.0
     state = GridQueueState(queues=queues, phases=np.zeros(4, dtype=int),
-                           arrivals=np.zeros((4, 4)), serve=1.0, rows=2, cols=2)
-    new, _, _, _ = gridq_step(state, np.zeros(4, dtype=int), dynamics_scale=0.5)
+                           arrivals=np.zeros((4, 4)))
+    new, _, _, _ = GridQueueEnv(2, 2).step(state, np.zeros(4, dtype=int), dynamics_scale=0.5)
     assert new.queues[0, 0] == pytest.approx(1.5)
 
 
 def test_gridq_mass_conserved_without_arrivals_or_service():
-    rng = np.random.default_rng(4)
+    # dynamics scale 0 serves GRIDQ_SERVE * 0.0 = 0.0 cars per step
+    env, rng = GridQueueEnv(2, 2), np.random.default_rng(4)
     state = GridQueueState(queues=rng.uniform(0, 3, size=(4, 4)),
                            phases=np.zeros(4, dtype=int),
-                           arrivals=np.zeros((4, 4)), serve=0.0, rows=2, cols=2)
+                           arrivals=np.zeros((4, 4)))
     total = state.queues.sum()
     for t in range(10):
-        state, _, _, _ = gridq_step(state, rng.integers(0, 2, size=4))
+        state, _, _, _ = env.step(state, rng.integers(0, 2, size=4), dynamics_scale=0.0)
         assert state.queues.sum() == pytest.approx(total)
 
 
@@ -147,11 +145,11 @@ def test_gridq_service_drains_mass_and_policy_matters():
     assert r_serve > r_idle
 
 
-def _gridq_step_loop(state, phases, dynamics_scale):
+def _gridq_step_loop(env, state, phases, dynamics_scale):
     # Reference: the per-agent, per-direction loop the vectorized step
     # replaced; returns (queues, rewards).
     n = state.queues.shape[0]
-    serve = state.serve * dynamics_scale
+    serve = GRIDQ_SERVE * dynamics_scale
     loaded = state.queues + state.arrivals
     served = np.zeros_like(loaded)
     for i in range(n):
@@ -161,7 +159,7 @@ def _gridq_step_loop(state, phases, dynamics_scale):
     for i in range(n):
         for d in range(4):
             if served[i, d] > 0.0:
-                queues[_neighbor(i, d, state.rows, state.cols),
+                queues[_neighbor(i, d, env.rows, env.cols),
                        _OPPOSITE[d]] += GRIDQ_FORWARD_FRAC * served[i, d]
     return queues, -queues.sum(axis=1)
 
@@ -175,28 +173,30 @@ def test_gridq_step_matches_loop_bit_for_bit(rows, cols, data, scale, log_q):
     rng = np.random.default_rng(seed)
     queues = 10.0 ** log_q * rng.uniform(0.0, 1.0, size=(n, 4))
     queues[rng.uniform(size=(n, 4)) < 0.2] = 0.0
+    env = GridQueueEnv(rows, cols)
     state = GridQueueState(queues=queues, phases=np.zeros(n, dtype=int),
-                           arrivals=rng.uniform(0.0, 0.35, size=(n, 4)) * (seed % 3 > 0),
-                           serve=1.0, rows=rows, cols=cols)
+                           arrivals=rng.uniform(0.0, 0.35, size=(n, 4)) * (seed % 3 > 0))
     phases = rng.integers(0, 2, size=n)
-    new, obs, rewards, g = gridq_step(state, phases, scale)
-    want_q, want_r = _gridq_step_loop(state, phases, scale)
+    new, obs, rewards, g = env.step(state, phases, scale)
+    want_q, want_r = _gridq_step_loop(env, state, phases, scale)
     assert new.queues.tobytes() == want_q.tobytes()
     assert rewards.tobytes() == want_r.tobytes()
     assert g == float(want_r.mean())
 
 
 def test_gridq_step_rejects_bad_phases():
-    state, _ = gridq_reset(2, 2, seed=0)
+    env = GridQueueEnv(2, 2)
+    state, _ = env.reset(seed=0)
     for bad in ([0, 1, 2, 0], [0, -1, 0, 0], [0, 1, 0]):
         with pytest.raises(ValueError):
-            gridq_step(state, np.array(bad))
+            env.step(state, np.array(bad))
 
 
-def _gridq_obs_reference(state):
+def _gridq_obs_reference(env, state):
     # Reference: the observation with its former gathered (..., N, 4, 4)
     # neighbor block, summed again, and concatenate
-    table = envs_mod._neighbor_table(state.rows, state.cols)
+    table = np.array([[_neighbor(i, d, env.rows, env.cols) for d in range(4)]
+                      for i in range(env.n_agents)])
     neighbor_sums = state.queues[..., table, :].sum(axis=-1)
     return np.concatenate([state.queues, neighbor_sums, state.phases[..., None]], axis=-1)
 
@@ -214,25 +214,25 @@ def test_gridq_step_and_obs_match_their_former_formulas_bit_for_bit(grid, episod
     lead = (episodes,) if episodes else ()
     queues = 10.0 ** log_q * rng.uniform(0.0, 1.0, size=lead + (n, 4))
     queues[rng.uniform(size=queues.shape) < 0.2] = 0.0
+    env = GridQueueEnv(rows, cols)
     state = GridQueueState(queues=queues, phases=rng.integers(0, 2, size=lead + (n,)),
-                           arrivals=rng.uniform(0.0, 0.35, size=lead + (n, 4)),
-                           serve=1.0, rows=rows, cols=cols)
-    assert envs_mod._gridq_obs(state).tobytes() == _gridq_obs_reference(state).tobytes()
+                           arrivals=rng.uniform(0.0, 0.35, size=lead + (n, 4)))
+    assert env._obs(state).tobytes() == _gridq_obs_reference(env, state).tobytes()
     if episodes and data.draw(st.booleans()):
         scale = rng.choice([0.5, 1.0, 1.25], size=(episodes, 1, 1))
     else:
         scale = data.draw(st.sampled_from([0.5, 1.0, 1.25]))
     phases = rng.integers(0, 2, size=lead + (n,))
-    new, obs, rewards, g = gridq_step(state, phases, scale)
+    new, obs, rewards, g = env.step(state, phases, scale)
     want_rewards = -new.queues.sum(-1)
-    assert obs.tobytes() == _gridq_obs_reference(new).tobytes()
+    assert obs.tobytes() == _gridq_obs_reference(env, new).tobytes()
     assert rewards.tobytes() == want_rewards.tobytes()
     assert np.asarray(g).tobytes() == want_rewards.mean(axis=-1).tobytes()
     for bad in (-1, 2):
         wrong = phases.copy()
         wrong.flat[rng.integers(wrong.size)] = bad
         with pytest.raises(ValueError, match="joint phases must be"):
-            gridq_step(state, wrong, scale)
+            env.step(state, wrong, scale)
 
 
 def test_gridq_reward_is_negative_queue_mass():
@@ -592,19 +592,20 @@ def test_batched_coopnav_step_equals_single_calls(n, episodes, data, scale):
                 pos[e, :2] = _THRESHOLD_PAIRS[k]
                 vel[e, :2] = act[e, :2] = 0.0
     lm = rng.uniform(-1.0, 1.0, size=(episodes, n, 2))
+    env = CoopNavEnv(n)
     batch = CoopNavState(pos, vel, lm)
-    new, obs, rewards, g = coopnav_step(batch, act, scale)
+    new, obs, rewards, g = env.step(batch, act, scale)
     assert rewards.shape == (episodes, n) and g.shape == (episodes,)
     for e in range(episodes):
         one = CoopNavState(pos[e], vel[e], lm[e])
-        n1, o1, r1, g1 = coopnav_step(one, act[e], scale)
+        n1, o1, r1, g1 = env.step(one, act[e], scale)
         assert new.pos[e].tobytes() == n1.pos.tobytes()
         assert new.vel[e].tobytes() == n1.vel.tobytes()
         assert obs[e].tobytes() == o1.tobytes()
         assert rewards[e].tobytes() == r1.tobytes() == _coopnav_rewards_loop(n1).tobytes()
         assert g[e] == g1 == float(r1.mean())
-    assert CoopNavEnv(n).global_state(new).tobytes() == np.stack(
-        [CoopNavEnv(n).global_state(CoopNavState(new.pos[e], new.vel[e], lm[e]))
+    assert env.global_state(new).tobytes() == np.stack(
+        [env.global_state(CoopNavState(new.pos[e], new.vel[e], lm[e]))
          for e in range(episodes)]).tobytes()
 
 
@@ -614,14 +615,14 @@ def test_batched_coopnav_step_equals_single_calls(n, episodes, data, scale):
 def test_batched_gridq_step_equals_single_calls(rows, cols, episodes, data, scale):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     env = GridQueueEnv(rows, cols)
-    ones = [gridq_reset(rows, cols, int(s))[0] for s in rng.integers(2 ** 31, size=episodes)]
+    ones = [env.reset(int(s))[0] for s in rng.integers(2 ** 31, size=episodes)]
     batch = envs_mod._stack_states(ones)
     phases = rng.integers(0, 2, size=(episodes, env.n_agents))
-    new, obs, rewards, g = gridq_step(batch, phases, scale)
+    new, obs, rewards, g = env.step(batch, phases, scale)
     assert rewards.shape == (episodes, env.n_agents) and g.shape == (episodes,)
     singles = []
     for e in range(episodes):
-        n1, o1, r1, g1 = gridq_step(ones[e], phases[e], scale)
+        n1, o1, r1, g1 = env.step(ones[e], phases[e], scale)
         assert new.queues[e].tobytes() == n1.queues.tobytes()
         assert obs[e].tobytes() == o1.tobytes()
         assert rewards[e].tobytes() == r1.tobytes()
@@ -629,7 +630,7 @@ def test_batched_gridq_step_equals_single_calls(rows, cols, episodes, data, scal
         singles.append(env.global_state(n1))
     assert env.global_state(new).tobytes() == np.stack(singles).tobytes()
     with pytest.raises(ValueError):
-        gridq_step(batch, phases[:, :-1], scale)
+        env.step(batch, phases[:, :-1], scale)
 
 
 def _coopnav_obs_reference(pos, vel, landmarks):
@@ -686,7 +687,7 @@ def test_coopnav_step_matches_its_former_arithmetic_bit_for_bit(n, episodes, dat
                 flat_vel[e, :2] = flat_act[e, :2] = 0.0
     lm = rng.uniform(-1.0, 1.0, size=lead + (n, 2))
     state = CoopNavState(pos, vel, lm)
-    new, obs, rewards, g = coopnav_step(state, act, scale)
+    new, obs, rewards, g = CoopNavEnv(n).step(state, act, scale)
     for got, want in zip((new.pos, new.vel, obs, rewards, g),
                          _coopnav_step_reference(state, act, scale)):
         assert np.shape(got) == want.shape
@@ -699,7 +700,7 @@ def test_coopnav_step_clip_keeps_signed_zero_and_nan():
     state = CoopNavState(pos=np.zeros((2, 2)), vel=np.array([[-0.0, 0.2], [0.0, 0.0]]),
                          landmarks=np.ones((2, 2)))
     act = np.array([[-0.0, np.nan], [-0.0, 0.5]])
-    new, obs, _, _ = coopnav_step(state, act)
+    new, obs, _, _ = CoopNavEnv(2).step(state, act)
     want_pos, want_vel, want_obs, _, _ = _coopnav_step_reference(state, act, 1.0)
     assert np.signbit(new.vel[0, 0]) and np.isnan(new.vel[0, 1])
     assert new.vel.tobytes() == want_vel.tobytes()
@@ -709,6 +710,6 @@ def test_coopnav_step_clip_keeps_signed_zero_and_nan():
 
 def test_coopnav_reset_obs_matches_its_former_layout():
     for n in (1, 2, 3, 5):
-        state, obs = coopnav_reset(n, seed=n)
+        state, obs = CoopNavEnv(n).reset(seed=n)
         want = _coopnav_obs_reference(state.pos, state.vel, state.landmarks)
         assert obs.tobytes() == want.tobytes()

@@ -1,4 +1,4 @@
-# The declared dependency floor: envs.coopnav_step (the collision test) and
+# The declared dependency floor: envs.CoopNavEnv.step (the collision test) and
 # advreg.sample_ball (every attack start) call np.vecdot, new in NumPy 2.0.
 # requires-python is 3.10, which has no tomllib, so the floor is read by regex.
 import re

@@ -357,16 +357,19 @@ def test_checkpoint_with_unknown_algo_rejected(algo, tmp_path, capsys):
 
 @pytest.mark.parametrize("drop", ["env", "nets", "file", "layer_dims", "activation", None,
                                   "nets_list", "truncated", "file_int", "layer_dims_int",
-                                  "activation_list", "layer_dims_short"],
+                                  "activation_list", "layer_dims_short", "file_abs",
+                                  "file_up", "file_sub"],
                          ids=["env", "nets", "file", "layer_dims", "activation", "not_object",
                               "nets_not_object", "truncated", "file_not_string",
                               "layer_dims_not_list", "activation_not_a_name",
-                              "layer_dims_one_width"])
+                              "layer_dims_one_width", "file_absolute", "file_in_parent_dir",
+                              "file_in_subdir"])
 def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     # A manifest that is not JSON, not a JSON object, that lacks a key the
-    # loader reads or gives one a value of the wrong type, is a bad
-    # checkpoint (exit 2), not a crash (exit 1) or an I/O error (exit 4),
-    # and the message names the checkpoint, and the net when one is bad.
+    # loader reads or gives one a value of the wrong type, or names a net
+    # file outside the checkpoint directory, is a bad checkpoint (exit 2),
+    # not a crash (exit 1) or an I/O error (exit 4), and the message names
+    # the checkpoint, and the net when one is bad.
     cfg_doc = _ddpg_doc(train_steps=2, warmup=1, batch=2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_doc))
@@ -392,6 +395,14 @@ def test_checkpoint_with_malformed_manifest_rejected(drop, tmp_path, capsys):
     elif drop == "layer_dims_short":
         manifest["nets"]["actor"]["layer_dims"] = [14]
         msg = "manifest net 'actor': layer_dims needs at least an input and an output width"
+    elif drop.startswith("file_"):
+        # a valid copy of the actor's weights sits where the entry points
+        name = {"file_abs": str(tmp_path / "elsewhere" / "stolen.npy"),
+                "file_up": "../stolen.npy", "file_sub": "sub/x.npy"}[drop]
+        (ck / name).parent.mkdir(exist_ok=True)
+        shutil.copyfile(ck / manifest["nets"]["actor"]["file"], ck / name)
+        manifest["nets"]["actor"]["file"] = name
+        msg = f"manifest net 'actor' 'file' is not a file name in the checkpoint: {name!r}"
     elif drop in manifest:
         del manifest[drop]
         msg = f"manifest.json has no {drop!r} key"
