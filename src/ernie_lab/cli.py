@@ -10,8 +10,7 @@ import sys
 from pathlib import Path
 
 from .certify import run_certification
-from .config import (ConfigError, ExperimentConfig, count_rule, echo_config, load_config,
-                     resolve_config)
+from .config import ConfigError, count_rule, echo_config, load_config, resolve_config
 from .evaluate import evaluate_checkpoint
 from .gradcheck import run_gradcheck
 from .train import train_run
@@ -22,7 +21,7 @@ EXIT_CHECK = 3
 EXIT_IO = 4
 
 
-def _out_dir(cli_out: str | None, cfg: ExperimentConfig | None) -> Path:
+def _out_dir(cli_out: str | None, cfg: dict | None) -> Path:
     env_out = os.environ.get("ERNIE_LAB_OUT")
     if cli_out:
         return Path(cli_out)
@@ -33,12 +32,10 @@ def _out_dir(cli_out: str | None, cfg: ExperimentConfig | None) -> Path:
     return Path("runs")
 
 
-def _load(path: str, seed_override: int | None = None) -> ExperimentConfig:
+def _load(path: str, seed_override: int | None = None) -> dict:
     cfg = load_config(path)
     if seed_override is not None:
-        raw = dict(cfg.raw)
-        raw["seeds"] = [seed_override]
-        cfg = resolve_config(raw)
+        cfg = resolve_config(dict(cfg, seeds=[seed_override]))
     return cfg
 
 

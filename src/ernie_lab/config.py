@@ -1,12 +1,12 @@
 # Experiment configuration: one table declares each leaf's default and rule;
 # JSON in, each value checked against its leaf's rule, defaults filled,
-# cross-field validation.
+# cross-field validation; out comes the plain nested dict of every leaf, whose
+# text is config_json.
 from __future__ import annotations
 
 import copy
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .advreg import METRICS, NORMS
@@ -152,37 +152,10 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     return out
 
 
-@dataclass
-class ExperimentConfig:
-    raw: dict = field(repr=False)
-
-    def __getitem__(self, key):
-        return self.raw[key]
-
-    @property
-    def algo(self):
-        return self.raw["algo"]
-
-    @property
-    def env(self):
-        return self.raw["env"]
-
-    @property
-    def seeds(self):
-        return list(self.raw["seeds"])
-
-    @property
-    def n_agents(self):
-        return self.raw["n_agents"]
-
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-
-def resolve_config(user: dict) -> ExperimentConfig:
-    """DEFAULTS overlaid with user, each value it sets checked against its
-    leaf's rule in RULES (DEFAULTS' own values pass theirs), then the rules
-    that tie leaves together."""
+def resolve_config(user: dict) -> dict:
+    """The nested dict of every leaf: DEFAULTS overlaid with user, each value
+    it sets checked against its leaf's rule in RULES (DEFAULTS' own values pass
+    theirs), then the rules that tie leaves together."""
     raw = _merge(DEFAULTS, user)
     if raw["n_agents"] is None:
         raw["n_agents"] = _ENV_DEFAULT_AGENTS[raw["env"]]
@@ -222,10 +195,10 @@ def resolve_config(user: dict) -> ExperimentConfig:
         raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
                           "replaces discrete actions only, so continuous actions "
                           "would never be replaced")
-    return ExperimentConfig(raw=raw)
+    return raw
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
@@ -240,9 +213,14 @@ def load_config(path) -> ExperimentConfig:
     return resolve_config(user)
 
 
-def echo_config(cfg: ExperimentConfig, out_dir) -> Path:
+def config_json(cfg: dict) -> str:
+    """A resolved config's text: config.resolved.json, and what run.json hashes."""
+    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+
+
+def echo_config(cfg: dict, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "config.resolved.json"
-    target.write_text(cfg.to_json())
+    target.write_text(config_json(cfg))
     return target

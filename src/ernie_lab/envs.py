@@ -11,8 +11,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig
-
 COOPNAV_DT = 0.1
 COOPNAV_VMAX = 1.0
 COOPNAV_BOUND = 1.5
@@ -230,12 +228,12 @@ class GridQueueEnv:
                               axis=-1)
 
 
-def make_env(cfg: ExperimentConfig):
+def make_env(cfg: dict):
     """The environment of a resolved config; gridq's n_agents is a square."""
-    if cfg.env == "gridq":
-        side = int(round(cfg.n_agents ** 0.5))
+    if cfg["env"] == "gridq":
+        side = int(round(cfg["n_agents"] ** 0.5))
         return GridQueueEnv(side, side)
-    return CoopNavEnv(cfg.n_agents)
+    return CoopNavEnv(cfg["n_agents"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .algos import NET_NAMES, select_action_continuous, select_action_discrete
-from .config import ExperimentConfig
 from .envs import PerturbSpec, make_env, rollout
 from .net import load_net
 
@@ -83,7 +82,7 @@ def build_policy(ckpt: dict):
     return lambda obs: select_action_continuous(policy, obs, 0.0, None)
 
 
-def sweep_specs(cfg: ExperimentConfig) -> list[PerturbSpec]:
+def sweep_specs(cfg: dict) -> list[PerturbSpec]:
     ev = cfg["eval"]
     specs = [PerturbSpec(obs_noise_sigma=float(s))
              for s in sorted(ev["obs_noise_sigmas"])]
@@ -133,17 +132,16 @@ def _percentile(x, q: float) -> float:
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
-def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path, out_dir,
-                        base_seed: int = 0) -> dict:
+def evaluate_checkpoint(cfg: dict, checkpoint_path, out_dir, base_seed: int = 0) -> dict:
     ckpt = load_checkpoint(checkpoint_path)
-    if ckpt["manifest"]["env"] != cfg.env:
+    if ckpt["manifest"]["env"] != cfg["env"]:
         raise ValueError(f"checkpoint env {ckpt['manifest']['env']!r} "
-                         f"does not match config env {cfg.env!r}")
+                         f"does not match config env {cfg['env']!r}")
     env = make_env(cfg)
     n_agents = ckpt["nets"][NET_NAMES[ckpt["manifest"]["algo"]][0]].theta.shape[0]
     if n_agents != env.n_agents:
         raise ValueError(f"checkpoint has {n_agents} agents, "
-                         f"config env {cfg.env!r} has {env.n_agents}")
+                         f"config env {cfg['env']!r} has {env.n_agents}")
     act_fn = build_policy(ckpt)
     episodes = int(cfg["eval"]["episodes"])
 

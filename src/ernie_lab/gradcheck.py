@@ -8,8 +8,8 @@ import numpy as np
 from .advreg import (METRICS, AttackConfig, _ascent, _init_delta, _joint_grad_dir,
                      reg_value_and_grads, stackelberg_grad)
 from .meanfield import cloud_attack, w_distance
-from .net import (Net, _forward_cached, hvp, net_forward, net_grads, net_init, n_params,
-                  net_vjp, vector_to_net)
+from .net import (Net, _forward_cached, hvp, net_forward, net_grads, net_init, net_vjp,
+                  vector_to_net)
 
 GRAD_TOL = 1e-4
 JOINT_HVP_TOL = 1e-6
@@ -50,7 +50,7 @@ def _random_small_net(rng: np.random.Generator, activation: str,
         d_out = int(rng.integers(1, 5))
         dims = [d_in, width, d_out]
         net = net_init(dims, activation=activation, seed=int(rng.integers(2 ** 31)))
-        if n_params(net) <= max_params:
+        if net.theta.size <= max_params:
             return net
 
 

@@ -94,10 +94,6 @@ def gen_smooth_mdp(n_states, n_actions, l_r, l_p, gamma, seed, d=2) -> TabularMd
     """
     if n_states < 1 or n_actions < 1:
         raise ValueError("n_states and n_actions must be >= 1")
-    if l_r < 0 or l_p < 0:
-        raise ValueError("Lipschitz constants must be >= 0")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if not 1 <= d <= 3:
         raise ValueError(f"embedding dimension must be in [1,3], got {d}")
     rng = np.random.default_rng(seed)

@@ -295,10 +295,6 @@ def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both") -> GradBu
     return GradBundle(grad, dz if wrt != "theta" else None)
 
 
-def n_params(net: Net) -> int:
-    return net.theta.size
-
-
 def vector_to_net(template: Net, vec: np.ndarray) -> Net:
     """A net shaped like template with a copy of vec as its parameters."""
     vec = np.array(vec, dtype=float)

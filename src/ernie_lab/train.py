@@ -27,10 +27,10 @@ from .advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_g
 from .algos import (NET_NAMES, Agents, GlobalQ, _joint_onehot, apply_grad,
                     ddpg_updates, qcombo_losses, select_action_continuous,
                     select_action_discrete, soft_update, trainable)
-from .config import ExperimentConfig
+from .config import config_json
 from .envs import make_env
 from .meanfield import CLOUD_JITTER, cloud_attack
-from .net import n_params, net_init, net_vjp, save_net, stack_nets
+from .net import net_init, net_vjp, save_net, stack_nets
 from .replay import ReplayBuffer, stack_batch
 
 QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
@@ -57,7 +57,7 @@ def _net_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(2 ** 31, size=count)]
 
 
-def build_agents(cfg: ExperimentConfig, env, seed: int) -> tuple[Agents, dict]:
+def build_agents(cfg: dict, env, seed: int) -> tuple[Agents, dict]:
     """The policy agent stack and the central net, each target starting as a
     copy of its net, and the four nets' parameter buffers by Agents field
     name: each net is a read-only view of its own buffer (algos.trainable),
@@ -75,7 +75,7 @@ def build_agents(cfg: ExperimentConfig, env, seed: int) -> tuple[Agents, dict]:
     return Agents(**nets), bufs
 
 
-def _attack_config(cfg: ExperimentConfig) -> AttackConfig:
+def _attack_config(cfg: dict) -> AttackConfig:
     e = cfg["ernie"]
     return AttackConfig(epsilon=float(e["epsilon"]), k_steps=int(e["k_steps"]),
                         eta=e["eta"], norm=e["norm"], metric=e["metric"])
@@ -121,7 +121,7 @@ def _action_regularizer_grad(agents: Agents, batch: dict, k: int, rows: int):
     res = greedy_action_attack(GlobalQ(glob, n_actions), states, actions, k)
     keep = np.flatnonzero((res.perturbed != actions).any(axis=1))
     if not keep.size:
-        return 0.0, np.zeros(n_params(glob)), 0
+        return 0.0, np.zeros(glob.theta.size), 0
     xc = np.concatenate([states[keep], _joint_onehot(actions[keep], n_actions)], axis=1)
     xa = np.concatenate([states[keep], _joint_onehot(res.perturbed[keep], n_actions)],
                         axis=1)
@@ -159,10 +159,10 @@ def _versions() -> dict:
             "python": platform.python_version(), "scipy": mod.version}
 
 
-def _write_run_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
+def _write_run_manifest(out_dir: Path, cfg: dict) -> None:
     """run.json: package versions and the resolved config's SHA-256. It
     holds no wall-clock time, so a rerun writes it byte-identical."""
-    doc = {"config_sha256": hashlib.sha256(cfg.to_json().encode()).hexdigest(),
+    doc = {"config_sha256": hashlib.sha256(config_json(cfg).encode()).hexdigest(),
            "versions": _versions()}
     (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -251,11 +251,11 @@ class _Learner:
     columns: Callable       # (losses, regularizer value) -> the four loss columns
 
 
-def _learner(cfg: ExperimentConfig, steps: int) -> _Learner:
+def _learner(cfg: dict, steps: int) -> _Learner:
     # The closures, like train_seed's regularizer calls, look the functions
     # up by name when called, so that wrapping them in this module (tracing,
     # tests) takes effect.
-    if cfg.algo == "qcombo":
+    if cfg["algo"] == "qcombo":
         return _Learner(
             QCOMBO_HEADER,
             lambda policy, obs, t, rng: select_action_discrete(
@@ -275,18 +275,18 @@ def _learner(cfg: ExperimentConfig, steps: int) -> _Learner:
                                  losses["critic"] + reg_val))
 
 
-def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
+def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
     env = make_env(cfg)
     agents, bufs = build_agents(cfg, env, seed)
     steps = int(cfg["train_steps"])
     learner = _learner(cfg, steps)
-    policy_name, central_name = NET_NAMES[cfg.algo]
+    policy_name, central_name = NET_NAMES[cfg["algo"]]
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
     buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
     metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
     _write_run_manifest(out_dir, cfg)
-    meta = {"algo": cfg.algo, "env": cfg.env, "seed": seed}
+    meta = {"algo": cfg["algo"], "env": cfg["env"], "seed": seed}
     # The nets are never rebound: the updates write their buffers in place.
     nets = {policy_name: agents.policy, central_name: agents.central}
     _save_checkpoint(out_dir, 0, nets, meta)
@@ -371,6 +371,6 @@ def train_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict:
     return {"out_dir": str(out_dir), "final_checkpoint": str(out_dir / f"ckpt_{steps:06d}")}
 
 
-def train_run(cfg: ExperimentConfig, out_root) -> list[dict]:
+def train_run(cfg: dict, out_root) -> list[dict]:
     out_root = Path(out_root)
-    return [train_seed(cfg, int(seed), out_root / f"seed_{seed}") for seed in cfg.seeds]
+    return [train_seed(cfg, int(seed), out_root / f"seed_{seed}") for seed in cfg["seeds"]]

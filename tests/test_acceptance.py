@@ -3,7 +3,6 @@
 # their independent seed runs over up to two worker processes. Everything else
 # completes in a couple of minutes.
 import itertools
-import json
 import multiprocessing
 import os
 import time

@@ -11,7 +11,7 @@ from ernie_lab.config import (
     DEFAULTS,
     RULES,
     ConfigError,
-    ExperimentConfig,
+    config_json,
     echo_config,
     load_config,
     resolve_config,
@@ -23,17 +23,17 @@ from ernie_lab.train import train_run
 
 def test_empty_doc_resolves_to_defaults():
     cfg = resolve_config({})
-    assert cfg.algo == "qcombo"
-    assert cfg.env == "gridq"
-    assert cfg.n_agents == 4
-    assert cfg.seeds == [0]
+    assert cfg["algo"] == "qcombo"
+    assert cfg["env"] == "gridq"
+    assert cfg["n_agents"] == 4
+    assert cfg["seeds"] == [0]
     assert cfg["ernie"]["enabled"] is False
     assert cfg["gamma"] == 0.95
 
 
 def test_coopnav_default_agents():
     cfg = resolve_config({"algo": "ddpg", "env": "coopnav"})
-    assert cfg.n_agents == 3
+    assert cfg["n_agents"] == 3
 
 
 def test_algo_env_compatibility():
@@ -82,7 +82,7 @@ def test_gridq_agents_must_be_square():
     with pytest.raises(ConfigError):
         resolve_config({"n_agents": 5})
     cfg = resolve_config({"n_agents": 9})
-    assert cfg.n_agents == 9
+    assert cfg["n_agents"] == 9
 
 
 def test_start_frac_range_checked():
@@ -148,7 +148,7 @@ def test_section_must_be_object(doc, section):
 def test_resolved_defaults_keep_their_bytes(doc, digest):
     # run.json records the SHA-256 of config.resolved.json, so a dropped leaf
     # or a changed default would change the bytes of every run's outputs.
-    assert hashlib.sha256(resolve_config(doc).to_json().encode()).hexdigest() == digest
+    assert hashlib.sha256(config_json(resolve_config(doc)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -167,8 +167,8 @@ def test_resolved_config_round_trips(tmp_path):
                           "ernie": {"enabled": True, "epsilon": 0.3}})
     path = echo_config(cfg, tmp_path)
     again = load_config(path)
-    assert again.raw == cfg.raw
-    assert again.to_json() == cfg.to_json()
+    assert again == cfg
+    assert config_json(again) == config_json(cfg)
 
 
 def test_load_config_errors(tmp_path):
@@ -445,7 +445,7 @@ def test_every_default_leaf_is_read(tmp_path, monkeypatch):
     ]
     seen = set()
     for i, doc in enumerate(docs):
-        cfg = ExperimentConfig(raw=_Recorder(resolve_config(doc).raw, seen))
+        cfg = _Recorder(resolve_config(doc), seen)
         run = train_run(cfg, tmp_path / f"train{i}")[0]
         evaluate_checkpoint(cfg, run["final_checkpoint"], tmp_path / f"eval{i}")
         _out_dir(None, cfg)

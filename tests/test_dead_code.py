@@ -2,18 +2,21 @@
 # but the dunder ones, must be loaded by some code in the package, and every
 # dataclass field and function or method parameter read. An import alone
 # does not count, so a function that only tests call fails here and gets
-# deleted rather than kept "for later".
+# deleted rather than kept "for later". Every name a module of the package,
+# the tests or the tools imports must be read in that module.
 # Layering guards beside it: importing the CLI leaves scipy unloaded,
 # training and evaluating leave numpy.ma unloaded, the trainer, the evaluator
-# and a coopnav rollout leave logging and the tabular lab unloaded, and
-# evaluate imports nothing from the trainer.
+# and a coopnav rollout leave logging and the tabular lab unloaded, evaluate
+# imports nothing from the trainer, and the envs and evaluate import nothing
+# from the config.
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ernie_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ernie_lab"
 
 # Oracles the acceptance suite holds the package's fast paths to: the brute
 # force behind the greedy action attack (criterion 5). The transport distance
@@ -106,6 +109,27 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters that their function never reads: {unread}"
 
 
+def test_every_import_is_read():
+    # An import that its module never reads is a stale one: a refactor moved
+    # the last use away and left the import behind.
+    unread = []
+    for path in sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "tools")
+                       for p in d.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno}:{name}"
+                       for name in names if name not in read]
+    assert not unread, f"imports that their module never reads: {unread}"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # train._versions reads scipy's version without importing scipy, whose
     # import would dwarf a short run's setup time and peak RSS; the CLI's
@@ -177,3 +201,12 @@ def test_evaluate_does_not_import_the_trainer():
     for src in ("from .train import make_env", "from . import train",
                 "import ernie_lab.train"):
         assert set(_imported_modules(ast.parse(src))) & {"train", "ernie_lab.train"}
+
+
+def test_envs_and_evaluate_do_not_import_the_config():
+    # A resolved config is a plain dict, so the envs and the evaluator read
+    # its leaves by key and depend on no config module.
+    trees = _trees()
+    for module in ("envs.py", "evaluate.py"):
+        mods = _imported_modules(trees[module])
+        assert not [m for m in mods if m in ("config", "ernie_lab.config")], (module, mods)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ernie_lab.net import (WRT, Net, _act_grad_from_output, _backward, _forward_cached,
-                           hvp, layer_views, load_net, n_params, net_forward, net_grads,
-                           net_init, net_vjp, save_net, stack_nets, vector_to_net)
+                           hvp, layer_views, load_net, net_forward, net_grads, net_init,
+                           net_vjp, save_net, stack_nets, vector_to_net)
 
 
 def test_init_deterministic():
@@ -35,7 +35,7 @@ def test_init_weight_range():
 
 def test_forward_zero_params():
     net = net_init([3, 4, 2], seed=1)
-    zero = vector_to_net(net, np.zeros(n_params(net)))
+    zero = vector_to_net(net, np.zeros(net.theta.size))
     assert np.array_equal(net_forward(zero, np.ones(3)), np.zeros(2))
 
 
@@ -377,7 +377,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert not loaded.theta.flags.writeable
     # a bare .npy vector: header plus 8 bytes per parameter, readable by numpy
     assert np.array_equal(np.load(path), net.theta)
-    assert path.stat().st_size == 128 + 8 * n_params(net)
+    assert path.stat().st_size == 128 + 8 * net.theta.size
     # written to exactly the given path, also without an .npy suffix
     save_net(net, tmp_path / "plain")
     assert (tmp_path / "plain").read_bytes() == path.read_bytes()
@@ -391,7 +391,7 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     np.save(bad, nan)
     with pytest.raises(ValueError, match="non-finite"):
         load_net(bad, [2, 2], "relu")
-    np.save(bad, np.ones(n_params(net) + 1))
+    np.save(bad, np.ones(net.theta.size + 1))
     with pytest.raises(ValueError, match="parameters"):
         load_net(bad, [2, 2], "relu")
     np.save(bad, net.theta.astype(np.float32))

@@ -20,7 +20,7 @@ from ernie_lab.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
 from ernie_lab.advreg import AttackConfig, pgd_attack, reg_value_and_grads, stackelberg_grad
 from ernie_lab.algos import (NET_NAMES, Agents, select_action_continuous, select_action_discrete,
                              trainable)
-from ernie_lab.config import resolve_config
+from ernie_lab.config import config_json, resolve_config
 import ernie_lab.evaluate as evaluate_mod
 from ernie_lab.envs import PerturbSpec, make_env, rollout
 from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_specs,
@@ -73,7 +73,7 @@ def test_run_manifest_names_versions_and_config(tmp_path):
     cfg = resolve_config(_ddpg_doc(train_steps=0))
     run_dir = Path(train_run(cfg, tmp_path)[0]["out_dir"])
     doc = json.loads((run_dir / "run.json").read_text())
-    assert doc == {"config_sha256": hashlib.sha256(cfg.to_json().encode()).hexdigest(),
+    assert doc == {"config_sha256": hashlib.sha256(config_json(cfg).encode()).hexdigest(),
                    "versions": {"ernie-lab": ernie_lab.__version__,
                                 "numpy": np.__version__,
                                 "python": platform.python_version(),
@@ -501,8 +501,8 @@ def test_lockstep_evaluation_matches_lone_episodes(doc_fn, spec, tmp_path):
     alone = [rollout(env, act, env.episode_len, [spec], [s])[0] for s in seeds]
     assert rets.tobytes() == np.array(alone).tobytes()
     obs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, env.n_agents, env.obs_dim))
-    policy = ckpt["nets"][NET_NAMES[cfg.algo][0]]
-    if cfg.algo == "qcombo":
+    policy = ckpt["nets"][NET_NAMES[cfg["algo"]][0]]
+    if cfg["algo"] == "qcombo":
         one = [select_action_discrete(policy, o, 0.0, None) for o in obs]
     else:
         one = [select_action_continuous(policy, o, 0.0, None) for o in obs]
