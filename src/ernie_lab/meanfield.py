@@ -16,9 +16,10 @@ EXACT_MAX = 16
 CLOUD_JITTER = 0.01
 
 
-def _particle_dist(d: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(d, axis=-1), by its own formula
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
+def _particle_dist(d: np.ndarray, out=None, work=None) -> np.ndarray:
+    # np.linalg.norm(d, axis=-1), by its own formula; out and work, if given,
+    # receive the distances and the squares of d
+    return np.sqrt(np.add.reduce(np.multiply(d, d, out=work), axis=-1, out=out), out=out)
 
 
 def w_distance(cloud_a, cloud_b, mode: str) -> float:
@@ -63,20 +64,39 @@ def cloud_attack(critic: Net, x0: np.ndarray, clean, n_agents: int, steps: int,
     clean is the clean pass net_vjp(critic, x0). The ascent starts from the
     clean positions plus Gaussian jitter of radius `jitter`, drawn from rng
     (no draw at 0), and takes `steps` input-only reverse passes."""
-    q0 = clean[0][:, 0]
-    pdim = 2 * n_agents
-    pos0 = x0[:, :pdim]
-    pos = pos0 + (jitter * rng.standard_normal(pos0.shape) if jitter > 0 else 0.0)
+    q0 = clean[0]
+    m, pdim = len(x0), 2 * n_agents
     x = x0.copy()
+    x[:, :pdim] = x0[:, :pdim] + (jitter * rng.standard_normal((m, pdim)) if jitter > 0 else 0.0)
+    # Every step writes into buffers allocated once per call. The penalty
+    # runs on (row, agent, xy) views of the position block, which round as
+    # the block does; pos is a view, so it moves x.
+    outs = [np.empty((m, w.shape[0])) for w in critic.weights]
+    dzs = [np.empty((m, w.shape[1])) for w in critic.weights]
+    pos = x[:, :pdim].reshape(m, n_agents, 2)
+    pos0 = x0[:, :pdim].reshape(m, n_agents, 2)
+    gin = dzs[0][:, :pdim].reshape(m, n_agents, 2)
+    d, pen = np.empty((m, n_agents, 2)), np.empty((m, n_agents, 2))
+    # d's squares, laid out coordinate by coordinate: the distance's sum over
+    # the two coordinates then adds two planes, which is faster
+    sq = np.empty((2, m, n_agents)).transpose(1, 2, 0)
+    dist, mask = np.empty((m, n_agents, 1)), np.empty((m, n_agents, 1), bool)
     for _ in range(steps):
-        x[:, :pdim] = pos
-        layer_in, q = _forward_cached(critic, x)
-        gin = _backward(critic, layer_in, (2.0 * (q[:, 0] - q0))[:, None],
-                        wrt="input").grad_input[:, :pdim]
-        # n_agents times the gradient of the row's identity coupling
-        d = (pos - pos0).reshape(len(x), n_agents, 2)
-        dist = _particle_dist(d)[..., None]
-        pen = np.where(dist > 1e-12, d / np.maximum(dist, 1e-12), 0.0)
-        pos = pos + eta * (gin - lam_w * pen.reshape(pos.shape) / n_agents)
-    x[:, :pdim] = pos
+        layer_in, q = _forward_cached(critic, x, outs)
+        np.subtract(q, q0, out=q)
+        q *= 2.0
+        _backward(critic, layer_in, q, "input", dzs)
+        # n_agents times the gradient of the row's identity coupling. The
+        # masked divide over a zeroed pen writes the quotients that
+        # np.where(dist > 1e-12, d / np.maximum(dist, 1e-12), 0.0) picks.
+        np.subtract(pos, pos0, out=d)
+        _particle_dist(d, out=dist[..., 0], work=sq)
+        np.greater(dist, 1e-12, out=mask)
+        pen.fill(0.0)
+        np.divide(d, dist, out=pen, where=mask)
+        pen *= lam_w
+        pen /= n_agents
+        np.subtract(gin, pen, out=pen)
+        pen *= eta
+        pos += pen
     return x

@@ -163,32 +163,35 @@ def _act(z, kind, out=None):
     return np.tanh(z, out=out)
 
 
-def _act_grad_from_output(a, kind):
+def _act_grad_from_output(a, kind, out=None):
     # The activation's derivative at z from its output a = _act(z): relu's
     # is 1 where a > 0, exactly where z > 0 (subgradient 0 at the kink), and
-    # tanh's is 1 - a^2.
+    # tanh's is 1 - a^2. out, if given, receives it: a float buffer, a
+    # itself included, holds relu's as 1.0 and 0.0.
     if kind == "relu":
-        return a > 0
-    return 1.0 - a * a
+        return np.greater(a, 0, out=out)
+    return np.subtract(1.0, np.multiply(a, a, out=out), out=out)
 
 
-def _forward_cached(net: Net, x: np.ndarray):
+def _forward_cached(net: Net, x: np.ndarray, out=None):
     """Returns (the input of every layer, output). A single net takes x of
     any shape (..., d); a stack takes (N, B, d), or (M, N, 1, d), and runs
     one matmul over the agent axis, which is bitwise the per-agent products
     (for (M, N, 1, d): each (m, i) row's own product). Bias and activation
     are applied in place: no pre-activation is kept, and no temporary
     beside the matmul's output is made, which matters for a stack's
-    (N, B, width) blocks."""
+    (N, B, width) blocks. out, if given, holds one buffer per layer that
+    receives its output, so that repeated passes allocate nothing."""
     a = x
     acts = [a]
     n_layers = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        buf = None if out is None else out[i]
         if net.stacked:
-            a = np.matmul(a, w.transpose(0, 2, 1))
+            a = np.matmul(a, w.transpose(0, 2, 1), out=buf)
             a += b[:, None, :]
         else:
-            a = a @ w.T
+            a = np.matmul(a, w.T, out=buf)
             a += b
         if i < n_layers - 1:
             a = _act(a, net.activation, out=a)
@@ -255,22 +258,32 @@ def net_vjp(net: Net, x):
         raise ValueError(f"input shape {x.shape} is not a batch for this net")
     _check_input(net, x, batched=True)
     acts, y = _forward_cached(net, x)
-    return y, lambda upstream, wrt="both": _backward(
-        net, acts, np.asarray(upstream, dtype=float), wrt)
+
+    def vjp(upstream, wrt="both"):
+        upstream = np.asarray(upstream, dtype=float)
+        if upstream.shape[-1] != net.out_dim:
+            raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
+        if acts[0].shape[:-1] != upstream.shape[:-1]:
+            raise ValueError("batch sizes of x and upstream differ")
+        return _backward(net, acts, upstream, wrt)
+
+    return y, vjp
 
 
-def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both") -> GradBundle:
+def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both",
+              out=None) -> GradBundle:
     # Reverse pass over _forward_cached's record of a (B, d) batch (a stack:
     # (N, B, d)), writing each layer's parameter gradient into its view of
     # one flat vector (a stack: one (N, P) block). wrt="theta" skips the
     # first layer's input product, wrt="input" every parameter product; the
-    # products that run are the same either way.
+    # products that run are the same either way. An upstream from outside
+    # the package has its shape checked by net_vjp's closure; the package's
+    # other callers build theirs from the pass itself. out, if given, holds
+    # one buffer per layer that receives dz after the layer's input product,
+    # and the pass then spends the record: each hidden layer's output is
+    # overwritten by its activation derivative.
     if wrt not in WRT:
         raise ValueError(f"wrt must be one of {WRT}, got {wrt!r}")
-    if upstream.shape[-1] != net.out_dim:
-        raise ValueError(f"upstream dim {upstream.shape[-1]} != net output dim {net.out_dim}")
-    if acts[0].shape[:-1] != upstream.shape[:-1]:
-        raise ValueError("batch sizes of x and upstream differ")
     n_layers = len(net.weights)
     grad = gws = gbs = None
     if wrt != "input":
@@ -279,19 +292,22 @@ def _backward(net: Net, acts, upstream: np.ndarray, wrt: str = "both") -> GradBu
     dz = upstream
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            dz *= _act_grad_from_output(acts[i + 1], net.activation)  # dz is ours
+            a = acts[i + 1]
+            dz *= _act_grad_from_output(a, net.activation,  # dz is ours
+                                        out=None if out is None else a)
         if grad is not None:
             np.matmul(np.swapaxes(dz, -1, -2), acts[i], out=gws[i])
             # the reduction np.sum(dz, axis=-2) makes, without its wrapper
             np.add.reduce(dz, axis=-2, out=gbs[i])
+        buf = None if out is None else out[i]
         if i > 0 and dz.shape[-1] == 1:
             # A width-1 upstream's product has one term, which the broadcast
             # rounds as np.matmul does. Only the sign of a zero product can
             # differ (matmul's sum starts at +0.0), and below the first layer
             # dz reaches the outputs through sums alone, which start at +0.0.
-            dz = dz * net.weights[i]
+            dz = np.multiply(dz, net.weights[i], out=buf)
         elif i > 0 or wrt != "theta":
-            dz = np.matmul(dz, net.weights[i])
+            dz = np.matmul(dz, net.weights[i], out=buf)
     return GradBundle(grad, dz if wrt != "theta" else None)
 
 

@@ -30,7 +30,7 @@ def _linear_critic(w, bias=0.0):
                biases=(np.array([bias]),), activation="relu")
 
 
-def _cloud_run(critic, batch, steps, eta, lam_w, jitter, rng):
+def _cloud_run(critic, batch, steps, eta, lam_w, jitter, rng, rows=ROWS):
     # The trainer's (value, grad) and the attacked input rows that
     # meanfield.cloud_attack returned inside it.
     seen = []
@@ -41,7 +41,7 @@ def _cloud_run(critic, batch, steps, eta, lam_w, jitter, rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(train_mod, "cloud_attack", spy)
-        value, grad = train_mod._cloud_regularizer_grad(critic, batch, ROWS, steps, eta,
+        value, grad = train_mod._cloud_regularizer_grad(critic, batch, rows, steps, eta,
                                                         lam_w, jitter, rng)
     return value, grad, seen[0]
 
@@ -258,6 +258,38 @@ def test_cloud_regularizer_matches_per_step_vjp_reference(activation, steps, jit
         assert ((value, grad.tobytes(), x.tobytes())
                 == (want[0], want[1].tobytes(), want[2].tobytes()))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# eta and lam_w stay away from 0.05 and 1.0, the values the test above pins:
+# at lam_w = 1.0, (lam_w * pen) / n and lam_w * (pen / n) round alike
+_ETAS = st.floats(1e-3, 0.04) | st.floats(0.06, 0.5)
+_LAM_WS = st.floats(0.01, 0.9) | st.floats(1.1, 20.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hidden=st.lists(st.integers(4, 64), max_size=2),
+       activation=st.sampled_from(["relu", "tanh"]), rows=st.integers(1, 64),
+       n_agents=st.integers(1, 4), steps=st.integers(0, 12),
+       jitter=st.sampled_from([0.0, 0.01, 0.4]), eta=_ETAS, lam_w=_LAM_WS,
+       seed=st.integers(0, 2 ** 16))
+def test_cloud_regularizer_matches_reference_property(hidden, activation, rows, n_agents,
+                                                      steps, jitter, eta, lam_w, seed):
+    # Any critic depth, a linear one included, both activations, any batch
+    # and agent count: the trainer's cloud regularizer is the per-step
+    # net_vjp reference byte for byte, and leaves the attack stream where
+    # the reference does.
+    rng = np.random.default_rng(seed)
+    batch = {"state": rng.uniform(-1, 1, size=(rows, 6 * n_agents)),
+             "actions": rng.uniform(-1, 1, size=(rows, n_agents, 2))}
+    critic = net_init([8 * n_agents, *hidden, 1], activation=activation, seed=seed)
+    critic = vector_to_net(critic, critic.theta + 0.1 * rng.standard_normal(critic.theta.size))
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    value, grad, x = _cloud_run(critic, batch, steps, eta, lam_w, jitter, got_rng, rows)
+    want = _cloud_reference(critic, batch, n_agents, rows, steps, eta, lam_w, jitter,
+                            ref_rng)
+    assert ((value, grad.tobytes(), x.tobytes())
+            == (want[0], want[1].tobytes(), want[2].tobytes()))
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_cloud_regularizer_grad_matches_fd():

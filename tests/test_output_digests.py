@@ -29,7 +29,7 @@ def test_digests_cover_every_output_and_do_not_depend_on_the_directory(tmp_path,
     root = tmp_path / "elsewhere"
     assert tool.run_digests("gridq_ernie_a", 1, root, tiny=True) == printed
     names = {Path(p).name for p in printed}
-    assert {"metrics.csv", "run.json", "results.csv", "summary.json", "manifest.json",
-            "ind.npy", "glob.npy"} <= names
+    assert {"config.resolved.json", "metrics.csv", "run.json", "results.csv",
+            "summary.json", "manifest.json", "ind.npy", "glob.npy"} <= names
     assert "timings.json" not in names and any(root.rglob("timings.json"))
     assert str(root) not in (root / "eval" / "summary.json").read_text()

@@ -8,11 +8,12 @@ Usage, from the repository root:
 
 Each workload of bench/workloads.py is trained with ``train_run`` and its
 final checkpoint evaluated with ``evaluate_checkpoint``, as one benchmark
-repetition does, in a temporary directory that is removed afterwards. One
-line ``<workload>/<seed>/<path> <sha256>`` is printed per output file, in
-sorted order. ``timings.json`` holds wall-clock time and is skipped; the
-checkpoint path inside ``summary.json`` is made relative to the run's
-directory. Run it with PYTHONPATH set to one tree's ``src`` and then to
+repetition does, in a temporary directory that is removed afterwards. The
+resolved config is echoed beside the training runs, as ``ernie-lab train``
+echoes it. One line ``<workload>/<seed>/<path> <sha256>`` is printed per
+output file, in sorted order. ``timings.json`` holds wall-clock time and is
+skipped; the checkpoint path inside ``summary.json`` is made relative to the
+run's directory. Run it with PYTHONPATH set to one tree's ``src`` and then to
 another's, and diff the two outputs.
 """
 from __future__ import annotations
@@ -36,12 +37,13 @@ SKIPPED = {"timings.json"}
 def run_digests(name: str, seed: int, root: Path, tiny: bool = False) -> dict:
     """{relative path: sha256} of every file one workload and bench seed
     write under root."""
-    from ernie_lab.config import resolve_config
+    from ernie_lab.config import echo_config, resolve_config
     from ernie_lab.evaluate import evaluate_checkpoint
     from ernie_lab.train import train_run
 
     doc, base_seed = workloads.generate(name, seed, tiny=tiny)
     cfg = resolve_config(doc)
+    echo_config(cfg, root / "train")
     run = train_run(cfg, root / "train")[0]
     evaluate_checkpoint(cfg, run["final_checkpoint"], root / "eval", base_seed=base_seed)
     summary = root / "eval" / "summary.json"
