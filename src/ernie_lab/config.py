@@ -1,7 +1,6 @@
-# Experiment configuration: one table declares each leaf's default and rule;
-# JSON in, each value checked against its leaf's rule, defaults filled,
-# cross-field validation; out comes the plain nested dict of every leaf, whose
-# text is config_json.
+# Experiment configuration: one table declares each leaf's default, rule and
+# condition; JSON in, each value checked against both, defaults filled,
+# cross-field checks; out comes the plain nested dict of every leaf (config_json).
 from __future__ import annotations
 
 import copy
@@ -19,9 +18,6 @@ class ConfigError(ValueError):
 _ENV_DEFAULT_AGENTS = {"gridq": 4, "coopnav": 3}
 _DISCRETE_ALGOS = {"qcombo"}
 _CONTINUOUS_ALGOS = {"ddpg", "mf_ddpg"}
-# Top-level leaves that only one kind of learner reads.
-_LEARNER_ONLY = {"actor_lr": _CONTINUOUS_ALGOS, "actor_noise": _CONTINUOUS_ALGOS,
-                 "lambda_q": _DISCRETE_ALGOS, "explore_final": _DISCRETE_ALGOS}
 
 
 # A rule is a pair: what a leaf must be, in words, and the test of a value.
@@ -60,8 +56,29 @@ _POSITIVE = _real("> 0", lambda v: v > 0)
 _UNIT = _real("in [0, 1]", lambda v: 0 <= v <= 1)
 _FLAG = ("true or false", lambda v: isinstance(v, bool))
 
+
+# A condition is a pair too: when a leaf applies, in words, and its test.
+def _get(cfg: dict, dotted: str):
+    section, _, leaf = dotted.rpartition(".")
+    return (cfg[section] if section else cfg)[leaf]
+
+
+def _is(dotted: str, *values):
+    return (f"{dotted} is {' or '.join(map(json.dumps, values))}",
+            lambda c: _get(c, dotted) in values)
+
+
+_CONTINUOUS, _QCOMBO = _is("algo", *sorted(_CONTINUOUS_ALGOS)), _is("algo", "qcombo")
+_ERNIE, _CLOUD = _is("ernie.enabled", True), _is("meanfield.enabled", True)
+_ERNIE_A = _is("ernie_a.enabled", True)
+_PGD = (f'{_ERNIE[0]} and ernie.mode is "pgd"',
+        lambda c: _ERNIE[1](c) and c["ernie"]["mode"] == "pgd")
+_ERNIE_OR_CLOUD = (f"{_ERNIE[0]} or {_CLOUD[0]}", lambda c: _ERNIE[1](c) or _CLOUD[1](c))
+_MALICIOUS = ("eval.malicious_rates holds a rate above 0",
+              lambda c: any(r > 0 for r in c["eval"]["malicious_rates"]))
+
 # Every leaf of the config, once: (its default, the rule each value it is set
-# to must pass), nested by section.
+# to must pass[, the condition under which it applies]), nested by section.
 _TABLE = {
     "algo": ("qcombo", _one_of(sorted(_DISCRETE_ALGOS | _CONTINUOUS_ALGOS))),
     "env": ("gridq", _one_of(tuple(_ENV_DEFAULT_AGENTS))),
@@ -70,68 +87,68 @@ _TABLE = {
     "train_steps": (2000, count_rule(0)),
     "gamma": (0.95, _UNIT),
     "tau": (0.01, _UNIT),
-    "lambda_q": (1.0, _NONNEG),
+    "lambda_q": (1.0, _NONNEG, _QCOMBO),
     "lr": (1e-3, _POSITIVE),
-    "actor_lr": (None, _or_null(_POSITIVE)),   # None: use lr
+    "actor_lr": (None, _or_null(_POSITIVE), _CONTINUOUS),   # None: use lr
     "lr_decay": (0.9, _UNIT),   # linear decay of both rates to (1 - lr_decay) * lr
     "batch": (64, count_rule(1)),
     "replay_capacity": (100000, count_rule(1)),
     "hidden": (64, count_rule(1)),
     "warmup": (200, count_rule(0)),
     "log_interval": (100, count_rule(1)),
-    "explore_final": (0.05, _UNIT),   # linear 1.0 -> this over the first 30% of steps
-    "actor_noise": (0.1, _NONNEG),
+    "explore_final": (0.05, _UNIT, _QCOMBO),   # linear 1.0 -> this over the first 30% of steps
+    "actor_noise": (0.1, _NONNEG, _CONTINUOUS),
     "ernie": {
         "enabled": (False, _FLAG),
-        "stackelberg": (False, _FLAG),
-        "mode": ("pgd", _one_of(("pgd", "gaussian"))),   # gaussian: the smoothing baseline
-        "epsilon": (0.5, _NONNEG),
-        "k_steps": (2, count_rule(0)),
-        "eta": (None, _or_null(_POSITIVE)),   # None -> 2.5 eps / K
-        "lambda": (0.1, _NONNEG),
-        "metric": ("sq_l2", _one_of(METRICS)),
-        "norm": ("l2", _one_of(NORMS)),
-        "reg_rows": (64, count_rule(1)),   # batch rows fed to the attack per update
-        "start_frac": (0.0, _UNIT),   # apply the regularizer from this fraction of steps
+        "stackelberg": (False, _FLAG, _PGD),
+        "mode": ("pgd", _one_of(("pgd", "gaussian")), _ERNIE),   # gaussian: smoothing baseline
+        "epsilon": (0.5, _NONNEG, _ERNIE),
+        "k_steps": (2, count_rule(0), _PGD),
+        "eta": (None, _or_null(_POSITIVE), _PGD),   # None -> 2.5 eps / K
+        "lambda": (0.1, _NONNEG, _ERNIE_OR_CLOUD),   # weighs the cloud's penalty too
+        "metric": ("sq_l2", _one_of(METRICS), _ERNIE),
+        "norm": ("l2", _one_of(NORMS), _PGD),
+        "reg_rows": (64, count_rule(1), _ERNIE_OR_CLOUD),   # batch rows fed to either attack
+        "start_frac": (0.0, _UNIT, _ERNIE),   # the regularizer applies from this step fraction
     },
     "ernie_a": {
-        "enabled": (False, _FLAG),
-        "k": (1, count_rule(1)),
-        "lambda": (0.1, _NONNEG),
-        "rows": (8, count_rule(1)),
+        "enabled": (False, _FLAG, _QCOMBO),
+        "k": (1, count_rule(1), _ERNIE_A),
+        "lambda": (0.1, _NONNEG, _ERNIE_A),
+        "rows": (8, count_rule(1), _ERNIE_A),
     },
     "meanfield": {
-        "enabled": (False, _FLAG),
-        "lambda_w": (1.0, _NONNEG),
-        "mf_steps": (10, count_rule(0)),
-        "mf_eta": (0.05, _POSITIVE),
+        "enabled": (False, _FLAG, _is("algo", "mf_ddpg")),
+        "lambda_w": (1.0, _NONNEG, _CLOUD),
+        "mf_steps": (10, count_rule(0), _CLOUD),
+        "mf_eta": (0.05, _POSITIVE, _CLOUD),
     },
     "eval": {
         "obs_noise_sigmas": ([0.0, 0.1, 0.25, 0.5, 1.0], _distinct(_NONNEG)),
         "dynamics_scales": ([1.0], _distinct(_POSITIVE)),
-        "malicious_rates": ([0.0], _distinct(_UNIT)),
-        "malicious_mode": ("adversarial", _one_of(("random", "adversarial"))),
+        "malicious_rates": ([0.0], _distinct(_UNIT), _is("env", "gridq")),
+        "malicious_mode": ("adversarial", _one_of(("random", "adversarial")), _MALICIOUS),
         "episodes": (20, count_rule(1)),
     },
-    "paths": {
-        "out_dir": ("runs", ("a string", lambda v: isinstance(v, str))),
-    },
+    "paths": {"out_dir": ("runs", ("a string", lambda v: isinstance(v, str)))},
 }
 
 
 def _split(table: dict, prefix: str = "") -> tuple[dict, dict]:
-    """A table's nested defaults, and its rules keyed by dotted leaf name."""
-    defaults, rules = {}, {}
+    """A table's nested defaults, and the rest of each row by dotted leaf name."""
+    defaults, rows = {}, {}
     for key, row in table.items():
         if isinstance(row, dict):
-            defaults[key], section_rules = _split(row, f"{prefix}{key}.")
-            rules.update(section_rules)
+            defaults[key], section_rows = _split(row, f"{prefix}{key}.")
+            rows.update(section_rows)
         else:
-            defaults[key], rules[prefix + key] = row
-    return defaults, rules
+            defaults[key], rows[prefix + key] = row[0], row[1:]
+    return defaults, rows
 
 
-DEFAULTS, RULES = _split(_TABLE)
+DEFAULTS, _ROWS = _split(_TABLE)
+RULES = {key: row[0] for key, row in _ROWS.items()}
+CONDITIONS = {key: row[1] for key, row in _ROWS.items() if len(row) > 1}
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -155,26 +172,20 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
 def resolve_config(user: dict) -> dict:
     """The nested dict of every leaf: DEFAULTS overlaid with user, each value
     it sets checked against its leaf's rule in RULES (DEFAULTS' own values pass
-    theirs), then the rules that tie leaves together."""
+    theirs) and, unless it is the default, its condition in CONDITIONS."""
     raw = _merge(DEFAULTS, user)
     if raw["n_agents"] is None:
         raw["n_agents"] = _ENV_DEFAULT_AGENTS[raw["env"]]
-
-    # compatibility: qcombo and ernie_a are discrete-only, ddpg continuous-only
+    # compatibility: qcombo is discrete-only, ddpg and mf_ddpg continuous-only
     if raw["algo"] in _DISCRETE_ALGOS and raw["env"] != "gridq":
         raise ConfigError(f"algo {raw['algo']} requires a discrete env (gridq)")
     if raw["algo"] in _CONTINUOUS_ALGOS and raw["env"] != "coopnav":
         raise ConfigError(f"algo {raw['algo']} requires a continuous env (coopnav)")
-    if raw["ernie_a"]["enabled"] and raw["env"] != "gridq":
-        raise ConfigError("ernie_a requires a discrete env")
     # A resolved config holds every leaf, so only a changed value is an error.
-    for key, algos in _LEARNER_ONLY.items():
-        if raw[key] != DEFAULTS[key] and raw["algo"] not in algos:
-            raise ConfigError(f"{key} is not read by algo {raw['algo']}; it applies "
-                              f"to {' and '.join(sorted(algos))} only")
-    if raw["meanfield"]["enabled"] and raw["algo"] != "mf_ddpg":
-        raise ConfigError("meanfield.enabled requires algo mf_ddpg, whose critic "
-                          "the cloud attack regularizes")
+    for dotted, (when, applies) in CONDITIONS.items():
+        val = _get(raw, dotted)
+        if val != _get(DEFAULTS, dotted) and not applies(raw):
+            raise ConfigError(f"{dotted} is set to {val!r}, but it applies only when {when}")
     if raw["ernie_a"]["k"] > raw["n_agents"]:
         raise ConfigError(f"ernie_a.k {raw['ernie_a']['k']} exceeds n_agents "
                           f"{raw['n_agents']}: the attack flips each agent at most once")
@@ -182,19 +193,12 @@ def resolve_config(user: dict) -> dict:
         side = int(round(raw["n_agents"] ** 0.5))
         if side * side != raw["n_agents"]:
             raise ConfigError("gridq n_agents must be a perfect square")
-    if raw["ernie"]["stackelberg"] and raw["ernie"]["mode"] != "pgd":
-        raise ConfigError("ernie.stackelberg needs ernie.mode 'pgd': the gaussian "
-                          "baseline has no attack to differentiate through")
     ev = raw["eval"]
     if not (ev["obs_noise_sigmas"] or any(d != 1.0 for d in ev["dynamics_scales"])
             or any(r > 0 for r in ev["malicious_rates"])):
         raise ConfigError("the evaluation sweep is empty: give eval.obs_noise_sigmas a "
                           "sigma, eval.dynamics_scales a scale other than 1.0 or "
                           "eval.malicious_rates a rate above 0")
-    if raw["env"] != "gridq" and any(r > 0 for r in ev["malicious_rates"]):
-        raise ConfigError("eval.malicious_rates > 0 requires env gridq: the injector "
-                          "replaces discrete actions only, so continuous actions "
-                          "would never be replaced")
     return raw
 
 

@@ -244,7 +244,7 @@ def test_criterion_10_gaussian_sigma_zero_sanity(workdir):
     doc = {"algo": "qcombo", "env": "gridq", "train_steps": 100, "warmup": 50,
            "batch": 16, "hidden": 16, "log_interval": 10}
     gauss = {"ernie": {"enabled": True, "mode": "gaussian", "epsilon": 1e-12,
-                       "k_steps": 0, "lambda": 0.1}}
+                       "lambda": 0.1}}
     base = _train_metrics(doc, 0, workdir / "c10_base").decode().splitlines()
     reg = _train_metrics({**doc, **gauss}, 0, workdir / "c10_gauss") \
         .decode().splitlines()

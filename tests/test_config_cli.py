@@ -1,6 +1,8 @@
 # Config resolution rules and the command-line entry points.
+import copy
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from ernie_lab.advreg import AttackConfig
 from ernie_lab.cli import EXIT_CONFIG, EXIT_OK, _out_dir, main
 from ernie_lab.config import (
+    CONDITIONS,
     DEFAULTS,
     RULES,
     ConfigError,
@@ -45,14 +48,6 @@ def test_algo_env_compatibility():
         resolve_config({"algo": "mf_ddpg", "env": "gridq"})
 
 
-def test_ernie_a_requires_gridq():
-    with pytest.raises(ConfigError):
-        resolve_config({"algo": "ddpg", "env": "coopnav",
-                        "ernie_a": {"enabled": True}})
-    cfg = resolve_config({"ernie_a": {"enabled": True}})
-    assert cfg["ernie_a"]["enabled"] is True
-
-
 def test_ernie_a_k_above_agent_count_rejected():
     # the greedy attack flips each agent at most once, so k > n_agents
     # would be cut to n_agents without a word
@@ -63,21 +58,6 @@ def test_ernie_a_k_above_agent_count_rejected():
     assert resolve_config({"ernie_a": {"enabled": True, "k": 4}})["ernie_a"]["k"] == 4
 
 
-@pytest.mark.parametrize("algo", ["ddpg", "mf_ddpg"])
-@pytest.mark.parametrize("mode", ["random", "adversarial"])
-def test_malicious_rates_require_gridq(algo, mode):
-    # The injector replaces discrete actions only: on coopnav a positive
-    # rate would write rows equal to an unperturbed run's.
-    doc = {"algo": algo, "env": "coopnav", "eval": {"malicious_mode": mode}}
-    with pytest.raises(ConfigError, match="malicious_rates > 0 requires env gridq.*"
-                                          "continuous actions"):
-        resolve_config(dict(doc, eval=dict(doc["eval"], malicious_rates=[0.0, 0.05])))
-    assert resolve_config(dict(doc, eval=dict(doc["eval"], malicious_rates=[0.0]))
-                          )["eval"]["malicious_rates"] == [0.0]
-    cfg = resolve_config({"eval": {"malicious_mode": mode, "malicious_rates": [0.05]}})
-    assert cfg["eval"]["malicious_rates"] == [0.05]
-
-
 def test_gridq_agents_must_be_square():
     with pytest.raises(ConfigError):
         resolve_config({"n_agents": 5})
@@ -86,7 +66,7 @@ def test_gridq_agents_must_be_square():
 
 
 def test_start_frac_range_checked():
-    cfg = resolve_config({"ernie": {"start_frac": 0.5}})
+    cfg = resolve_config({"ernie": {"enabled": True, "start_frac": 0.5}})
     assert cfg["ernie"]["start_frac"] == 0.5
     with pytest.raises(ConfigError):
         resolve_config({"ernie": {"start_frac": 1.5}})
@@ -94,11 +74,77 @@ def test_start_frac_range_checked():
         resolve_config({"ernie": {"start_frac": -0.1}})
 
 
-def test_stackelberg_requires_pgd_mode():
-    cfg = resolve_config({"ernie": {"stackelberg": True}})
-    assert cfg["ernie"]["stackelberg"] is True
-    with pytest.raises(ConfigError):
-        resolve_config({"ernie": {"stackelberg": True, "mode": "gaussian"}})
+def _at(doc: dict, dotted: str):
+    section, _, leaf = dotted.rpartition(".")
+    return (doc[section] if section else doc)[leaf]
+
+
+def _with(doc: dict, dotted: str, value) -> dict:
+    """A copy of doc with the leaf at dotted set to value."""
+    out = copy.deepcopy(doc)
+    section, _, leaf = dotted.rpartition(".")
+    (out.setdefault(section, {}) if section else out)[leaf] = value
+    return out
+
+
+_DDPG = {"algo": "ddpg", "env": "coopnav"}
+_MF = {"algo": "mf_ddpg", "env": "coopnav"}
+_CLOUD = dict(_MF, meanfield={"enabled": True})
+_PGD = {"ernie": {"enabled": True}}
+_GAUSS = {"ernie": {"enabled": True, "mode": "gaussian"}}
+_ERNIE_A = {"ernie_a": {"enabled": True}}
+
+# Each leaf that config.CONDITIONS says is read only sometimes: a value other
+# than its default, configs where its condition is false and configs where it
+# holds. {} is qcombo on gridq with every regularizer off.
+_BOUNDARY = {
+    "actor_lr": (5e-3, [{}], [_DDPG, _MF]),
+    "actor_noise": (0.2, [{}], [_DDPG, _MF]),
+    "lambda_q": (2.0, [_DDPG, _MF], [{}]),
+    "explore_final": (0.1, [_DDPG, _MF], [{}]),
+    "ernie.stackelberg": (True, [_GAUSS, {}], [_PGD]),
+    "ernie.mode": ("gaussian", [{}, _CLOUD], [_PGD]),
+    "ernie.epsilon": (0.3, [{}, _CLOUD], [_PGD, _GAUSS]),
+    "ernie.k_steps": (0, [_GAUSS, {}], [_PGD]),
+    "ernie.eta": (0.5, [_GAUSS, {}], [_PGD]),
+    "ernie.lambda": (0.5, [{}, _DDPG, _ERNIE_A], [_PGD, _GAUSS, _CLOUD]),
+    "ernie.metric": ("kl", [{}, _CLOUD], [_PGD, _GAUSS]),
+    "ernie.norm": ("linf", [_GAUSS, {}], [_PGD]),
+    "ernie.reg_rows": (8, [{}, _DDPG], [_PGD, _CLOUD]),
+    "ernie.start_frac": (0.5, [_ERNIE_A, _CLOUD], [_PGD, _GAUSS]),
+    "ernie_a.enabled": (True, [_DDPG, _MF], [{}]),
+    "ernie_a.k": (2, [{}, _PGD], [_ERNIE_A]),
+    "ernie_a.lambda": (0.5, [{}], [_ERNIE_A]),
+    "ernie_a.rows": (4, [{}], [_ERNIE_A]),
+    "meanfield.enabled": (True, [_DDPG, {}], [_MF]),
+    "meanfield.lambda_w": (2.0, [_DDPG, _MF], [_CLOUD]),
+    "meanfield.mf_steps": (3, [_MF], [_CLOUD]),
+    "meanfield.mf_eta": (0.1, [_MF], [_CLOUD]),
+    "eval.malicious_rates": ([0.0, 0.05], [_DDPG, _MF],
+                             [{}, {"eval": {"malicious_mode": "random"}}]),
+    "eval.malicious_mode": ("random", [{}, _DDPG, {"eval": {"malicious_rates": []}}],
+                            [{"eval": {"malicious_rates": [0.05]}}]),
+}
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "mf_ddpg"])
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_malicious_rates_require_gridq(algo, mode):
+    # The injector replaces discrete actions only: on coopnav a positive
+    # rate would write rows equal to an unperturbed run's.
+    doc = {"algo": algo, "env": "coopnav", "eval": {"malicious_mode": mode}}
+    with pytest.raises(ConfigError, match=r"^eval.malicious_rates is set to \[0.0, 0.05\], "
+                                          r'but it applies only when env is "gridq"$'):
+        resolve_config(_with(doc, "eval.malicious_rates", [0.0, 0.05]))
+    if mode == DEFAULTS["eval"]["malicious_mode"]:
+        assert resolve_config(_with(doc, "eval.malicious_rates", [0.0])
+                              )["eval"]["malicious_rates"] == [0.0]
+    else:
+        # with no rate above 0 the mode is read by nothing either
+        with pytest.raises(ConfigError, match=r"^eval.malicious_mode is set to"):
+            resolve_config(_with(doc, "eval.malicious_rates", [0.0]))
+    cfg = resolve_config({"eval": {"malicious_mode": mode, "malicious_rates": [0.05]}})
+    assert cfg["eval"]["malicious_rates"] == [0.05]
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -112,13 +158,83 @@ def test_stackelberg_requires_pgd_mode():
 def test_other_learners_keys_rejected(doc, key):
     # A value the chosen learner would never read is an error; the default,
     # which every resolved config holds, is not.
-    algo = doc.get("algo", "qcombo")
-    with pytest.raises(ConfigError, match=f"{key} is not read by algo {algo}"):
+    actor = key in ("actor_lr", "actor_noise")
+    when = 'algo is "ddpg" or "mf_ddpg"' if actor else 'algo is "qcombo"'
+    with pytest.raises(ConfigError, match=f"^{key} is set to {doc[key]!r}, but it "
+                                          f"applies only when {when}$"):
         resolve_config(doc)
     assert resolve_config(dict(doc, **{key: DEFAULTS[key]}))[key] == DEFAULTS[key]
-    own = ({"algo": "ddpg", "env": "coopnav"} if key in ("actor_lr", "actor_noise")
-           else {"algo": "qcombo"})
+    own = _DDPG if actor else {"algo": "qcombo"}
     assert resolve_config(dict(own, **{key: doc[key]}))[key] == doc[key]
+
+
+@pytest.mark.parametrize("leaf", sorted(CONDITIONS))
+def test_leaf_set_outside_its_condition_rejected(leaf):
+    # A resolved config holds every leaf, so a leaf at its default passes
+    # wherever it is; a value a config sets where no code reads it fails,
+    # and the error names the leaf, the value and the condition.
+    assert set(_BOUNDARY) == set(CONDITIONS)
+    value, offs, ons = _BOUNDARY[leaf]
+    default, when = _at(DEFAULTS, leaf), CONDITIONS[leaf][0]
+    for doc in offs:
+        with pytest.raises(ConfigError, match=f"^{re.escape(leaf)} is set to "
+                           f"{re.escape(repr(value))}, but it applies only when "
+                           f"{re.escape(when)}$"):
+            resolve_config(_with(doc, leaf, value))
+        assert _at(resolve_config(_with(doc, leaf, default)), leaf) == default
+    for doc in ons:
+        assert _at(resolve_config(_with(doc, leaf, value)), leaf) == value
+
+
+# Leaves that, set outside their condition, would switch on a path that means
+# nothing there: ERNIE-A on a continuous learner, the cloud on a learner other
+# than mf_ddpg, a Stackelberg gradient through the gaussian baseline, and the
+# action injector on continuous actions. No run can show them ignored.
+_SWITCHES = {"ernie_a.enabled", "meanfield.enabled", "ernie.stackelberg",
+             "eval.malicious_rates"}
+_ORACLE_BASES = {"qcombo": {}, "ddpg": _DDPG, "gaussian": _GAUSS, "cloud": _CLOUD,
+                 "ernie_a": _ERNIE_A}
+_TINY_RUN = {"seeds": [1], "train_steps": 12, "warmup": 4, "batch": 4, "hidden": 4,
+             "log_interval": 4, "eval": {"obs_noise_sigmas": [0.0, 0.5], "episodes": 1}}
+
+
+def _unread(cfg: dict) -> list:
+    return [leaf for leaf, (_, applies) in CONDITIONS.items()
+            if leaf not in _SWITCHES and not applies(cfg)]
+
+
+def test_oracle_bases_cover_every_conditional_leaf():
+    covered = {leaf for base in _ORACLE_BASES.values()
+               for leaf in _unread(resolve_config(base))}
+    assert covered == set(CONDITIONS) - _SWITCHES
+
+
+def _run_outputs(cfg: dict, root, monkeypatch) -> dict:
+    """{path: bytes} of every file a train-then-evaluate run writes but
+    run.json, which hashes the config, and the wall-clock timings.json."""
+    root.mkdir()
+    monkeypatch.chdir(root)   # relative paths, so summary.json names the same checkpoint
+    run = train_run(cfg, "train")[0]
+    evaluate_checkpoint(cfg, run["final_checkpoint"], "eval")
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name not in ("run.json", "timings.json")}
+
+
+@pytest.mark.parametrize("base", sorted(_ORACLE_BASES))
+def test_leaf_outside_its_condition_changes_no_output(tmp_path, monkeypatch, base):
+    # The soundness of the conditions: every leaf whose condition is false in
+    # the base config, set past resolve_config's check in the returned dict,
+    # leaves every byte of metrics.csv, the checkpoints, results.csv and
+    # summary.json as they are.
+    cfg = resolve_config({**_TINY_RUN, **_ORACLE_BASES[base]})
+    unread = _unread(cfg)
+    changed = cfg
+    for leaf in unread:
+        changed = _with(changed, leaf, _BOUNDARY[leaf][0])
+    assert [leaf for leaf in unread if _at(changed, leaf) == _at(cfg, leaf)] == []
+    outputs = _run_outputs(cfg, tmp_path / "base", monkeypatch)
+    assert any(name.endswith(".npy") for name in outputs)
+    assert _run_outputs(changed, tmp_path / "changed", monkeypatch) == outputs
 
 
 def test_unknown_key_rejected():
@@ -276,9 +392,7 @@ def test_every_leaf_has_one_rule():
     # resolve_config checks each value a config sets against its leaf's rule
     # and takes DEFAULTS unchecked, so every default must pass its own rule.
     for key in RULES:
-        section, _, leaf = key.rpartition(".")
-        val = (DEFAULTS[section] if section else DEFAULTS)[leaf]
-        assert RULES[key][1](val), key
+        assert RULES[key][1](_at(DEFAULTS, key)), key
 
 
 # The eval leaf each PerturbSpec field is built from, by evaluate.sweep_specs.

@@ -202,11 +202,6 @@ def test_mf_attack_validation():
     for bad in ({"mf_steps": -1}, {"lambda_w": -1.0}):
         with pytest.raises(ConfigError):
             resolve_config(dict(doc, meanfield=dict(bad, enabled=True)))
-    # the cloud attack runs on mf_ddpg only
-    for algo, env in (("ddpg", "coopnav"), ("qcombo", "gridq")):
-        with pytest.raises(ConfigError, match="meanfield.enabled"):
-            resolve_config({"algo": algo, "env": env, "meanfield": {"enabled": True}})
-    assert resolve_config(dict(doc, meanfield={"enabled": True}))["meanfield"]["enabled"]
 
 
 def _cloud_reference(critic, batch, n_agents, rows, steps, eta, lam_w, jitter,
