@@ -170,7 +170,8 @@ def qcombo_losses(batch: dict, agents: Agents, gamma: float, lambda_q: float):
     up_glob = ((td_glob + lambda_q * consistency) / b)[:, None]
     grad_glob = vjp_glob(up_glob, wrt="theta").grad_theta
 
-    losses = {"ind": loss_ind, "glob": loss_glob, "reg": loss_reg, "total": total}
+    losses = {"loss_ind": loss_ind, "loss_glob": loss_glob, "loss_reg": loss_reg,
+              "loss_total": total}
     return losses, {"policy": grad_ind, "central": grad_glob}
 
 
@@ -205,5 +206,5 @@ def ddpg_updates(batch: dict, agents: Agents, gamma: float):
     grad_actors = vjp_actors(-np.ascontiguousarray(dq_da.transpose(1, 0, 2)),
                              wrt="theta").grad_theta
 
-    losses = {"critic": loss_critic, "actor_obj": actor_obj}
+    losses = {"loss_critic": loss_critic, "actor_obj": actor_obj}
     return losses, {"policy": grad_actors, "central": grad_critic}

@@ -63,7 +63,7 @@ class Net:
 
     An agent stack (see stack_nets) is a Net whose `theta` is an (N, P)
     block, one row per agent; its weights are (N, out, in) and its biases
-    (N, out). `stack[i]` is agent i's Net, a view of row i."""
+    (N, out)."""
 
     __slots__ = ("layer_dims", "theta", "weights", "biases", "activation")
 
@@ -89,11 +89,6 @@ class Net:
     @property
     def stacked(self) -> bool:
         return self.theta.ndim == 2
-
-    def __getitem__(self, i: int) -> "Net":
-        if not self.stacked:
-            raise TypeError("only an agent stack can be indexed")
-        return _from_vector(self.layer_dims, self.theta[i], self.activation)
 
     @property
     def in_dim(self) -> int:

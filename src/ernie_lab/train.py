@@ -8,7 +8,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import math
 import platform
@@ -32,11 +31,6 @@ from .envs import make_env
 from .meanfield import CLOUD_JITTER, cloud_attack
 from .net import net_init, net_vjp, save_net, stack_nets
 from .replay import ReplayBuffer, stack_batch
-
-QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
-                 "loss_ind,loss_glob,loss_reg,loss_total,reg_value_mean,attack_norm_mean")
-DDPG_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
-               "loss_critic,actor_obj,loss_reg,loss_total,reg_value_mean,attack_norm_mean")
 
 
 def _fmt(x) -> str:
@@ -144,34 +138,21 @@ def _cloud_regularizer_grad(critic, batch: dict, rows: int, steps: int, eta: flo
     return _squared_change(critic, x, clean[0][:, 0], clean[1], rows)
 
 
-def _versions() -> dict:
-    # scipy's version module is read without importing scipy, whose import
-    # costs more than a short training run. importlib.metadata.version would
-    # also avoid it, but importing importlib.metadata adds 1.3-1.8 MB to the
-    # peak RSS (Python 3.11, numpy 2.4: 32.7 -> 34.0 MB at import), most of
-    # the 5 % that the benchmark allows on a run's ~38 MB peak RSS.
-    spec = importlib.util.find_spec("scipy")
-    path = Path(spec.submodule_search_locations[0]) / "version.py"
-    scipy_version = importlib.util.spec_from_file_location("_scipy_version", path)
-    mod = importlib.util.module_from_spec(scipy_version)
-    scipy_version.loader.exec_module(mod)
-    return {"ernie-lab": __version__, "numpy": np.__version__,
-            "python": platform.python_version(), "scipy": mod.version}
-
-
 def _write_run_manifest(out_dir: Path, cfg: dict) -> None:
-    """run.json: package versions and the resolved config's SHA-256. It
-    holds no wall-clock time, so a rerun writes it byte-identical."""
+    """run.json: the versions of the packages a run loads and the resolved
+    config's SHA-256. It holds no wall-clock time, so a rerun writes it
+    byte-identical."""
     doc = {"config_sha256": hashlib.sha256(config_json(cfg).encode()).hexdigest(),
-           "versions": _versions()}
+           "versions": {"ernie-lab": __version__, "numpy": np.__version__,
+                        "python": platform.python_version()}}
     (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 class _MetricsWriter:
-    def __init__(self, path: Path, header: str):
+    def __init__(self, path: Path, columns):
         self.path = path
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(header + "\n")
+        path.write_text(",".join(columns) + "\n")
 
     def row(self, values):
         with self.path.open("a") as fh:
@@ -215,9 +196,9 @@ def _check_finite(nets: dict, step: int, seed: int) -> None:
                                      f"update at step {step}, seed {seed}")
 
 
-def _check_finite_losses(header: str, values, step: int, seed: int) -> None:
-    # values: the header's four loss columns and reg_value_mean, in order
-    for name, value in zip(header.split(",")[4:9], values):
+def _check_finite_losses(values: dict, step: int, seed: int) -> None:
+    # values: the update's losses and reg_value_mean, by metrics.csv column
+    for name, value in values.items():
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite {name} in the update at step {step}, seed {seed}")
 
@@ -244,11 +225,10 @@ def _episode_stats(recent) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _Learner:
     """What the training loop does differently for QCOMBO and for DDPG."""
-    header: str
+    losses: tuple           # update's loss names: its metrics.csv columns, in order
     act: Callable           # (policy stack, obs, step, env_rng) -> joint action
-    update: Callable        # (batch, agents) -> losses, {"policy", "central"} grads
+    update: Callable        # (batch, agents) -> losses by name, {"policy", "central"} grads
     policy_lr: float
-    columns: Callable       # (losses, regularizer value) -> the four loss columns
 
 
 def _learner(cfg: dict, steps: int) -> _Learner:
@@ -257,22 +237,18 @@ def _learner(cfg: dict, steps: int) -> _Learner:
     # tests) takes effect.
     if cfg["algo"] == "qcombo":
         return _Learner(
-            QCOMBO_HEADER,
+            ("loss_ind", "loss_glob", "loss_reg", "loss_total"),
             lambda policy, obs, t, rng: select_action_discrete(
                 policy, obs, _explore_rate(t, steps, cfg["explore_final"]), rng),
             lambda batch, agents: qcombo_losses(batch, agents, cfg["gamma"],
                                                 cfg["lambda_q"]),
-            cfg["lr"],
-            lambda losses, reg_val: (losses["ind"], losses["glob"], losses["reg"],
-                                     losses["total"]))
+            cfg["lr"])
     return _Learner(
-        DDPG_HEADER,
+        ("loss_critic", "actor_obj"),
         lambda policy, obs, t, rng: select_action_continuous(policy, obs,
                                                              cfg["actor_noise"], rng),
         lambda batch, agents: ddpg_updates(batch, agents, cfg["gamma"]),
-        cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"],
-        lambda losses, reg_val: (losses["critic"], losses["actor_obj"], reg_val,
-                                 losses["critic"] + reg_val))
+        cfg["lr"] if cfg["actor_lr"] is None else cfg["actor_lr"])
 
 
 def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
@@ -284,7 +260,9 @@ def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
     ss = np.random.SeedSequence(seed)
     env_rng, attack_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
     buf = ReplayBuffer(min(cfg["replay_capacity"], max(steps, 1)))
-    metrics = _MetricsWriter(out_dir / "metrics.csv", learner.header)
+    metrics = _MetricsWriter(out_dir / "metrics.csv", (
+        "step", "seed", "episodic_return_mean", "episodic_return_std", *learner.losses,
+        "reg_value_mean", "attack_norm_mean"))
     _write_run_manifest(out_dir, cfg)
     meta = {"algo": cfg["algo"], "env": cfg["env"], "seed": seed}
     # The nets are never rebound: the updates write their buffers in place.
@@ -297,9 +275,6 @@ def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
     # only, no draws) or the mean-field cloud (mf_ddpg only) on the central net.
     ecfg, ea, mf = cfg["ernie"], cfg["ernie_a"], cfg["meanfield"]
     acfg = _attack_config(cfg)
-    ernie_on = bool(ecfg["enabled"]) and ecfg["lambda"] != 0.0
-    ernie_a_on = bool(ea["enabled"]) and ea["lambda"] != 0.0
-    cloud_on = bool(mf["enabled"]) and ecfg["lambda"] != 0.0
 
     state, obs = env.reset(int(env_rng.integers(2 ** 31)))
     gs = env.global_state(state)
@@ -318,11 +293,11 @@ def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
             state, obs = env.reset(int(env_rng.integers(2 ** 31)))
             gs = env.global_state(state)
 
-        columns, reg_val, atk_norm = (0.0, 0.0, 0.0, 0.0), 0.0, 0.0
+        losses, reg_val, atk_norm = dict.fromkeys(learner.losses, 0.0), 0.0, 0.0
         if t >= cfg["warmup"]:
             batch = stack_batch(buf.sample(cfg["batch"], env_rng))
             losses, grads = learner.update(batch, agents)
-            if ernie_on and t >= ecfg["start_frac"] * steps:
+            if ecfg["enabled"] and t >= ecfg["start_frac"] * steps:
                 rows = min(int(ecfg["reg_rows"]), batch["obs"].shape[0])
                 try:
                     vals, norms, gt = _obs_regularizer(
@@ -334,20 +309,19 @@ def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
                 grads["policy"] += ecfg["lambda"] * gt
                 reg_val = float(np.mean(vals))
                 atk_norm = float(np.mean(norms))
-            if ernie_a_on:
+            if ea["enabled"]:
                 value, g, hits = _action_regularizer_grad(agents, batch, int(ea["k"]),
                                                           int(ea["rows"]))
                 if hits:  # adding a zero gradient could turn a -0.0 into 0.0
                     grads["central"] += ea["lambda"] * g
                 reg_val += value
-            if cloud_on:
+            if mf["enabled"]:
                 value, g = _cloud_regularizer_grad(
                     agents.central, batch, int(ecfg["reg_rows"]), int(mf["mf_steps"]),
                     float(mf["mf_eta"]), float(mf["lambda_w"]), CLOUD_JITTER, attack_rng)
                 grads["central"] += ecfg["lambda"] * g
                 reg_val += value
-            columns = learner.columns(losses, reg_val)
-            _check_finite_losses(learner.header, (*columns, reg_val), t, seed)
+            _check_finite_losses({**losses, "reg_value_mean": reg_val}, t, seed)
             lr_t = _lr_at(t, steps, cfg["lr"], cfg["lr_decay"])
             policy_lr_t = _lr_at(t, steps, learner.policy_lr, cfg["lr_decay"])
             apply_grad(agents.policy, bufs["policy"], grads["policy"], policy_lr_t)
@@ -360,8 +334,8 @@ def train_seed(cfg: dict, seed: int, out_dir: Path) -> dict:
 
         if t % cfg["log_interval"] == 0:
             m, s = _episode_stats(recent)
-            metrics.row([str(t), str(seed)]
-                        + [_fmt(x) for x in (m, s, *columns, reg_val, atk_norm)])
+            metrics.row([str(t), str(seed)] + [_fmt(x) for x in (
+                m, s, *(losses[k] for k in learner.losses), reg_val, atk_norm)])
         if t % interval == 0 or t == steps:
             _save_checkpoint(out_dir, t, nets, meta)
 

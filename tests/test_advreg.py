@@ -379,7 +379,8 @@ def test_reg_value_and_grads_wrt_fields_are_those_of_both(metric):
     # computed under "both", the contract of net_vjp's closure; the field
     # not asked for is None.
     stack, rows = _policy_stack_and_rows()
-    for policy, obs in ((stack, rows), (stack[1], rows[1])):
+    agent_1 = net_init([4, 6, 3], activation="tanh", seed=1, scale=2.0)
+    for policy, obs in ((stack, rows), (agent_1, rows[1])):
         clean = net_vjp(policy, obs)
         delta = np.random.default_rng(2).uniform(-0.3, 0.3, size=obs.shape)
         vals, gd, gt = reg_value_and_grads(policy, obs, delta, metric, clean)
@@ -427,22 +428,23 @@ def test_stackelberg_zero_direction_agent():
     # the last ascent step, so its reverse pass is all zero from the start;
     # agent 1's flat net never leaves the ball. Each agent's gradient is
     # bitwise its own call's.
-    policy = stack_nets([net_init([4, 6, 3], activation="tanh", seed=1, scale=3.0),
-                         net_init([4, 6, 3], activation="tanh", seed=2, scale=1e-4)])
+    nets = [net_init([4, 6, 3], activation="tanh", seed=1, scale=3.0),
+            net_init([4, 6, 3], activation="tanh", seed=2, scale=1e-4)]
+    policy = stack_nets(nets)
     obs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 5, 4))
     for metric in ("sq_l2", "kl"):
         cfg = AttackConfig(epsilon=0.1, k_steps=2, eta=1e4, norm="linf", metric=metric)
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = stackelberg_grad(policy, obs, cfg, got_rng, net_vjp(policy, obs))[0]
         for i in range(2):
-            want = stackelberg_grad(policy[i], obs[i], cfg, want_rng,
-                                    net_vjp(policy[i], obs[i]))[0]
+            want = stackelberg_grad(nets[i], obs[i], cfg, want_rng,
+                                    net_vjp(nets[i], obs[i]))[0]
             assert got[i].tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         # agent 0 gets only the partial gradient at delta^K, agent 1 more
         rng = np.random.default_rng(3)
         for i, reversed_ in ((0, False), (1, True)):
-            clean = net_vjp(policy[i], obs[i])
-            delta = pgd_attack(policy[i], obs[i], cfg, rng, clean)
-            plain = reg_value_and_grads(policy[i], obs[i], delta, metric, clean)[2]
+            clean = net_vjp(nets[i], obs[i])
+            delta = pgd_attack(nets[i], obs[i], cfg, rng, clean)
+            plain = reg_value_and_grads(nets[i], obs[i], delta, metric, clean)[2]
             assert np.array_equal(got[i], plain) != reversed_

@@ -28,6 +28,12 @@ def _linear_net(w: np.ndarray, b: np.ndarray) -> Net:
                activation="tanh")
 
 
+def _agent(stack: Net, i: int) -> Net:
+    # Agent i's net: a copy of row i of the stack's (N, P) block.
+    return Net(stack.layer_dims, [w[i] for w in stack.weights],
+               [b[i] for b in stack.biases], stack.activation)
+
+
 def _updated(update, net: Net, *args) -> Net:
     # A trainable copy of net, after one in-place update of its buffer.
     copy, buf = trainable(net)
@@ -45,7 +51,7 @@ def test_trainable_is_a_read_only_view_of_its_own_buffer():
         copy.weights[0][0, 0, 0] = 1.0
     buf[0, 0] = 5.0  # the net reads its buffer's new values
     assert copy.theta[0, 0] == 5.0 and copy.weights[0][0, 0, 0] == 5.0
-    assert copy[1].theta.tobytes() == net[1].theta.tobytes()
+    assert copy.theta[1].tobytes() == net.theta[1].tobytes()
 
 
 def test_soft_update_endpoints_and_midpoint():
@@ -223,9 +229,9 @@ def test_qcombo_zero_nets_losses_from_rewards_only():
     batch = _qcombo_batch(np.random.default_rng(0))
     losses, grads = qcombo_losses(batch, agents, gamma=0.9, lambda_q=1.0)
     # all Q values are zero, so TD residuals reduce to the rewards
-    assert losses["ind"] == pytest.approx(0.5 * np.mean(batch["rewards"] ** 2))
-    assert losses["glob"] == pytest.approx(0.5 * np.mean(batch["global_reward"] ** 2))
-    assert losses["reg"] == 0.0
+    assert losses["loss_ind"] == pytest.approx(0.5 * np.mean(batch["rewards"] ** 2))
+    assert losses["loss_glob"] == pytest.approx(0.5 * np.mean(batch["global_reward"] ** 2))
+    assert losses["loss_reg"] == 0.0
 
 
 def test_qcombo_total_is_weighted_sum():
@@ -233,8 +239,8 @@ def test_qcombo_total_is_weighted_sum():
     batch = _qcombo_batch(np.random.default_rng(1))
     for lam in [0.0, 0.5, 2.0]:
         losses, _ = qcombo_losses(batch, agents, gamma=0.95, lambda_q=lam)
-        want = losses["ind"] + losses["glob"] + lam * losses["reg"]
-        assert losses["total"] == pytest.approx(want, rel=1e-15)
+        want = losses["loss_ind"] + losses["loss_glob"] + lam * losses["loss_reg"]
+        assert losses["loss_total"] == pytest.approx(want, rel=1e-15)
 
 
 def test_qcombo_grads_match_finite_differences():
@@ -245,16 +251,17 @@ def test_qcombo_grads_match_finite_differences():
     h = 1e-6
 
     def total_with(ind0: Net, glob: Net) -> float:
-        trial = Agents(policy=stack_nets([ind0, agents.policy[1]]), central=glob,
+        trial = Agents(policy=stack_nets([ind0, _agent(agents.policy, 1)]), central=glob,
                        policy_target=agents.policy_target,
                        central_target=agents.central_target)
-        return qcombo_losses(batch, trial, gamma, lam)[0]["total"]
+        return qcombo_losses(batch, trial, gamma, lam)[0]["loss_total"]
 
+    ind0 = _agent(agents.policy, 0)
     for net, flat, rebuild in [
-        (agents.policy[0], grads["policy"][0],
-         lambda v: total_with(vector_to_net(agents.policy[0], v), agents.central)),
+        (ind0, grads["policy"][0],
+         lambda v: total_with(vector_to_net(ind0, v), agents.central)),
         (agents.central, grads["central"],
-         lambda v: total_with(agents.policy[0], vector_to_net(agents.central, v))),
+         lambda v: total_with(ind0, vector_to_net(agents.central, v))),
     ]:
         theta = net.theta
         fd = np.empty_like(theta)
@@ -327,7 +334,7 @@ def test_ddpg_grads_match_finite_differences():
                        central=vector_to_net(agents.central, v),
                        policy_target=agents.policy_target,
                        central_target=agents.central_target)
-        return ddpg_updates(batch, trial, gamma)[0]["critic"]
+        return ddpg_updates(batch, trial, gamma)[0]["loss_critic"]
 
     fd = np.empty_like(theta)
     for j in range(theta.size):
@@ -338,12 +345,13 @@ def test_ddpg_grads_match_finite_differences():
     assert np.linalg.norm(grads["central"] - fd) / np.linalg.norm(fd) < 1e-5
 
     # actor gradient is descent on -mean Q(mu); FD the objective directly
+    actors = [_agent(agents.policy, i) for i in range(2)]
     for i in range(2):
-        phi = agents.policy[i].theta
+        phi = actors[i].theta
 
         def actor_obj(v: np.ndarray, i=i) -> float:
-            trial_actors = list(agents.policy)
-            trial_actors[i] = vector_to_net(agents.policy[i], v)
+            trial_actors = list(actors)
+            trial_actors[i] = vector_to_net(actors[i], v)
             trial = Agents(policy=stack_nets(trial_actors), central=agents.central,
                            policy_target=agents.policy_target,
                            central_target=agents.central_target)

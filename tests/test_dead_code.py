@@ -131,9 +131,8 @@ def test_every_import_is_read():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # train._versions reads scipy's version without importing scipy, whose
-    # import would dwarf a short run's setup time and peak RSS; the CLI's
-    # import chain must not load it either.
+    # scipy's import would dwarf a short run's setup time and peak RSS; only
+    # w_distance's exact matching loads it, never the CLI's import chain.
     assert _run_python("import sys, ernie_lab.cli; print('scipy' in sys.modules)") == "False"
 
 

@@ -326,18 +326,17 @@ def test_stack_rows_are_read_only_views():
     nets, stack = _agents("tanh")
     assert stack.stacked and not nets[0].stacked and stack.theta.shape[0] == 3
     assert not stack.theta.flags.writeable
-    for i, row in enumerate(stack):
-        assert np.shares_memory(row.theta, stack.theta)
-        assert row.theta.tobytes() == nets[i].theta.tobytes()
-        assert row.weights[0].tobytes() == stack.weights[0][i].tobytes()
-        assert row.biases[1].tobytes() == stack.biases[1][i].tobytes()
+    assert all(np.shares_memory(v, stack.theta) and not v.flags.writeable
+               for v in (*stack.weights, *stack.biases))
+    for i, net in enumerate(nets):
+        assert stack.theta[i].tobytes() == net.theta.tobytes()
+        assert stack.weights[0][i].tobytes() == net.weights[0].tobytes()
+        assert stack.biases[1][i].tobytes() == net.biases[1].tobytes()
     assert stack.weights[0].shape == (3, 8, 6) and stack.biases[0].shape == (3, 8)
     with pytest.raises(ValueError):
         stack_nets([nets[0], net_init([6, 9, 3], activation="tanh")])
     with pytest.raises(ValueError):
         stack_nets([nets[0], net_init([6, 8, 3], activation="relu")])
-    with pytest.raises(TypeError):
-        nets[0][0]
 
 
 def test_params_are_one_read_only_vector():

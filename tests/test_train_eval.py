@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,13 @@ from ernie_lab.envs import PerturbSpec, make_env, rollout
 from ernie_lab.evaluate import (build_policy, evaluate_checkpoint, evaluate_specs,
                                 load_checkpoint, sweep_specs)
 from ernie_lab.net import net_forward, net_init, net_vjp, stack_nets
-from ernie_lab.train import DDPG_HEADER, QCOMBO_HEADER, _obs_regularizer, train_run
+from ernie_lab.train import _obs_regularizer, train_run
+
+
+_DDPG_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
+                "loss_critic,actor_obj,reg_value_mean,attack_norm_mean")
+_QCOMBO_HEADER = ("step,seed,episodic_return_mean,episodic_return_std,"
+                  "loss_ind,loss_glob,loss_reg,loss_total,reg_value_mean,attack_norm_mean")
 
 
 def _ddpg_doc(**over):
@@ -62,7 +67,7 @@ def test_zero_steps_writes_initial_artifacts(tmp_path):
     res = train_run(cfg, tmp_path)
     run_dir = Path(res[0]["out_dir"])
     metrics = (run_dir / "metrics.csv").read_text().splitlines()
-    assert metrics == [DDPG_HEADER]
+    assert metrics == [_DDPG_HEADER]
     ckpt = run_dir / "ckpt_000000"
     assert ckpt.is_dir()
     manifest = json.loads((ckpt / "manifest.json").read_text())
@@ -76,18 +81,34 @@ def test_run_manifest_names_versions_and_config(tmp_path):
     assert doc == {"config_sha256": hashlib.sha256(config_json(cfg).encode()).hexdigest(),
                    "versions": {"ernie-lab": ernie_lab.__version__,
                                 "numpy": np.__version__,
-                                "python": platform.python_version(),
-                                "scipy": scipy.__version__}}
+                                "python": platform.python_version()}}
     other = resolve_config(_ddpg_doc(train_steps=0, lr=2e-3))
     doc2 = json.loads((Path(train_run(other, tmp_path / "b")[0]["out_dir"])
                        / "run.json").read_text())
     assert doc2["config_sha256"] != doc["config_sha256"]
 
 
-def test_metrics_headers():
-    assert QCOMBO_HEADER.startswith("step,seed,episodic_return_mean")
-    assert "loss_ind" in QCOMBO_HEADER and "loss_critic" in DDPG_HEADER
-    assert QCOMBO_HEADER.endswith("attack_norm_mean")
+def _metrics(doc, out: Path) -> list[str]:
+    return (Path(train_run(resolve_config(doc), out)[0]["out_dir"])
+            / "metrics.csv").read_text().splitlines()
+
+
+def test_metrics_headers(tmp_path):
+    # One layout: the run's columns, the learner's loss names, the
+    # regularizers'. No DDPG column can be read off the others: none equals
+    # another column, or the sum of two, in every row.
+    assert _metrics(_qcombo_doc(), tmp_path / "qcombo")[0] == _QCOMBO_HEADER
+    lines = _metrics(_ddpg_doc(log_interval=10, ernie={"enabled": True, "reg_rows": 4}),
+                     tmp_path / "ddpg")
+    assert lines[0] == _DDPG_HEADER
+    names = lines[0].split(",")
+    cols = dict(zip(names, np.array([line.split(",") for line in lines[1:]], float).T))
+    assert len(cols["step"]) == 25 and all(cols["reg_value_mean"][19:] > 0)
+    for name, col in cols.items():
+        others = [c for other, c in cols.items() if other != name]
+        assert not any(np.array_equal(col, c) for c in others), name
+        assert not any(np.array_equal(col, a + b)
+                       for i, a in enumerate(others) for b in others[i:]), name
 
 
 @pytest.mark.parametrize("doc_fn", [_ddpg_doc, _qcombo_doc, _qcombo_ernie_a_doc,
@@ -114,6 +135,31 @@ def test_disabled_regularizer_matches_baseline(doc_fn, tmp_path):
     a = Path(train_run(base, tmp_path / "base")[0]["out_dir"])
     b = Path(train_run(off, tmp_path / "off")[0]["out_dir"])
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+
+def _checkpoint_bytes(run_dir: Path) -> dict:
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.glob("ckpt_*/*"))}
+
+
+@pytest.mark.parametrize("base_doc,on_doc", [
+    (_ddpg_doc(), _ddpg_doc(ernie={"enabled": True, "epsilon": 3.0, "k_steps": 2,
+                                   "lambda": 0.0, "reg_rows": 4})),
+    (_qcombo_doc(), _qcombo_doc(ernie_a={"enabled": True, "lambda": 0.0, "rows": 4})),
+    (_ddpg_doc(algo="mf_ddpg"), _ddpg_doc(algo="mf_ddpg", ernie={"lambda": 0.0, "reg_rows": 4},
+                                          meanfield={"enabled": True})),
+], ids=["ernie", "ernie_a", "cloud"])
+def test_zero_lambda_regularizer_runs_but_leaves_updates(base_doc, on_doc, tmp_path):
+    # enabled alone switches a regularizer on; lambda only weighs it. At
+    # lambda 0 the attack runs and is logged, and the nets are the baseline's.
+    base = Path(train_run(resolve_config(base_doc), tmp_path / "base")[0]["out_dir"])
+    on_cfg = resolve_config(dict(on_doc, log_interval=10))
+    on = Path(train_run(on_cfg, tmp_path / "on")[0]["out_dir"])
+    assert _checkpoint_bytes(base) == _checkpoint_bytes(on) != {}
+    lines = (on / "metrics.csv").read_text().splitlines()
+    col = lines[0].split(",").index("reg_value_mean")
+    logged = [float(line.split(",")[col]) for line in lines[20:]]
+    assert len(logged) == 6 and all(v > 0 for v in logged)
 
 
 def test_ernie_changes_metrics(tmp_path):
@@ -605,11 +651,10 @@ def test_stackelberg_logs_the_attack_it_differentiates():
     assert logged[True] == logged[False]
 
 
-def _obs_regularizer_per_agent(policy, obs, acfg, mode, rng, stackelberg):
+def _obs_regularizer_per_agent(nets, obs, acfg, mode, rng, stackelberg):
     # The per-agent loop that _obs_regularizer's one stacked call replaces.
     values, norms, grads = [], [], []
-    for i in range(policy.theta.shape[0]):
-        net, rows = policy[i], obs[i]
+    for net, rows in zip(nets, obs):
         clean = net_vjp(net, rows)
         if stackelberg:
             gt, delta, vals = stackelberg_grad(net, rows, acfg, rng, clean)
@@ -644,14 +689,15 @@ _OBS_REG_CASES = {
 def test_obs_regularizer_stack_matches_per_agent_loop(case, activation, n_agents, rows):
     mode, fields, stackelberg = _OBS_REG_CASES[case]
     acfg = AttackConfig(**{"epsilon": 0.5, "k_steps": 2, **fields})
-    policy = stack_nets([net_init([6, 8, 2], activation=activation, seed=10 + i, scale=2.0)
-                         for i in range(n_agents)])
+    nets = [net_init([6, 8, 2], activation=activation, seed=10 + i, scale=2.0)
+            for i in range(n_agents)]
+    policy = stack_nets(nets)
     # agent-major rows of a (B, N, d) batch, as the trainer passes them
     obs = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, n_agents, 6))
     obs = obs.transpose(1, 0, 2)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     got = _obs_regularizer(policy, obs, acfg, mode, got_rng, stackelberg)
-    want = _obs_regularizer_per_agent(policy, obs, acfg, mode, want_rng, stackelberg)
+    want = _obs_regularizer_per_agent(nets, obs, acfg, mode, want_rng, stackelberg)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -826,9 +872,9 @@ def _poison_obs_values(real):
 
 
 @pytest.mark.parametrize("doc_fn,target,poison,column",
-                         [(_ddpg_doc, "ddpg_updates", _poison_loss("critic"), "loss_critic"),
+                         [(_ddpg_doc, "ddpg_updates", _poison_loss("loss_critic"), "loss_critic"),
                           (_ddpg_doc, "ddpg_updates", _poison_loss("actor_obj"), "actor_obj"),
-                          (_qcombo_doc, "qcombo_losses", _poison_loss("glob"), "loss_glob"),
+                          (_qcombo_doc, "qcombo_losses", _poison_loss("loss_glob"), "loss_glob"),
                           (_qcombo_doc, "_obs_regularizer", _poison_obs_values,
                            "reg_value_mean")],
                          ids=["critic", "actor_obj", "glob", "reg_value"])
